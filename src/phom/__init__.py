@@ -2,9 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .cubical import (FilteredCubicalComplex, build_cubical_filtration,
-                      image_persistence, superlevel_persistence,
-                      voxel_persistence)
+from .cubical import (build_cubical_filtration, image_persistence,
+                      superlevel_persistence, voxel_persistence)
 from .datagen import (Perturbation, gen_diffusion_field, gen_periodic_pair,
                       kde_grid, sample_annulus, sample_double_annulus,
                       sliding_windows)
@@ -16,7 +15,7 @@ from .homology import (BoundaryMatrixZ2, SnfResult, betti_numbers,
                        boundary_dense, build_boundary_matrix,
                        connected_components, format_boundary_table,
                        gf2_eliminate, gf2_rank, snf_rank)
-from .persistence import (PersistenceDiagram, PersistencePairing,
+from .persistence import (Filtration, PersistenceDiagram, PersistencePairing,
                           RepresentativeCycle, compute_persistence,
                           cycle_boundary_is_zero, diagram_at_scale_betti,
                           representative_cycle, sparsify_cycle)
@@ -32,8 +31,8 @@ __all__ = [
     "BoundaryMatrixZ2",
     "ComplexViolation",
     "DiagramDistanceReport",
-    "FilteredCubicalComplex",
     "FilteredSimplicialComplex",
+    "Filtration",
     "InputError",
     "InternalError",
     "KdeField",

@@ -6,7 +6,7 @@ manifest and reproduces the outputs byte for byte (seeds are stored
 resolved, so later environment changes cannot leak in).
 
 Exit codes: 0 success, 2 malformed input data, 3 bad parameters,
-4 internal invariant breach.
+4 internal error (an invariant breach or any unexpected exception).
 """
 
 from __future__ import annotations
@@ -101,79 +101,25 @@ def run_rips(p: dict) -> None:
     _write_manifest(_sibling(p["output"], ".manifest.json"), "rips", p)
 
 
-def cmd_rips(args) -> None:
-    run_rips({
-        "input": args.input,
-        "output": args.output,
-        "distance_matrix": bool(args.distance_matrix),
-        "max_dim": args.max_dim,
-        "max_scale": args.max_scale,
-        "convention": args.convention,
-        "svg": bool(args.svg),
-        "save_complex": args.save_complex,
-    })
-
-
 # ----------------------------------------------------------- image / voxel
 
-def run_image(p: dict) -> None:
-    g = io.read_pgm(p["input"])
+def run_cubical(p: dict, read, persistence, title: str, sub: str) -> None:
+    """`image` and `voxel`: read a grid, then the same cubical pipeline."""
+    g = read(p["input"])
     if p["superlevel"]:
         diagram = superlevel_persistence(g, max_dim=p["max_dim"])
     else:
-        diagram = image_persistence(g, max_dim=p["max_dim"])
+        diagram = persistence(g, max_dim=p["max_dim"])
     io.write_diagram_csv(p["output"], diagram)
     if p["svg"]:
-        save_diagram_svg(_sibling(p["output"], ".svg"), diagram,
-                         title="Cubical persistence")
+        save_diagram_svg(_sibling(p["output"], ".svg"), diagram, title=title)
     if p["save_complex"]:
         grid = -g if p["superlevel"] else g
         kind = "cubical-superlevel" if p["superlevel"] else "cubical-sublevel"
         io.write_complex_cache(p["save_complex"],
                                build_cubical_filtration(grid),
                                meta={"kind": kind})
-    _write_manifest(_sibling(p["output"], ".manifest.json"), "image", p)
-
-
-def cmd_image(args) -> None:
-    run_image({
-        "input": args.input,
-        "output": args.output,
-        "superlevel": bool(args.superlevel),
-        "max_dim": args.max_dim,
-        "svg": bool(args.svg),
-        "save_complex": args.save_complex,
-    })
-
-
-def run_voxel(p: dict) -> None:
-    g = io.read_voxel(p["input"])
-    if p["superlevel"]:
-        diagram = superlevel_persistence(g, max_dim=p["max_dim"])
-    else:
-        diagram = voxel_persistence(g, max_dim=p["max_dim"])
-    io.write_diagram_csv(p["output"], diagram)
-    if p["svg"]:
-        save_diagram_svg(_sibling(p["output"], ".svg"), diagram,
-                         title="Voxel persistence")
-    if p["save_complex"]:
-        grid = -g if p["superlevel"] else g
-        kind = "cubical-superlevel" if p["superlevel"] else "cubical-sublevel"
-        io.write_complex_cache(p["save_complex"],
-                               build_cubical_filtration(grid),
-                               meta={"kind": kind})
-    _write_manifest(_sibling(p["output"], ".manifest.json"), "voxel", p)
-
-
-def cmd_voxel(args) -> None:
-    run_voxel({
-        "input": args.input,
-        "output": args.output,
-        "superlevel": bool(args.superlevel),
-        "max_dim": args.max_dim,
-        "svg": bool(args.svg),
-        "save_complex": args.save_complex,
-    })
+    _write_manifest(_sibling(p["output"], ".manifest.json"), sub, p)
 
 
 # ------------------------------------------------------------- vectorize
@@ -193,19 +139,6 @@ def run_vectorize(p: dict) -> None:
     _write_manifest(_sibling(p["output"], ".manifest.json"), "vectorize", p)
 
 
-def cmd_vectorize(args) -> None:
-    run_vectorize({
-        "input": args.input,
-        "output": args.output,
-        "dim": args.dim,
-        "resolution": list(args.resolution),
-        "sigma": args.sigma,
-        "range": list(args.range) if args.range is not None else None,
-        "weight": args.weight,
-        "essentials": args.essentials,
-    })
-
-
 # -------------------------------------------------------------- distance
 
 def run_distance(p: dict) -> None:
@@ -218,17 +151,6 @@ def run_distance(p: dict) -> None:
                                       p=float(p["p"]))
     io.write_distance_report(p["output"], report)
     _write_manifest(_sibling(p["output"], ".manifest.json"), "distance", p)
-
-
-def cmd_distance(args) -> None:
-    run_distance({
-        "input_a": args.input_a,
-        "input_b": args.input_b,
-        "output": args.output,
-        "metric": args.metric,
-        "p": args.p,
-        "dim": args.dim,
-    })
 
 
 # ---------------------------------------------------------------- series
@@ -269,17 +191,6 @@ def run_series(p: dict) -> None:
                     "series", p)
 
 
-def cmd_series(args) -> None:
-    run_series({
-        "input": args.input,
-        "out_dir": args.out_dir,
-        "window": args.window,
-        "stride": args.stride,
-        "max_scale": args.max_scale,
-        "convention": args.convention,
-    })
-
-
 # -------------------------------------------------------------- sparsify
 
 def run_sparsify(p: dict) -> None:
@@ -312,16 +223,6 @@ def run_sparsify(p: dict) -> None:
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
     _write_manifest(_sibling(p["output"], ".manifest.json"), "sparsify", p)
-
-
-def cmd_sparsify(args) -> None:
-    run_sparsify({
-        "complex": args.complex,
-        "diagram": args.diagram,
-        "point": args.point,
-        "budget": args.budget,
-        "output": args.output,
-    })
 
 
 # ------------------------------------------------------------------- gen
@@ -399,10 +300,20 @@ def cmd_gen(args) -> None:
     run_gen(p)
 
 
+def _cmd(args) -> None:
+    """Run a subcommand; its parsed options are its manifest params."""
+    RUNNERS[args.subcommand]({k: v for k, v in vars(args).items()
+                              if k not in ("manifest", "subcommand", "func")})
+
+
+# The reader and the persistence function are looked up on each call, so
+# replacing a module attribute (io.read_pgm, image_persistence) takes effect.
 RUNNERS = {
     "rips": run_rips,
-    "image": run_image,
-    "voxel": run_voxel,
+    "image": lambda p: run_cubical(p, io.read_pgm, image_persistence,
+                                   "Cubical persistence", "image"),
+    "voxel": lambda p: run_cubical(p, io.read_voxel, voxel_persistence,
+                                   "Voxel persistence", "voxel"),
     "vectorize": run_vectorize,
     "distance": run_distance,
     "series": run_series,
@@ -447,7 +358,7 @@ def build_parser() -> _Parser:
                    default="radius")
     q.add_argument("--svg", action="store_true")
     q.add_argument("--save-complex", metavar="FILE", default=None)
-    q.set_defaults(func=cmd_rips)
+    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("image", help="cubical persistence of a PGM/PPM")
     q.add_argument("input")
@@ -456,7 +367,7 @@ def build_parser() -> _Parser:
     q.add_argument("--max-dim", type=int, default=None)
     q.add_argument("--svg", action="store_true")
     q.add_argument("--save-complex", metavar="FILE", default=None)
-    q.set_defaults(func=cmd_image)
+    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("voxel", help="cubical persistence of a voxel grid")
     q.add_argument("input")
@@ -465,7 +376,7 @@ def build_parser() -> _Parser:
     q.add_argument("--max-dim", type=int, default=None)
     q.add_argument("--svg", action="store_true")
     q.add_argument("--save-complex", metavar="FILE", default=None)
-    q.set_defaults(func=cmd_voxel)
+    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("vectorize", help="diagram to persistence image")
     q.add_argument("input")
@@ -480,7 +391,7 @@ def build_parser() -> _Parser:
                    default="linear")
     q.add_argument("--essentials", choices=["auto", "cap", "skip"],
                    default="auto")
-    q.set_defaults(func=cmd_vectorize)
+    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("distance", help="distance between two diagrams")
     q.add_argument("input_a")
@@ -490,7 +401,7 @@ def build_parser() -> _Parser:
                    default="bottleneck")
     q.add_argument("--p", type=float, default=2.0)
     q.add_argument("--dim", type=int, default=1)
-    q.set_defaults(func=cmd_distance)
+    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("series",
                        help="sliding-window loop scores of a 2-column series")
@@ -501,7 +412,7 @@ def build_parser() -> _Parser:
     q.add_argument("--max-scale", type=float, default=None)
     q.add_argument("--convention", choices=["radius", "diameter"],
                    default="radius")
-    q.set_defaults(func=cmd_series)
+    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("sparsify", help="shrink a representative cycle")
     q.add_argument("--complex", required=True, metavar="CACHE")
@@ -510,7 +421,7 @@ def build_parser() -> _Parser:
                    help="row index into the diagram CSV")
     q.add_argument("--budget", type=int, default=20)
     q.add_argument("-o", "--output", required=True)
-    q.set_defaults(func=cmd_sparsify)
+    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("gen", help="seeded data generators")
     gensub = q.add_subparsers(dest="kind")
@@ -586,6 +497,10 @@ def main(argv=None) -> int:
         return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # a bug, not bad input: never a traceback
+        msg = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return 4
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .persistence import PersistenceDiagram, compute_persistence
+from .persistence import (Filtration, PersistenceDiagram,
+                          compute_persistence)
 
 
 def as_grid(values) -> np.ndarray:
@@ -40,104 +41,60 @@ def _expand_axis_min(a: np.ndarray, ax: int) -> np.ndarray:
     return np.moveaxis(e, 0, ax)
 
 
-class FilteredCubicalComplex:
-    """All cubes of a grid in filtration order.
+def _cube(row: np.ndarray) -> tuple:
+    return tuple(row.tolist())
 
-    Same engine-facing layout as the simplicial class: values, dims and
-    CSR boundary arrays, cells sorted by (value, dimension, lexicographic
-    doubled coordinates).
+
+def build_cubical_filtration(grid) -> Filtration:
+    """Sublevel cubical filtration of a 1-3 axis scalar grid.
+
+    Cells are sorted by (value, dimension, lexicographic doubled
+    coordinates); the keys are the (n, d) coordinate array itself, so
+    the build makes no Python object per cell.
     """
+    g = as_grid(grid)
+    doubled = tuple(2 * n + 1 for n in g.shape)
 
-    def __init__(self, grid: np.ndarray):
-        g = as_grid(grid)
-        self.grid_shape = g.shape
-        doubled = tuple(2 * n + 1 for n in g.shape)
-        self.doubled_shape = doubled
+    vals = g
+    for ax in range(g.ndim):
+        vals = _expand_axis_min(vals, ax)
 
-        vals = g
-        for ax in range(g.ndim):
-            vals = _expand_axis_min(vals, ax)
+    par = np.zeros(doubled, dtype=np.int32)
+    for ax, s in enumerate(doubled):
+        shape = [1] * g.ndim
+        shape[ax] = s
+        par = par + (np.arange(s, dtype=np.int32) % 2).reshape(shape)
 
-        par = np.zeros(doubled, dtype=np.int32)
-        for ax, s in enumerate(doubled):
-            shape = [1] * g.ndim
-            shape[ax] = s
-            par = par + (np.arange(s, dtype=np.int32) % 2).reshape(shape)
+    coords = np.indices(doubled, dtype=np.int64).reshape(g.ndim, -1).T
+    values = vals.ravel()
+    dims = par.ravel()
 
-        coords = np.indices(doubled, dtype=np.int64).reshape(g.ndim, -1).T
-        values = vals.ravel()
-        dims = par.ravel()
+    order = np.lexsort(tuple(coords[:, ::-1].T) + (dims, values))
+    values = values[order]
+    dims = dims[order].astype(np.int32)
+    coords = coords[order]
+    inv = np.empty(len(order), dtype=np.int64)
+    inv[order] = np.arange(len(order))
 
-        order = np.lexsort(tuple(coords[:, ::-1].T) + (dims, values))
-        self.values = values[order]
-        self.dims = dims[order].astype(np.int32)
-        self.coords = coords[order]
-        inv = np.empty(len(order), dtype=np.int64)
-        inv[order] = np.arange(len(order))
+    strides = np.array(
+        [int(np.prod(doubled[ax + 1:])) for ax in range(g.ndim)],
+        dtype=np.int64)
+    flatidx = coords @ strides
 
-        strides = np.array(
-            [int(np.prod(doubled[ax + 1:])) for ax in range(g.ndim)],
-            dtype=np.int64)
-        flatidx = self.coords @ strides
-
-        widths = 2 * self.dims.astype(np.int64)
-        off = np.concatenate([[0], np.cumsum(widths)]).astype(np.int64)
-        flat = np.empty(int(off[-1]), dtype=np.int64)
-        odd = (self.coords % 2).astype(np.int64)
-        before = np.cumsum(odd, axis=1) - odd
-        for ax in range(g.ndim):
-            rows = np.flatnonzero(odd[:, ax])
-            if not rows.size:
-                continue
-            slot = off[rows] + 2 * before[rows, ax]
-            flat[slot] = inv[flatidx[rows] - strides[ax]]
-            flat[slot + 1] = inv[flatidx[rows] + strides[ax]]
-        self._bnd_off = off
-        self._bnd_flat = flat
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.values)
-
-    @property
-    def dim(self) -> int:
-        return len(self.grid_shape)
-
-    def _ensure_boundary(self) -> None:
-        pass
-
-    def boundary(self, i: int) -> np.ndarray:
-        return self._bnd_flat[self._bnd_off[i]:self._bnd_off[i + 1]]
-
-    def cell(self, i: int) -> tuple:
-        """Doubled-lattice coordinates of cell i."""
-        return tuple(int(c) for c in self.coords[i])
-
-    def counts_by_dim(self) -> np.ndarray:
-        return np.bincount(self.dims)
-
-    def labels(self) -> list[str]:
-        return [",".join(str(c) for c in row) for row in self.coords.tolist()]
-
-    def sublevel(self, eps: float) -> "FilteredCubicalComplex":
-        m = int(np.searchsorted(self.values, eps, side="right"))
-        sub = object.__new__(FilteredCubicalComplex)
-        sub.grid_shape = self.grid_shape
-        sub.doubled_shape = self.doubled_shape
-        sub.values = self.values[:m].copy()
-        sub.dims = self.dims[:m].copy()
-        sub.coords = self.coords[:m].copy()
-        sub._bnd_off = self._bnd_off[:m + 1].copy()
-        sub._bnd_flat = self._bnd_flat[:self._bnd_off[m]].copy()
-        return sub
-
-
-def build_cubical_filtration(grid) -> FilteredCubicalComplex:
-    """Sublevel cubical filtration of a 1-3 axis scalar grid."""
-    return FilteredCubicalComplex(grid)
+    widths = 2 * dims.astype(np.int64)
+    off = np.concatenate([[0], np.cumsum(widths)]).astype(np.int64)
+    flat = np.empty(int(off[-1]), dtype=np.int64)
+    odd = (coords % 2).astype(np.int64)
+    before = np.cumsum(odd, axis=1) - odd
+    for ax in range(g.ndim):
+        rows = np.flatnonzero(odd[:, ax])
+        if not rows.size:
+            continue
+        slot = off[rows] + 2 * before[rows, ax]
+        flat[slot] = inv[flatidx[rows] - strides[ax]]
+        flat[slot + 1] = inv[flatidx[rows] + strides[ax]]
+    return Filtration(values, dims, off, flat, coords,
+                      meta={"grid_shape": g.shape}, as_cell=_cube)
 
 
 def _grid_metadata(g: np.ndarray, direction: str) -> dict:
@@ -152,40 +109,42 @@ def _grid_metadata(g: np.ndarray, direction: str) -> dict:
     }
 
 
-def image_persistence(grid, max_dim: int | None = None,
-                      variant: str = "twist") -> PersistenceDiagram:
+def _grid_persistence(grid, max_dim: int | None, direction: str,
+                      kind: str = "", ndim: int | None = None
+                      ) -> PersistenceDiagram:
+    """Diagram of a grid's sub- or superlevel filtration.
+
+    max_dim defaults to the grid's axis count minus one; ndim, when
+    given, is the axis count a `kind` grid must have.
+    """
+    g = as_grid(grid)
+    if ndim is not None and g.ndim != ndim:
+        raise InputError(f"{kind} grid must have {ndim} axes, got {g.ndim}")
+    if direction == "superlevel":
+        g = -g
+    diagram, _ = compute_persistence(
+        build_cubical_filtration(g),
+        max_dim=g.ndim - 1 if max_dim is None else max_dim,
+        metadata=_grid_metadata(g, direction))
+    return diagram
+
+
+def image_persistence(grid, max_dim: int | None = None) -> PersistenceDiagram:
     """Sublevel persistence of a 2-d image grid (H0 and H1 by default).
 
     Infinite deaths stay infinite in the diagram; metadata records a
     death cap (max value plus one value-range unit) for vectorization.
     """
-    g = as_grid(grid)
-    if g.ndim != 2:
-        raise InputError(f"image grid must have 2 axes, got {g.ndim}")
-    if max_dim is None:
-        max_dim = 1
-    K = FilteredCubicalComplex(g)
-    diagram, _ = compute_persistence(K, max_dim=max_dim, variant=variant,
-                                     metadata=_grid_metadata(g, "sublevel"))
-    return diagram
+    return _grid_persistence(grid, max_dim, "sublevel", "image", 2)
 
 
-def voxel_persistence(grid, max_dim: int | None = None,
-                      variant: str = "twist") -> PersistenceDiagram:
+def voxel_persistence(grid, max_dim: int | None = None) -> PersistenceDiagram:
     """Sublevel persistence of a 3-d voxel grid; H2 counts enclosed voids."""
-    g = as_grid(grid)
-    if g.ndim != 3:
-        raise InputError(f"voxel grid must have 3 axes, got {g.ndim}")
-    if max_dim is None:
-        max_dim = 2
-    K = FilteredCubicalComplex(g)
-    diagram, _ = compute_persistence(K, max_dim=max_dim, variant=variant,
-                                     metadata=_grid_metadata(g, "sublevel"))
-    return diagram
+    return _grid_persistence(grid, max_dim, "sublevel", "voxel", 3)
 
 
-def superlevel_persistence(grid, max_dim: int | None = None,
-                           variant: str = "twist") -> PersistenceDiagram:
+def superlevel_persistence(grid,
+                           max_dim: int | None = None) -> PersistenceDiagram:
     """Superlevel persistence, computed as sublevel of the negated grid.
 
     Points are stored in negated-grid coordinates so that birth <= death
@@ -193,11 +152,4 @@ def superlevel_persistence(grid, max_dim: int | None = None,
     coordinates (a feature stored as (b, d) appears at grid value -b and
     vanishes at -d, sweeping from high values down).
     """
-    g = as_grid(grid)
-    if max_dim is None:
-        max_dim = g.ndim - 1
-    neg = -g
-    K = FilteredCubicalComplex(neg)
-    diagram, _ = compute_persistence(K, max_dim=max_dim, variant=variant,
-                                     metadata=_grid_metadata(neg, "superlevel"))
-    return diagram
+    return _grid_persistence(grid, max_dim, "superlevel")

@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .simplicial import FilteredSimplicialComplex, Simplex
+from .persistence import Filtration
+from .simplicial import Simplex
 
 
 @dataclass
@@ -40,7 +41,7 @@ class BoundaryMatrixZ2:
         return m
 
 
-def build_boundary_matrix(K: FilteredSimplicialComplex,
+def build_boundary_matrix(K: Filtration,
                           k: int) -> BoundaryMatrixZ2:
     """Boundary matrix of the k-simplices of K over Z2.
 

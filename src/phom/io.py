@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .persistence import PersistenceDiagram
+from .persistence import Filtration, PersistenceDiagram
 from .vectorize import PersistenceImage
 from .distances import DiagramDistanceReport
 
@@ -385,43 +385,6 @@ def read_distance_report(path: str) -> DiagramDistanceReport:
 
 # -------------------------------------------------------------- cell caches
 
-class GenericFilteredComplex:
-    """A filtered cell complex re-loaded from a cache file.
-
-    Carries just what the persistence engine and the sparsifier need:
-    values, dims, CSR boundary and printable labels.
-    """
-
-    def __init__(self, values: np.ndarray, dims: np.ndarray,
-                 bnd_off: np.ndarray, bnd_flat: np.ndarray,
-                 labels: list[str], meta: dict | None = None):
-        self.values = values
-        self.dims = dims
-        self._bnd_off = bnd_off
-        self._bnd_flat = bnd_flat
-        self._labels = labels
-        self.meta = dict(meta or {})
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def dim(self) -> int:
-        return int(self.dims.max()) if len(self.values) else -1
-
-    def _ensure_boundary(self) -> None:
-        pass
-
-    def boundary(self, i: int) -> np.ndarray:
-        return self._bnd_flat[self._bnd_off[i]:self._bnd_off[i + 1]]
-
-    def labels(self) -> list[str]:
-        return list(self._labels)
-
-    def cell(self, i: int) -> str:
-        return self._labels[i]
-
-
 CACHE_MAGIC = "# phom-complex 1"
 
 
@@ -430,9 +393,8 @@ def write_complex_cache(path: str, K, meta: dict | None = None) -> None:
 
     Line layout after the header: dimension, value (repr), label, then
     the cell's face positions.  Faces always precede their cofaces, so
-    the file round-trips through GenericFilteredComplex losslessly.
+    the file round-trips through read_complex_cache losslessly.
     """
-    K._ensure_boundary()
     labels = K.labels()
     with open(path, "w", encoding="ascii") as fh:
         fh.write(CACHE_MAGIC + "\n")
@@ -445,7 +407,14 @@ def write_complex_cache(path: str, K, meta: dict | None = None) -> None:
             fh.write(line + (" " + faces if faces else "") + "\n")
 
 
-def read_complex_cache(path: str) -> GenericFilteredComplex:
+def read_complex_cache(path: str) -> Filtration:
+    """Load a cache written by write_complex_cache as a Filtration.
+
+    Each cell line is checked before it is used: its faces precede it,
+    each face appears once and has dimension dim - 1, values are finite
+    and never decrease, and the boundary of its boundary is zero.  The
+    cells keep their labels as keys.
+    """
     with _open_read(path) as fh:
         lines = [l.rstrip("\n") for l in fh]
     if not lines or lines[0] != CACHE_MAGIC:
@@ -463,34 +432,52 @@ def read_complex_cache(path: str) -> GenericFilteredComplex:
     except (IndexError, ValueError):
         raise InputError(f"{path}:{i + 1}: bad cell count") from None
     i += 1
-    dims = np.empty(count, dtype=np.int32)
-    values = np.empty(count, dtype=np.float64)
+    dims: list[int] = []
+    values: list[float] = []
     labels: list[str] = []
     flat: list[int] = []
-    off = np.zeros(count + 1, dtype=np.int64)
+    off = [0]
     for c in range(count):
         ln = i + c
         if ln >= len(lines) or not lines[ln].strip():
             raise InputError(f"{path}: expected {count} cells, got {c}")
+        where = f"{path}:{ln + 1}"
         parts = lines[ln].split()
         if len(parts) < 3:
-            raise InputError(f"{path}:{ln + 1}: malformed cell line")
+            raise InputError(f"{where}: malformed cell line")
         try:
-            dims[c] = int(parts[0])
-            values[c] = float(parts[1])
+            dim = int(parts[0])
+            value = float(parts[1])
             faces = [int(p) for p in parts[3:]]
         except ValueError as exc:
-            raise InputError(f"{path}:{ln + 1}: {exc}") from None
-        labels.append(parts[2])
+            raise InputError(f"{where}: {exc}") from None
+        if dim < 0:
+            raise InputError(f"{where}: negative dimension")
+        if not math.isfinite(value):
+            raise InputError(f"{where}: value must be finite")
+        if len(set(faces)) != len(faces):
+            raise InputError(f"{where}: a face is listed twice")
+        dd: set[int] = set()
         for f in faces:
             if not 0 <= f < c:
                 raise InputError(
-                    f"{path}:{ln + 1}: face {f} does not precede cell {c}")
-        if c and values[c] < values[c - 1]:
-            raise InputError(
-                f"{path}:{ln + 1}: values must be non-decreasing")
+                    f"{where}: face {f} does not precede cell {c}")
+            if dims[f] != dim - 1:
+                raise InputError(
+                    f"{where}: face {f} has dimension {dims[f]}, "
+                    f"not {dim - 1}")
+            dd.symmetric_difference_update(flat[off[f]:off[f + 1]])
+        if dd:
+            raise InputError(f"{where}: boundary of the boundary of cell "
+                             f"{c} is not zero")
+        if c and value < values[-1]:
+            raise InputError(f"{where}: values must be non-decreasing")
+        dims.append(dim)
+        values.append(value)
+        labels.append(parts[2])
         flat.extend(faces)
-        off[c + 1] = len(flat)
-    return GenericFilteredComplex(values, dims, off,
-                                  np.array(flat, dtype=np.int64), labels,
-                                  meta)
+        off.append(len(flat))
+    return Filtration(np.array(values, dtype=np.float64),
+                      np.array(dims, dtype=np.int32),
+                      np.array(off, dtype=np.int64),
+                      np.array(flat, dtype=np.int64), labels, meta, str)

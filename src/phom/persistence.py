@@ -11,13 +11,95 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import InternalError, ParameterError
 
 DiagramPoint = tuple[int, float, float]
+
+
+def _label(key) -> str:
+    return key if isinstance(key, str) else ",".join(map(str, key))
+
+
+@dataclass(eq=False)
+class Filtration:
+    """A filtered cell complex: the one input type of the reduction.
+
+    Cells are in filtration order, with every face before its cofaces.
+    A builder (rips_filtration, FilteredSimplicialComplex,
+    build_cubical_filtration, io.read_complex_cache) fills in every
+    field, the CSR boundary included: the faces of cell i sit at
+    bnd_flat[bnd_off[i]:bnd_off[i + 1]].
+
+    keys holds one key per cell: vertex tuples for simplices, an (n, d)
+    array of doubled-lattice coordinates for cubes (no Python object per
+    cell), or label strings read from a cache.  as_cell turns one key
+    into what cell() returns.
+    """
+
+    values: np.ndarray
+    dims: np.ndarray
+    bnd_off: np.ndarray
+    bnd_flat: np.ndarray
+    keys: list | np.ndarray = field(repr=False)
+    meta: dict = field(default_factory=dict)
+    as_cell: Callable = tuple
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.values)
+
+    @property
+    def dim(self) -> int:
+        return int(self.dims.max()) if len(self.values) else -1
+
+    def boundary(self, i: int) -> np.ndarray:
+        """Positions of the codim-1 faces of cell i in the order."""
+        return self.bnd_flat[self.bnd_off[i]:self.bnd_off[i + 1]]
+
+    def cell(self, i: int):
+        return self.as_cell(self.keys[i])
+
+    def value(self, i: int) -> float:
+        return float(self.values[i])
+
+    def items(self) -> Iterator[tuple[object, float]]:
+        for i in range(len(self.values)):
+            yield self.cell(i), float(self.values[i])
+
+    def labels(self) -> list[str]:
+        """Printable cell labels, e.g. "0,3,7" for a triangle."""
+        keys = self.keys
+        return [_label(k) for k in
+                (keys.tolist() if isinstance(keys, np.ndarray) else keys)]
+
+    def index_of(self, key) -> int:
+        """Position of the cell with this key, by a scan; raises KeyError."""
+        try:
+            return self.labels().index(_label(key))
+        except ValueError:
+            raise KeyError(key) from None
+
+    def __contains__(self, key) -> bool:
+        return _label(key) in self.labels()
+
+    def counts_by_dim(self) -> np.ndarray:
+        return np.bincount(self.dims)
+
+    def sublevel(self, eps: float) -> "Filtration":
+        """The subcomplex of cells with value <= eps (a prefix)."""
+        m = int(np.searchsorted(self.values, eps, side="right"))
+        return Filtration(
+            self.values[:m].copy(), self.dims[:m].copy(),
+            self.bnd_off[:m + 1].copy(),
+            self.bnd_flat[:self.bnd_off[m]].copy(),
+            self.keys[:m], dict(self.meta), self.as_cell)
 
 
 @dataclass
@@ -74,7 +156,7 @@ class PersistencePairing:
     never die (only dimensions <= max_dim).  No cell appears twice.
     """
 
-    complex: object
+    complex: Filtration
     pairs: list[tuple[int, int]]
     essential: list[int]
     max_dim: int
@@ -103,7 +185,7 @@ class RepresentativeCycle:
 
     point: DiagramPoint
     cells: frozenset[int]
-    complex: object = field(compare=False, repr=False)
+    complex: Filtration = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -125,28 +207,26 @@ def _bits_to_ids(col: int, ids: np.ndarray) -> frozenset[int]:
     return frozenset(out)
 
 
-def compute_persistence(K, max_dim: int | None = None,
-                        variant: str = "twist",
+def compute_persistence(K: Filtration, max_dim: int | None = None,
                         metadata: dict | None = None
                         ) -> tuple[PersistenceDiagram, PersistencePairing]:
-    """Persistence diagram and pairing of a filtered complex.
+    """Persistence diagram and pairing of a filtration.
+
+    Dimensions are reduced from the top down with clearing (the twist of
+    Chen and Kerber): a column whose cell was already paired as a birth
+    is known to reduce to zero and is skipped.
 
     Args:
-        K: a filtered complex (simplicial or cubical); cells must be in
-            filtration order with faces preceding cofaces.
+        K: the filtration; cells must be in filtration order with faces
+            preceding cofaces.
         max_dim: largest homology dimension to report; defaults to the
             complex dimension.
-        variant: "standard" (plain left-to-right, ascending dimension) or
-            "twist" (descending dimension with clearing).  Both produce
-            identical output; twist skips known-zero columns.
         metadata: extra metadata stored on the diagram.
 
     Returns:
         (diagram, pairing).  The diagram drops zero-persistence points;
         the pairing keeps them.
     """
-    if variant not in ("standard", "twist"):
-        raise ParameterError(f"unknown reduction variant {variant!r}")
     dims = np.asarray(K.dims)
     n = dims.size
     top = int(dims.max()) if n else 0
@@ -157,13 +237,12 @@ def compute_persistence(K, max_dim: int | None = None,
         raise ParameterError("max_dim must be non-negative")
     build_dim = min(top, max_dim + 1)
 
-    K._ensure_boundary()
     bydim = [np.flatnonzero(dims == k) for k in range(build_dim + 1)]
     rank_in_dim = np.zeros(n, dtype=np.int64)
     for k in range(build_dim + 1):
         rank_in_dim[bydim[k]] = np.arange(bydim[k].size)
-    off = K._bnd_off
-    rk_flat = rank_in_dim[K._bnd_flat] if K._bnd_flat.size else K._bnd_flat
+    off = K.bnd_off
+    rk_flat = rank_in_dim[K.bnd_flat] if K.bnd_flat.size else K.bnd_flat
 
     death_of: dict[int, int] = {}
     death_cols: dict[int, int] = {}
@@ -175,9 +254,7 @@ def compute_persistence(K, max_dim: int | None = None,
     off_list = off.tolist()
     rk_list = rk_flat.tolist()
 
-    dim_order = (range(build_dim, 0, -1) if variant == "twist"
-                 else range(1, build_dim + 1))
-    for k in dim_order:
+    for k in range(build_dim, 0, -1):
         lower_ids = bydim[k - 1]
         pivots: dict[int, int] = {}
         pivot_owner: dict[int, int] = {}
@@ -201,8 +278,7 @@ def compute_persistence(K, max_dim: int | None = None,
             death_of[i] = j
             death_cols[i] = pivots[low]
             negative[j] = 1
-            if variant == "twist":
-                cleared[i] = 1
+            cleared[i] = 1
 
     pairs = sorted(death_of.items())
     essential = [int(i) for i in range(n)
@@ -246,8 +322,8 @@ def _essential_cycle_bits(K, i_global: int, bydim: list[np.ndarray],
     """Column of the reduction witness V for a positive cell (dim >= 1)."""
     dims = np.asarray(K.dims)
     k = int(dims[i_global])
-    off = K._bnd_off
-    rk_flat = rank_in_dim[K._bnd_flat]
+    off = K.bnd_off
+    rk_flat = rank_in_dim[K.bnd_flat]
     pivots: dict[int, tuple[int, int]] = {}
     for j in bydim[k].tolist():
         col = 0

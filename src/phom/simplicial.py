@@ -8,12 +8,13 @@ sublevel set is a prefix of the cell list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError, InternalError, ParameterError
+from .persistence import Filtration
 
 Vertices = Sequence[int]
 
@@ -78,143 +79,51 @@ class ComplexViolation:
     detail: str
 
 
-class FilteredSimplicialComplex:
-    """An ordered filtration of simplices with real entry values.
+def FilteredSimplicialComplex(cells: Iterable[tuple[Vertices, float]]
+                              ) -> Filtration:
+    """Filtration of an explicit list of (vertices, value) cells.
 
-    Attributes:
-        values: float64 array of filtration values, one per cell,
-            non-decreasing along the cell order.
-        dims: int32 array of cell dimensions.
+    Cells are sorted into (value, dimension, lexicographic vertices)
+    order and their boundaries are wired up front; a duplicate cell, a
+    non-finite value or a missing face raises InputError.
     """
-
-    def __init__(self, cells: Iterable[tuple[Vertices, float]],
-                 check: bool = True):
-        rows = []
-        for verts, value in cells:
-            s = Simplex(verts) if check else Simplex._wrap(tuple(verts))
-            rows.append((float(value), len(s), s))
-        rows.sort()
-        self._verts: list[tuple] = [r[2] for r in rows]
-        self.values = np.array([r[0] for r in rows], dtype=np.float64)
-        self.dims = np.array([r[1] - 1 for r in rows], dtype=np.int32)
-        self._index: dict | None = None
-        self._bnd_off: np.ndarray | None = None
-        self._bnd_flat: np.ndarray | None = None
-        if check:
-            if len(rows) and not np.all(np.isfinite(self.values)):
-                raise InputError("filtration values must be finite")
-            if len(set(self._verts)) != len(self._verts):
-                raise InputError("duplicate cells in filtration")
-
-    @classmethod
-    def _from_arrays(cls, verts: list[tuple], values: np.ndarray,
-                     dims: np.ndarray, bnd_off: np.ndarray | None,
-                     bnd_flat: np.ndarray | None) -> "FilteredSimplicialComplex":
-        self = object.__new__(cls)
-        self._verts = verts
-        self.values = values
-        self.dims = dims
-        self._index = None
-        self._bnd_off = bnd_off
-        self._bnd_flat = bnd_flat
-        return self
-
-    def __len__(self) -> int:
-        return len(self._verts)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self._verts)
-
-    @property
-    def dim(self) -> int:
-        return int(self.dims.max()) if len(self._verts) else -1
-
-    def cell(self, i: int) -> Simplex:
-        return Simplex._wrap(self._verts[i])
-
-    def value(self, i: int) -> float:
-        return float(self.values[i])
-
-    @property
-    def cells(self) -> list[tuple[Simplex, float]]:
-        """Materialized (simplex, value) list; prefer items() when iterating."""
-        return list(self.items())
-
-    def items(self) -> Iterator[tuple[Simplex, float]]:
-        for v, x in zip(self._verts, self.values):
-            yield Simplex._wrap(v), float(x)
-
-    def _ensure_index(self) -> dict:
-        if self._index is None:
-            self._index = {v: i for i, v in enumerate(self._verts)}
-        return self._index
-
-    def index_of(self, simplex: Vertices) -> int:
-        """Position of a simplex in the filtration order; raises KeyError."""
-        key = tuple(simplex)
-        return self._ensure_index()[key]
-
-    def __contains__(self, simplex) -> bool:
-        return tuple(simplex) in self._ensure_index()
-
-    def _ensure_boundary(self) -> None:
-        if self._bnd_off is not None:
-            return
-        index = self._ensure_index()
-        widths = np.where(self.dims == 0, 0, self.dims + 1)
-        off = np.concatenate([[0], np.cumsum(widths)]).astype(np.int64)
-        flat = np.empty(int(off[-1]), dtype=np.int64)
-        pos = 0
-        for i, v in enumerate(self._verts):
-            if len(v) == 1:
-                continue
-            for c in range(len(v)):
-                face = v[:c] + v[c + 1:]
-                try:
-                    flat[pos] = index[face]
-                except KeyError:
-                    raise InputError(
-                        f"cell {v} is missing face {face}") from None
-                pos += 1
-        self._bnd_off = off
-        self._bnd_flat = flat
-
-    def boundary(self, i: int) -> np.ndarray:
-        """Indices of the codim-1 faces of cell i, as positions in the order."""
-        self._ensure_boundary()
-        return self._bnd_flat[self._bnd_off[i]:self._bnd_off[i + 1]]
-
-    def counts_by_dim(self) -> np.ndarray:
-        if not len(self._verts):
-            return np.zeros(0, dtype=np.int64)
-        return np.bincount(self.dims)
-
-    def sublevel(self, eps: float) -> "FilteredSimplicialComplex":
-        """The subcomplex of cells with value <= eps (a prefix of the order)."""
-        m = int(np.searchsorted(self.values, eps, side="right"))
-        off = flat = None
-        if self._bnd_off is not None:
-            off = self._bnd_off[:m + 1].copy()
-            flat = self._bnd_flat[:self._bnd_off[m]].copy()
-        return FilteredSimplicialComplex._from_arrays(
-            self._verts[:m], self.values[:m].copy(), self.dims[:m].copy(),
-            off, flat)
-
-    def labels(self) -> list[str]:
-        """Printable cell labels, e.g. "0,3,7" for a triangle."""
-        return [",".join(str(x) for x in v) for v in self._verts]
+    rows = []
+    for verts, value in cells:
+        s = Simplex(verts)
+        rows.append((float(value), len(s), s))
+    rows.sort()
+    keys = [r[2] for r in rows]
+    values = np.array([r[0] for r in rows], dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise InputError("filtration values must be finite")
+    index = {s: i for i, s in enumerate(keys)}
+    if len(index) != len(keys):
+        raise InputError("duplicate cells in filtration")
+    flat = []
+    off = [0]
+    for s in keys:
+        for face in s.faces():
+            if face not in index:
+                raise InputError(
+                    f"cell {tuple(s)} is missing face {tuple(face)}")
+            flat.append(index[face])
+        off.append(len(flat))
+    return Filtration(values, np.array([r[1] - 1 for r in rows],
+                                       dtype=np.int32),
+                      np.array(off, dtype=np.int64),
+                      np.array(flat, dtype=np.int64), keys,
+                      as_cell=Simplex._wrap)
 
 
-def validate_complex(K: FilteredSimplicialComplex) -> ComplexViolation | None:
+def validate_complex(K: Filtration) -> ComplexViolation | None:
     """Check closure, value monotonicity and cell ordering.
 
-    Returns None when the complex is valid, otherwise a report naming the
-    first offending cell in filtration order.
+    Returns None when the simplicial filtration is valid, otherwise a
+    report naming the first offending cell in filtration order.
     """
-    index = K._ensure_index()
+    index = {v: i for i, v in enumerate(K.keys)}
     prev_key = None
-    for i, v in enumerate(K._verts):
+    for i, v in enumerate(K.keys):
         val = float(K.values[i])
         key = (val, len(v), v)
         if prev_key is not None and key < prev_key:
@@ -277,7 +186,7 @@ def _poly_keys(verts: np.ndarray, base: int) -> np.ndarray:
 
 
 def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
-                    scale: str = "radius") -> FilteredSimplicialComplex:
+                    scale: str = "radius") -> Filtration:
     """Vietoris-Rips filtration of a distance matrix.
 
     A k-simplex enters at the maximum of its edge values; vertices enter
@@ -291,8 +200,8 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
         scale: "radius" or "diameter".
 
     Returns:
-        A FilteredSimplicialComplex whose cell order is
-        (value, dimension, lexicographic vertices).
+        A Filtration whose cell order is (value, dimension, lexicographic
+        vertices).
     """
     d = check_distance_matrix(dist)
     n = d.shape[0]
@@ -352,7 +261,7 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
 
 
 def _assemble_rips(blocks: list[tuple[np.ndarray, np.ndarray]],
-                   n: int) -> FilteredSimplicialComplex:
+                   n: int) -> Filtration:
     """Sort rips cells into filtration order and wire up boundaries."""
     width = max(b[0].shape[1] for b in blocks)
     m = sum(b[0].shape[0] for b in blocks)
@@ -400,5 +309,5 @@ def _assemble_rips(blocks: list[tuple[np.ndarray, np.ndarray]],
 
     verts_list = [tuple(row[:dims[i] + 1])
                   for i, row in enumerate(verts_pad.tolist())]
-    return FilteredSimplicialComplex._from_arrays(
-        verts_list, values, dims, off, flat)
+    return Filtration(values, dims, off, flat, verts_list,
+                      as_cell=Simplex._wrap)

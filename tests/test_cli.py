@@ -7,12 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from phom import cli
+from phom import build_cubical_filtration, cli, compute_persistence
 from phom.io import (
     read_complex_cache,
     read_diagram_csv,
     read_distance_report,
     read_image_json,
+    read_pgm,
     read_point_cloud,
     read_voxel,
     write_pgm,
@@ -184,6 +185,69 @@ def test_sparsify_mismatched_diagram(tmp_path):
     fake.write_text("dim,birth,death\n1,0.123,0.456\n")
     assert run("sparsify", "--complex", cache, "--diagram", fake,
                "--point", 0, "-o", tmp_path / "x.json") == 2
+
+
+@pytest.mark.parametrize("sub,flags,kind", [
+    ("image", [], "cubical-sublevel"),
+    ("image", ["--superlevel"], "cubical-superlevel"),
+    ("voxel", [], "cubical-sublevel"),
+])
+def test_cubical_save_complex_and_sparsify(tmp_path, sub, flags, kind):
+    rng = np.random.default_rng(6)
+    if sub == "image":
+        src = tmp_path / "g.pgm"
+        write_pgm(str(src), rng.integers(0, 256, size=(6, 7)))
+        grid = read_pgm(str(src))
+    else:
+        src = tmp_path / "g.vox"
+        write_voxel(str(src), np.round(rng.uniform(0, 1, size=(3, 4, 3)), 2))
+        grid = read_voxel(str(src))
+    dg = tmp_path / "dg.csv"
+    cache = tmp_path / "g.cplx"
+    assert run(sub, src, *flags, "-o", dg, "--save-complex", cache) == 0
+    back = read_complex_cache(str(cache))
+    assert back.meta["kind"] == kind
+    K = build_cubical_filtration(-grid if flags else grid)
+    _, want = compute_persistence(K, max_dim=K.dim)
+    _, got = compute_persistence(back, max_dim=back.dim)
+    assert got.pairs == want.pairs
+    assert got.essential == want.essential
+    pd = read_diagram_csv(str(dg))
+    idx = max(range(len(pd.points)), key=lambda i: pd.points[i][0])
+    out = tmp_path / "cycle.json"
+    assert run("sparsify", "--complex", cache, "--diagram", dg,
+               "--point", idx, "-o", out) == 0
+    assert json.loads(out.read_text())["size"] >= 1
+
+
+def test_sparsify_rejects_cache_with_wrong_face_dimension(tmp_path, capsys):
+    # The triangle lists two vertices as its faces.
+    cache = tmp_path / "bad.cplx"
+    cache.write_text("# phom-complex 1\ncells 3\n0 0.0 a\n0 0.0 b\n"
+                     "2 2.0 x 0 1\n")
+    dg = tmp_path / "dg.csv"
+    dg.write_text("dim,birth,death\n0,0.0,inf\n")
+    assert run("sparsify", "--complex", cache, "--diagram", dg,
+               "--point", 0, "-o", tmp_path / "x.json") == 2
+    err = capsys.readouterr().err
+    assert f"{cache}:5:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom\nsecond line"),
+                                 RecursionError("too deep")])
+def test_unexpected_errors_are_exit_4(tmp_path, capsys, monkeypatch, exc):
+    def boom(p):
+        raise exc
+
+    monkeypatch.setitem(cli.RUNNERS, "distance", boom)
+    dg = tmp_path / "dg.csv"
+    dg.write_text("dim,birth,death\n1,0.0,1.0\n")
+    assert run("distance", dg, dg, "-o", tmp_path / "r.json") == 4
+    err = capsys.readouterr().err
+    name = type(exc).__name__
+    assert err.startswith(f"internal error: {name}: ")
+    assert err.count("\n") == 1
 
 
 def test_gen_double_annulus_and_kde(tmp_path):

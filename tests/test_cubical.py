@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from phom import (
-    FilteredCubicalComplex,
     InputError,
     betti_numbers,
     build_cubical_filtration,
@@ -25,8 +24,7 @@ def test_single_pixel_counts():
     assert K.counts_by_dim().tolist() == [4, 4, 1]
     assert np.all(K.values == 0.5)
     assert K.dim == 2
-    assert K.grid_shape == (1, 1)
-    assert K.doubled_shape == (3, 3)
+    assert K.meta["grid_shape"] == (1, 1)
 
 
 def test_two_pixel_shared_edge_min():

@@ -339,3 +339,18 @@ def test_complex_cache_errors(tmp_path):
     path.write_text("# phom-complex 1\ncells 2\n0 1.0 a\n0 0.5 b\n")
     with pytest.raises(InputError):
         read_complex_cache(str(path))
+
+
+@pytest.mark.parametrize("last,why", [
+    ("2 2.0 t 0 1", "dimension"),     # a triangle with vertex faces
+    ("1 2.0 e 3 3", "twice"),         # a face repeated on one line
+    ("2 2.0 t 3 4", "boundary of the boundary"),  # two edges, open path
+    ("1 inf ac 0 2", "finite"),
+    ("-1 2.0 z", "negative dimension"),
+])
+def test_complex_cache_rejects_bad_faces(tmp_path, last, why):
+    path = tmp_path / "K.cplx"
+    path.write_text("# phom-complex 1\ncells 6\n0 0.0 a\n0 0.0 b\n"
+                    "0 0.0 c\n1 1.0 ab 0 1\n1 1.0 bc 1 2\n" + last + "\n")
+    with pytest.raises(InputError, match=f"{path}:8: .*{why}"):
+        read_complex_cache(str(path))

@@ -10,12 +10,16 @@ from phom import (
     ParameterError,
     RepresentativeCycle,
     betti_numbers,
+    build_cubical_filtration,
     compute_persistence,
     cycle_boundary_is_zero,
     diagram_at_scale_betti,
+    point_cloud_distances,
     representative_cycle,
+    rips_filtration,
     sparsify_cycle,
 )
+from phom.io import read_complex_cache, write_complex_cache
 from oracles import (
     brute_min_cycle_size,
     diagram_from_pairs,
@@ -79,23 +83,24 @@ def test_max_dim_truncates_reporting():
     assert dg.betti_at(5.0) == [1]
 
 
-def test_variants_agree():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        K = FilteredSimplicialComplex(
-            random_filtration(rng, nv=int(rng.integers(3, 7))))
-        a, pa = compute_persistence(K, variant="standard")
-        b, pb = compute_persistence(K, variant="twist")
-        assert a.points == b.points
-        assert pa.pairs == pb.pairs
-        assert pa.essential == pb.essential
-
-
-def test_matches_textbook_reduction():
+def test_matches_textbook_reduction(tmp_path):
+    """Every builder's output against the single-matrix oracle."""
     rng = np.random.default_rng(21)
-    for _ in range(60):
-        K = FilteredSimplicialComplex(
-            random_filtration(rng, nv=int(rng.integers(3, 7))))
+    complexes = [FilteredSimplicialComplex(
+        random_filtration(rng, nv=int(rng.integers(3, 7))))
+        for _ in range(60)]
+    for shape in [(5,), (3, 3), (2, 4), (2, 2, 2)]:
+        for _ in range(3):
+            complexes.append(build_cubical_filtration(
+                np.round(rng.uniform(0, 1, size=shape), 1)))
+    path = str(tmp_path / "K.cplx")
+    for K in [rips_filtration(point_cloud_distances(
+                  rng.uniform(0, 1, size=(7, 2))), 2, 0.5),
+              build_cubical_filtration(
+                  np.round(rng.uniform(0, 1, size=(3, 4)), 1))]:
+        write_complex_cache(path, K)
+        complexes.append(read_complex_cache(path))
+    for K in complexes:
         face_lists = [K.boundary(i).tolist() for i in range(K.n_cells)]
         pairs, unpaired = reduction_pairs(face_lists)
         want = diagram_from_pairs(pairs, unpaired, K.dims, K.values, K.dim)
@@ -269,11 +274,8 @@ def test_sparsify_guards():
 
 
 def test_compute_persistence_guards():
-    K = three_path()
     with pytest.raises(ParameterError):
-        compute_persistence(K, variant="chunk")
-    with pytest.raises(ParameterError):
-        compute_persistence(K, max_dim=-1)
+        compute_persistence(three_path(), max_dim=-1)
 
 
 def test_diagram_accessors():

@@ -7,6 +7,7 @@ import pytest
 
 from phom import (
     FilteredSimplicialComplex,
+    Filtration,
     InputError,
     ParameterError,
     Simplex,
@@ -97,15 +98,13 @@ def test_boundary_indices():
 
 
 def test_boundary_missing_face_raises():
-    K = FilteredSimplicialComplex([((0,), 0.0), ((1,), 0.0), ((0, 1, 2), 1.0)],
-                                  check=False)
     with pytest.raises(InputError):
-        K.boundary(2)
+        FilteredSimplicialComplex([((0,), 0.0), ((1,), 0.0),
+                                   ((0, 1, 2), 1.0)])
 
 
 def test_sublevel_is_prefix():
     K = FilteredSimplicialComplex(triangle_cells())
-    K.boundary(6)  # force boundary arrays so they get sliced too
     sub = K.sublevel(1.0)
     assert sub.n_cells == 6
     assert [tuple(c) for c, _ in sub.items()] == \
@@ -117,8 +116,10 @@ def test_sublevel_is_prefix():
 
 def test_validate_ok_and_missing_face():
     assert validate_complex(FilteredSimplicialComplex(triangle_cells())) is None
-    K = FilteredSimplicialComplex(
-        [((0,), 0.0), ((1,), 0.0), ((0, 1, 2), 1.0)], check=False)
+    # The builder rejects a missing face, so assemble the arrays directly.
+    K = Filtration(np.array([0.0, 0.0, 1.0]), np.array([0, 0, 2]),
+                   np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                   [(0,), (1,), (0, 1, 2)])
     v = validate_complex(K)
     assert v is not None
     assert v.kind == "missing face"
@@ -127,7 +128,7 @@ def test_validate_ok_and_missing_face():
 
 def test_validate_value_inversion():
     K = FilteredSimplicialComplex(
-        [((0,), 0.0), ((1,), 2.0), ((0, 1), 1.0)], check=False)
+        [((0,), 0.0), ((1,), 2.0), ((0, 1), 1.0)])
     v = validate_complex(K)
     assert v.kind == "value inversion"
     assert tuple(v.cell) == (0, 1)
@@ -137,10 +138,10 @@ def test_validate_value_inversion():
 
 def test_validate_order_break():
     # Bypass the sorting constructor to produce an out-of-order cell list.
-    K = FilteredSimplicialComplex._from_arrays(
-        [(0,), (1,), (0, 1), (2,)],
-        np.array([0.0, 0.0, 1.0, 0.5]),
-        np.array([0, 0, 1, 0], dtype=np.int32), None, None)
+    K = Filtration(np.array([0.0, 0.0, 1.0, 0.5]),
+                   np.array([0, 0, 1, 0], dtype=np.int32),
+                   np.array([0, 0, 0, 2, 2]), np.array([0, 1]),
+                   [(0,), (1,), (0, 1), (2,)])
     v = validate_complex(K)
     assert v.kind == "order break"
     assert v.index == 3
