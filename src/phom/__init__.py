@@ -22,7 +22,7 @@ from .persistence import (Filtration, PersistenceDiagram, PersistencePairing,
 from .simplicial import (ComplexViolation, FilteredSimplicialComplex, Simplex,
                          boundary_chain, check_distance_matrix,
                          point_cloud_distances, rips_filtration,
-                         validate_complex)
+                         rips_persistence, validate_complex)
 from .vectorize import (PersistenceImage, image_stability_constant,
                         persistence_image)
 
@@ -69,6 +69,7 @@ __all__ = [
     "point_cloud_distances",
     "representative_cycle",
     "rips_filtration",
+    "rips_persistence",
     "sample_annulus",
     "sample_double_annulus",
     "sliding_windows",

@@ -29,7 +29,8 @@ from .distances import bottleneck_distance, wasserstein_distance
 from .errors import InputError, InternalError, ParameterError
 from .persistence import compute_persistence, representative_cycle, \
     sparsify_cycle
-from .simplicial import point_cloud_distances, rips_filtration
+from .simplicial import (point_cloud_distances, rips_filtration,
+                         rips_persistence)
 from .svgplot import save_diagram_svg
 from .vectorize import persistence_image
 
@@ -85,10 +86,8 @@ def run_rips(p: dict) -> None:
         if dmax <= 0:
             dmax = 1.0
         max_scale = dmax / 2.0 if conv == "radius" else dmax
-    simplex_dim = min(int(hdim) + 1, n - 1) if n > 1 else 0
-    K = rips_filtration(d, simplex_dim, max_scale, conv)
-    diagram, _ = compute_persistence(
-        K, max_dim=int(hdim),
+    diagram = rips_persistence(
+        d, int(hdim), max_scale, conv,
         metadata={"filtration": "rips", "convention": conv,
                   "max_scale": float(max_scale)})
     io.write_diagram_csv(p["output"], diagram)
@@ -96,7 +95,10 @@ def run_rips(p: dict) -> None:
         save_diagram_svg(_sibling(p["output"], ".svg"), diagram,
                          title="Rips persistence")
     if p["save_complex"]:
-        io.write_complex_cache(p["save_complex"], K,
+        simplex_dim = min(int(hdim) + 1, n - 1) if n > 1 else 0
+        io.write_complex_cache(p["save_complex"],
+                               rips_filtration(d, simplex_dim, max_scale,
+                                               conv),
                                meta={"kind": "rips", "convention": conv})
     _write_manifest(_sibling(p["output"], ".manifest.json"), "rips", p)
 
@@ -172,9 +174,8 @@ def run_series(p: dict) -> None:
     os.makedirs(p["out_dir"], exist_ok=True)
     diagrams = []
     for k, m in enumerate(dmats):
-        K = rips_filtration(m, min(2, m.shape[0] - 1), max_scale, conv)
-        dg, _ = compute_persistence(
-            K, max_dim=1,
+        dg = rips_persistence(
+            m, 1, max_scale, conv,
             metadata={"filtration": "rips", "convention": conv,
                       "max_scale": float(max_scale), "window": k})
         io.write_diagram_csv(

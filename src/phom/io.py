@@ -412,8 +412,9 @@ def read_complex_cache(path: str) -> Filtration:
 
     Each cell line is checked before it is used: its faces precede it,
     each face appears once and has dimension dim - 1, values are finite
-    and never decrease, and the boundary of its boundary is zero.  The
-    cells keep their labels as keys.
+    and never decrease, the boundary of its boundary is zero, and it has
+    dim + 1 faces (2 * dim when `meta kind` starts with "cubical"; none
+    for a vertex).  The cells keep their labels as keys.
     """
     with _open_read(path) as fh:
         lines = [l.rstrip("\n") for l in fh]
@@ -432,6 +433,7 @@ def read_complex_cache(path: str) -> Filtration:
     except (IndexError, ValueError):
         raise InputError(f"{path}:{i + 1}: bad cell count") from None
     i += 1
+    cubical = meta.get("kind", "").startswith("cubical")
     dims: list[int] = []
     values: list[float] = []
     labels: list[str] = []
@@ -470,6 +472,10 @@ def read_complex_cache(path: str) -> Filtration:
         if dd:
             raise InputError(f"{where}: boundary of the boundary of cell "
                              f"{c} is not zero")
+        want = 2 * dim if cubical else (dim + 1 if dim else 0)
+        if len(faces) != want:
+            raise InputError(f"{where}: a {dim}-cell needs {want} faces, "
+                             f"not {len(faces)}")
         if c and value < values[-1]:
             raise InputError(f"{where}: values must be non-decreasing")
         dims.append(dim)

@@ -7,6 +7,8 @@ sublevel set is a prefix of the cell list.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -14,7 +16,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError, InternalError, ParameterError
-from .persistence import Filtration
+from .persistence import DiagramPoint, Filtration, PersistenceDiagram
 
 Vertices = Sequence[int]
 
@@ -185,6 +187,21 @@ def _poly_keys(verts: np.ndarray, base: int) -> np.ndarray:
     return keys
 
 
+def _rips_params(dist: np.ndarray, max_dim: int, max_scale: float,
+                 scale: str) -> tuple[np.ndarray, int, float]:
+    """Checked Rips arguments: (edge value matrix, max_dim, max_scale)."""
+    d = check_distance_matrix(dist)
+    if scale not in ("radius", "diameter"):
+        raise ParameterError(f"unknown scale convention {scale!r}")
+    max_dim = int(max_dim)
+    if max_dim < 0:
+        raise ParameterError("max_dim must be non-negative")
+    max_scale = float(max_scale)
+    if not (np.isfinite(max_scale) and max_scale > 0):
+        raise ParameterError("max_scale must be finite and positive")
+    return (d / 2.0 if scale == "radius" else d), max_dim, max_scale
+
+
 def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
                     scale: str = "radius") -> Filtration:
     """Vietoris-Rips filtration of a distance matrix.
@@ -203,21 +220,11 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
         A Filtration whose cell order is (value, dimension, lexicographic
         vertices).
     """
-    d = check_distance_matrix(dist)
-    n = d.shape[0]
-    if scale not in ("radius", "diameter"):
-        raise ParameterError(f"unknown scale convention {scale!r}")
-    max_dim = int(max_dim)
-    if max_dim < 0:
-        raise ParameterError("max_dim must be non-negative")
+    w, max_dim, max_scale = _rips_params(dist, max_dim, max_scale, scale)
+    n = w.shape[0]
     if max_dim > n - 1:
         raise ParameterError(
             f"max_dim {max_dim} exceeds n_points - 1 = {n - 1}")
-    max_scale = float(max_scale)
-    if not (np.isfinite(max_scale) and max_scale > 0):
-        raise ParameterError("max_scale must be finite and positive")
-
-    w = d / 2.0 if scale == "radius" else d.astype(np.float64)
 
     blocks: list[tuple[np.ndarray, np.ndarray]] = [
         (np.arange(n, dtype=np.int64)[:, None], np.zeros(n))]
@@ -230,32 +237,14 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
         blocks.append((np.column_stack([iu, ju]).astype(np.int64), ev))
 
         if max_dim >= 2 and iu.size:
-            adj = w <= max_scale
-            np.fill_diagonal(adj, False)
-            prev_v, prev_x = blocks[1]
-            for k in range(2, max_dim + 1):
-                parts_v, parts_x = [], []
-                for r in range(prev_v.shape[0]):
-                    cell = prev_v[r]
-                    common = adj[cell[0]]
-                    for v in cell[1:]:
-                        common = common & adj[v]
-                    nb = np.flatnonzero(common)
-                    nb = nb[nb > cell[-1]]
-                    if nb.size:
-                        ext = np.empty((nb.size, k + 1), dtype=np.int64)
-                        ext[:, :k] = cell
-                        ext[:, k] = nb
-                        xv = np.full(nb.size, prev_x[r])
-                        for v in cell:
-                            xv = np.maximum(xv, w[v, nb])
-                        parts_v.append(ext)
-                        parts_x.append(xv)
-                if not parts_v:
+            wm = np.where(w <= max_scale, w, np.inf)
+            np.fill_diagonal(wm, np.inf)
+            verts, xv = blocks[1]
+            for _ in range(2, max_dim + 1):
+                verts, xv = _rips_extend(verts, xv, wm, np.inf)
+                if not verts.size:
                     break
-                prev_v = np.concatenate(parts_v)
-                prev_x = np.concatenate(parts_x)
-                blocks.append((prev_v, prev_x))
+                blocks.append((verts, xv))
 
     return _assemble_rips(blocks, n)
 
@@ -311,3 +300,264 @@ def _assemble_rips(blocks: list[tuple[np.ndarray, np.ndarray]],
                   for i, row in enumerate(verts_pad.tolist())]
     return Filtration(values, dims, off, flat, verts_list,
                       as_cell=Simplex._wrap)
+
+
+# Entries per block of the vectorized (simplices, n) passes: bounds their
+# work arrays to a few MB.
+_BLOCK_ENTRIES = 1 << 19
+
+
+def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
+                     scale: str = "radius",
+                     metadata: dict | None = None) -> PersistenceDiagram:
+    """Vietoris-Rips persistence diagram, without building the complex.
+
+    Gives the points of compute_persistence(rips_filtration(dist,
+    max_dim + 1, max_scale, scale), max_dim): same total order (value,
+    dimension, lexicographic vertices), zero-persistence pairs dropped.
+
+    H0 comes from union-find over the edges in filtration order.  Each
+    dimension k = 1..max_dim reduces the coboundaries of the k-simplices
+    in reverse filtration order (cohomology; de Silva, Morozov and
+    Vejdemo-Johansson 2011), skips the simplices paired one dimension
+    down (clearing) and enumerates cofacets from the thresholded
+    adjacency (Bauer, Ripser 2021).  A simplex is encoded as the int
+    rank(value) * (n+1)**(k+1) + _poly_keys(vertices), so key order is
+    filtration order.  Apparent pairs -- the oldest cofacet whose
+    youngest facet is the simplex itself -- are found by a vectorized
+    pass and claim their pivot without column arithmetic; only the other
+    columns are reduced.
+
+    Args:
+        dist: square distance matrix (see check_distance_matrix).
+        max_dim: largest homology dimension to report, >= 0.
+        max_scale: cells with value above this are left out; > 0.
+        scale: "radius" (edge value = half the distance) or "diameter".
+        metadata: extra metadata stored on the diagram.
+    """
+    w, max_dim, max_scale = _rips_params(dist, max_dim, max_scale, scale)
+    n = w.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    ev = w[iu, ju]
+    keep = ev <= max_scale
+    iu, ju = iu[keep].astype(np.int64), ju[keep].astype(np.int64)
+    # Every simplex value is an edge value: work with ranks among the
+    # distinct ones.  `big` marks a missing edge and the diagonal.
+    uvals, erank = np.unique(ev[keep], return_inverse=True)
+    big = uvals.size
+    rank = np.full((n, n), big, dtype=np.int64)
+    rank[iu, ju] = erank
+    rank[ju, iu] = erank
+    top = min(max_dim, n - 1)
+    if top >= 1 and big * (n + 1) ** (top + 2) >= 2 ** 63:
+        raise ParameterError(
+            f"{n} points with max_dim {max_dim} overflow 64-bit cell keys; "
+            "lower max_dim or max_scale")
+    values = uvals.tolist()
+
+    pts: list[DiagramPoint] = []
+    simp = np.column_stack([iu, ju])
+    srank = erank.astype(np.int64)
+    keys = srank * (n + 1) ** 2 + _poly_keys(simp, n + 1)
+    paired = _rips_h0(n, simp, srank, keys, values, pts)
+    for k in range(1, top + 1):
+        if k > 1:
+            simp, srank = _rips_extend(simp, srank, rank, big)
+            keys = srank * (n + 1) ** (k + 1) + _poly_keys(simp, n + 1)
+        cols = np.flatnonzero(~np.isin(keys, paired))
+        paired = _RipsCohomology(rank, big, k, values, pts).reduce(
+            simp[cols], srank[cols], keys[cols])
+
+    pts.sort()
+    diagram = PersistenceDiagram(points=pts, metadata=dict(metadata or {}))
+    diagram.metadata.setdefault("max_dim", max_dim)
+    return diagram
+
+
+def _rips_h0(n: int, edges: np.ndarray, erank: np.ndarray,
+             keys: np.ndarray, values: list, pts: list) -> np.ndarray:
+    """H0 points by union-find over the edges in filtration order.
+
+    All vertices enter at 0 in index order, so a merge kills the younger
+    of the two oldest vertices.  Returns the keys of the merging edges,
+    which are the edges paired with a vertex.
+    """
+    order = np.argsort(keys)
+    parent = list(range(n))
+    merged = []
+    comps = n
+    for (a, b), r, key in zip(edges[order].tolist(), erank[order].tolist(),
+                              keys[order].tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
+        parent[max(a, b)] = min(a, b)
+        merged.append(key)
+        if values[r] != 0.0:
+            pts.append((0, 0.0, values[r]))
+        comps -= 1
+        if comps == 1:
+            break
+    pts.extend((0, 0.0, math.inf) for _ in range(comps))
+    return np.array(merged, dtype=np.int64)
+
+
+def _rips_extend(simp: np.ndarray, vals: np.ndarray, weight: np.ndarray,
+                 missing) -> tuple[np.ndarray, np.ndarray]:
+    """All (k+1)-simplices, each from its face without the last vertex.
+
+    weight holds the edge values, `missing` where there is no edge and on
+    the diagonal; a simplex's value is the largest of its edge values.
+    """
+    n = weight.shape[0]
+    step = max(1, _BLOCK_ENTRIES // n)
+    out_s, out_v = [], []
+    above = np.arange(n)
+    for s in range(0, simp.shape[0], step):
+        S = simp[s:s + step]
+        M = _max_rows(weight, S)
+        r, v = np.nonzero((M < missing) & (above > S[:, -1:]))
+        out_s.append(np.column_stack([S[r], v]))
+        out_v.append(np.maximum(vals[s:s + step][r], M[r, v]))
+    if not out_s:
+        return (np.zeros((0, simp.shape[1] + 1), dtype=simp.dtype),
+                vals[:0])
+    return np.concatenate(out_s), np.concatenate(out_v)
+
+
+def _max_rows(weight: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """(len(S), n): per simplex, the largest weight from its vertices."""
+    M = weight[S[:, 0]]
+    for c in range(1, S.shape[1]):
+        M = np.maximum(M, weight[S[:, c]])
+    return M
+
+
+class _RipsCohomology:
+    """Coboundary reduction of the k-simplex columns of one dimension."""
+
+    def __init__(self, rank: np.ndarray, big: int, k: int, values: list,
+                 pts: list):
+        self.rank, self.big, self.k = rank, big, k
+        self.values, self.pts = values, pts
+        # As _poly_keys: pw[p] weighs the vertex at position p of a cofacet.
+        self.pw = (rank.shape[0] + 1) ** np.arange(k + 1, -1, -1,
+                                                   dtype=np.int64)
+        self.base = int(self.pw[0]) * (rank.shape[0] + 1)
+
+    def cofacet_keys(self, S: np.ndarray, v: np.ndarray, r: np.ndarray,
+                     c: np.ndarray) -> np.ndarray:
+        """Keys of the cofacets S[i] + {v[i]}, of rank r[i], where c[i]
+        vertices of S[i] are below v[i]; S may be one row for all v."""
+        pw = self.pw
+        lex = pw[c] * (v + 1)
+        for i in range(self.k + 1):
+            lex += (S[:, i] + 1) * np.where(c > i, pw[i], pw[i + 1])
+        return r * self.base + lex
+
+    def coboundary(self, s: np.ndarray, r: int) -> list[int]:
+        """Sorted cofacet keys of one simplex s (vertex ids) of rank r."""
+        M = _max_rows(self.rank, s[None])[0]
+        v = np.flatnonzero(M < self.big)
+        return np.sort(self.cofacet_keys(s[None], v, np.maximum(M[v], r),
+                                         np.searchsorted(s, v))).tolist()
+
+    def apparent(self, S: np.ndarray, sr: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per column: has a cofacet, is in an apparent pair, pivot key.
+
+        The oldest cofacet of s is s + {v} with the least (rank, v), since
+        for fixed s the lex order of s + {v} follows v.  s is its youngest
+        facet when the cofacet has s's rank and every other facet
+        s + {v} - {u} has a lower rank, or the same rank and u > v (the
+        facet dropping the smaller vertex is lex-larger).
+        """
+        rank, big, k = self.rank, self.big, self.k
+        rows = np.arange(S.shape[0])
+        M = np.maximum(_max_rows(rank, S), sr[:, None])
+        vs = M.argmin(axis=1)
+        cm = M[rows, vs]
+        ok = cm == sr
+        to_v = [rank[S[:, c], vs] for c in range(k + 1)]
+        for c in range(k + 1):
+            fr = np.full(S.shape[0], -1, dtype=np.int64)
+            for a in range(k + 1):
+                if a == c:
+                    continue
+                fr = np.maximum(fr, to_v[a])
+                for b in range(a + 1, k + 1):
+                    if b != c:
+                        fr = np.maximum(fr, rank[S[:, a], S[:, b]])
+            ok &= (fr < sr) | ((fr == sr) & (S[:, c] > vs))
+        below = (S < vs[:, None]).sum(axis=1)
+        return cm < big, ok, self.cofacet_keys(S, vs, cm, below)
+
+    def reduce(self, S: np.ndarray, sr: np.ndarray,
+               keys: np.ndarray) -> np.ndarray:
+        """Pair the columns, add their points; return the pivot keys."""
+        k, values, pts = self.k, self.values, self.pts
+        owner: dict[int, int] = {}
+        step = max(1, _BLOCK_ENTRIES // self.rank.shape[0])
+        todo = []
+        for s in range(0, S.shape[0], step):
+            has, ok, piv = self.apparent(S[s:s + step], sr[s:s + step])
+            for j, p in zip((np.flatnonzero(ok) + s).tolist(),
+                            piv[ok].tolist()):
+                owner[p] = j
+            for j in (np.flatnonzero(~has) + s).tolist():
+                pts.append((k, values[sr[j]], math.inf))
+            todo.append(np.flatnonzero(has & ~ok) + s)
+        todo = np.concatenate(todo) if todo else np.zeros(0, np.int64)
+        todo = todo[np.argsort(keys[todo])[::-1]]
+
+        # A working column is a heap of keys in which pairs cancel lazily
+        # (Z2); only entries below the pivot are ever popped.
+        reduced: dict[int, list[int]] = {}
+        base = self.base
+        srl = sr.tolist()
+        for j in todo.tolist():
+            heap = self.coboundary(S[j], srl[j])
+            while True:
+                p = _pop_pivot(heap)
+                if p is None:
+                    pts.append((k, values[srl[j]], math.inf))
+                    break
+                o = owner.get(p)
+                if o is None:
+                    owner[p] = j
+                    reduced[j] = [p] + _odd_entries(heap)
+                    if p // base != srl[j]:
+                        pts.append((k, values[srl[j]], values[p // base]))
+                    break
+                add = reduced.get(o)
+                if add is None:
+                    add = self.coboundary(S[o], srl[o])
+                for x in add[1:]:
+                    heapq.heappush(heap, x)
+        return np.fromiter(owner, dtype=np.int64, count=len(owner))
+
+
+def _pop_pivot(heap: list[int]) -> int | None:
+    """Pop the least key of odd multiplicity from a column heap."""
+    pop = heapq.heappop
+    while heap:
+        p = pop(heap)
+        if heap and heap[0] == p:
+            pop(heap)
+        else:
+            return p
+    return None
+
+
+def _odd_entries(heap: list[int]) -> list[int]:
+    """The keys of odd multiplicity in a column heap, sorted."""
+    out: list[int] = []
+    for x in sorted(heap):
+        if out and out[-1] == x:
+            out.pop()
+        else:
+            out.append(x)
+    return out

@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from phom import build_cubical_filtration, cli, compute_persistence
+from phom import (build_cubical_filtration, cli, compute_persistence,
+                  point_cloud_distances, rips_filtration, sample_annulus,
+                  sample_double_annulus)
 from phom.io import (
     read_complex_cache,
     read_diagram_csv,
@@ -18,6 +20,8 @@ from phom.io import (
     read_voxel,
     write_pgm,
     write_point_cloud,
+    write_complex_cache,
+    write_diagram_csv,
     write_voxel,
 )
 
@@ -232,6 +236,80 @@ def test_sparsify_rejects_cache_with_wrong_face_dimension(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{cache}:5:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("faces", ["", " 0 1 2"])
+def test_sparsify_rejects_cache_with_wrong_face_count(tmp_path, capsys,
+                                                      faces):
+    # An edge with no faces, or with three vertex faces.
+    cache = tmp_path / "bad.cplx"
+    cache.write_text("# phom-complex 1\nmeta kind rips\ncells 4\n0 0.0 0\n"
+                     "0 0.0 1\n0 0.0 2\n1 0.5 0,1" + faces + "\n")
+    dg = tmp_path / "dg.csv"
+    dg.write_text("dim,birth,death\n0,0.0,inf\n0,0.0,inf\n1,0.5,inf\n")
+    assert run("sparsify", "--complex", cache, "--diagram", dg,
+               "--point", 2, "-o", tmp_path / "x.json") == 2
+    err = capsys.readouterr().err
+    assert f"{cache}:7: a 1-cell needs 2 faces" in err
+    assert "Traceback" not in err
+
+
+def _rips_case(name):
+    """(input array, is a distance matrix, extra flags) of a CLI case."""
+    rng = np.random.default_rng(11)
+    ring = sample_annulus(30, noise=0.03, seed=4)
+    if name == "one-point":
+        return np.array([[0.5, 0.5]]), False, []
+    if name == "duplicates":
+        pts = np.array([[0, 0], [0, 0], [1, 0], [1, 0], [0, 1], [1, 1],
+                        [1, 1]], dtype=float)
+        return pts, False, ["--max-scale", "0.6"]
+    if name == "no-edge":
+        return np.arange(10.0).reshape(5, 2), False, ["--max-scale", "0.1"]
+    if name == "double-annulus":
+        pts = sample_double_annulus(40, separation=5.0, noise=0.02, seed=3)
+        return pts, False, ["--max-scale", "0.5"]
+    if name == "distance-matrix":
+        d = np.triu(rng.integers(0, 4, size=(7, 7)), 1).astype(float)
+        return d + d.T, True, ["--distance-matrix", "--max-scale", "1.0"]
+    if name == "max-dim-0":
+        return ring, False, ["--max-dim", "0"]
+    if name == "3d-h2":
+        return rng.uniform(0, 1, size=(12, 3)), False, []
+    return ring, False, ["--convention", "diameter", "--max-scale", "0.8"]
+
+
+@pytest.mark.parametrize("name", [
+    "one-point", "duplicates", "no-edge", "double-annulus",
+    "distance-matrix", "max-dim-0", "3d-h2", "diameter"])
+def test_rips_matches_explicit_complex_path(tmp_path, name):
+    """Diagram and cache bytes equal those of rips_filtration +
+    compute_persistence; sparsify accepts the cache."""
+    arr, is_matrix, flags = _rips_case(name)
+    src = tmp_path / "in.csv"
+    write_point_cloud(str(src), arr)
+    dg, cache = tmp_path / "dg.csv", tmp_path / "c.cplx"
+    assert run("rips", src, "-o", dg, "--save-complex", cache, *flags) == 0
+
+    d = arr if is_matrix else point_cloud_distances(arr)
+    n = d.shape[0]
+    conv = "diameter" if "diameter" in flags else "radius"
+    hdim = 0 if "--max-dim" in flags else (2 if arr.shape[1] == 3 else 1)
+    if "--max-scale" in flags:
+        scale = float(flags[flags.index("--max-scale") + 1])
+    else:
+        scale = (float(d.max()) or 1.0) / (2.0 if conv == "radius" else 1.0)
+    K = rips_filtration(d, min(hdim + 1, n - 1) if n > 1 else 0, scale, conv)
+    want, _ = compute_persistence(
+        K, max_dim=hdim, metadata={"filtration": "rips", "convention": conv,
+                                   "max_scale": scale})
+    write_diagram_csv(str(tmp_path / "want.csv"), want)
+    write_complex_cache(str(tmp_path / "want.cplx"), K,
+                        meta={"kind": "rips", "convention": conv})
+    assert dg.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert cache.read_bytes() == (tmp_path / "want.cplx").read_bytes()
+    assert run("sparsify", "--complex", cache, "--diagram", dg, "--point",
+               len(want.points) - 1, "-o", tmp_path / "cycle.json") == 0
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom\nsecond line"),

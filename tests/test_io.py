@@ -347,6 +347,8 @@ def test_complex_cache_errors(tmp_path):
     ("2 2.0 t 3 4", "boundary of the boundary"),  # two edges, open path
     ("1 inf ac 0 2", "finite"),
     ("-1 2.0 z", "negative dimension"),
+    ("1 2.0 ac", "a 1-cell needs 2 faces, not 0"),
+    ("1 2.0 ac 0 1 2", "a 1-cell needs 2 faces, not 3"),
 ])
 def test_complex_cache_rejects_bad_faces(tmp_path, last, why):
     path = tmp_path / "K.cplx"
@@ -354,3 +356,19 @@ def test_complex_cache_rejects_bad_faces(tmp_path, last, why):
                     "0 0.0 c\n1 1.0 ab 0 1\n1 1.0 bc 1 2\n" + last + "\n")
     with pytest.raises(InputError, match=f"{path}:8: .*{why}"):
         read_complex_cache(str(path))
+
+
+@pytest.mark.parametrize("kind,ok", [("rips", True),
+                                     ("cubical-sublevel", False)])
+def test_complex_cache_face_count_follows_kind(tmp_path, kind, ok):
+    """A triangle has 3 faces; a cubical 2-cell needs 4."""
+    path = tmp_path / "K.cplx"
+    path.write_text(f"# phom-complex 1\nmeta kind {kind}\ncells 7\n"
+                    "0 0.0 a\n0 0.0 b\n0 0.0 c\n1 1.0 ab 0 1\n"
+                    "1 1.0 ac 0 2\n1 1.0 bc 1 2\n2 2.0 t 3 4 5\n")
+    if ok:
+        assert read_complex_cache(str(path)).dim == 2
+    else:
+        with pytest.raises(InputError, match=f"{path}:10: .*needs 4 faces"):
+            read_complex_cache(str(path))
+

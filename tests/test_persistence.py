@@ -94,11 +94,12 @@ def test_matches_textbook_reduction(tmp_path):
             complexes.append(build_cubical_filtration(
                 np.round(rng.uniform(0, 1, size=shape), 1)))
     path = str(tmp_path / "K.cplx")
-    for K in [rips_filtration(point_cloud_distances(
-                  rng.uniform(0, 1, size=(7, 2))), 2, 0.5),
-              build_cubical_filtration(
-                  np.round(rng.uniform(0, 1, size=(3, 4)), 1))]:
-        write_complex_cache(path, K)
+    for K, kind in [(rips_filtration(point_cloud_distances(
+                         rng.uniform(0, 1, size=(7, 2))), 2, 0.5), "rips"),
+                    (build_cubical_filtration(
+                         np.round(rng.uniform(0, 1, size=(3, 4)), 1)),
+                     "cubical-sublevel")]:
+        write_complex_cache(path, K, meta={"kind": kind})
         complexes.append(read_complex_cache(path))
     for K in complexes:
         face_lists = [K.boundary(i).tolist() for i in range(K.n_cells)]
