@@ -67,6 +67,20 @@ def _sibling(output: str, suffix: str) -> str:
 
 # ------------------------------------------------------------------ rips
 
+def _enclosing_scale(dmats: list[np.ndarray], conv: str) -> float:
+    """Default `max_scale`: the largest enclosing radius of the matrices.
+
+    The enclosing radius is min_i max_j of the edge values (halved
+    distances under the radius convention).  From it on, one vertex is
+    joined to all others and the complex is a cone, so a larger scale
+    gives the same diagram points.  Falls back to 1.0 when it is 0.
+    """
+    radius = max(float(d.max(axis=1).min()) for d in dmats)
+    if conv == "radius":
+        radius /= 2.0
+    return radius if radius > 0 else 1.0
+
+
 def run_rips(p: dict) -> None:
     if p["distance_matrix"]:
         d = io.read_distance_matrix(p["input"])
@@ -82,10 +96,7 @@ def run_rips(p: dict) -> None:
         hdim = 2 if (cloud_dim is not None and cloud_dim >= 3) else 1
     max_scale = p["max_scale"]
     if max_scale is None:
-        dmax = float(d.max())
-        if dmax <= 0:
-            dmax = 1.0
-        max_scale = dmax / 2.0 if conv == "radius" else dmax
+        max_scale = _enclosing_scale([d], conv)
     diagram = rips_persistence(
         d, int(hdim), max_scale, conv,
         metadata={"filtration": "rips", "convention": conv,
@@ -167,10 +178,7 @@ def run_series(p: dict) -> None:
     conv = p["convention"]
     max_scale = p["max_scale"]
     if max_scale is None:
-        dmax = max(float(m.max()) for m in dmats)
-        if dmax <= 0:
-            dmax = 1.0
-        max_scale = dmax / 2.0 if conv == "radius" else dmax
+        max_scale = _enclosing_scale(dmats, conv)
     os.makedirs(p["out_dir"], exist_ok=True)
     diagrams = []
     for k, m in enumerate(dmats):

@@ -1,10 +1,14 @@
 """Bottleneck and Wasserstein distances between persistence diagrams.
 
 Both metrics use the L-infinity ground distance and diagonal
-augmentation: every point may be matched to its diagonal projection at
-cost persistence/2, and surplus diagonal slots pair off at cost 0.
-Essential points (infinite death) are compared separately as multisets
-of births; a count mismatch makes the distance infinite.
+augmentation, built once as a square cost matrix (`_augmented_costs`):
+every point may be matched to a diagonal slot at cost persistence/2,
+and surplus diagonal slots pair off at cost 0.  Wasserstein solves one
+assignment on the p-th powers of those costs.  Bottleneck binary-searches
+the distinct costs and tests each threshold for a perfect matching with
+Hopcroft-Karp; nothing recurses.  Essential points (infinite death) are
+compared separately as multisets of births; a count mismatch makes the
+distance infinite.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import InternalError, ParameterError
 from .persistence import PersistenceDiagram
@@ -53,12 +59,21 @@ def _split_dim(pd: PersistenceDiagram, dim: int
             np.array(ess, dtype=np.float64))
 
 
-def _linf_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if not a.shape[0] or not b.shape[0]:
-        return np.zeros((a.shape[0], b.shape[0]))
-    return np.maximum(
-        np.abs(a[:, None, 0] - b[None, :, 0]),
-        np.abs(a[:, None, 1] - b[None, :, 1]))
+def _augmented_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n1+n2) square L-infinity costs of the diagonal-augmented matching.
+
+    Rows are the n1 points of `a` then n2 diagonal slots; columns the n2
+    points of `b` then n1 diagonal slots.  A point costs its L-infinity
+    distance to a point, persistence/2 to any diagonal slot, and two
+    slots pair off at 0.
+    """
+    n1, n2 = a.shape[0], b.shape[0]
+    big = np.zeros((n1 + n2, n1 + n2))
+    big[:n1, :n2] = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
+                               np.abs(a[:, None, 1] - b[None, :, 1]))
+    big[:n1, n2:] = ((a[:, 1] - a[:, 0]) / 2.0)[:, None]
+    big[n1:, :n2] = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
+    return big
 
 
 def _match_essentials(e1: np.ndarray, e2: np.ndarray
@@ -73,52 +88,14 @@ def _match_essentials(e1: np.ndarray, e2: np.ndarray
     return pairs, gaps
 
 
-def _threshold_matching(thresh: float, costs: np.ndarray, diag1: np.ndarray,
-                        diag2: np.ndarray) -> list[int] | None:
-    """Perfect matching among edges of cost <= thresh, or None.
-
-    Left side: n1 real points then n2 diagonal slots; right side: n2
-    real points then n1 diagonal slots.  Kuhn's augmenting paths; the
-    return value maps each right node to its left partner.
-    """
-    n1, n2 = costs.shape
-    total = n1 + n2
-    adj: list[list[int]] = []
-    for i in range(n1):
-        nbr = [j for j in range(n2) if costs[i, j] <= thresh]
-        if diag1[i] <= thresh:
-            nbr.extend(range(n2, total))
-        adj.append(nbr)
-    diag_ok = [j for j in range(n2) if diag2[j] <= thresh]
-    slot_nbr = diag_ok + list(range(n2, total))
-    for _ in range(n2):
-        adj.append(slot_nbr)
-
-    match_r = [-1] * total
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_r[v] < 0 or augment(match_r[v], seen):
-                    match_r[v] = u
-                    return True
-        return False
-
-    for u in range(total):
-        if not augment(u, [False] * total):
-            return None
-    return match_r
-
-
-def _matching_pairs(match_r: list[int], n1: int, n2: int
+def _matching_pairs(rows: np.ndarray, cols: np.ndarray, n1: int, n2: int
                     ) -> list[tuple[int | None, int | None]]:
+    """An assignment on the augmented matrix as point pairs, None for
+    the diagonal; slot-to-slot pairs are dropped."""
     out: list[tuple[int | None, int | None]] = []
-    for v, u in enumerate(match_r):
-        if u < 0:
-            continue
-        left = u if u < n1 else None
-        right = v if v < n2 else None
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        left = r if r < n1 else None
+        right = c if c < n2 else None
         if left is not None or right is not None:
             out.append((left, right))
     return sorted(out, key=lambda t: (t[0] is None, t[0], t[1] is None, t[1]))
@@ -128,32 +105,33 @@ def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
                         dim: int = 1) -> DiagramDistanceReport:
     """Exact bottleneck distance in one homology dimension.
 
-    Binary search over the candidate costs (all pairwise L-infinity
-    costs and all diagonal projections) with a perfect-matching
-    feasibility test at each threshold.
+    Binary search over the distinct augmented costs.  A threshold is
+    feasible when the edges of cost <= threshold hold a perfect
+    matching (Hopcroft-Karp, `maximum_bipartite_matching`).  Sending
+    every point to the diagonal is perfect at the largest diagonal
+    cost, so that cost is the top candidate and its matching the start.
     """
     a, e1 = _split_dim(pd1, dim)
     b, e2 = _split_dim(pd2, dim)
-    costs = _linf_costs(a, b)
-    diag1 = (a[:, 1] - a[:, 0]) / 2.0 if a.shape[0] else np.zeros(0)
-    diag2 = (b[:, 1] - b[:, 0]) / 2.0 if b.shape[0] else np.zeros(0)
-
-    cands = np.unique(np.concatenate(
-        [[0.0], costs.ravel(), diag1, diag2]))
-    lo, hi = 0, len(cands) - 1
-    if _threshold_matching(float(cands[hi]), costs, diag1, diag2) is None:
-        raise InternalError("bottleneck matching failed at max candidate")
+    n1, n2 = a.shape[0], b.shape[0]
+    big = _augmented_costs(a, b)
+    rows = np.arange(n1 + n2)
+    cols = np.concatenate([n2 + np.arange(n1), np.arange(n2)])
+    top = big[rows, cols].max(initial=0.0)
+    cands = np.append(np.unique(big[big < top]), top)
+    lo, hi = 0, cands.size - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _threshold_matching(float(cands[mid]), costs, diag1, diag2) is None:
+        match = maximum_bipartite_matching(csr_matrix(big <= cands[mid]),
+                                           perm_type="column")
+        if (match < 0).any():
             lo = mid + 1
         else:
-            hi = mid
+            hi, cols = mid, match
     finite_part = float(cands[lo])
-    final = _threshold_matching(finite_part, costs, diag1, diag2)
-    if final is None:
-        raise InternalError("bottleneck threshold search is inconsistent")
-    matching = _matching_pairs(final, a.shape[0], b.shape[0])
+    if big[rows, cols].max(initial=0.0) != finite_part:
+        raise InternalError("bottleneck matching does not attain the value")
+    matching = _matching_pairs(rows, cols, n1, n2)
 
     ess = _match_essentials(e1, e2)
     if ess is None:
@@ -170,34 +148,19 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
                          ) -> DiagramDistanceReport:
     """p-Wasserstein distance via an exact assignment on augmented costs.
 
-    The cost matrix is (n1+n2) square: real-to-real entries are
-    L-infinity distances to the p-th power, real-to-diagonal entries the
-    projection cost to the p-th power, diagonal-to-diagonal zero.  The
-    value is the p-th root of the optimal total, plus the essential
-    birth mismatch handled the same way.
+    The augmented costs are raised to the p-th power; the value is the
+    p-th root of the optimal total, plus the essential birth mismatch
+    handled the same way.
     """
     if not (p >= 1):
         raise ParameterError("wasserstein order p must be >= 1")
     a, e1 = _split_dim(pd1, dim)
     b, e2 = _split_dim(pd2, dim)
     n1, n2 = a.shape[0], b.shape[0]
-    total = 0.0
-    matching: list[tuple[int | None, int | None]] = []
-    if n1 + n2:
-        big = np.zeros((n1 + n2, n1 + n2))
-        big[:n1, :n2] = _linf_costs(a, b) ** p
-        diag1 = ((a[:, 1] - a[:, 0]) / 2.0) ** p if n1 else np.zeros(0)
-        diag2 = ((b[:, 1] - b[:, 0]) / 2.0) ** p if n2 else np.zeros(0)
-        big[:n1, n2:] = diag1[:, None]
-        big[n1:, :n2] = diag2[None, :]
-        rows, cols = linear_sum_assignment(big)
-        total = float(big[rows, cols].sum())
-        for r, c in zip(rows, cols):
-            left = int(r) if r < n1 else None
-            right = int(c) if c < n2 else None
-            if left is not None or right is not None:
-                matching.append((left, right))
-        matching.sort(key=lambda t: (t[0] is None, t[0], t[1] is None, t[1]))
+    big = _augmented_costs(a, b) ** p
+    rows, cols = linear_sum_assignment(big)
+    total = float(big[rows, cols].sum())
+    matching = _matching_pairs(rows, cols, n1, n2)
 
     ess = _match_essentials(e1, e2)
     if ess is None:

@@ -281,9 +281,10 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
             cleared[i] = 1
 
     pairs = sorted(death_of.items())
-    essential = [int(i) for i in range(n)
-                 if dims[i] <= max_dim and not negative[i]
-                 and i not in death_of]
+    # `cleared` marks exactly the births in death_of.
+    essential = np.flatnonzero(
+        (dims <= max_dim) & (np.frombuffer(negative, dtype=np.uint8) == 0)
+        & (np.frombuffer(cleared, dtype=np.uint8) == 0)).tolist()
 
     values = np.asarray(K.values)
     pts: list[tuple[int, float, float, int]] = []

@@ -1,14 +1,16 @@
 """Reference implementations used only by the tests.
 
 Everything here is written from first principles (plain Python,
-itertools, bitmask linear algebra) so that a bug in the package cannot
-hide by agreeing with itself.
+itertools, bitmask linear algebra, and scipy's assignment solver for the
+bottleneck oracle) so that a bug in the package cannot hide by agreeing
+with itself.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 # ------------------------------------------------------------- Z2 rank
@@ -222,6 +224,44 @@ def brute_bottleneck(a, b, e1, e2):
         best = min(best, max(costs, default=0.0))
     gaps = [abs(x - y) for x, y in zip(sorted(e1), sorted(e2))]
     return max([best] + gaps) if (a or b or gaps) else 0.0
+
+
+def assignment_bottleneck(a, b, e1, e2):
+    """Bottleneck distance for diagrams too large to enumerate.
+
+    The diagonal-augmented costs are built here entry by entry: rows are
+    the points of a then one diagonal slot per point of b, columns the
+    points of b then one slot per point of a.  A threshold t is feasible
+    when the 0/1 matrix `costs > t` has an assignment of total 0, that
+    is, a perfect matching within t.  The answer is the least feasible
+    cost among 0 and all entries.
+    """
+    if len(e1) != len(e2):
+        return math.inf
+    n1, n2 = len(a), len(b)
+    costs = np.zeros((n1 + n2, n1 + n2))
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            costs[i, j] = _linf(u, v)
+        costs[i, n2:] = (u[1] - u[0]) / 2.0
+    for j, v in enumerate(b):
+        costs[n1:, j] = (v[1] - v[0]) / 2.0
+
+    def feasible(t):
+        over = (costs > t).astype(np.float64)
+        rows, cols = linear_sum_assignment(over)
+        return over[rows, cols].sum() == 0
+
+    cands = sorted(set(costs.ravel().tolist()) | {0.0})
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    gaps = [abs(x - y) for x, y in zip(sorted(e1), sorted(e2))]
+    return max([cands[lo]] + gaps)
 
 
 def brute_wasserstein(a, b, e1, e2, p):

@@ -46,7 +46,7 @@ from phom import (
     kde_grid,
     point_cloud_distances,
     representative_cycle,
-    rips_filtration,
+    rips_persistence,
     sample_annulus,
     sample_double_annulus,
     sliding_windows,
@@ -320,9 +320,8 @@ def test_distances_match_brute_force(report):
 
 
 def _prominent_loop_count(points, max_scale):
-    d = point_cloud_distances(points)
-    K = rips_filtration(d, 2, max_scale, "radius")
-    dg, _ = compute_persistence(K, max_dim=1)
+    dg = rips_persistence(point_cloud_distances(points), 1, max_scale,
+                          "radius")
     pers = []
     for dim, b, dth in dg.points:
         if dim != 1:
@@ -355,12 +354,7 @@ def _window_diagrams(series):
     wins = sliding_windows(series, 64, 64)
     dmats = [point_cloud_distances(w) for w in wins]
     ms = max(float(m.max()) for m in dmats) / 2.0
-    out = []
-    for m in dmats:
-        K = rips_filtration(m, 2, ms, "radius")
-        dg, _ = compute_persistence(K, max_dim=1)
-        out.append(dg)
-    return out
+    return [rips_persistence(m, 1, ms, "radius") for m in dmats]
 
 
 def test_perturbed_window_scores_strictly_max(report):
@@ -381,8 +375,7 @@ def test_perturbed_window_scores_strictly_max(report):
 
 def _dominant_loop(series):
     d = point_cloud_distances(series)
-    K = rips_filtration(d, 2, float(d.max()) / 2.0, "radius")
-    dg, _ = compute_persistence(K, max_dim=1)
+    dg = rips_persistence(d, 1, float(d.max()) / 2.0, "radius")
     fin = dg.in_dim(1, finite=True)
     assert fin.shape[0] > 0
     return fin[np.argmax(fin[:, 1] - fin[:, 0])]

@@ -9,7 +9,7 @@ import pytest
 
 from phom import (build_cubical_filtration, cli, compute_persistence,
                   point_cloud_distances, rips_filtration, sample_annulus,
-                  sample_double_annulus)
+                  sample_double_annulus, sliding_windows)
 from phom.io import (
     read_complex_cache,
     read_diagram_csv,
@@ -297,8 +297,9 @@ def test_rips_matches_explicit_complex_path(tmp_path, name):
     hdim = 0 if "--max-dim" in flags else (2 if arr.shape[1] == 3 else 1)
     if "--max-scale" in flags:
         scale = float(flags[flags.index("--max-scale") + 1])
-    else:
-        scale = (float(d.max()) or 1.0) / (2.0 if conv == "radius" else 1.0)
+    else:  # the enclosing radius, min_i max_j of the edge values
+        scale = (float(d.max(axis=1).min())
+                 / (2.0 if conv == "radius" else 1.0)) or 1.0
     K = rips_filtration(d, min(hdim + 1, n - 1) if n > 1 else 0, scale, conv)
     want, _ = compute_persistence(
         K, max_dim=hdim, metadata={"filtration": "rips", "convention": conv,
@@ -310,6 +311,68 @@ def test_rips_matches_explicit_complex_path(tmp_path, name):
     assert cache.read_bytes() == (tmp_path / "want.cplx").read_bytes()
     assert run("sparsify", "--complex", cache, "--diagram", dg, "--point",
                len(want.points) - 1, "-o", tmp_path / "cycle.json") == 0
+
+
+def point_rows(path):
+    return [ln for ln in path.read_text().splitlines()
+            if not ln.startswith("#")]
+
+
+@pytest.mark.parametrize("name", [
+    "square", "square-diameter", "3d-h2", "duplicates", "one-point",
+    "distance-matrix"])
+def test_default_scale_keeps_diagram_points(tmp_path, name):
+    """The enclosing-radius default gives the diagram points of the
+    former default, half the largest distance (all of it under the
+    diameter convention); only the max_scale metadata differs."""
+    rng = np.random.default_rng(5)
+    flags = []
+    if name.startswith("square"):
+        arr = rng.uniform(0, 1, size=(40, 2))
+        if name == "square-diameter":
+            flags = ["--convention", "diameter"]
+    elif name == "3d-h2":  # a sphere around its centre: one void
+        g = rng.normal(size=(30, 3))
+        arr = np.vstack([g / np.linalg.norm(g, axis=1)[:, None], [0, 0, 0]])
+    elif name == "duplicates":
+        arr = np.array([[0, 0], [0, 0], [2, 0], [2, 0], [0, 2], [2, 2],
+                        [1, 1], [1, 1]], dtype=float)
+    elif name == "one-point":
+        arr = np.array([[0.5, 0.5]])
+    else:
+        m = np.triu(rng.integers(0, 4, size=(9, 9)), 1).astype(float)
+        arr = m + m.T
+        flags = ["--distance-matrix"]
+    src = tmp_path / "in.csv"
+    write_point_cloud(str(src), arr)
+    d = arr if flags == ["--distance-matrix"] else point_cloud_distances(arr)
+    half = 1.0 if "diameter" in flags else 2.0
+    old_default = (float(d.max()) or 1.0) / half
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    assert run("rips", src, "-o", new, *flags) == 0
+    assert run("rips", src, "-o", old, *flags,
+               "--max-scale", repr(old_default)) == 0
+    assert point_rows(new) == point_rows(old)
+    want = (float(d.max(axis=1).min()) / half) or 1.0
+    assert read_diagram_csv(str(new)).metadata["max_scale"] == want
+    if name == "3d-h2":
+        assert any(p[0] == 2 for p in read_diagram_csv(str(new)).points)
+
+
+def test_series_default_scale_keeps_diagram_points(tmp_path):
+    src = tmp_path / "series.csv"
+    assert run("gen", "periodic", "-n", 128, "--noise", 0.05, "--seed", 3,
+               "-o", src) == 0
+    dmax = max(float(point_cloud_distances(w).max())
+               for w in sliding_windows(read_point_cloud(str(src)), 32, 16))
+    new, old = tmp_path / "new", tmp_path / "old"
+    for out, flags in ((new, []), (old, ["--max-scale", repr(dmax / 2.0)])):
+        assert run("series", src, "--out-dir", out, "--window", 32,
+                   "--stride", 16, *flags) == 0
+    names = sorted(f.name for f in new.iterdir() if f.suffix == ".csv")
+    assert len(names) == 8
+    for name in names:
+        assert point_rows(new / name) == point_rows(old / name)
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("boom\nsecond line"),

@@ -1,18 +1,25 @@
 """Bottleneck and Wasserstein diagram distances against brute force."""
 
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phom import (
     ParameterError,
     PersistenceDiagram,
     bottleneck_distance,
+    cli,
+    gen_diffusion_field,
+    image_persistence,
     matching_cost,
     wasserstein_distance,
 )
-from oracles import brute_bottleneck, brute_wasserstein
+from phom.io import write_diagram_csv
+from oracles import assignment_bottleneck, brute_bottleneck, brute_wasserstein
 
 
 def diag(points):
@@ -169,13 +176,9 @@ def test_matching_covers_all_points():
     for _ in range(50):
         d1 = random_diagram(rng)
         d2 = random_diagram(rng)
-        rep = bottleneck_distance(d1, d2, dim=1)
         f1, _ = split(d1)
         f2, _ = split(d2)
-        lefts = [l for l, _ in rep.matching if l is not None]
-        rights = [r for _, r in rep.matching if r is not None]
-        assert sorted(lefts) == list(range(len(f1)))
-        assert sorted(rights) == list(range(len(f2)))
+        assert_covers(bottleneck_distance(d1, d2, dim=1), len(f1), len(f2))
 
 
 def test_report_fields():
@@ -188,3 +191,63 @@ def test_report_fields():
     w = wasserstein_distance(d1, d2, dim=1, p=2.0)
     assert w.metric == "wasserstein"
     assert w.p == 2.0
+
+
+def assert_covers(rep, n1, n2):
+    """Every finite point of either diagram is matched exactly once."""
+    lefts = [l for l, _ in rep.matching if l is not None]
+    rights = [r for _, r in rep.matching if r is not None]
+    assert sorted(lefts) == list(range(n1))
+    assert sorted(rights) == list(range(n2))
+
+
+# Points on a coarse grid, so equal costs (ties) are common.
+_finite = st.lists(st.tuples(st.integers(0, 8), st.integers(1, 8)),
+                   max_size=60)
+_essential = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                      max_size=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_finite, _finite, _essential)
+@example([], [], [])
+@example([(1, 2)], [], [])
+@example([], [(0, 3), (2, 2)], [(1, 4)])
+@example([(0, 4)] * 5, [(0, 4), (1, 1)], [(0, 0), (3, 3)])
+def test_bottleneck_equals_assignment_oracle(f1, f2, ess):
+    """Medium diagrams, beyond brute force: the exact value of the
+    assignment oracle, attained by the report's own matching."""
+    a = [(b / 4.0, (b + k) / 4.0) for b, k in f1]
+    b = [(b / 4.0, (b + k) / 4.0) for b, k in f2]
+    e1 = [x / 4.0 for x, _ in ess]
+    e2 = [y / 4.0 for _, y in ess]
+    d1 = diag([(1, u, v) for u, v in a] + [(1, x, math.inf) for x in e1])
+    d2 = diag([(1, u, v) for u, v in b] + [(1, y, math.inf) for y in e2])
+    rep = bottleneck_distance(d1, d2, dim=1)
+    assert rep.value == assignment_bottleneck(a, b, e1, e2)
+    assert matching_cost(rep, d1, d2) == rep.value
+    assert_covers(rep, len(a), len(b))
+
+
+def test_large_pair_does_not_recurse(tmp_path):
+    """H1 diagrams of two 64x64 noise grids, about 790 points each: the
+    matching stays flat, and `phom distance` exits 0."""
+    d1, d2 = (image_persistence(gen_diffusion_field(n=64, steps=0, seed=s))
+              for s in (10_000, 10_001))
+    n1 = d1.in_dim(1, finite=True).shape[0]
+    n2 = d2.in_dim(1, finite=True).shape[0]
+    assert min(n1, n2) > 750
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        rep = bottleneck_distance(d1, d2, dim=1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert matching_cost(rep, d1, d2) == pytest.approx(rep.value, abs=1e-9)
+    assert_covers(rep, n1, n2)
+
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_diagram_csv(str(a), d1)
+    write_diagram_csv(str(b), d2)
+    assert cli.main(["distance", str(a), str(b),
+                     "-o", str(tmp_path / "rep.json")]) == 0
