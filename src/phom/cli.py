@@ -280,39 +280,24 @@ def run_gen(p: dict) -> None:
     _write_manifest(_sibling(p["output"], ".manifest.json"), "gen", p)
 
 
-def cmd_gen(args) -> None:
-    p: dict = {"kind": args.kind, "output": args.output}
-    if args.kind in ("annulus", "double-annulus", "periodic", "diffusion"):
-        p["seed"] = _resolve_seed(args.seed)
-    if args.kind == "annulus":
-        p.update(n=args.n, radius=args.radius, noise=args.noise)
-    elif args.kind == "double-annulus":
-        p.update(n=args.n, radii=list(args.radii),
-                 separation=args.separation, noise=args.noise)
-    elif args.kind == "periodic":
-        pert = None
-        if args.perturb is not None:
-            kind, mag, start, end = args.perturb
-            try:
-                pert = {"kind": kind, "magnitude": float(mag),
-                        "start": int(start), "end": int(end)}
-            except ValueError as exc:
-                raise ParameterError(f"bad --perturb: {exc}") from None
-        p.update(n=args.n, amplitude=args.amplitude,
-                 frequency=args.frequency, noise=args.noise, perturb=pert)
-    elif args.kind == "diffusion":
-        p.update(size=args.size, coeff=args.coeff, steps=args.steps,
-                 dt=args.dt, format=args.format)
-    elif args.kind == "kde":
-        p.update(input=args.input, resolution=args.resolution,
-                 bandwidth=args.bandwidth)
-    run_gen(p)
-
-
 def _cmd(args) -> None:
-    """Run a subcommand; its parsed options are its manifest params."""
-    RUNNERS[args.subcommand]({k: v for k, v in vars(args).items()
-                              if k not in ("manifest", "subcommand", "func")})
+    """Run a subcommand; its parsed options are its manifest params.
+
+    A generator's seed is stored resolved and its --perturb as a typed
+    dict, so a replay does not depend on the environment.
+    """
+    p = {k: v for k, v in vars(args).items()
+         if k not in ("manifest", "subcommand")}
+    if "seed" in p:
+        p["seed"] = _resolve_seed(p["seed"])
+    if p.get("perturb") is not None:
+        kind, mag, start, end = p["perturb"]
+        try:
+            p["perturb"] = {"kind": kind, "magnitude": float(mag),
+                            "start": int(start), "end": int(end)}
+        except ValueError as exc:
+            raise ParameterError(f"bad --perturb: {exc}") from None
+    RUNNERS[args.subcommand](p)
 
 
 # The reader and the persistence function are looked up on each call, so
@@ -331,18 +316,31 @@ RUNNERS = {
 }
 
 
+class _ManifestParams(dict):
+    """Replayed params: a missing key is an input error, not a KeyError."""
+
+    def __init__(self, path: str, params: dict):
+        super().__init__(params)
+        self.path = path
+
+    def __missing__(self, key):
+        raise InputError(f"{self.path}: manifest params lack {key!r}")
+
+
 def replay_manifest(path: str) -> None:
     try:
         with open(path, "r", encoding="ascii") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bytes
         raise InputError(f"{path}: cannot read manifest: {exc}") from None
     if not isinstance(obj, dict) or obj.get("tool") != "phom":
         raise InputError(f"{path}: not a phom run manifest")
     sub = obj.get("subcommand")
     if sub not in RUNNERS:
         raise InputError(f"{path}: unknown subcommand {sub!r}")
-    RUNNERS[sub](obj["params"])
+    if not isinstance(obj.get("params"), dict):
+        raise InputError(f"{path}: manifest params must be an object")
+    RUNNERS[sub](_ManifestParams(path, obj["params"]))
 
 
 def build_parser() -> _Parser:
@@ -367,7 +365,6 @@ def build_parser() -> _Parser:
                    default="radius")
     q.add_argument("--svg", action="store_true")
     q.add_argument("--save-complex", metavar="FILE", default=None)
-    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("image", help="cubical persistence of a PGM/PPM")
     q.add_argument("input")
@@ -376,7 +373,6 @@ def build_parser() -> _Parser:
     q.add_argument("--max-dim", type=int, default=None)
     q.add_argument("--svg", action="store_true")
     q.add_argument("--save-complex", metavar="FILE", default=None)
-    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("voxel", help="cubical persistence of a voxel grid")
     q.add_argument("input")
@@ -385,7 +381,6 @@ def build_parser() -> _Parser:
     q.add_argument("--max-dim", type=int, default=None)
     q.add_argument("--svg", action="store_true")
     q.add_argument("--save-complex", metavar="FILE", default=None)
-    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("vectorize", help="diagram to persistence image")
     q.add_argument("input")
@@ -400,7 +395,6 @@ def build_parser() -> _Parser:
                    default="linear")
     q.add_argument("--essentials", choices=["auto", "cap", "skip"],
                    default="auto")
-    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("distance", help="distance between two diagrams")
     q.add_argument("input_a")
@@ -410,7 +404,6 @@ def build_parser() -> _Parser:
                    default="bottleneck")
     q.add_argument("--p", type=float, default=2.0)
     q.add_argument("--dim", type=int, default=1)
-    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("series",
                        help="sliding-window loop scores of a 2-column series")
@@ -421,7 +414,6 @@ def build_parser() -> _Parser:
     q.add_argument("--max-scale", type=float, default=None)
     q.add_argument("--convention", choices=["radius", "diameter"],
                    default="radius")
-    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("sparsify", help="shrink a representative cycle")
     q.add_argument("--complex", required=True, metavar="CACHE")
@@ -430,7 +422,6 @@ def build_parser() -> _Parser:
                    help="row index into the diagram CSV")
     q.add_argument("--budget", type=int, default=20)
     q.add_argument("-o", "--output", required=True)
-    q.set_defaults(func=_cmd)
 
     q = sub.add_parser("gen", help="seeded data generators")
     gensub = q.add_subparsers(dest="kind")
@@ -441,7 +432,6 @@ def build_parser() -> _Parser:
     g.add_argument("--noise", type=float, default=0.0)
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_gen)
 
     g = gensub.add_parser("double-annulus")
     g.add_argument("-n", type=int, default=200)
@@ -450,7 +440,6 @@ def build_parser() -> _Parser:
     g.add_argument("--noise", type=float, default=0.0)
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_gen)
 
     g = gensub.add_parser("periodic")
     g.add_argument("-n", type=int, default=256)
@@ -461,7 +450,6 @@ def build_parser() -> _Parser:
                    metavar=("KIND", "MAG", "START", "END"))
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_gen)
 
     g = gensub.add_parser("diffusion")
     g.add_argument("--size", type=int, default=32)
@@ -471,14 +459,12 @@ def build_parser() -> _Parser:
     g.add_argument("--format", choices=["vox", "pgm"], default="vox")
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_gen)
 
     g = gensub.add_parser("kde")
     g.add_argument("input", help="2-column point cloud CSV")
     g.add_argument("--resolution", type=int, default=64)
     g.add_argument("--bandwidth", type=float, default=None)
     g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_gen)
 
     return top
 
@@ -496,7 +482,7 @@ def main(argv=None) -> int:
             raise ParameterError("a subcommand is required (see --help)")
         if args.subcommand == "gen" and getattr(args, "kind", None) is None:
             raise ParameterError("gen needs a generator kind (see --help)")
-        args.func(args)
+        _cmd(args)
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

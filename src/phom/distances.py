@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -152,6 +151,10 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
     p-th root of the optimal total, plus the essential birth mismatch
     handled the same way.
     """
+    # scipy.optimize costs every phom process ~0.1 s to import; only
+    # this function needs it.
+    from scipy.optimize import linear_sum_assignment
+
     if not (p >= 1):
         raise ParameterError("wasserstein order p must be >= 1")
     a, e1 = _split_dim(pd1, dim)

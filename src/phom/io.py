@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from io import StringIO
 
 import numpy as np
 
@@ -22,12 +24,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _open_read(path: str, mode: str = "r"):
-    kwargs = {} if "b" in mode else {"encoding": "ascii"}
+def _open_read(path: str, text: bool = True):
+    """A file's bytes, or for text an ASCII stream: an unreadable file or
+    a non-ASCII byte in a text file is an InputError."""
     try:
-        return open(path, mode, **kwargs)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return StringIO(data.decode("ascii"), newline=None) if text else data
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: non-ASCII byte at byte {exc.start}") from None
 
 
 # ---------------------------------------------------------------- CSV clouds
@@ -155,32 +163,31 @@ def read_diagram_csv(path: str) -> PersistenceDiagram:
 
 # ----------------------------------------------------------------- PGM / PPM
 
+# A '#' where a token would start opens a comment up to the end of the
+# line; a token is any other run of non-whitespace bytes.
+_PGM_TOKEN = re.compile(rb"#[^\n]*|([^\s#]\S*)")
+
+
 def _pgm_tokens(data: bytes, path: str, count: int, start: int
                 ) -> tuple[list[int], int]:
-    """Read `count` ASCII integer tokens from data[start:], '#' comments ok."""
+    """Read `count` ASCII integer tokens from data[start:], '#' comments ok.
+
+    Returns the integers and the position just after the last one.
+    """
     out: list[int] = []
-    i = start
-    n = len(data)
-    while len(out) < count:
-        while i < n and data[i:i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
+    for m in _PGM_TOKEN.finditer(data, start):
+        tok = m[1]
+        if tok is None:
             continue
-        j = i
-        while j < n and not data[j:j + 1].isspace():
-            j += 1
-        if j == i:
-            raise InputError(f"{path}: truncated header at byte {i}")
-        tok = data[i:j]
         try:
             out.append(int(tok))
         except ValueError:
             raise InputError(
-                f"{path}: bad integer {tok!r} at byte {i}") from None
-        i = j
-    return out, i
+                f"{path}: bad integer {tok!r} at byte {m.start()}") from None
+        if len(out) == count:
+            return out, m.end()
+    raise InputError(
+        f"{path}: truncated header at byte {max(start, len(data))}")
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -190,8 +197,7 @@ def read_pgm(path: str) -> np.ndarray:
     converted by the channel mean rescaled to [0, 255].  maxval up to
     65535 (two-byte big-endian samples in the binary forms).
     """
-    with _open_read(path, "rb") as fh:
-        data = fh.read()
+    data = _open_read(path, text=False)
     if len(data) < 2:
         raise InputError(f"{path}: not a PGM/PPM file")
     magic = data[:2].decode("ascii", "replace")
@@ -423,8 +429,10 @@ def read_complex_cache(path: str) -> Filtration:
     meta: dict = {}
     i = 1
     while i < len(lines) and lines[i].startswith("meta "):
-        _, key, val = lines[i].split(" ", 2)
-        meta[key] = val
+        parts = lines[i].split(" ", 2)
+        if len(parts) != 3:
+            raise InputError(f"{path}:{i + 1}: expected 'meta KEY VALUE'")
+        meta[parts[1]] = parts[2]
         i += 1
     if i >= len(lines) or not lines[i].startswith("cells "):
         raise InputError(f"{path}:{i + 1}: expected 'cells N'")

@@ -1,21 +1,23 @@
 """Persistence by Z2 matrix reduction over a filtration.
 
-Columns are Python ints used as bitsets (bit r = r-th cell of the row
-dimension in filtration order), which keeps the inner XOR loop at C
-speed.  The reduction is run per dimension; pairs are identical to the
-single big-matrix left-to-right reduction because column additions never
-cross dimensions.
+Every diagram comes from one engine: union-find for H0, then, per
+dimension, a reduction of coboundary columns in reverse filtration order
+with clearing and apparent pairs (cohomology gives the same pairs as the
+boundary reduction).  rips_persistence drives the same two functions
+with cofacets it enumerates on the fly.  Representative cycles come from
+an on-demand bitset reduction of the boundary columns of one dimension.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import InternalError, ParameterError
+from .errors import InputError, InternalError, ParameterError
 
 DiagramPoint = tuple[int, float, float]
 
@@ -125,15 +127,8 @@ class PersistenceDiagram:
         finite=True keeps only finite deaths, False only infinite,
         None keeps everything.
         """
-        out = []
-        for d, b, dth in self.points:
-            if d != dim:
-                continue
-            if finite is True and math.isinf(dth):
-                continue
-            if finite is False and not math.isinf(dth):
-                continue
-            out.append((b, dth))
+        out = [(b, dth) for d, b, dth in self.points if d == dim
+               and (finite is None or finite == math.isfinite(dth))]
         return np.array(out, dtype=np.float64).reshape(-1, 2)
 
     def betti_at(self, eps: float, max_dim: int | None = None) -> list[int]:
@@ -160,8 +155,6 @@ class PersistencePairing:
     pairs: list[tuple[int, int]]
     essential: list[int]
     max_dim: int
-    _death_cols: dict[int, int] = field(default_factory=dict, repr=False)
-    _rank_ids: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def pair_for(self, point: DiagramPoint) -> tuple[int, int | None]:
         """(birth_cell, death_cell) of the first pair matching a point."""
@@ -207,18 +200,108 @@ def _bits_to_ids(col: int, ids: np.ndarray) -> frozenset[int]:
     return frozenset(out)
 
 
+def union_find_h0(n: int, a: np.ndarray,
+                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Elder-rule H0 pairs by union-find over the edges.
+
+    The edges come in filtration order with endpoints a[e], b[e]; a
+    vertex is named by its age, its position among the n vertices in
+    filtration order.  An edge joining two components kills the younger
+    of their oldest vertices.  Returns (merging edge positions, killed
+    vertices).
+    """
+    parent = list(range(n))
+    edges: list[int] = []
+    killed: list[int] = []
+    for e, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            continue
+        if x > y:
+            x, y = y, x
+        parent[y] = x
+        edges.append(e)
+        killed.append(y)
+        if len(edges) == n - 1:
+            break
+    return np.array(edges, dtype=np.int64), np.array(killed, dtype=np.int64)
+
+
+def reduce_coboundaries(todo: list[int], coboundary: Callable[[int], list],
+                        owner: dict) -> list[int]:
+    """Z2 reduction of coboundary columns; returns the zero columns.
+
+    todo lists the columns in reverse filtration order; coboundary(j)
+    gives the sorted keys of column j's cofaces, where key order is
+    filtration order, so a column's pivot is its least key.  owner maps
+    pivot key to column: the caller fills it with the apparent pairs,
+    whose columns need no reduction, and it gains every new pivot.  A
+    working column is a heap in which equal keys cancel lazily; only
+    entries up to the pivot are ever popped.
+    """
+    reduced: dict[int, list] = {}
+    zero: list[int] = []
+    for j in todo:
+        heap = coboundary(j)
+        while True:
+            p = _pop_pivot(heap)
+            if p is None:
+                zero.append(j)
+                break
+            o = owner.get(p)
+            if o is None:
+                owner[p] = j
+                reduced[j] = [p] + _odd_entries(heap)
+                break
+            add = reduced.get(o)
+            if add is None:
+                add = coboundary(o)
+            for x in add[1:]:
+                heapq.heappush(heap, x)
+    return zero
+
+
+def _pop_pivot(heap: list) -> int | None:
+    """Pop the least key of odd multiplicity from a column heap."""
+    pop = heapq.heappop
+    while heap:
+        p = pop(heap)
+        if heap and heap[0] == p:
+            pop(heap)
+        else:
+            return p
+    return None
+
+
+def _odd_entries(heap: list) -> list:
+    """The keys of odd multiplicity in a column heap, sorted."""
+    out: list = []
+    for x in sorted(heap):
+        if out and out[-1] == x:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
 def compute_persistence(K: Filtration, max_dim: int | None = None,
                         metadata: dict | None = None
                         ) -> tuple[PersistenceDiagram, PersistencePairing]:
     """Persistence diagram and pairing of a filtration.
 
-    Dimensions are reduced from the top down with clearing (the twist of
-    Chen and Kerber): a column whose cell was already paired as a birth
-    is known to reduce to zero and is skipped.
+    H0 comes from union-find over the edges.  Each dimension k =
+    1..max_dim then reduces the coboundaries of the k-cells in reverse
+    filtration order (cohomology, which gives the pairs of the boundary
+    reduction), skipping the cells paired one dimension down (clearing).
+    A cell whose oldest coface has it as youngest face forms an apparent
+    pair with that coface and is not reduced.
 
     Args:
         K: the filtration; cells must be in filtration order with faces
-            preceding cofaces.
+            preceding cofaces, and every edge has two faces.
         max_dim: largest homology dimension to report; defaults to the
             complex dimension.
         metadata: extra metadata stored on the diagram.
@@ -235,73 +318,70 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
     max_dim = int(max_dim)
     if max_dim < 0:
         raise ParameterError("max_dim must be non-negative")
-    build_dim = min(top, max_dim + 1)
+    off, flat = K.bnd_off, K.bnd_flat
+    nfaces = np.diff(off)
+    cells = np.arange(n)
 
-    bydim = [np.flatnonzero(dims == k) for k in range(build_dim + 1)]
-    rank_in_dim = np.zeros(n, dtype=np.int64)
-    for k in range(build_dim + 1):
-        rank_in_dim[bydim[k]] = np.arange(bydim[k].size)
-    off = K.bnd_off
-    rk_flat = rank_in_dim[K.bnd_flat] if K.bnd_flat.size else K.bnd_flat
+    # Cofaces of each cell, sorted: the boundary CSR transposed.
+    cof_flat = np.repeat(cells, nfaces)[np.argsort(flat, kind="stable")]
+    cof_off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n), out=cof_off[1:])
+    has_cof = cof_off[1:] > cof_off[:-1]
+    oldest = np.zeros(n, dtype=np.int64)
+    oldest[has_cof] = cof_flat[cof_off[:-1][has_cof]]
+    youngest = np.full(n, -1, dtype=np.int64)
+    if flat.size:
+        youngest[nfaces > 0] = np.maximum.reduceat(flat, off[:-1][nfaces > 0])
+    apparent = has_cof & (youngest[oldest] == cells)
 
-    death_of: dict[int, int] = {}
-    death_cols: dict[int, int] = {}
-    negative = bytearray(n)
-    cleared = bytearray(n)
+    verts = np.flatnonzero(dims == 0)
+    edges = np.flatnonzero(dims == 1)
+    if np.any(nfaces[edges] != 2):
+        raise InputError("every edge needs two faces")
+    age = np.cumsum(dims == 0) - 1
+    e, v = union_find_h0(verts.size, age[flat[off[edges]]],
+                         age[flat[off[edges] + 1]])
+    births, deaths = [verts[v]], [edges[e]]
+    essential = [np.delete(verts, v)]
+    died = np.zeros(n, dtype=bool)
+    died[edges[e]] = True
 
-    # Plain-list copies keep the per-column loop free of numpy scalar
-    # boxing; the loop below runs once per cell and dominates runtime.
-    off_list = off.tolist()
-    rk_list = rk_flat.tolist()
+    cof_list, cof_at = cof_flat.tolist(), cof_off.tolist()
 
-    for k in range(build_dim, 0, -1):
-        lower_ids = bydim[k - 1]
-        pivots: dict[int, int] = {}
-        pivot_owner: dict[int, int] = {}
-        pget = pivots.get
-        for j in bydim[k].tolist():
-            if cleared[j]:
-                continue
-            col = 0
-            for b in rk_list[off_list[j]:off_list[j + 1]]:
-                col |= 1 << b
-            while col:
-                low = col.bit_length() - 1
-                piv = pget(low)
-                if piv is None:
-                    pivots[low] = col
-                    pivot_owner[low] = j
-                    break
-                col ^= piv
-        for low, j in pivot_owner.items():
-            i = int(lower_ids[low])
-            death_of[i] = j
-            death_cols[i] = pivots[low]
-            negative[j] = 1
-            cleared[i] = 1
+    def coboundary(j: int) -> list[int]:
+        return cof_list[cof_at[j]:cof_at[j + 1]]
 
-    pairs = sorted(death_of.items())
-    # `cleared` marks exactly the births in death_of.
-    essential = np.flatnonzero(
-        (dims <= max_dim) & (np.frombuffer(negative, dtype=np.uint8) == 0)
-        & (np.frombuffer(cleared, dtype=np.uint8) == 0)).tolist()
+    for k in range(1, min(max_dim, top) + 1):
+        cols = np.flatnonzero((dims == k) & ~died)
+        app = cols[apparent[cols]]
+        owner = dict(zip(oldest[app].tolist(), app.tolist()))
+        todo = cols[has_cof[cols] & ~apparent[cols]][::-1]
+        zero = reduce_coboundaries(todo.tolist(), coboundary, owner)
+        births.append(np.fromiter(owner.values(), np.int64, len(owner)))
+        deaths.append(np.fromiter(owner, np.int64, len(owner)))
+        died[deaths[-1]] = True
+        essential += [cols[~has_cof[cols]], np.array(zero, dtype=np.int64)]
+
+    b, d = np.concatenate(births), np.concatenate(deaths)
+    order = np.argsort(b)
+    b, d = b[order], d[order]
+    essential = np.sort(np.concatenate(essential))
 
     values = np.asarray(K.values)
-    pts: list[tuple[int, float, float, int]] = []
-    for i, j in pairs:
-        if dims[i] <= max_dim and values[i] != values[j]:
-            pts.append((int(dims[i]), float(values[i]), float(values[j]), i))
-    for i in essential:
-        pts.append((int(dims[i]), float(values[i]), math.inf, i))
-    pts.sort()
+    keep = values[b] != values[d]
+    pd_b = np.concatenate([b[keep], essential])
+    pd_d = np.concatenate([values[d[keep]], np.full(essential.size, math.inf)])
+    order = np.lexsort((pd_b, pd_d, values[pd_b], dims[pd_b]))
+    pd_b = pd_b[order]
     diagram = PersistenceDiagram(
-        points=[(d, b, dth) for d, b, dth, _ in pts],
+        points=list(zip(dims[pd_b].tolist(), values[pd_b].tolist(),
+                        pd_d[order].tolist())),
         metadata=dict(metadata or {}),
-        birth_cells=[i for _, _, _, i in pts])
+        birth_cells=pd_b.tolist())
     diagram.metadata.setdefault("max_dim", max_dim)
     pairing = PersistencePairing(
-        complex=K, pairs=pairs, essential=essential, max_dim=max_dim,
-        _death_cols=death_cols, _rank_ids=bydim)
+        complex=K, pairs=list(zip(b.tolist(), d.tolist())),
+        essential=essential.tolist(), max_dim=max_dim)
     return diagram, pairing
 
 
@@ -313,24 +393,33 @@ def diagram_at_scale_betti(K, eps: float,
     the tests against the Smith-form oracle on the thresholded complex.
     """
     diagram, _ = compute_persistence(K, max_dim=max_dim)
-    top = int(np.asarray(K.dims).max()) if len(K.values) else 0
-    want = top if max_dim is None else int(max_dim)
-    return diagram.betti_at(float(eps), max_dim=want)
+    return diagram.betti_at(float(eps), max_dim=diagram.metadata["max_dim"])
 
 
-def _essential_cycle_bits(K, i_global: int, bydim: list[np.ndarray],
-                          rank_in_dim: np.ndarray) -> int:
-    """Column of the reduction witness V for a positive cell (dim >= 1)."""
-    dims = np.asarray(K.dims)
-    k = int(dims[i_global])
-    off = K.bnd_off
-    rk_flat = rank_in_dim[K.bnd_flat]
-    pivots: dict[int, tuple[int, int]] = {}
-    for j in bydim[k].tolist():
+def _bitset_columns(K: Filtration, k: int, m: int) -> list[int]:
+    """Boundaries of the k-cells among the first m cells, in filtration
+    order, as Python ints whose bit r is the r-th (k-1)-cell; the XOR of
+    two columns runs at C speed."""
+    dims = np.asarray(K.dims)[:m]
+    rk = (np.cumsum(dims == k - 1) - 1)[K.bnd_flat[:K.bnd_off[m]]].tolist()
+    off = K.bnd_off.tolist()
+    cols = []
+    for j in np.flatnonzero(dims == k).tolist():
         col = 0
-        for b in rk_flat[off[j]:off[j + 1]].tolist():
-            col |= 1 << b
-        wit = 1 << int(rank_in_dim[j])
+        for f in rk[off[j]:off[j + 1]]:
+            col ^= 1 << f
+        cols.append(col)
+    return cols
+
+
+def _reduce_to(K: Filtration, k: int, stop: int) -> tuple[int, int]:
+    """(reduced column, witness) of the k-cell `stop` in the left-to-right
+    reduction of the k-cell boundaries; the witness is a bitset over the
+    k-cells.  Clearing would skip only columns that reduce to zero, so
+    these are the columns of a full reduction."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for r, col in enumerate(_bitset_columns(K, k, stop + 1)):
+        wit = 1 << r
         while col:
             low = col.bit_length() - 1
             piv = pivots.get(low)
@@ -339,11 +428,7 @@ def _essential_cycle_bits(K, i_global: int, bydim: list[np.ndarray],
                 break
             col ^= piv[0]
             wit ^= piv[1]
-        if col == 0 and j == i_global:
-            return wit
-        if j == i_global:
-            raise InternalError("essential cell reduced to a pivot")
-    raise InternalError("essential cell not reached in its dimension")
+    return col, wit
 
 
 def representative_cycle(pairing: PersistencePairing,
@@ -351,42 +436,32 @@ def representative_cycle(pairing: PersistencePairing,
     """A Z2 cycle generating the class of one diagram point.
 
     For dimension 0 this is the birth vertex itself.  For a paired point
-    of dimension >= 1 it is the reduced column of the death cell (the
+    of dimension >= 1 it is the reduced boundary of the death cell (the
     cycle that dies there); every cell in it enters at or before the
     birth value.  Essential classes get the reduction witness of their
-    birth cell.
+    birth cell.  Both come from one bitset reduction of a single
+    dimension.
     """
     K = pairing.complex
     dim = int(point[0])
     i, j = pairing.pair_for(point)
     if dim == 0:
         return RepresentativeCycle(tuple(point), frozenset([i]), K)
-    dims = np.asarray(K.dims)
-    n = dims.size
-    bydim = pairing._rank_ids
     if j is not None:
-        col = pairing._death_cols[i]
-        cells = _bits_to_ids(col, bydim[dim])
+        bits, _ = _reduce_to(K, dim + 1, j)
     else:
-        rank_in_dim = np.zeros(n, dtype=np.int64)
-        for ids in bydim:
-            rank_in_dim[ids] = np.arange(ids.size)
-        wit = _essential_cycle_bits(K, i, bydim, rank_in_dim)
-        cells = _bits_to_ids(wit, bydim[dim])
+        col, bits = _reduce_to(K, dim, i)
+        if col:
+            raise InternalError("essential cell reduced to a pivot")
+    cells = _bits_to_ids(bits, np.flatnonzero(np.asarray(K.dims) == dim))
     return RepresentativeCycle(tuple(point), cells, K)
 
 
 def cycle_boundary_is_zero(cycle: RepresentativeCycle) -> bool:
     """True when the Z2 boundary of the cycle's cell set vanishes."""
-    K = cycle.complex
     seen: set[int] = set()
     for i in cycle.cells:
-        for f in K.boundary(int(i)):
-            f = int(f)
-            if f in seen:
-                seen.remove(f)
-            else:
-                seen.add(f)
+        seen ^= set(cycle.complex.boundary(int(i)).tolist())
     return not seen
 
 
@@ -412,21 +487,14 @@ def sparsify_cycle(cycle: RepresentativeCycle,
     birth = float(cycle.point[1])
     m = int(np.searchsorted(values, birth, side="right"))
 
-    k_ids = [i for i in range(m) if dims[i] == k]
-    rank = {g: r for r, g in enumerate(k_ids)}
+    k_ids = np.flatnonzero(dims[:m] == k)
+    rank = {g: r for r, g in enumerate(k_ids.tolist())}
     start = 0
     for i in cycle.cells:
-        if int(i) >= m or int(i) not in rank:
+        if int(i) not in rank:
             raise ParameterError("cycle uses cells above its birth scale")
         start |= 1 << rank[int(i)]
-
-    cof_bnds = []
-    for j in range(m):
-        if dims[j] == k + 1:
-            colmask = 0
-            for f in K.boundary(j):
-                colmask ^= 1 << rank[int(f)]
-            cof_bnds.append(colmask)
+    cof_bnds = _bitset_columns(K, k + 1, m)
 
     best = start
     best_n = start.bit_count()
@@ -442,21 +510,14 @@ def sparsify_cycle(cycle: RepresentativeCycle,
             if cn < best_n:
                 best, best_n = cur, cn
     else:
-        cur, cn = start, best_n
-        improved = True
-        while improved:
-            improved = False
-            pick = None
-            pick_n = cn
+        while True:
+            pick, pick_n = None, best_n
             for colmask in cof_bnds:
-                t = (cur ^ colmask).bit_count()
+                t = (best ^ colmask).bit_count()
                 if t < pick_n:
                     pick, pick_n = colmask, t
-            if pick is not None:
-                cur ^= pick
-                cn = pick_n
-                improved = True
-        best, best_n = cur, cn
+            if pick is None:
+                break
+            best, best_n = best ^ pick, pick_n
 
-    cells = _bits_to_ids(best, np.asarray(k_ids, dtype=np.int64))
-    return RepresentativeCycle(cycle.point, cells, K)
+    return RepresentativeCycle(cycle.point, _bits_to_ids(best, k_ids), K)

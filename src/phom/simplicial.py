@@ -7,7 +7,6 @@ sublevel set is a prefix of the cell list.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -16,7 +15,8 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError, InternalError, ParameterError
-from .persistence import DiagramPoint, Filtration, PersistenceDiagram
+from .persistence import (DiagramPoint, Filtration, PersistenceDiagram,
+                          reduce_coboundaries, union_find_h0)
 
 Vertices = Sequence[int]
 
@@ -359,7 +359,11 @@ def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
     simp = np.column_stack([iu, ju])
     srank = erank.astype(np.int64)
     keys = srank * (n + 1) ** 2 + _poly_keys(simp, n + 1)
-    paired = _rips_h0(n, simp, srank, keys, values, pts)
+    order = np.argsort(keys)
+    merges = order[union_find_h0(n, simp[order, 0], simp[order, 1])[0]]
+    pts += [(0, 0.0, x) for x in uvals[srank[merges]].tolist() if x != 0.0]
+    pts += [(0, 0.0, math.inf)] * (n - merges.size)
+    paired = keys[merges]
     for k in range(1, top + 1):
         if k > 1:
             simp, srank = _rips_extend(simp, srank, rank, big)
@@ -372,37 +376,6 @@ def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
     diagram = PersistenceDiagram(points=pts, metadata=dict(metadata or {}))
     diagram.metadata.setdefault("max_dim", max_dim)
     return diagram
-
-
-def _rips_h0(n: int, edges: np.ndarray, erank: np.ndarray,
-             keys: np.ndarray, values: list, pts: list) -> np.ndarray:
-    """H0 points by union-find over the edges in filtration order.
-
-    All vertices enter at 0 in index order, so a merge kills the younger
-    of the two oldest vertices.  Returns the keys of the merging edges,
-    which are the edges paired with a vertex.
-    """
-    order = np.argsort(keys)
-    parent = list(range(n))
-    merged = []
-    comps = n
-    for (a, b), r, key in zip(edges[order].tolist(), erank[order].tolist(),
-                              keys[order].tolist()):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
-            continue
-        parent[max(a, b)] = min(a, b)
-        merged.append(key)
-        if values[r] != 0.0:
-            pts.append((0, 0.0, values[r]))
-        comps -= 1
-        if comps == 1:
-            break
-    pts.extend((0, 0.0, math.inf) for _ in range(comps))
-    return np.array(merged, dtype=np.int64)
 
 
 def _rips_extend(simp: np.ndarray, vals: np.ndarray, weight: np.ndarray,
@@ -501,63 +474,23 @@ class _RipsCohomology:
         k, values, pts = self.k, self.values, self.pts
         owner: dict[int, int] = {}
         step = max(1, _BLOCK_ENTRIES // self.rank.shape[0])
-        todo = []
+        todo, zero = [], []
         for s in range(0, S.shape[0], step):
             has, ok, piv = self.apparent(S[s:s + step], sr[s:s + step])
-            for j, p in zip((np.flatnonzero(ok) + s).tolist(),
-                            piv[ok].tolist()):
-                owner[p] = j
-            for j in (np.flatnonzero(~has) + s).tolist():
-                pts.append((k, values[sr[j]], math.inf))
+            owner.update(zip(piv[ok].tolist(),
+                             (np.flatnonzero(ok) + s).tolist()))
+            zero += (np.flatnonzero(~has) + s).tolist()
             todo.append(np.flatnonzero(has & ~ok) + s)
-        todo = np.concatenate(todo) if todo else np.zeros(0, np.int64)
-        todo = todo[np.argsort(keys[todo])[::-1]]
-
-        # A working column is a heap of keys in which pairs cancel lazily
-        # (Z2); only entries below the pivot are ever popped.
-        reduced: dict[int, list[int]] = {}
-        base = self.base
+        todo = np.concatenate([np.zeros(0, np.int64)] + todo)
         srl = sr.tolist()
-        for j in todo.tolist():
-            heap = self.coboundary(S[j], srl[j])
-            while True:
-                p = _pop_pivot(heap)
-                if p is None:
-                    pts.append((k, values[srl[j]], math.inf))
-                    break
-                o = owner.get(p)
-                if o is None:
-                    owner[p] = j
-                    reduced[j] = [p] + _odd_entries(heap)
-                    if p // base != srl[j]:
-                        pts.append((k, values[srl[j]], values[p // base]))
-                    break
-                add = reduced.get(o)
-                if add is None:
-                    add = self.coboundary(S[o], srl[o])
-                for x in add[1:]:
-                    heapq.heappush(heap, x)
-        return np.fromiter(owner, dtype=np.int64, count=len(owner))
-
-
-def _pop_pivot(heap: list[int]) -> int | None:
-    """Pop the least key of odd multiplicity from a column heap."""
-    pop = heapq.heappop
-    while heap:
-        p = pop(heap)
-        if heap and heap[0] == p:
-            pop(heap)
-        else:
-            return p
-    return None
-
-
-def _odd_entries(heap: list[int]) -> list[int]:
-    """The keys of odd multiplicity in a column heap, sorted."""
-    out: list[int] = []
-    for x in sorted(heap):
-        if out and out[-1] == x:
-            out.pop()
-        else:
-            out.append(x)
-    return out
+        zero += reduce_coboundaries(
+            todo[np.argsort(keys[todo])[::-1]].tolist(),
+            lambda j: self.coboundary(S[j], srl[j]), owner)
+        pts += [(k, values[srl[j]], math.inf) for j in zero]
+        piv = np.fromiter(owner, dtype=np.int64, count=len(owner))
+        birth = sr[np.fromiter(owner.values(), np.int64, len(owner))]
+        death = piv // self.base
+        live = birth != death
+        pts += [(k, values[b], values[d]) for b, d in
+                zip(birth[live].tolist(), death[live].tolist())]
+        return piv

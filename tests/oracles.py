@@ -152,10 +152,12 @@ def cube_betti(cell_map, max_dim):
 # ------------------------------------- textbook left-to-right pairing
 
 def reduction_pairs(face_lists):
-    """Standard single-matrix reduction; returns ({birth: death}, set).
+    """Standard single-matrix reduction: ({birth: death}, set, columns).
 
     face_lists[j] holds the positions of cell j's codim-1 faces, in
-    filtration order.  The second value is the set of unpaired cells.
+    filtration order.  The second value is the set of unpaired cells,
+    the third the reduced columns: columns[j] is the set of positions in
+    cell j's column after the reduction.
     """
     m = len(face_lists)
     reduced = []
@@ -175,7 +177,7 @@ def reduction_pairs(face_lists):
             low_owner[low] = j
             pairs[low] = j
     unpaired = set(range(m)) - set(pairs) - set(pairs.values())
-    return pairs, unpaired
+    return pairs, unpaired, reduced
 
 
 def diagram_from_pairs(pairs, unpaired, dims, values, max_dim):

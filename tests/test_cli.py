@@ -521,3 +521,62 @@ def test_bad_parameters_are_exit_3(tmp_path):
                "--sigma", -0.5) == 3
     assert run("distance", dg, dg, "-o", tmp_path / "r.json",
                "--metric", "wasserstein", "--p", 0.2) == 3
+
+
+def _malformed(tmp_path, case):
+    """The CLI arguments of one reader fed a malformed file."""
+    bad = tmp_path / "bad"
+    out = tmp_path / "out.csv"
+    good_dg = tmp_path / "good.csv"
+    good_dg.write_text("dim,birth,death\n1,0.0,1.0\n")
+    if case.startswith("manifest"):
+        cloud = tmp_path / "c.csv"
+        write_point_cloud(str(cloud), sample_annulus(8, seed=0))
+        assert run("rips", cloud, "-o", out) == 0
+        obj = json.loads((tmp_path / "out.manifest.json").read_text())
+        if case == "manifest-byte":
+            bad.write_bytes(json.dumps(obj).encode() + b"\xff")
+        else:
+            if case == "manifest-no-params":
+                del obj["params"]
+            elif case == "manifest-list-params":
+                obj["params"] = [1]
+            else:
+                del obj["params"]["distance_matrix"]
+            bad.write_text(json.dumps(obj))
+        return ["--manifest", bad]
+    if case.startswith("cache"):
+        bad.write_bytes(b"# phom-complex 1\nmeta kind\ncells 1\n0 0.0 0\n"
+                        if case == "cache-meta" else
+                        b"# phom-complex 1\ncells 1\n0 0.0 \xff\n")
+        return ["sparsify", "--complex", bad, "--diagram", good_dg,
+                "--point", 0, "-o", tmp_path / "x.json"]
+    text, argv = {
+        "rips": (b"0.0,1.0\n\xff,2.0\n", ["rips", bad, "-o", out]),
+        "matrix": (b"0,1\n1,0\xff\n",
+                   ["rips", bad, "--distance-matrix", "-o", out]),
+        "series": (b"0.0,1.0\n\xff,2.0\n",
+                   ["series", bad, "--out-dir", tmp_path / "s"]),
+        "distance": (b"dim,birth,death\n1,0.0,1.\xff\n",
+                     ["distance", bad, good_dg, "-o", out]),
+        "vectorize": (b"# \xff\ndim,birth,death\n1,0.0,1.0\n",
+                      ["vectorize", bad, "-o", out]),
+        "image": (b"P2\n1 1\n255\n\xff\n", ["image", bad, "-o", out]),
+        "voxel": (b"1 1 1\n\xff\n", ["voxel", bad, "-o", out]),
+    }[case]
+    bad.write_bytes(text)
+    return argv
+
+
+@pytest.mark.parametrize("case", [
+    "rips", "matrix", "series", "distance", "vectorize", "image", "voxel",
+    "cache-byte", "cache-meta", "manifest-byte", "manifest-no-params",
+    "manifest-list-params", "manifest-missing-key"])
+def test_malformed_reader_input_is_exit_2(tmp_path, capsys, case):
+    """A non-ASCII byte, a `meta` line without a value or a manifest
+    without usable params is malformed input, for every reader."""
+    argv = _malformed(tmp_path, case)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "bad") in err

@@ -1,9 +1,12 @@
 """Matrix-reduction persistence, pairings, cycles, and sparsification."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phom import (
     FilteredSimplicialComplex,
@@ -103,12 +106,60 @@ def test_matches_textbook_reduction(tmp_path):
         complexes.append(read_complex_cache(path))
     for K in complexes:
         face_lists = [K.boundary(i).tolist() for i in range(K.n_cells)]
-        pairs, unpaired = reduction_pairs(face_lists)
+        pairs, unpaired, _ = reduction_pairs(face_lists)
         want = diagram_from_pairs(pairs, unpaired, K.dims, K.values, K.dim)
         dg, pairing = compute_persistence(K, max_dim=K.dim)
         assert dg.points == want
         assert dict(pairing.pairs) == pairs
         assert set(pairing.essential) == unpaired
+
+
+@st.composite
+def filtrations(draw):
+    """(filtration, its cache kind): a grid with 1 to 3 axes and values
+    0..3, so cells tie, or a random_filtration complex, whose vertices
+    enter at different values."""
+    if draw(st.booleans()):
+        shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        vals = draw(st.lists(st.integers(0, 3), min_size=math.prod(shape),
+                             max_size=math.prod(shape)))
+        return build_cubical_filtration(np.reshape(vals, shape)), "cubical"
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return FilteredSimplicialComplex(
+        random_filtration(rng, nv=draw(st.integers(1, 7)))), "simplicial"
+
+
+@settings(max_examples=300, deadline=None)
+@given(built=filtrations(), cached=st.booleans(), data=st.data())
+def test_engine_and_cycles_match_oracle(built, cached, data):
+    """Pairs, essentials, points and the cycles of paired points agree
+    with the textbook reduction at every max_dim, also after a cache
+    round-trip."""
+    K, kind = built
+    if cached:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "K.cplx")
+            write_complex_cache(path, K, meta={"kind": kind})
+            K = read_complex_cache(path)
+    max_dim = data.draw(st.integers(0, max(K.dim, 0)))
+    pairs, unpaired, columns = reduction_pairs(
+        [K.boundary(i).tolist() for i in range(K.n_cells)])
+    dg, pairing = compute_persistence(K, max_dim=max_dim)
+    assert dg.points == diagram_from_pairs(pairs, unpaired, K.dims,
+                                           K.values, max_dim)
+    assert dict(pairing.pairs) == {i: j for i, j in pairs.items()
+                                   if K.dims[i] <= max_dim}
+    assert set(pairing.essential) == {i for i in unpaired
+                                      if K.dims[i] <= max_dim}
+    for pt in dg.points:
+        i, j = pairing.pair_for(pt)
+        cyc = representative_cycle(pairing, pt)
+        if pt[0] == 0:
+            assert cyc.cells == {i}
+        elif j is not None:
+            assert cyc.cells == columns[j]
+        else:
+            assert i in cyc.cells and cycle_boundary_is_zero(cyc)
 
 
 def test_betti_sweep_matches_diagram():

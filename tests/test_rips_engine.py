@@ -86,7 +86,7 @@ def test_matches_textbook_reduction():
         max_dim = int(rng.integers(0, 3))
         scale = ("radius", "diameter")[trial % 3 == 0]
         K = rips_filtration(d, min(max_dim + 1, n - 1), 0.8, scale)
-        pairs, unpaired = reduction_pairs(
+        pairs, unpaired, _ = reduction_pairs(
             [K.boundary(i).tolist() for i in range(K.n_cells)])
         want = diagram_from_pairs(pairs, unpaired, K.dims, K.values, max_dim)
         assert rips_persistence(d, max_dim, 0.8, scale).points == want
