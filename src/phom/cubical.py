@@ -6,15 +6,27 @@ agree.  A grid of shape (n1, ..., nd) yields prod(2*n_i + 1) cells on
 the doubled index lattice: even coordinates are points, odd ones are
 intervals, and a cell's dimension is its count of odd coordinates.
 Border cells are left open; nothing is padded around the grid.
+
+build_cubical_filtration builds that complex explicitly, for caches,
+cycles and as the reference.  The diagram functions never do: they
+order the cells of each dimension on the lattice itself and read faces
+and cofaces off it by slicing (_lattice_pairs).
 """
 
 from __future__ import annotations
 
+import math
+from itertools import combinations
+
 import numpy as np
 
-from .errors import InputError
-from .persistence import (Filtration, PersistenceDiagram,
-                          compute_persistence)
+from .errors import InputError, ParameterError
+from .persistence import (Filtration, PersistenceDiagram, contracted_h0,
+                          reduce_coboundaries)
+# Not used in this module, but perfbench/tracer.py wraps
+# phom.cubical.compute_persistence, and its op_targets() raises
+# AttributeError when the name is missing.
+from .persistence import compute_persistence  # noqa: F401
 
 
 def as_grid(values) -> np.ndarray:
@@ -41,6 +53,13 @@ def _expand_axis_min(a: np.ndarray, ax: int) -> np.ndarray:
     return np.moveaxis(e, 0, ax)
 
 
+def _doubled_values(g: np.ndarray) -> np.ndarray:
+    """Cell values on the doubled lattice of the grid g."""
+    for ax in range(g.ndim):
+        g = _expand_axis_min(g, ax)
+    return g
+
+
 def _cube(row: np.ndarray) -> tuple:
     return tuple(row.tolist())
 
@@ -54,10 +73,7 @@ def build_cubical_filtration(grid) -> Filtration:
     """
     g = as_grid(grid)
     doubled = tuple(2 * n + 1 for n in g.shape)
-
-    vals = g
-    for ax in range(g.ndim):
-        vals = _expand_axis_min(vals, ax)
+    vals = _doubled_values(g)
 
     par = np.zeros(doubled, dtype=np.int32)
     for ax, s in enumerate(doubled):
@@ -109,23 +125,193 @@ def _grid_metadata(g: np.ndarray, direction: str) -> dict:
     }
 
 
+def _block(d: int, odd) -> tuple:
+    """Slices of the doubled lattice that pick the cells whose coordinate
+    is odd exactly on the axes in odd: one orientation of cube."""
+    return tuple(slice(int(ax in odd), None, 2) for ax in range(d))
+
+
+def _cut(a: np.ndarray, ax: int, start, stop) -> np.ndarray:
+    """a[start:stop] along axis ax."""
+    return a[(slice(None),) * ax + (slice(start, stop),)]
+
+
+def _pad(a: np.ndarray, ax: int, value: int) -> np.ndarray:
+    """a with one entry of value added at both ends of axis ax."""
+    return np.pad(a, [(int(i == ax),) * 2 for i in range(a.ndim)],
+                  constant_values=value)
+
+
+def _cell_order(g: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The cells of each dimension in filtration order, as flat positions
+    on the doubled lattice, and the lattice of each cell's rank among the
+    cells of its dimension.
+
+    build_cubical_filtration orders the cells of one dimension by
+    (value, flat position).  Replacing each value by its rank among the
+    grid values makes that order one integer sort per dimension.
+    """
+    d = g.ndim
+    level = _doubled_values(
+        np.unique(g, return_inverse=True)[1].reshape(g.shape))
+    size = level.size
+    flat = np.arange(size).reshape(level.shape)
+    rank = np.empty(level.shape, dtype=np.int64)
+    cells = []
+    for k in range(d + 1):
+        blocks = [_block(d, odd) for odd in combinations(range(d), k)]
+        c = np.sort(np.concatenate(
+            [(level[b] * size + flat[b]).ravel() for b in blocks])) % size
+        rank.reshape(-1)[c] = np.arange(c.size)
+        cells.append(c)
+    return rank, cells
+
+
+def _lattice_pairs(g: np.ndarray, max_dim: int) -> list[tuple]:
+    """(dim, birth cells, death cells) of the sublevel filtration of the
+    grid g, as flat positions on its doubled lattice; essential classes
+    have death -1.
+
+    The pairs are those of compute_persistence on
+    build_cubical_filtration, found without its complex: every face and
+    coface comes from slicing the rank lattice of _cell_order.  H0 is a
+    union-find over the lattice edges and H_{d-1} one over the top cells
+    (_top_pairs); H1 of a voxel grid reduces coboundary columns.
+    """
+    d = g.ndim
+    rank, cells = _cell_order(g)
+    groups, died = _h0_pairs(rank, cells)
+    for k in range(1, min(max_dim, d - 2) + 1):
+        found, died = _reduced_pairs(rank, cells, k, died)
+        groups += found
+    if 1 <= d - 1 <= max_dim:
+        groups.append(_top_pairs(rank, cells))
+    return groups
+
+
+def _h0_pairs(rank: np.ndarray,
+              cells: list[np.ndarray]) -> tuple[list[tuple], np.ndarray]:
+    """H0 groups of _lattice_pairs, and the ranks of the merging edges."""
+    d = rank.ndim
+    verts = rank[_block(d, ())]
+    a = np.empty(cells[1].size, dtype=np.int64)
+    b = np.empty_like(a)
+    for ax in range(d):
+        edges = rank[_block(d, (ax,))]
+        a[edges] = _cut(verts, ax, None, -1)
+        b[edges] = _cut(verts, ax, 1, None)
+    e, v = contracted_h0(cells[0].size, a, b)
+    alive = np.delete(cells[0], v)
+    return [(0, cells[0][v], cells[1][e]),
+            (0, alive, np.full(alive.size, -1))], e
+
+
+def _reduced_pairs(rank: np.ndarray, cells: list[np.ndarray], k: int,
+                   died: np.ndarray) -> tuple[list[tuple], np.ndarray]:
+    """H_k groups of _lattice_pairs by coboundary reduction, skipping the
+    k-cells of rank died (paired one dimension down), and the ranks of
+    the (k+1)-cells that die.
+
+    Each k-cell's cofaces sit one step away along its even axes, each
+    (k+1)-cell's faces one step away along its odd axes.
+    """
+    d = rank.ndim
+    big = cells[k + 1].size
+    cof = np.full((cells[k].size, 2 * (d - k)), big, dtype=np.int64)
+    # youngest[big] stays -1, so a cell without cofaces is not apparent.
+    youngest = np.full(big + 1, -1, dtype=np.int64)
+    for odd in combinations(range(d), k):
+        col = rank[_block(d, odd)]
+        for slot, ax in enumerate(i for i in range(d) if i not in odd):
+            up = rank[_block(d, odd + (ax,))]
+            padded = _pad(up, ax, big)
+            cof[col, 2 * slot] = _cut(padded, ax, None, -1)
+            cof[col, 2 * slot + 1] = _cut(padded, ax, 1, None)
+            youngest[up] = np.maximum.reduce(
+                [youngest[up], _cut(col, ax, None, -1),
+                 _cut(col, ax, 1, None)])
+    cof.sort(axis=1)
+    oldest = cof[:, 0]
+    has_cof = oldest < big
+    apparent = youngest[oldest] == np.arange(oldest.size)
+    cols = np.delete(np.arange(oldest.size), died)
+    app = cols[apparent[cols]]
+    owner = dict(zip(oldest[app].tolist(), app.tolist()))
+    todo = cols[has_cof[cols] & ~apparent[cols]][::-1]
+    count = (cof < big).sum(axis=1).tolist()
+
+    def coboundary(j: int) -> list[int]:
+        return cof[j].tolist()[:count[j]]
+
+    zero = reduce_coboundaries(todo.tolist(), coboundary, owner)
+    died = np.fromiter(owner, np.int64, len(owner))
+    alive = cells[k][np.concatenate(
+        [cols[~has_cof[cols]], np.array(zero, dtype=np.int64)])]
+    born = np.fromiter(owner.values(), np.int64, len(owner))
+    return [(k, cells[k][born], cells[k + 1][died]),
+            (k, alive, np.full(alive.size, -1))], died
+
+
+def _top_pairs(rank: np.ndarray, cells: list[np.ndarray]) -> tuple:
+    """The H_{d-1} group of _lattice_pairs, by Alexander duality.
+
+    In reverse filtration order, a union-find runs over the top cells
+    and one exterior node, the oldest: a (d-1)-face joins its two top
+    cells, or its one top cell and the exterior on the border.  The face
+    that merges a top cell's component is the birth of the class that
+    top cell kills, and every top cell is killed.
+    """
+    d = rank.ndim
+    tops = rank[_block(d, range(d))]
+    age = tops.size - tops
+    nf = cells[d - 1].size
+    a = np.empty(nf, dtype=np.int64)
+    b = np.empty_like(a)
+    for ax in range(d):
+        dual = nf - 1 - rank[_block(d, set(range(d)) - {ax})]
+        padded = _pad(age, ax, 0)
+        a[dual] = _cut(padded, ax, None, -1)
+        b[dual] = _cut(padded, ax, 1, None)
+    e, v = contracted_h0(tops.size + 1, a, b)
+    return d - 1, cells[d - 1][nf - 1 - e], cells[d][tops.size - v]
+
+
 def _grid_persistence(grid, max_dim: int | None, direction: str,
                       kind: str = "", ndim: int | None = None
                       ) -> PersistenceDiagram:
     """Diagram of a grid's sub- or superlevel filtration.
 
     max_dim defaults to the grid's axis count minus one; ndim, when
-    given, is the axis count a `kind` grid must have.
+    given, is the axis count a `kind` grid must have.  The points equal
+    compute_persistence(build_cubical_filtration(g)), whose complex is
+    never built; birth_cells is None, as for Rips diagrams.
     """
     g = as_grid(grid)
     if ndim is not None and g.ndim != ndim:
         raise InputError(f"{kind} grid must have {ndim} axes, got {g.ndim}")
     if direction == "superlevel":
         g = -g
-    diagram, _ = compute_persistence(
-        build_cubical_filtration(g),
-        max_dim=g.ndim - 1 if max_dim is None else max_dim,
+    max_dim = g.ndim - 1 if max_dim is None else int(max_dim)
+    if max_dim < 0:
+        raise ParameterError("max_dim must be non-negative")
+    groups = _lattice_pairs(g, max_dim)
+    vals = _doubled_values(g).ravel()
+    dim = np.concatenate([np.full(b.size, k) for k, b, _ in groups])
+    birth = np.concatenate([b for _, b, _ in groups])
+    death = np.concatenate([x for _, _, x in groups])
+    bval = vals[birth]
+    dval = np.where(death >= 0, vals[death], math.inf)
+    keep = bval != dval
+    dim, birth, bval, dval = dim[keep], birth[keep], bval[keep], dval[keep]
+    # Ties of (dim, birth, death) keep the filtration order of the birth
+    # cells, which for one dimension is flat order; it decides where a
+    # -0.0 and a 0.0 birth go.
+    order = np.lexsort((birth, dval, bval, dim))
+    diagram = PersistenceDiagram(
+        points=list(zip(dim[order].tolist(), bval[order].tolist(),
+                        dval[order].tolist())),
         metadata=_grid_metadata(g, direction))
+    diagram.metadata["max_dim"] = max_dim
     return diagram
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from phom import (build_cubical_filtration, cli, compute_persistence,
-                  point_cloud_distances, rips_filtration, sample_annulus,
-                  sample_double_annulus, sliding_windows)
+                  cubical, point_cloud_distances, rips_filtration,
+                  sample_annulus, sample_double_annulus, sliding_windows)
 from phom.io import (
     read_complex_cache,
     read_diagram_csv,
@@ -222,6 +222,31 @@ def test_cubical_save_complex_and_sparsify(tmp_path, sub, flags, kind):
     assert run("sparsify", "--complex", cache, "--diagram", dg,
                "--point", idx, "-o", out) == 0
     assert json.loads(out.read_text())["size"] >= 1
+
+
+@pytest.mark.parametrize("save,builds", [(False, 0), (True, 1)])
+def test_cubical_builds_complex_only_for_cache(tmp_path, monkeypatch, save,
+                                               builds):
+    """Diagrams come without the explicit complex; --save-complex builds
+    it once, for the cache."""
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return build_cubical_filtration(grid)
+
+    monkeypatch.setattr(cubical, "build_cubical_filtration", counted)
+    monkeypatch.setattr(cli, "build_cubical_filtration", counted)
+    rng = np.random.default_rng(8)
+    pgm, vox = tmp_path / "g.pgm", tmp_path / "g.vox"
+    write_pgm(str(pgm), rng.integers(0, 256, size=(5, 6)))
+    write_voxel(str(vox), np.round(rng.uniform(0, 1, size=(3, 3, 4)), 2))
+    extra = ["--save-complex", tmp_path / "g.cplx"] if save else []
+    for argv in [("image", pgm), ("image", pgm, "--superlevel"),
+                 ("voxel", vox)]:
+        calls.clear()
+        assert run(*argv, "-o", tmp_path / "dg.csv", *extra) == 0
+        assert len(calls) == builds
 
 
 def test_sparsify_rejects_cache_with_wrong_face_dimension(tmp_path, capsys):

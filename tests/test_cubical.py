@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phom import (
     InputError,
@@ -188,3 +189,36 @@ def test_1d_rail_profile():
         np.array([0.0, 2.0, 1.0, 3.0])), max_dim=0)
     assert dg.in_dim(0, finite=True).tolist() == [[1.0, 2.0]]
     assert dg.in_dim(0, finite=False).tolist() == [[0.0, math.inf]]
+
+
+@st.composite
+def tied_grids(draw):
+    """1-3 axis grids of the integers -2..2, so cells tie heavily, with
+    0.0 and -0.0 mixed; negated half the time."""
+    shape = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    vals = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                         min_size=math.prod(shape),
+                         max_size=math.prod(shape)))
+    g = np.reshape(vals, shape)
+    return -g if draw(st.booleans()) else g
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=tied_grids(), data=st.data())
+def test_grid_paths_match_explicit_complex(g, data):
+    """The diagram functions, which never build the complex, give the
+    points of compute_persistence on build_cubical_filtration at every
+    max_dim, compared as repr strings so that a flipped -0.0 fails."""
+    max_dim = data.draw(st.integers(0, g.ndim))
+    runs = [(superlevel_persistence, -g)]
+    if g.ndim == 2:
+        runs.append((image_persistence, g))
+    if g.ndim == 3:
+        runs.append((voxel_persistence, g))
+    for persistence, sublevel_of in runs:
+        want, _ = compute_persistence(build_cubical_filtration(sublevel_of),
+                                      max_dim=max_dim)
+        got = persistence(g, max_dim=max_dim)
+        assert repr(got.points) == repr(want.points)
+        assert got.metadata["max_dim"] == max_dim
+        assert got.birth_cells is None

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phom import (
     FilteredSimplicialComplex,
@@ -23,6 +23,7 @@ from phom import (
     sparsify_cycle,
 )
 from phom.io import read_complex_cache, write_complex_cache
+from phom.persistence import contracted_h0, union_find_h0
 from oracles import (
     brute_min_cycle_size,
     diagram_from_pairs,
@@ -160,6 +161,32 @@ def test_engine_and_cycles_match_oracle(built, cached, data):
             assert cyc.cells == columns[j]
         else:
             assert i in cyc.cells and cycle_boundary_is_zero(cyc)
+
+
+@st.composite
+def multigraphs(draw):
+    """n nodes and an edge list in filtration order: duplicate edges,
+    self-loops and isolated nodes all occur."""
+    n = draw(st.integers(1, 12))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=40))
+    return n, edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph=multigraphs())
+@example(graph=(1, []))
+@example(graph=(1, [(0, 0)]))
+@example(graph=(4, []))
+@example(graph=(3, [(2, 1), (1, 2), (2, 1), (0, 2)]))
+def test_contracted_h0_matches_union_find(graph):
+    n, edges = graph
+    a = np.array([x for x, _ in edges], dtype=np.int64)
+    b = np.array([y for _, y in edges], dtype=np.int64)
+    want = union_find_h0(n, a, b)
+    got = contracted_h0(n, a, b)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist()
 
 
 def test_betti_sweep_matches_diagram():

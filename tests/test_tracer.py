@@ -20,6 +20,10 @@ def load_tracer():
 
 
 def test_traced_image_run_records_spans(tmp_path):
+    """`phom image` runs under the tracer's wrappers.  Its diagram comes
+    from the lattice union-finds, which build no complex, so the wrapped
+    compute_persistence is never called and no reduction span or cell
+    count is recorded."""
     tracer = load_tracer()
     pgm = tmp_path / "img.pgm"
     write_pgm(str(pgm), np.arange(16).reshape(4, 4))
@@ -32,12 +36,14 @@ def test_traced_image_run_records_spans(tmp_path):
     finally:
         tr.uninstall()
     spans = {s[0]: s for s in tr.spans}
-    assert {"cli.main", "cubical.image", "persistence.reduce",
-            "io.read_pgm", "io.write_diagram_csv"} <= set(spans)
-    # The reduction runs inside the cubical call, on the 9x9 doubled grid.
-    assert tr.spans[spans["persistence.reduce"][3]][0] == "cubical.image"
-    assert tr.counts[0]["cubical.cells"] == 81
+    assert {"cli.main", "cubical.image", "io.read_pgm",
+            "io.write_diagram_csv"} <= set(spans)
+    assert "persistence.reduce" not in spans
+    assert tr.spans[spans["cubical.image"][3]][0] == "cli.main"
+    assert tr.counts[0]["cubical.cells"] == 0
     assert cli.image_persistence is cubical.image_persistence
+    # The tracer wraps this name on phom.cubical.
+    assert cubical.compute_persistence is persistence.compute_persistence
 
 
 def test_traced_rips_run(tmp_path):
