@@ -5,8 +5,9 @@ run-manifest JSON next to the outputs; `phom --manifest FILE` re-runs a
 manifest and reproduces the outputs byte for byte (seeds are stored
 resolved, so later environment changes cannot leak in).
 
-Exit codes: 0 success, 2 malformed input data, 3 bad parameters,
-4 internal error (an invariant breach or any unexpected exception).
+Exit codes: 0 success, 2 malformed input data, 3 bad parameters (an
+output that cannot be written included), 4 internal error (an invariant
+breach or any unexpected exception).
 """
 
 from __future__ import annotations
@@ -340,7 +341,57 @@ def replay_manifest(path: str) -> None:
         raise InputError(f"{path}: unknown subcommand {sub!r}")
     if not isinstance(obj.get("params"), dict):
         raise InputError(f"{path}: manifest params must be an object")
+    _check_params(path, build_parser(), dict(obj["params"], subcommand=sub))
     RUNNERS[sub](_ManifestParams(path, obj["params"]))
+
+
+def _is(kind, value) -> bool:
+    """Whether value has the JSON type of argparse type kind (None: str)."""
+    if kind in (int, float):
+        return (isinstance(value, int if kind is int else (int, float))
+                and not isinstance(value, bool))
+    return isinstance(value, str)
+
+
+# _cmd records these resolved, not as the parser gives them.
+_RESOLVED = {
+    "seed": lambda v: _is(int, v),
+    "perturb": lambda v: v is None or (isinstance(v, dict) and all(
+        k in v and _is(t, v[k]) for k, t in
+        (("kind", str), ("magnitude", float), ("start", int), ("end", int)))),
+}
+
+
+def _check_params(path: str, parser: argparse.ArgumentParser,
+                  params: dict) -> None:
+    """InputError naming the first param of a replayed manifest whose
+    JSON type (or choice) is not one that parser and _cmd can record.
+
+    A missing key is left to _ManifestParams, which names it when read.
+    """
+    for act in parser._actions:
+        if act.dest not in params:
+            continue
+        v = params[act.dest]
+        if isinstance(act, argparse._SubParsersAction):
+            ok = isinstance(v, str) and v in act.choices
+        elif act.dest in _RESOLVED:
+            ok = _RESOLVED[act.dest](v)
+        elif isinstance(act, argparse._StoreTrueAction):
+            ok = isinstance(v, bool)
+        elif v is None:
+            ok = act.default is None and not act.required
+        elif isinstance(act.nargs, int):
+            ok = (isinstance(v, list) and len(v) == act.nargs
+                  and all(_is(act.type, x) for x in v))
+        else:
+            ok = _is(act.type, v) and (not act.choices or v in act.choices)
+        if not ok:
+            raise InputError(
+                f"{path}: manifest param {act.dest!r} has a wrong type or "
+                f"value: {v!r}")
+        if isinstance(act, argparse._SubParsersAction):
+            _check_params(path, act.choices[v], params)
 
 
 def build_parser() -> _Parser:
@@ -489,6 +540,10 @@ def main(argv=None) -> int:
         return 2
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # reads raise InputError: an unwritable output
+        print(f"error: {exc.filename}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError
 from .persistence import (Filtration, PersistenceDiagram, contracted_h0,
-                          reduce_coboundaries)
+                          ordered_diagram, reduce_coboundaries)
 # Not used in this module, but perfbench/tracer.py wraps
 # phom.cubical.compute_persistence, and its op_targets() raises
 # AttributeError when the name is missing.
@@ -230,26 +230,15 @@ def _reduced_pairs(rank: np.ndarray, cells: list[np.ndarray], k: int,
             youngest[up] = np.maximum.reduce(
                 [youngest[up], _cut(col, ax, None, -1),
                  _cut(col, ax, 1, None)])
-    cof.sort(axis=1)
+    cols = np.delete(np.arange(cells[k].size), died)
+    cof = np.sort(cof[cols], axis=1)
     oldest = cof[:, 0]
-    has_cof = oldest < big
-    apparent = youngest[oldest] == np.arange(oldest.size)
-    cols = np.delete(np.arange(oldest.size), died)
-    app = cols[apparent[cols]]
-    owner = dict(zip(oldest[app].tolist(), app.tolist()))
-    todo = cols[has_cof[cols] & ~apparent[cols]][::-1]
     count = (cof < big).sum(axis=1).tolist()
-
-    def coboundary(j: int) -> list[int]:
-        return cof[j].tolist()[:count[j]]
-
-    zero = reduce_coboundaries(todo.tolist(), coboundary, owner)
-    died = np.fromiter(owner, np.int64, len(owner))
-    alive = cells[k][np.concatenate(
-        [cols[~has_cof[cols]], np.array(zero, dtype=np.int64)])]
-    born = np.fromiter(owner.values(), np.int64, len(owner))
-    return [(k, cells[k][born], cells[k + 1][died]),
-            (k, alive, np.full(alive.size, -1))], died
+    born, died, ess = reduce_coboundaries(
+        cols, oldest, oldest < big, youngest[oldest] == cols,
+        lambda j: cof[j].tolist()[:count[j]])
+    return [(k, cells[k][cols[born]], cells[k + 1][died]),
+            (k, cells[k][cols[ess]], np.full(ess.size, -1))], died
 
 
 def _top_pairs(rank: np.ndarray, cells: list[np.ndarray]) -> tuple:
@@ -284,7 +273,7 @@ def _grid_persistence(grid, max_dim: int | None, direction: str,
     max_dim defaults to the grid's axis count minus one; ndim, when
     given, is the axis count a `kind` grid must have.  The points equal
     compute_persistence(build_cubical_filtration(g)), whose complex is
-    never built; birth_cells is None, as for Rips diagrams.
+    never built.
     """
     g = as_grid(grid)
     if ndim is not None and g.ndim != ndim:
@@ -296,23 +285,9 @@ def _grid_persistence(grid, max_dim: int | None, direction: str,
         raise ParameterError("max_dim must be non-negative")
     groups = _lattice_pairs(g, max_dim)
     vals = _doubled_values(g).ravel()
-    dim = np.concatenate([np.full(b.size, k) for k, b, _ in groups])
-    birth = np.concatenate([b for _, b, _ in groups])
-    death = np.concatenate([x for _, _, x in groups])
-    bval = vals[birth]
-    dval = np.where(death >= 0, vals[death], math.inf)
-    keep = bval != dval
-    dim, birth, bval, dval = dim[keep], birth[keep], bval[keep], dval[keep]
-    # Ties of (dim, birth, death) keep the filtration order of the birth
-    # cells, which for one dimension is flat order; it decides where a
-    # -0.0 and a 0.0 birth go.
-    order = np.lexsort((birth, dval, bval, dim))
-    diagram = PersistenceDiagram(
-        points=list(zip(dim[order].tolist(), bval[order].tolist(),
-                        dval[order].tolist())),
-        metadata=_grid_metadata(g, direction))
-    diagram.metadata["max_dim"] = max_dim
-    return diagram
+    return ordered_diagram(
+        [(k, vals[b], np.where(x >= 0, vals[x], math.inf), b)
+         for k, b, x in groups], max_dim, _grid_metadata(g, direction))
 
 
 def image_persistence(grid, max_dim: int | None = None) -> PersistenceDiagram:

@@ -18,6 +18,13 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
+def _finite(**params) -> None:
+    """ParameterError naming the first parameter with a nan or inf."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
 def diffusion_stability_ratio(coeff: float, dt: float, dx: float,
                               dy: float) -> float:
     return coeff * dt * (1.0 / dx ** 2 + 1.0 / dy ** 2)
@@ -39,6 +46,7 @@ def gen_diffusion_field(n: int = 32, coeff: float = 0.5, steps: int = 50,
     """
     if n < 2:
         raise ParameterError("grid side must be at least 2")
+    _finite(coeff=coeff, dt=dt, dx=dx, dy=dy)
     if steps < 0:
         raise ParameterError("steps must be non-negative")
     if coeff < 0:
@@ -77,6 +85,7 @@ class Perturbation:
             raise ParameterError(f"unknown perturbation kind {self.kind!r}")
         if not (0 <= self.start <= self.end):
             raise ParameterError("perturbation window is inverted")
+        _finite(magnitude=self.magnitude)
 
 
 def gen_periodic_pair(n_samples: int = 256, amplitude: float = 1.0,
@@ -93,6 +102,7 @@ def gen_periodic_pair(n_samples: int = 256, amplitude: float = 1.0,
     """
     if n_samples < 1:
         raise ParameterError("n_samples must be positive")
+    _finite(amplitude=amplitude, frequency=frequency, noise_sigma=noise_sigma)
     if noise_sigma < 0:
         raise ParameterError("noise_sigma must be non-negative")
     t = np.arange(n_samples, dtype=np.float64)
@@ -132,6 +142,7 @@ def sample_annulus(n: int, radius: float = 1.0, noise: float = 0.0,
     """Points on a circle with radial Gaussian jitter (one loop)."""
     if n < 1:
         raise ParameterError("n must be positive")
+    _finite(radius=radius, noise=noise)
     if radius <= 0:
         raise ParameterError("radius must be positive")
     if noise < 0:
@@ -153,6 +164,7 @@ def sample_double_annulus(n: int, radii: tuple[float, float] = (1.0, 1.0),
     if n < 2:
         raise ParameterError("n must be at least 2")
     r1, r2 = float(radii[0]), float(radii[1])
+    _finite(radii=(r1, r2), separation=separation, noise=noise)
     if r1 <= 0 or r2 <= 0:
         raise ParameterError("radii must be positive")
     if noise < 0:
@@ -214,6 +226,7 @@ def kde_grid(points: np.ndarray, resolution: int = 64,
         hx = hy = float(bandwidth)
     else:
         hx, hy = float(bandwidth[0]), float(bandwidth[1])
+    _finite(bandwidth=(hx, hy))
     if hx <= 0 or hy <= 0:
         raise ParameterError("bandwidth must be positive")
 

@@ -142,6 +142,17 @@ def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
                                  matching, ess_pairs)
 
 
+def _powered(costs: np.ndarray, p: float) -> np.ndarray:
+    """costs ** p; a nonzero cost whose power overflows to inf or
+    underflows to 0 is a ParameterError, not a wrong distance."""
+    with np.errstate(over="ignore", under="ignore"):
+        out = costs ** p
+    if np.any((costs > 0) & ((out == 0) | np.isinf(out))):
+        raise ParameterError(
+            f"wasserstein order p={p!r} overflows or underflows a cost")
+    return out
+
+
 def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
                          dim: int = 1, p: float = 2.0
                          ) -> DiagramDistanceReport:
@@ -155,12 +166,12 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
     # this function needs it.
     from scipy.optimize import linear_sum_assignment
 
-    if not (p >= 1):
-        raise ParameterError("wasserstein order p must be >= 1")
+    if not (1 <= p < math.inf):
+        raise ParameterError("wasserstein order p must be finite and >= 1")
     a, e1 = _split_dim(pd1, dim)
     b, e2 = _split_dim(pd2, dim)
     n1, n2 = a.shape[0], b.shape[0]
-    big = _augmented_costs(a, b) ** p
+    big = _powered(_augmented_costs(a, b), p)
     rows, cols = linear_sum_assignment(big)
     total = float(big[rows, cols].sum())
     matching = _matching_pairs(rows, cols, n1, n2)
@@ -170,7 +181,7 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
         return DiagramDistanceReport("wasserstein", dim, math.inf,
                                      matching, p=p)
     ess_pairs, gaps = ess
-    total += float(np.sum(gaps ** p))
+    total += float(np.sum(_powered(gaps, p)))
     return DiagramDistanceReport("wasserstein", dim, total ** (1.0 / p),
                                  matching, ess_pairs, p=p)
 

@@ -3,9 +3,10 @@
 Every diagram comes from one engine: union-find for H0, then, per
 dimension, a reduction of coboundary columns in reverse filtration order
 with clearing and apparent pairs (cohomology gives the same pairs as the
-boundary reduction).  rips_persistence drives the same two functions
-with cofacets it enumerates on the fly.  Representative cycles come from
-an on-demand bitset reduction of the boundary columns of one dimension.
+boundary reduction), and ordered_diagram turns the pairs into points.
+The cubical lattice and rips_persistence drive the same functions with
+cofaces they enumerate on the fly.  Representative cycles come from an
+on-demand bitset reduction of the boundary columns of one dimension.
 """
 
 from __future__ import annotations
@@ -110,15 +111,12 @@ class Filtration:
 class PersistenceDiagram:
     """Multiset of (dim, birth, death) points; death may be math.inf.
 
-    points is sorted by (dim, birth, death).  birth_cells, when present,
-    is a parallel list with the filtration index of each point's birth
-    cell (provenance; dropped on CSV round-trips).  Zero-persistence
-    pairs are not included here; they live in the pairing.
+    points is sorted by (dim, birth, death).  Zero-persistence pairs are
+    not included here; they live in the pairing.
     """
 
     points: list[DiagramPoint]
     metadata: dict = field(default_factory=dict)
-    birth_cells: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -284,21 +282,32 @@ def contracted_h0(n: int, a: np.ndarray,
     return e[order], nodes[order]
 
 
-def reduce_coboundaries(todo: list[int], coboundary: Callable[[int], list],
-                        owner: dict) -> list[int]:
-    """Z2 reduction of coboundary columns; returns the zero columns.
+def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
+                        has_cof: np.ndarray, apparent: np.ndarray,
+                        coboundary: Callable[[int], list]
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair the columns of one dimension by Z2 coboundary reduction.
 
-    todo lists the columns in reverse filtration order; coboundary(j)
-    gives the sorted keys of column j's cofaces, where key order is
-    filtration order, so a column's pivot is its least key.  owner maps
-    pivot key to column: the caller fills it with the apparent pairs,
-    whose columns need no reduction, and it gains every new pivot.  A
-    working column is a heap in which equal keys cancel lazily; only
-    entries up to the pivot are ever popped.
+    Column j is the cell of key keys[j]; the cells paired one dimension
+    down are left out (clearing).  coboundary(j) gives the sorted keys
+    of its cofaces, where key order is filtration order, so the pivot of
+    a column with a coface (has_cof[j]) is its least key, pivot[j].  An
+    apparent column owns its pivot without column arithmetic; the others
+    are reduced in reverse filtration order.  A working column is a heap
+    in which equal keys cancel lazily; only entries up to the pivot are
+    ever popped.
+
+    Returns (birth columns, their death keys, essential columns); a
+    column without cofaces or reduced to zero is essential.
     """
+    owner: dict[int, int] = {}
+    for s in range(0, apparent.size, 1 << 16):  # no list of every column
+        a = s + np.flatnonzero(apparent[s:s + (1 << 16)])
+        owner.update(zip(pivot[a].tolist(), a.tolist()))
+    todo = np.flatnonzero(has_cof & ~apparent)
     reduced: dict[int, list] = {}
     zero: list[int] = []
-    for j in todo:
+    for j in todo[np.argsort(keys[todo])[::-1]].tolist():
         heap = coboundary(j)
         while True:
             p = _pop_pivot(heap)
@@ -315,7 +324,10 @@ def reduce_coboundaries(todo: list[int], coboundary: Callable[[int], list],
                 add = coboundary(o)
             for x in add[1:]:
                 heapq.heappush(heap, x)
-    return zero
+    return (np.fromiter(owner.values(), np.int64, len(owner)),
+            np.fromiter(owner, np.int64, len(owner)),
+            np.concatenate([np.flatnonzero(~has_cof),
+                            np.array(zero, dtype=np.int64)]))
 
 
 def _pop_pivot(heap: list) -> int | None:
@@ -339,6 +351,29 @@ def _odd_entries(heap: list) -> list:
         else:
             out.append(x)
     return out
+
+
+def ordered_diagram(groups: list[tuple], max_dim: int,
+                    metadata: dict | None = None) -> PersistenceDiagram:
+    """The diagram of groups of (dims, births, deaths, ties) arrays.
+
+    dims may be one dimension for the whole group; a death is inf for an
+    essential class.  Zero-persistence pairs are dropped and the points
+    sorted by (dim, birth, death, tie), where tie orders the birth cells
+    as the filtration does: it orders equal points, and so decides where
+    a -0.0 and a 0.0 birth go.
+    """
+    dim = np.concatenate([np.full(len(b), k) for k, b, _, _ in groups])
+    birth, death, tie = (np.concatenate([g[i] for g in groups])
+                         for i in (1, 2, 3))
+    keep = np.flatnonzero(birth != death)
+    keep = keep[np.lexsort((tie[keep], death[keep], birth[keep], dim[keep]))]
+    diagram = PersistenceDiagram(
+        points=list(zip(dim[keep].tolist(), birth[keep].tolist(),
+                        death[keep].tolist())),
+        metadata=dict(metadata or {}))
+    diagram.metadata.setdefault("max_dim", max_dim)
+    return diagram
 
 
 def compute_persistence(K: Filtration, max_dim: int | None = None,
@@ -401,20 +436,16 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
     died[edges[e]] = True
 
     cof_list, cof_at = cof_flat.tolist(), cof_off.tolist()
-
-    def coboundary(j: int) -> list[int]:
-        return cof_list[cof_at[j]:cof_at[j + 1]]
-
     for k in range(1, min(max_dim, top) + 1):
         cols = np.flatnonzero((dims == k) & ~died)
-        app = cols[apparent[cols]]
-        owner = dict(zip(oldest[app].tolist(), app.tolist()))
-        todo = cols[has_cof[cols] & ~apparent[cols]][::-1]
-        zero = reduce_coboundaries(todo.tolist(), coboundary, owner)
-        births.append(np.fromiter(owner.values(), np.int64, len(owner)))
-        deaths.append(np.fromiter(owner, np.int64, len(owner)))
-        died[deaths[-1]] = True
-        essential += [cols[~has_cof[cols]], np.array(zero, dtype=np.int64)]
+        at = cols.tolist()
+        born, dead, ess = reduce_coboundaries(
+            cols, oldest[cols], has_cof[cols], apparent[cols],
+            lambda j: cof_list[cof_at[at[j]]:cof_at[at[j] + 1]])
+        births.append(cols[born])
+        deaths.append(dead)
+        died[dead] = True
+        essential.append(cols[ess])
 
     b, d = np.concatenate(births), np.concatenate(deaths)
     order = np.argsort(b)
@@ -422,17 +453,11 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
     essential = np.sort(np.concatenate(essential))
 
     values = np.asarray(K.values)
-    keep = values[b] != values[d]
-    pd_b = np.concatenate([b[keep], essential])
-    pd_d = np.concatenate([values[d[keep]], np.full(essential.size, math.inf)])
-    order = np.lexsort((pd_b, pd_d, values[pd_b], dims[pd_b]))
-    pd_b = pd_b[order]
-    diagram = PersistenceDiagram(
-        points=list(zip(dims[pd_b].tolist(), values[pd_b].tolist(),
-                        pd_d[order].tolist())),
-        metadata=dict(metadata or {}),
-        birth_cells=pd_b.tolist())
-    diagram.metadata.setdefault("max_dim", max_dim)
+    diagram = ordered_diagram(
+        [(dims[b], values[b], values[d], b),
+         (dims[essential], values[essential],
+          np.full(essential.size, math.inf), essential)],
+        max_dim, metadata)
     pairing = PersistencePairing(
         complex=K, pairs=list(zip(b.tolist(), d.tolist())),
         essential=essential.tolist(), max_dim=max_dim)

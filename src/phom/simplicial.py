@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError, InternalError, ParameterError
-from .persistence import (DiagramPoint, Filtration, PersistenceDiagram,
+from .persistence import (Filtration, PersistenceDiagram, ordered_diagram,
                           reduce_coboundaries, union_find_h0)
 
 Vertices = Sequence[int]
@@ -353,29 +353,35 @@ def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
         raise ParameterError(
             f"{n} points with max_dim {max_dim} overflow 64-bit cell keys; "
             "lower max_dim or max_scale")
-    values = uvals.tolist()
 
-    pts: list[DiagramPoint] = []
     simp = np.column_stack([iu, ju])
     srank = erank.astype(np.int64)
     keys = srank * (n + 1) ** 2 + _poly_keys(simp, n + 1)
     order = np.argsort(keys)
-    merges = order[union_find_h0(n, simp[order, 0], simp[order, 1])[0]]
-    pts += [(0, 0.0, x) for x in uvals[srank[merges]].tolist() if x != 0.0]
-    pts += [(0, 0.0, math.inf)] * (n - merges.size)
-    paired = keys[merges]
+    e, v = union_find_h0(n, simp[order, 0], simp[order, 1])
+    alive = np.delete(np.arange(n), v)
+    groups = [(0, np.zeros(v.size), uvals[srank[order[e]]], v),
+              (0, np.zeros(alive.size), np.full(alive.size, math.inf),
+               alive)]
+    paired = keys[order[e]]
+    step = max(1, _BLOCK_ENTRIES // n)
     for k in range(1, top + 1):
         if k > 1:
             simp, srank = _rips_extend(simp, srank, rank, big)
             keys = srank * (n + 1) ** (k + 1) + _poly_keys(simp, n + 1)
         cols = np.flatnonzero(~np.isin(keys, paired))
-        paired = _RipsCohomology(rank, big, k, values, pts).reduce(
-            simp[cols], srank[cols], keys[cols])
-
-    pts.sort()
-    diagram = PersistenceDiagram(points=pts, metadata=dict(metadata or {}))
-    diagram.metadata.setdefault("max_dim", max_dim)
-    return diagram
+        S, sr, ck = simp[cols], srank[cols], keys[cols]
+        cob = _RipsCohomology(rank, big, k)
+        # Blocks bound the (rows, n) work arrays; an empty S is one block.
+        piv, has, app = map(np.concatenate, zip(*[
+            cob.apparent(S[s:s + step], sr[s:s + step])
+            for s in range(0, max(cols.size, 1), step)]))
+        srl = sr.tolist()
+        born, paired, ess = reduce_coboundaries(
+            ck, piv, has, app, lambda j: cob.coboundary(S[j], srl[j]))
+        groups += [(k, uvals[sr[born]], uvals[paired // cob.base], ck[born]),
+                   (k, uvals[sr[ess]], np.full(ess.size, math.inf), ck[ess])]
+    return ordered_diagram(groups, max_dim, metadata)
 
 
 def _rips_extend(simp: np.ndarray, vals: np.ndarray, weight: np.ndarray,
@@ -410,12 +416,11 @@ def _max_rows(weight: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 class _RipsCohomology:
-    """Coboundary reduction of the k-simplex columns of one dimension."""
+    """Cofacets of the k-simplices: their keys, coboundaries and apparent
+    pairs, for reduce_coboundaries."""
 
-    def __init__(self, rank: np.ndarray, big: int, k: int, values: list,
-                 pts: list):
+    def __init__(self, rank: np.ndarray, big: int, k: int):
         self.rank, self.big, self.k = rank, big, k
-        self.values, self.pts = values, pts
         # As _poly_keys: pw[p] weighs the vertex at position p of a cofacet.
         self.pw = (rank.shape[0] + 1) ** np.arange(k + 1, -1, -1,
                                                    dtype=np.int64)
@@ -440,7 +445,7 @@ class _RipsCohomology:
 
     def apparent(self, S: np.ndarray, sr: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per column: has a cofacet, is in an apparent pair, pivot key.
+        """Per column: pivot key, has a cofacet, is in an apparent pair.
 
         The oldest cofacet of s is s + {v} with the least (rank, v), since
         for fixed s the lex order of s + {v} follows v.  s is its youngest
@@ -466,31 +471,4 @@ class _RipsCohomology:
                         fr = np.maximum(fr, rank[S[:, a], S[:, b]])
             ok &= (fr < sr) | ((fr == sr) & (S[:, c] > vs))
         below = (S < vs[:, None]).sum(axis=1)
-        return cm < big, ok, self.cofacet_keys(S, vs, cm, below)
-
-    def reduce(self, S: np.ndarray, sr: np.ndarray,
-               keys: np.ndarray) -> np.ndarray:
-        """Pair the columns, add their points; return the pivot keys."""
-        k, values, pts = self.k, self.values, self.pts
-        owner: dict[int, int] = {}
-        step = max(1, _BLOCK_ENTRIES // self.rank.shape[0])
-        todo, zero = [], []
-        for s in range(0, S.shape[0], step):
-            has, ok, piv = self.apparent(S[s:s + step], sr[s:s + step])
-            owner.update(zip(piv[ok].tolist(),
-                             (np.flatnonzero(ok) + s).tolist()))
-            zero += (np.flatnonzero(~has) + s).tolist()
-            todo.append(np.flatnonzero(has & ~ok) + s)
-        todo = np.concatenate([np.zeros(0, np.int64)] + todo)
-        srl = sr.tolist()
-        zero += reduce_coboundaries(
-            todo[np.argsort(keys[todo])[::-1]].tolist(),
-            lambda j: self.coboundary(S[j], srl[j]), owner)
-        pts += [(k, values[srl[j]], math.inf) for j in zero]
-        piv = np.fromiter(owner, dtype=np.int64, count=len(owner))
-        birth = sr[np.fromiter(owner.values(), np.int64, len(owner))]
-        death = piv // self.base
-        live = birth != death
-        pts += [(k, values[b], values[d]) for b, d in
-                zip(birth[live].tolist(), death[live].tolist())]
-        return piv
+        return self.cofacet_keys(S, vs, cm, below), cm < big, ok

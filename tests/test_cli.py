@@ -546,6 +546,87 @@ def test_bad_parameters_are_exit_3(tmp_path):
                "--sigma", -0.5) == 3
     assert run("distance", dg, dg, "-o", tmp_path / "r.json",
                "--metric", "wasserstein", "--p", 0.2) == 3
+    assert run("gen", "annulus", "-o", tmp_path / "missing" / "c.csv") == 3
+
+
+@pytest.mark.parametrize("p,other", [
+    ("inf", "1,0.0,0.5\n"), ("inf", "1,0.0,1.0\n"), ("2000", ""),
+    ("200", "1,0.0,1000.0\n")])
+def test_wasserstein_order_that_breaks_costs_is_exit_3(tmp_path, capsys, p,
+                                                       other):
+    """A non-finite p, or one at which a nonzero cost**p overflows or
+    underflows (0.25**2000, 500**200), is a bad parameter: no report and
+    no manifest, whose "p": Infinity would not be valid JSON."""
+    a = tmp_path / "a.csv"
+    a.write_text("dim,birth,death\n1,0.0,0.5\n")
+    b = tmp_path / "b.csv"
+    b.write_text("dim,birth,death\n" + other)
+    out = tmp_path / "r.json"
+    assert run("distance", a, b, "-o", out, "--metric", "wasserstein",
+               "--p", p) == 3
+    assert capsys.readouterr().err.startswith("error: wasserstein order")
+    assert not out.exists() and not (tmp_path / "r.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["annulus", "--radius", "nan"], ["annulus", "--noise", "inf"],
+    ["double-annulus", "--radii", "1", "nan"],
+    ["double-annulus", "--separation", "inf"],
+    ["double-annulus", "--noise", "nan"],
+    ["periodic", "--amplitude", "inf"], ["periodic", "--frequency", "nan"],
+    ["periodic", "--noise", "inf"],
+    ["periodic", "--perturb", "shift", "nan", "0", "4"],
+    ["diffusion", "--coeff", "nan"], ["diffusion", "--dt", "nan"],
+    ["kde", "CLOUD", "--bandwidth", "inf"]])
+def test_generators_reject_non_finite_parameters(tmp_path, capsys, argv):
+    """A nan or inf generator parameter is exit 3, not a file of nan or
+    inf values that phom's own readers reject."""
+    cloud = tmp_path / "c.csv"
+    write_point_cloud(str(cloud), sample_annulus(10, seed=0))
+    out = tmp_path / "g.out"
+    assert run("gen", *[cloud if a == "CLOUD" else a for a in argv],
+               "-o", out) == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _recorded(tmp_path, sub):
+    """The manifest of one successful run of sub."""
+    cloud = tmp_path / "c.csv"
+    write_point_cloud(str(cloud), sample_annulus(10, seed=0))
+    dg = tmp_path / "dg.csv"
+    argv = {
+        "annulus": ["gen", "annulus", "-n", 8, "-o", tmp_path / "a.csv"],
+        "periodic": ["gen", "periodic", "-n", 16, "--perturb", "shift",
+                     0.5, 2, 5, "-o", tmp_path / "p.csv"],
+        "rips": ["rips", cloud, "-o", dg],
+        "vectorize": ["vectorize", dg, "-o", tmp_path / "i.json"],
+        "distance": ["distance", dg, dg, "-o", tmp_path / "r.json"],
+    }
+    assert run("rips", cloud, "-o", dg) == 0
+    assert run(*argv[sub]) == 0
+    out = argv[sub][argv[sub].index("-o") + 1]
+    return tmp_path / (out.stem + ".manifest.json")
+
+
+@pytest.mark.parametrize("sub,key,value", [
+    ("annulus", "n", "x"), ("annulus", "output", 987654),
+    ("annulus", "seed", None), ("periodic", "perturb", {"kind": "shift"}),
+    ("rips", "max_dim", "two"), ("rips", "svg", "no"),
+    ("rips", "convention", "both"), ("vectorize", "resolution", [20]),
+    ("distance", "metric", "l2")])
+def test_manifest_param_types_are_checked(tmp_path, capsys, sub, key, value):
+    """A recorded param changed to a JSON type (or choice) its parser
+    cannot give is malformed input that names the key: an integer
+    output is not opened as a file descriptor, and an unknown metric is
+    not run as Wasserstein."""
+    manifest = _recorded(tmp_path, sub)
+    obj = json.loads(manifest.read_text())
+    obj["params"][key] = value
+    manifest.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run("--manifest", manifest) == 2
+    assert f"manifest param {key!r}" in capsys.readouterr().err
 
 
 def _malformed(tmp_path, case):

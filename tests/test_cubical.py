@@ -221,4 +221,3 @@ def test_grid_paths_match_explicit_complex(g, data):
         got = persistence(g, max_dim=max_dim)
         assert repr(got.points) == repr(want.points)
         assert got.metadata["max_dim"] == max_dim
-        assert got.birth_cells is None

@@ -60,6 +60,14 @@ def test_diffusion_parameter_guards():
         gen_diffusion_field(dt=0.0)
 
 
+@pytest.mark.parametrize("kw", [{"dx": math.inf}, {"dy": math.nan}])
+def test_diffusion_rejects_non_finite_spacing(kw):
+    """Grid spacings are not CLI options; inf passes the stability bound
+    and nan every comparison, so both are checked for finiteness."""
+    with pytest.raises(ParameterError, match="must be finite"):
+        gen_diffusion_field(n=4, steps=1, **kw)
+
+
 def test_periodic_pair_is_quadrature_circle():
     s = gen_periodic_pair(n_samples=128, amplitude=2.0, frequency=1.0 / 32.0)
     assert s.shape == (128, 2)

@@ -369,15 +369,6 @@ def test_diagram_accessors():
     assert dg.betti_at(2.0) == [1, 1]
 
 
-def test_birth_cells_align_with_points():
-    K = square_loop()
-    dg, _ = compute_persistence(K)
-    assert dg.birth_cells is not None
-    for (d, b, _), i in zip(dg.points, dg.birth_cells):
-        assert float(K.values[i]) == b
-        assert int(K.dims[i]) == d
-
-
 def test_metadata_passthrough():
     dg, _ = compute_persistence(three_path(), metadata={"source": "unit"})
     assert dg.metadata["source"] == "unit"
