@@ -28,8 +28,8 @@ from .datagen import (Perturbation, gen_diffusion_field, gen_periodic_pair,
                       sliding_windows)
 from .distances import bottleneck_distance, wasserstein_distance
 from .errors import InputError, InternalError, ParameterError
-from .persistence import compute_persistence, representative_cycle, \
-    sparsify_cycle
+from .persistence import (check_budget, compute_persistence,
+                          representative_cycle, sparsify_cycle)
 from .simplicial import (point_cloud_distances, rips_filtration,
                          rips_persistence)
 from .svgplot import save_diagram_svg
@@ -204,6 +204,7 @@ def run_series(p: dict) -> None:
 # -------------------------------------------------------------- sparsify
 
 def run_sparsify(p: dict) -> None:
+    budget = check_budget(int(p["budget"]))
     K = io.read_complex_cache(p["complex"])
     pd = io.read_diagram_csv(p["diagram"])
     idx = int(p["point"])
@@ -218,14 +219,14 @@ def run_sparsify(p: dict) -> None:
         raise InputError(
             f"diagram point {point} not found in the cached complex; "
             "diagram and cache disagree") from None
-    sparse = sparsify_cycle(cycle, budget=int(p["budget"]))
+    sparse = sparsify_cycle(cycle, budget=budget)
     d, b, dth = point
     obj = {
         "point": {"dim": d, "birth": b,
                   "death": "inf" if math.isinf(dth) else dth},
         "size_before": len(cycle),
         "size": len(sparse),
-        "budget": int(p["budget"]),
+        "budget": budget,
         "cells_before": cycle.labels(),
         "cells": sparse.labels(),
     }

@@ -21,8 +21,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .persistence import (Filtration, PersistenceDiagram, contracted_h0,
-                          ordered_diagram, reduce_coboundaries)
+from .persistence import (Filtration, PersistenceDiagram, assemble_cells,
+                          contracted_h0, ordered_diagram, reduce_coboundaries)
 # Not used in this module, but perfbench/tracer.py wraps
 # phom.cubical.compute_persistence, and its op_targets() raises
 # AttributeError when the name is missing.
@@ -69,48 +69,36 @@ def build_cubical_filtration(grid) -> Filtration:
 
     Cells are sorted by (value, dimension, lexicographic doubled
     coordinates); the keys are the (n, d) coordinate array itself, so
-    the build makes no Python object per cell.
+    the build makes no Python object per cell.  The cells of each
+    dimension are listed by flat lattice position, which is
+    lexicographic; a cube's faces sit one step away along its odd axes.
     """
     g = as_grid(grid)
-    doubled = tuple(2 * n + 1 for n in g.shape)
+    d = g.ndim
     vals = _doubled_values(g)
-
-    par = np.zeros(doubled, dtype=np.int32)
-    for ax, s in enumerate(doubled):
-        shape = [1] * g.ndim
-        shape[ax] = s
-        par = par + (np.arange(s, dtype=np.int32) % 2).reshape(shape)
-
-    coords = np.indices(doubled, dtype=np.int64).reshape(g.ndim, -1).T
-    values = vals.ravel()
-    dims = par.ravel()
-
-    order = np.lexsort(tuple(coords[:, ::-1].T) + (dims, values))
-    values = values[order]
-    dims = dims[order].astype(np.int32)
-    coords = coords[order]
-    inv = np.empty(len(order), dtype=np.int64)
-    inv[order] = np.arange(len(order))
-
-    strides = np.array(
-        [int(np.prod(doubled[ax + 1:])) for ax in range(g.ndim)],
-        dtype=np.int64)
-    flatidx = coords @ strides
-
-    widths = 2 * dims.astype(np.int64)
-    off = np.concatenate([[0], np.cumsum(widths)]).astype(np.int64)
-    flat = np.empty(int(off[-1]), dtype=np.int64)
-    odd = (coords % 2).astype(np.int64)
-    before = np.cumsum(odd, axis=1) - odd
-    for ax in range(g.ndim):
-        rows = np.flatnonzero(odd[:, ax])
-        if not rows.size:
-            continue
-        slot = off[rows] + 2 * before[rows, ax]
-        flat[slot] = inv[flatidx[rows] - strides[ax]]
-        flat[slot + 1] = inv[flatidx[rows] + strides[ax]]
-    return Filtration(values, dims, off, flat, coords,
-                      meta={"grid_shape": g.shape}, as_cell=_cube)
+    dim = sum((np.arange(s) % 2).astype(np.int8).reshape(
+        (-1,) + (1,) * (d - 1 - ax)) for ax, s in enumerate(vals.shape))
+    # Each cell's position among the cells of its dimension.
+    idx = np.empty(vals.shape, dtype=np.int64)
+    pos, values, faces = [], [], []
+    for k in range(d + 1):
+        at = np.flatnonzero(dim == k)
+        pos.append(at)
+        values.append(vals.reshape(-1)[at])
+        idx.reshape(-1)[at] = np.arange(at.size)
+        f = np.empty((at.size, 2 * k), dtype=np.int64)
+        for odd in combinations(range(d), k):
+            rows = idx[_block(d, odd)]
+            for slot, ax in enumerate(odd):
+                below = idx[_block(d, set(odd) - {ax})]
+                f[rows, 2 * slot] = _cut(below, ax, None, -1)
+                f[rows, 2 * slot + 1] = _cut(below, ax, 1, None)
+        faces.append(f)
+    order, *wired = assemble_cells(values, faces)
+    keys = np.column_stack(np.unravel_index(np.concatenate(pos)[order],
+                                            vals.shape))
+    return Filtration(*wired, keys, meta={"grid_shape": g.shape},
+                      as_cell=_cube)
 
 
 def _grid_metadata(g: np.ndarray, direction: str) -> dict:

@@ -43,21 +43,6 @@ class DiagramDistanceReport:
     p: float | None = None
 
 
-def _split_dim(pd: PersistenceDiagram, dim: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """(finite points (m, 2), essential births (k,)) for one dimension."""
-    fin, ess = [], []
-    for d, b, dth in pd.points:
-        if d != dim:
-            continue
-        if math.isinf(dth):
-            ess.append(b)
-        else:
-            fin.append((b, dth))
-    return (np.array(fin, dtype=np.float64).reshape(-1, 2),
-            np.array(ess, dtype=np.float64))
-
-
 def _augmented_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n1+n2) square L-infinity costs of the diagonal-augmented matching.
 
@@ -110,8 +95,8 @@ def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
     every point to the diagonal is perfect at the largest diagonal
     cost, so that cost is the top candidate and its matching the start.
     """
-    a, e1 = _split_dim(pd1, dim)
-    b, e2 = _split_dim(pd2, dim)
+    a, e1 = pd1.in_dim(dim, True), pd1.in_dim(dim, False)[:, 0]
+    b, e2 = pd2.in_dim(dim, True), pd2.in_dim(dim, False)[:, 0]
     n1, n2 = a.shape[0], b.shape[0]
     big = _augmented_costs(a, b)
     rows = np.arange(n1 + n2)
@@ -168,8 +153,8 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
 
     if not (1 <= p < math.inf):
         raise ParameterError("wasserstein order p must be finite and >= 1")
-    a, e1 = _split_dim(pd1, dim)
-    b, e2 = _split_dim(pd2, dim)
+    a, e1 = pd1.in_dim(dim, True), pd1.in_dim(dim, False)[:, 0]
+    b, e2 = pd2.in_dim(dim, True), pd2.in_dim(dim, False)[:, 0]
     n1, n2 = a.shape[0], b.shape[0]
     big = _powered(_augmented_costs(a, b), p)
     rows, cols = linear_sum_assignment(big)
@@ -189,8 +174,9 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
 def matching_cost(report: DiagramDistanceReport, pd1: PersistenceDiagram,
                   pd2: PersistenceDiagram) -> float:
     """Recompute the distance value implied by a report's matching."""
-    a, e1 = _split_dim(pd1, report.dim)
-    b, e2 = _split_dim(pd2, report.dim)
+    dim = report.dim
+    a, e1 = pd1.in_dim(dim, True), pd1.in_dim(dim, False)[:, 0]
+    b, e2 = pd2.in_dim(dim, True), pd2.in_dim(dim, False)[:, 0]
 
     def one(left: int | None, right: int | None) -> float:
         if left is not None and right is not None:

@@ -37,7 +37,9 @@ class Filtration:
     A builder (rips_filtration, FilteredSimplicialComplex,
     build_cubical_filtration, io.read_complex_cache) fills in every
     field, the CSR boundary included: the faces of cell i sit at
-    bnd_flat[bnd_off[i]:bnd_off[i + 1]].
+    bnd_flat[bnd_off[i]:bnd_off[i + 1]].  rips_filtration and
+    build_cubical_filtration sort and wire their cells with
+    assemble_cells.
 
     keys holds one key per cell: vertex tuples for simplices, an (n, d)
     array of doubled-lattice coordinates for cubes (no Python object per
@@ -105,6 +107,34 @@ class Filtration:
             self.bnd_off[:m + 1].copy(),
             self.bnd_flat[:self.bnd_off[m]].copy(),
             self.keys[:m], dict(self.meta), self.as_cell)
+
+
+def assemble_cells(values: list[np.ndarray], faces: list[np.ndarray]
+                   ) -> tuple[np.ndarray, ...]:
+    """Filtration order and CSR boundary of cells listed by dimension.
+
+    values[k] holds the values of the k-cells in lexicographic order;
+    row i of the (m_k, w_k) array faces[k] holds the positions of k-cell
+    i's faces among the (k-1)-cells, in boundary order.  One stable sort
+    by (value, dimension) then gives the filtration order.  Returns
+    (order, values, dims, bnd_off, bnd_flat), where order indexes the
+    concatenated cells, so a builder reorders its own keys by it.
+    """
+    start = np.cumsum([0] + [v.size for v in values])
+    dims = np.repeat(np.arange(len(values), dtype=np.int32), np.diff(start))
+    vals = np.concatenate(values)
+    order = np.lexsort((dims, vals))
+    dims = dims[order]
+    inv = np.empty(order.size, dtype=np.int64)
+    inv[order] = np.arange(order.size)
+    off = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(np.array([f.shape[1] for f in faces])[dims], out=off[1:])
+    flat = np.empty(int(off[-1]), dtype=np.int64)
+    for k in range(1, len(faces)):
+        at = off[inv[start[k]:start[k + 1]]]
+        for c in range(faces[k].shape[1]):
+            flat[at + c] = inv[start[k - 1] + faces[k][:, c]]
+    return order, vals[order], dims, off, flat
 
 
 @dataclass
@@ -544,6 +574,19 @@ def cycle_boundary_is_zero(cycle: RepresentativeCycle) -> bool:
     return not seen
 
 
+# Largest sparsify budget: the exhaustive walk visits 2**budget subsets,
+# about 3 s at 22.
+MAX_BUDGET = 22
+
+
+def check_budget(budget: int) -> int:
+    """The budget, if 0 <= budget <= MAX_BUDGET; else ParameterError."""
+    if not 0 <= budget <= MAX_BUDGET:
+        raise ParameterError(
+            f"budget must be between 0 and {MAX_BUDGET}, got {budget}")
+    return budget
+
+
 def sparsify_cycle(cycle: RepresentativeCycle,
                    budget: int = 20) -> RepresentativeCycle:
     """Homologous cycle with as few cells as possible.
@@ -553,10 +596,10 @@ def sparsify_cycle(cycle: RepresentativeCycle,
     birth).  When that subcomplex has at most `budget` cells of
     dimension k+1 the search is exhaustive (Gray-code walk over all
     subsets), otherwise greedy single-coface flips run to a local
-    minimum.  The result never has more cells than the input.
+    minimum.  The result never has more cells than the input.  budget
+    must lie in 0..MAX_BUDGET.
     """
-    if budget < 0:
-        raise ParameterError("budget must be non-negative")
+    check_budget(budget)
     K = cycle.complex
     if not cycle.cells:
         return cycle

@@ -15,8 +15,9 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError, InternalError, ParameterError
-from .persistence import (Filtration, PersistenceDiagram, ordered_diagram,
-                          reduce_coboundaries, union_find_h0)
+from .persistence import (Filtration, PersistenceDiagram, assemble_cells,
+                          ordered_diagram, reduce_coboundaries,
+                          union_find_h0)
 
 Vertices = Sequence[int]
 
@@ -226,79 +227,39 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
         raise ParameterError(
             f"max_dim {max_dim} exceeds n_points - 1 = {n - 1}")
 
-    blocks: list[tuple[np.ndarray, np.ndarray]] = [
-        (np.arange(n, dtype=np.int64)[:, None], np.zeros(n))]
-
+    simp = [np.arange(n, dtype=np.int64)[:, None]]
+    values = [np.zeros(n)]
     if max_dim >= 1:
         iu, ju = np.triu_indices(n, 1)
         ev = w[iu, ju]
         keep = ev <= max_scale
-        iu, ju, ev = iu[keep], ju[keep], ev[keep]
-        blocks.append((np.column_stack([iu, ju]).astype(np.int64), ev))
-
-        if max_dim >= 2 and iu.size:
+        simp.append(np.column_stack([iu[keep], ju[keep]]).astype(np.int64))
+        values.append(ev[keep])
+        if max_dim >= 2 and values[1].size:
             wm = np.where(w <= max_scale, w, np.inf)
             np.fill_diagonal(wm, np.inf)
-            verts, xv = blocks[1]
             for _ in range(2, max_dim + 1):
-                verts, xv = _rips_extend(verts, xv, wm, np.inf)
+                verts, xv = _rips_extend(simp[-1], values[-1], wm, np.inf)
                 if not verts.size:
                     break
-                blocks.append((verts, xv))
+                simp.append(verts)
+                values.append(xv)
 
-    return _assemble_rips(blocks, n)
-
-
-def _assemble_rips(blocks: list[tuple[np.ndarray, np.ndarray]],
-                   n: int) -> Filtration:
-    """Sort rips cells into filtration order and wire up boundaries."""
-    width = max(b[0].shape[1] for b in blocks)
-    m = sum(b[0].shape[0] for b in blocks)
-    verts_pad = np.zeros((m, width), dtype=np.int64)
-    values = np.empty(m)
-    dims = np.empty(m, dtype=np.int32)
-    pos = 0
-    for vb, xb in blocks:
-        cnt, wd = vb.shape
-        verts_pad[pos:pos + cnt, :wd] = vb
-        values[pos:pos + cnt] = xb
-        dims[pos:pos + cnt] = wd - 1
-        pos += cnt
-
-    keys = (verts_pad[:, ::-1], dims, values)
-    order = np.lexsort(tuple(keys[0].T) + (keys[1], keys[2]))
-    verts_pad = verts_pad[order]
-    values = values[order]
-    dims = dims[order]
-
-    base = n + 1
-    cell_keys = np.full(m, -1, dtype=np.int64)
-    for k in range(width):
-        sel = dims == k
-        if np.any(sel):
-            cell_keys[sel] = _poly_keys(verts_pad[sel, :k + 1], base)
-    ksort = np.argsort(cell_keys, kind="stable")
-    sorted_keys = cell_keys[ksort]
-
-    widths = np.where(dims == 0, 0, dims + 1)
-    off = np.concatenate([[0], np.cumsum(widths)]).astype(np.int64)
-    flat = np.empty(int(off[-1]), dtype=np.int64)
-    for k in range(1, width):
-        sel = np.flatnonzero(dims == k)
-        if not sel.size:
-            continue
-        vb = verts_pad[sel, :k + 1]
+    # Each list is lexicographic, so are its _poly_keys: a face is found
+    # by searchsorted among the simplices one dimension down.
+    faces = [simp[0][:, :0]]
+    for k in range(1, len(simp)):
+        below = _poly_keys(simp[k - 1], n + 1)
+        faces.append(np.empty_like(simp[k]))
         for c in range(k + 1):
-            face = np.delete(vb, c, axis=1)
-            fkeys = _poly_keys(face, base)
-            p = np.searchsorted(sorted_keys, fkeys)
-            if np.any(sorted_keys[p] != fkeys):
+            fkeys = _poly_keys(np.delete(simp[k], c, axis=1), n + 1)
+            p = np.searchsorted(below, fkeys)
+            if np.any(below[p] != fkeys):
                 raise InternalError("rips facet lookup failed")
-            flat[off[sel] + c] = ksort[p]
-
-    verts_list = [tuple(row[:dims[i] + 1])
-                  for i, row in enumerate(verts_pad.tolist())]
-    return Filtration(values, dims, off, flat, verts_list,
+            faces[k][:, c] = p
+    order, *wired = assemble_cells(values, faces)
+    cells = [tuple(row) for s in simp for row in s.tolist()]
+    return Filtration(*wired, [cells[i] for i in order.tolist()],
                       as_cell=Simplex._wrap)
 
 

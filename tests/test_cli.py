@@ -24,6 +24,7 @@ from phom.io import (
     write_diagram_csv,
     write_voxel,
 )
+from phom.persistence import MAX_BUDGET
 
 
 def run(*argv):
@@ -189,6 +190,28 @@ def test_sparsify_mismatched_diagram(tmp_path):
     fake.write_text("dim,birth,death\n1,0.123,0.456\n")
     assert run("sparsify", "--complex", cache, "--diagram", fake,
                "--point", 0, "-o", tmp_path / "x.json") == 2
+
+
+def test_sparsify_budget_above_bound_is_exit_3(tmp_path, capsys):
+    """The exhaustive walk visits 2**budget subsets: a budget above
+    MAX_BUDGET is refused before the cache is read.  This cache's first
+    H1 point has 497 triangles at its birth scale."""
+    cloud = tmp_path / "c.csv"
+    dg = tmp_path / "dg.csv"
+    cache = tmp_path / "c.cplx"
+    assert run("gen", "annulus", "-n", 60, "--seed", 1, "-o", cloud) == 0
+    assert run("rips", cloud, "-o", dg, "--save-complex", cache) == 0
+    idx = next(i for i, (d, _, _) in enumerate(read_diagram_csv(str(dg)).points)
+               if d == 1)
+    out = tmp_path / "x.json"
+    for path in (cache, tmp_path / "missing.cplx"):
+        capsys.readouterr()
+        assert run("sparsify", "--complex", path, "--diagram", dg, "--point",
+                   idx, "--budget", MAX_BUDGET + 1, "-o", out) == 3
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+    assert run("sparsify", "--complex", cache, "--diagram", dg, "--point",
+               idx, "--budget", MAX_BUDGET, "-o", out) == 0
 
 
 @pytest.mark.parametrize("sub,flags,kind", [

@@ -69,15 +69,29 @@ def test_dimension_is_odd_coordinate_count():
 
 
 def test_boundary_wiring_matches_face_oracle():
+    """Each boundary lists its faces in cube_faces order, and the cells
+    come in (value, dimension, lexicographic) order with the oracle's
+    values, also on rounded grids full of ties and of -0.0 and 0.0."""
     rng = np.random.default_rng(2)
-    for shape in [(3,), (2, 3), (2, 2, 2)]:
-        g = rng.uniform(0, 1, size=shape)
+    grids = [rng.uniform(0, 1, size=shape)
+             for shape in [(3,), (2, 3), (2, 2, 2)]]
+    grids += [np.round(rng.uniform(-1.5, 1.5, size=shape))
+              for shape in [(7,), (4, 5), (3, 2, 4), (1, 6), (2, 1, 3)]
+              for _ in range(4)]
+    assert any(np.signbit(g[g == 0]).any() for g in grids[3:])
+    for g in grids:
         K = build_cubical_filtration(g)
-        index = {K.cell(i): i for i in range(K.n_cells)}
-        for i in range(K.n_cells):
-            got = {K.cell(int(j)) for j in K.boundary(i)}
-            assert got == set(cube_faces(K.cell(i)))
-            assert len(K.boundary(i)) == 2 * K.dims[i]
+        cells = [K.cell(i) for i in range(K.n_cells)]
+        index = {c: i for i, c in enumerate(cells)}
+        assert index.keys() == cube_cells(g).keys()
+        for i, c in enumerate(cells):
+            assert K.boundary(i).tolist() == [index[f] for f in cube_faces(c)]
+            assert K.dims[i] == sum(x % 2 for x in c)
+        order = [(float(K.values[i]), int(K.dims[i]), c)
+                 for i, c in enumerate(cells)]
+        assert order == sorted(order)
+        want = cube_cells(g)
+        assert all(float(K.values[i]) == want[c] for i, c in enumerate(cells))
 
 
 def test_faces_enter_no_later():

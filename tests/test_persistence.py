@@ -23,7 +23,7 @@ from phom import (
     sparsify_cycle,
 )
 from phom.io import read_complex_cache, write_complex_cache
-from phom.persistence import contracted_h0, union_find_h0
+from phom.persistence import MAX_BUDGET, contracted_h0, union_find_h0
 from oracles import (
     brute_min_cycle_size,
     diagram_from_pairs,
@@ -346,6 +346,9 @@ def test_sparsify_guards():
     cyc = representative_cycle(pairing, (1, 2.0, math.inf))
     with pytest.raises(ParameterError):
         sparsify_cycle(cyc, budget=-1)
+    with pytest.raises(ParameterError, match="budget"):
+        sparsify_cycle(cyc, budget=MAX_BUDGET + 1)
+    assert len(sparsify_cycle(cyc, budget=MAX_BUDGET)) == len(cyc)
     bogus = RepresentativeCycle((1, 0.5, math.inf),
                                 frozenset([K.index_of((0, 3))]), K)
     with pytest.raises(ParameterError):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phom import (
     FilteredSimplicialComplex,
@@ -17,6 +18,7 @@ from phom import (
     rips_filtration,
     validate_complex,
 )
+from test_rips_engine import clouds, integer_matrices
 
 
 def triangle_cells():
@@ -257,3 +259,45 @@ def test_rips_boundaries_are_wired():
     for i in range(K.n_cells):
         faces = {tuple(K.cell(j)) for j in K.boundary(i)}
         assert faces == {tuple(f) for f in K.cell(i).faces()}
+
+
+@st.composite
+def rips_inputs(draw):
+    """(distances, max_dim, max_scale, scale): integer ties 0..3 with zero
+    off-diagonals or clouds; a scale below, at or above the edges."""
+    if draw(st.booleans()):
+        d = draw(integer_matrices())
+    else:
+        d = point_cloud_distances(np.array(draw(clouds)))
+    n = d.shape[0]
+    scale = draw(st.sampled_from(["radius", "diameter"]))
+    w = d / 2.0 if scale == "radius" else d
+    ev = np.unique(w[np.triu_indices(n, 1)])
+    pos = ev[ev > 0]
+    where = draw(st.sampled_from(["below", "at", "above"]))
+    if not pos.size:
+        ms = 0.5
+    elif where == "below":
+        ms = float(pos[0]) / 2.0
+    elif where == "at":
+        ms = float(pos[draw(st.integers(0, pos.size - 1))])
+    else:
+        ms = float(pos[-1]) + 1.0
+    return d, draw(st.integers(0, min(3, n - 1))), ms, scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rips_inputs())
+def test_rips_equals_reference_complex_of_its_cells(case):
+    """rips_filtration equals FilteredSimplicialComplex built from its own
+    cells: same order, values and keys, and the same faces in the same
+    order, which is what a complex cache writes."""
+    K = rips_filtration(*case)
+    ref = FilteredSimplicialComplex(K.items())
+    for f in ("values", "dims", "bnd_off", "bnd_flat"):
+        got, want = getattr(K, f), getattr(ref, f)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert K.keys == [tuple(k) for k in ref.keys]
+    assert all(type(k) is tuple for k in K.keys)
+    assert K.meta == ref.meta == {}
