@@ -212,7 +212,7 @@ def run_sparsify(p: dict) -> None:
         raise ParameterError(
             f"--point {idx} outside diagram with {len(pd.points)} points")
     point = pd.points[idx]
-    _, pairing = compute_persistence(K, max_dim=K.dim)
+    _, pairing = compute_persistence(K)
     try:
         cycle = representative_cycle(pairing, point)
     except ParameterError:

@@ -7,10 +7,12 @@ the doubled index lattice: even coordinates are points, odd ones are
 intervals, and a cell's dimension is its count of odd coordinates.
 Border cells are left open; nothing is padded around the grid.
 
-build_cubical_filtration builds that complex explicitly, for caches,
-cycles and as the reference.  The diagram functions never do: they
-order the cells of each dimension on the lattice itself and read faces
-and cofaces off it by slicing (_lattice_pairs).
+Cells are ordered per dimension on the lattice itself (_cell_order),
+and one rule gives every face: a cube's faces sit one step away along
+each of its odd axes (_face_steps).  Cofaces are the same steps read
+backwards, so border cells need no padding.  build_cubical_filtration
+builds the explicit complex from the two, for caches, cycles and as
+the reference; the diagram functions never build it (_lattice_pairs).
 """
 
 from __future__ import annotations
@@ -70,32 +72,20 @@ def build_cubical_filtration(grid) -> Filtration:
     Cells are sorted by (value, dimension, lexicographic doubled
     coordinates); the keys are the (n, d) coordinate array itself, so
     the build makes no Python object per cell.  The cells of each
-    dimension are listed by flat lattice position, which is
-    lexicographic; a cube's faces sit one step away along its odd axes.
+    dimension come from _cell_order and their faces from _face_steps.
     """
     g = as_grid(grid)
-    d = g.ndim
     vals = _doubled_values(g)
-    dim = sum((np.arange(s) % 2).astype(np.int8).reshape(
-        (-1,) + (1,) * (d - 1 - ax)) for ax, s in enumerate(vals.shape))
-    # Each cell's position among the cells of its dimension.
-    idx = np.empty(vals.shape, dtype=np.int64)
-    pos, values, faces = [], [], []
-    for k in range(d + 1):
-        at = np.flatnonzero(dim == k)
-        pos.append(at)
-        values.append(vals.reshape(-1)[at])
-        idx.reshape(-1)[at] = np.arange(at.size)
-        f = np.empty((at.size, 2 * k), dtype=np.int64)
-        for odd in combinations(range(d), k):
-            rows = idx[_block(d, odd)]
-            for slot, ax in enumerate(odd):
-                below = idx[_block(d, set(odd) - {ax})]
-                f[rows, 2 * slot] = _cut(below, ax, None, -1)
-                f[rows, 2 * slot + 1] = _cut(below, ax, 1, None)
-        faces.append(f)
-    order, *wired = assemble_cells(values, faces)
-    keys = np.column_stack(np.unravel_index(np.concatenate(pos)[order],
+    rank, cells = _cell_order(g)
+    faces = [np.empty((c.size, 2 * k), dtype=np.int64)
+             for k, c in enumerate(cells)]
+    for k in range(1, g.ndim + 1):
+        for _, slot, rows, below, above in _face_steps(rank, k):
+            faces[k][rows, 2 * slot] = below
+            faces[k][rows, 2 * slot + 1] = above
+    order, *wired = assemble_cells([vals.reshape(-1)[c] for c in cells],
+                                   faces)
+    keys = np.column_stack(np.unravel_index(np.concatenate(cells)[order],
                                             vals.shape))
     return Filtration(*wired, keys, meta={"grid_shape": g.shape},
                       as_cell=_cube)
@@ -119,25 +109,15 @@ def _block(d: int, odd) -> tuple:
     return tuple(slice(int(ax in odd), None, 2) for ax in range(d))
 
 
-def _cut(a: np.ndarray, ax: int, start, stop) -> np.ndarray:
-    """a[start:stop] along axis ax."""
-    return a[(slice(None),) * ax + (slice(start, stop),)]
-
-
-def _pad(a: np.ndarray, ax: int, value: int) -> np.ndarray:
-    """a with one entry of value added at both ends of axis ax."""
-    return np.pad(a, [(int(i == ax),) * 2 for i in range(a.ndim)],
-                  constant_values=value)
-
-
 def _cell_order(g: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The cells of each dimension in filtration order, as flat positions
     on the doubled lattice, and the lattice of each cell's rank among the
     cells of its dimension.
 
-    build_cubical_filtration orders the cells of one dimension by
-    (value, flat position).  Replacing each value by its rank among the
-    grid values makes that order one integer sort per dimension.
+    Within a dimension the filtration order is (value, flat position),
+    and flat position is lexicographic.  Replacing each value by its
+    rank among the grid values makes that order one integer sort per
+    dimension.
     """
     d = g.ndim
     level = _doubled_values(
@@ -162,9 +142,10 @@ def _lattice_pairs(g: np.ndarray, max_dim: int) -> list[tuple]:
 
     The pairs are those of compute_persistence on
     build_cubical_filtration, found without its complex: every face and
-    coface comes from slicing the rank lattice of _cell_order.  H0 is a
-    union-find over the lattice edges and H_{d-1} one over the top cells
-    (_top_pairs); H1 of a voxel grid reduces coboundary columns.
+    coface is a _face_steps step on the rank lattice of _cell_order.
+    H0 is a union-find over the lattice edges and H_{d-1} one over the
+    top cells (_top_pairs); H1 of a voxel grid reduces coboundary
+    columns.
     """
     d = g.ndim
     rank, cells = _cell_order(g)
@@ -177,17 +158,35 @@ def _lattice_pairs(g: np.ndarray, max_dim: int) -> list[tuple]:
     return groups
 
 
+def _face_steps(rank: np.ndarray, k: int):
+    """One lattice step from the k-cells down to their faces.
+
+    For each orientation of k-cell and each of its odd axes ax, yields
+    (ax, slot, cells, below, above): slot is the position of ax among
+    the cell's odd axes, cells the ranks of those k-cells and below and
+    above the ranks of their faces one step down and one step up ax, all
+    on rank's lattice and of one shape.  Read backwards, a step says
+    that each of cells is the coface above its face in below and the
+    coface below its face in above.
+    """
+    d = rank.ndim
+    for odd in combinations(range(d), k):
+        cells = rank[_block(d, odd)]
+        for slot, ax in enumerate(odd):
+            faces = rank[_block(d, odd[:slot] + odd[slot + 1:])]
+            yield (ax, slot, cells,
+                   faces[(slice(None),) * ax + (slice(None, -1),)],
+                   faces[(slice(None),) * ax + (slice(1, None),)])
+
+
 def _h0_pairs(rank: np.ndarray,
               cells: list[np.ndarray]) -> tuple[list[tuple], np.ndarray]:
     """H0 groups of _lattice_pairs, and the ranks of the merging edges."""
-    d = rank.ndim
-    verts = rank[_block(d, ())]
     a = np.empty(cells[1].size, dtype=np.int64)
     b = np.empty_like(a)
-    for ax in range(d):
-        edges = rank[_block(d, (ax,))]
-        a[edges] = _cut(verts, ax, None, -1)
-        b[edges] = _cut(verts, ax, 1, None)
+    for _, _, edges, below, above in _face_steps(rank, 1):
+        a[edges] = below
+        b[edges] = above
     e, v = contracted_h0(cells[0].size, a, b)
     alive = np.delete(cells[0], v)
     return [(0, cells[0][v], cells[1][e]),
@@ -200,24 +199,19 @@ def _reduced_pairs(rank: np.ndarray, cells: list[np.ndarray], k: int,
     k-cells of rank died (paired one dimension down), and the ranks of
     the (k+1)-cells that die.
 
-    Each k-cell's cofaces sit one step away along its even axes, each
-    (k+1)-cell's faces one step away along its odd axes.
+    The cofaces are the (k+1)-cells' face steps read backwards.  A
+    k-cell's two cofaces along its even axis ax go in column pair
+    ax - slot, since slot counts its odd axes below ax; a border cell
+    has one, and its other entry stays big.
     """
-    d = rank.ndim
     big = cells[k + 1].size
-    cof = np.full((cells[k].size, 2 * (d - k)), big, dtype=np.int64)
+    cof = np.full((cells[k].size, 2 * (rank.ndim - k)), big, dtype=np.int64)
     # youngest[big] stays -1, so a cell without cofaces is not apparent.
     youngest = np.full(big + 1, -1, dtype=np.int64)
-    for odd in combinations(range(d), k):
-        col = rank[_block(d, odd)]
-        for slot, ax in enumerate(i for i in range(d) if i not in odd):
-            up = rank[_block(d, odd + (ax,))]
-            padded = _pad(up, ax, big)
-            cof[col, 2 * slot] = _cut(padded, ax, None, -1)
-            cof[col, 2 * slot + 1] = _cut(padded, ax, 1, None)
-            youngest[up] = np.maximum.reduce(
-                [youngest[up], _cut(col, ax, None, -1),
-                 _cut(col, ax, 1, None)])
+    for ax, slot, up, below, above in _face_steps(rank, k + 1):
+        cof[below, 2 * (ax - slot) + 1] = up
+        cof[above, 2 * (ax - slot)] = up
+        youngest[up] = np.maximum.reduce([youngest[up], below, above])
     cols = np.delete(np.arange(cells[k].size), died)
     cof = np.sort(cof[cols], axis=1)
     oldest = cof[:, 0]
@@ -239,18 +233,18 @@ def _top_pairs(rank: np.ndarray, cells: list[np.ndarray]) -> tuple:
     top cell kills, and every top cell is killed.
     """
     d = rank.ndim
-    tops = rank[_block(d, range(d))]
-    age = tops.size - tops
+    nt = cells[d].size
     nf = cells[d - 1].size
-    a = np.empty(nf, dtype=np.int64)
-    b = np.empty_like(a)
-    for ax in range(d):
-        dual = nf - 1 - rank[_block(d, set(range(d)) - {ax})]
-        padded = _pad(age, ax, 0)
-        a[dual] = _cut(padded, ax, None, -1)
-        b[dual] = _cut(padded, ax, 1, None)
-    e, v = contracted_h0(tops.size + 1, a, b)
-    return d - 1, cells[d - 1][nf - 1 - e], cells[d][tops.size - v]
+    # Dual edge nf-1-f joins the ages (nt minus rank, exterior 0) of the
+    # top cells below and above face f.
+    a = np.zeros(nf, dtype=np.int64)
+    b = np.zeros_like(a)
+    for _, _, tops, below, above in _face_steps(rank, d):
+        age = nt - tops
+        b[nf - 1 - below] = age
+        a[nf - 1 - above] = age
+    e, v = contracted_h0(nt + 1, a, b)
+    return d - 1, cells[d - 1][nf - 1 - e], cells[d][nt - v]
 
 
 def _grid_persistence(grid, max_dim: int | None, direction: str,

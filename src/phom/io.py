@@ -157,6 +157,17 @@ def read_diagram_csv(path: str) -> PersistenceDiagram:
             points.append((d, b, dth))
     if not saw_header:
         raise InputError(f"{path}: missing 'dim,birth,death' header")
+    if "death_cap" in metadata:
+        # vectorize caps essential points at death_cap.
+        try:
+            cap = float(metadata["death_cap"])
+        except (ValueError, OverflowError):
+            cap = math.nan
+        if not math.isfinite(cap):
+            raise InputError(f"{path}: death_cap must be a finite number")
+        if any(math.isinf(dth) and b > cap for _, b, dth in points):
+            raise InputError(f"{path}: death_cap {cap!r} is below the birth "
+                             "of an essential point")
     points.sort()
     return PersistenceDiagram(points=points, metadata=metadata)
 
@@ -420,7 +431,8 @@ def read_complex_cache(path: str) -> Filtration:
     each face appears once and has dimension dim - 1, values are finite
     and never decrease, the boundary of its boundary is zero, and it has
     dim + 1 faces (2 * dim when `meta kind` starts with "cubical"; none
-    for a vertex).  The cells keep their labels as keys.
+    for a vertex).  The file holds exactly `cells N` cell lines, N >= 0,
+    and only blank lines after them.  The cells keep their labels as keys.
     """
     with _open_read(path) as fh:
         lines = [l.rstrip("\n") for l in fh]
@@ -440,6 +452,8 @@ def read_complex_cache(path: str) -> Filtration:
         count = int(lines[i].split()[1])
     except (IndexError, ValueError):
         raise InputError(f"{path}:{i + 1}: bad cell count") from None
+    if count < 0:
+        raise InputError(f"{path}:{i + 1}: negative cell count")
     i += 1
     cubical = meta.get("kind", "").startswith("cubical")
     dims: list[int] = []
@@ -491,6 +505,10 @@ def read_complex_cache(path: str) -> Filtration:
         labels.append(parts[2])
         flat.extend(faces)
         off.append(len(flat))
+    for ln in range(i + count, len(lines)):
+        if lines[ln].strip():
+            raise InputError(
+                f"{path}:{ln + 1}: a line after the last of {count} cells")
     return Filtration(np.array(values, dtype=np.float64),
                       np.array(dims, dtype=np.int32),
                       np.array(off, dtype=np.int64),

@@ -113,10 +113,12 @@ def assemble_cells(values: list[np.ndarray], faces: list[np.ndarray]
                    ) -> tuple[np.ndarray, ...]:
     """Filtration order and CSR boundary of cells listed by dimension.
 
-    values[k] holds the values of the k-cells in lexicographic order;
-    row i of the (m_k, w_k) array faces[k] holds the positions of k-cell
-    i's faces among the (k-1)-cells, in boundary order.  One stable sort
-    by (value, dimension) then gives the filtration order.  Returns
+    values[k] holds the values of the k-cells, listed so that cells of
+    equal value are in lexicographic order; row i of the (m_k, w_k)
+    array faces[k] holds the positions of k-cell i's faces among the
+    (k-1)-cells as listed, in boundary order.  One stable sort by
+    (value, dimension) then gives the (value, dimension, lexicographic)
+    filtration order.  Returns
     (order, values, dims, bnd_off, bnd_flat), where order indexes the
     concatenated cells, so a builder reorders its own keys by it.
     """

@@ -286,6 +286,45 @@ def test_sparsify_rejects_cache_with_wrong_face_dimension(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", ["fewer", "junk", "negative", "zero"])
+def test_sparsify_rejects_cache_whose_count_disagrees(tmp_path, capsys, edit):
+    """A cache is read only when its `cells N` line matches the cell
+    lines; an empty complex is one the diagram cannot come from."""
+    cloud = tmp_path / "c.csv"
+    dg = tmp_path / "dg.csv"
+    cache = tmp_path / "c.cplx"
+    assert run("gen", "annulus", "-n", 10, "-o", cloud) == 0
+    assert run("rips", cloud, "-o", dg, "--save-complex", cache) == 0
+    lines = cache.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("cells "))
+    n = int(lines[at].split()[1])
+    if edit == "fewer":
+        lines[at] = f"cells {n - 5}"
+    elif edit == "junk":
+        lines.append("junk")
+    elif edit == "negative":
+        lines[at] = "cells -3"
+    else:
+        lines[at:] = ["cells 0"]
+    cache.write_text("\n".join(lines) + "\n")
+    assert run("sparsify", "--complex", cache, "--diagram", dg,
+               "--point", 0, "-o", tmp_path / "x.json") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("disagree" if edit == "zero" else f"{cache}:") in err
+
+
+@pytest.mark.parametrize("cap", ["abc", "nan", "inf", "0.5"])
+def test_vectorize_rejects_bad_death_cap(tmp_path, capsys, cap):
+    dg = tmp_path / "dg.csv"
+    dg.write_text(f"# death_cap={cap}\ndim,birth,death\n"
+                  "1,1.0,inf\n1,0.0,2.0\n")
+    assert run("vectorize", dg, "-o", tmp_path / "i.json") == 2
+    err = capsys.readouterr().err
+    assert f"{dg}: death_cap" in err
+    assert not (tmp_path / "i.json").exists()
+
+
 @pytest.mark.parametrize("faces", ["", " 0 1 2"])
 def test_sparsify_rejects_cache_with_wrong_face_count(tmp_path, capsys,
                                                       faces):

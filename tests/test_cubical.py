@@ -15,7 +15,8 @@ from phom import (
     superlevel_persistence,
     voxel_persistence,
 )
-from oracles import cube_betti, cube_cells, cube_faces
+from oracles import (cube_betti, cube_cells, cube_faces, diagram_from_pairs,
+                     reduction_pairs)
 
 
 def test_single_pixel_counts():
@@ -217,6 +218,17 @@ def tied_grids(draw):
     return -g if draw(st.booleans()) else g
 
 
+def grid_runs(g):
+    """Each diagram function that takes g, with the grid whose sublevel
+    filtration it computes."""
+    runs = [(superlevel_persistence, -g)]
+    if g.ndim == 2:
+        runs.append((image_persistence, g))
+    if g.ndim == 3:
+        runs.append((voxel_persistence, g))
+    return runs
+
+
 @settings(max_examples=300, deadline=None)
 @given(g=tied_grids(), data=st.data())
 def test_grid_paths_match_explicit_complex(g, data):
@@ -224,14 +236,29 @@ def test_grid_paths_match_explicit_complex(g, data):
     points of compute_persistence on build_cubical_filtration at every
     max_dim, compared as repr strings so that a flipped -0.0 fails."""
     max_dim = data.draw(st.integers(0, g.ndim))
-    runs = [(superlevel_persistence, -g)]
-    if g.ndim == 2:
-        runs.append((image_persistence, g))
-    if g.ndim == 3:
-        runs.append((voxel_persistence, g))
-    for persistence, sublevel_of in runs:
+    for persistence, sublevel_of in grid_runs(g):
         want, _ = compute_persistence(build_cubical_filtration(sublevel_of),
                                       max_dim=max_dim)
         got = persistence(g, max_dim=max_dim)
         assert repr(got.points) == repr(want.points)
         assert got.metadata["max_dim"] == max_dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=tied_grids())
+def test_grid_paths_match_textbook_reduction(g):
+    """The diagram functions give the points of the textbook reduction of
+    a complex built from the oracles alone: cells from cube_cells sorted
+    by (value, dim, coords), boundaries from cube_faces."""
+    for persistence, sublevel_of in grid_runs(g):
+        cells = cube_cells(sublevel_of)
+        order = sorted(cells, key=lambda c: (cells[c], sum(x % 2 for x in c),
+                                             c))
+        index = {c: i for i, c in enumerate(order)}
+        pairs, unpaired, _ = reduction_pairs(
+            [[index[f] for f in cube_faces(c)] for c in order])
+        dims = [sum(x % 2 for x in c) for c in order]
+        values = [cells[c] for c in order]
+        for max_dim in range(g.ndim + 1):
+            want = diagram_from_pairs(pairs, unpaired, dims, values, max_dim)
+            assert sorted(persistence(g, max_dim=max_dim).points) == want

@@ -137,6 +137,25 @@ def test_diagram_validation(tmp_path):
         read_diagram_csv(str(path))
 
 
+@pytest.mark.parametrize("cap", ["abc", "nan", "inf", "-inf", "1e999",
+                                 "0.5"])
+def test_diagram_death_cap_must_be_finite_and_cap_essentials(tmp_path, cap):
+    """vectorize caps infinite deaths at death_cap, so it must be a
+    finite number no smaller than any essential point's birth."""
+    path = tmp_path / "dg.csv"
+    path.write_text(f"# death_cap={cap}\ndim,birth,death\n"
+                    "0,1.0,inf\n1,0.0,2.0\n")
+    with pytest.raises(InputError, match=f"{path}: death_cap"):
+        read_diagram_csv(str(path))
+
+
+@pytest.mark.parametrize("cap,want", [("1.0", 1.0), ("3", 3)])
+def test_diagram_death_cap_at_or_above_essential_births(tmp_path, cap, want):
+    path = tmp_path / "dg.csv"
+    path.write_text(f"# death_cap={cap}\ndim,birth,death\n0,1.0,inf\n")
+    assert read_diagram_csv(str(path)).metadata["death_cap"] == want
+
+
 def test_pgm_ascii_roundtrip(tmp_path):
     path = str(tmp_path / "img.pgm")
     grid = np.array([[0, 128, 255], [64, 32, 16]])
@@ -339,6 +358,18 @@ def test_complex_cache_errors(tmp_path):
     path.write_text("# phom-complex 1\ncells 2\n0 1.0 a\n0 0.5 b\n")
     with pytest.raises(InputError):
         read_complex_cache(str(path))
+    # The cell count must be non-negative and match the cell lines.
+    path.write_text("# phom-complex 1\ncells -3\n")
+    with pytest.raises(InputError, match=f"{path}:2: negative cell count"):
+        read_complex_cache(str(path))
+    path.write_text("# phom-complex 1\ncells 1\n0 0.0 a\n0 0.0 b\n")
+    with pytest.raises(InputError, match=f"{path}:4: .*last of 1 cells"):
+        read_complex_cache(str(path))
+    path.write_text("# phom-complex 1\ncells 1\n0 0.0 a\n\njunk\n")
+    with pytest.raises(InputError, match=f"{path}:5: .*last of 1 cells"):
+        read_complex_cache(str(path))
+    path.write_text("# phom-complex 1\ncells 1\n0 0.0 a\n\n \n")
+    assert read_complex_cache(str(path)).n_cells == 1
 
 
 @pytest.mark.parametrize("last,why", [

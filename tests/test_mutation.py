@@ -41,6 +41,8 @@ def seeds(tmp_path_factory):
                "--save-complex", d / "s.cplx") == 0
     assert run("rips", d / "c.csv", "-o", d / "dg.csv") == 0
     assert run("vectorize", d / "dg.csv", "-o", d / "img.json") == 0
+    # Image diagrams carry a '# death_cap=' line, which vectorize reads.
+    assert run("image", d / "g.pgm", "-o", d / "g_dg.csv") == 0
     assert run("distance", d / "dg.csv", d / "s_dg.csv",
                "-o", d / "rep.json") == 0
     # Replays write next to these, away from the other seeds.
@@ -55,6 +57,8 @@ def seeds(tmp_path_factory):
         "diagram": ("dg.csv", ["distance", "BAD", "dg.csv", "--metric",
                                "wasserstein", "-o", "out.json"],
                     ["vectorize", "BAD", "-o", "out.json"]),
+        "image-diagram": ("g_dg.csv", ["vectorize", "BAD", "--dim", "0",
+                                       "-o", "out.json"]),
         "pgm-p2": ("g.pgm", ["image", "BAD", "-o", "out.csv"]),
         "pgm-p5": ("g5.pgm", ["image", "BAD", "--superlevel",
                               "-o", "out.csv"]),
@@ -88,8 +92,9 @@ EDITS = st.lists(st.tuples(
 
 
 @pytest.mark.parametrize("case", [
-    "cloud", "matrix", "diagram", "pgm-p2", "pgm-p5", "voxel", "cache",
-    "manifest-rips", "manifest-gen", "image-json", "report"])
+    "cloud", "matrix", "diagram", "image-diagram", "pgm-p2", "pgm-p5",
+    "voxel", "cache", "manifest-rips", "manifest-gen", "image-json",
+    "report"])
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(edits=EDITS)
