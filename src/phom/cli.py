@@ -53,14 +53,6 @@ def _resolve_seed(seed: int | None) -> int:
         raise ParameterError(f"PH_SEED={env!r} is not an integer") from None
 
 
-def _write_manifest(path: str, subcommand: str, params: dict) -> None:
-    obj = {"tool": "phom", "version": __version__,
-           "subcommand": subcommand, "params": params}
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
-
-
 def _sibling(output: str, suffix: str) -> str:
     stem, _ = os.path.splitext(output)
     return stem + suffix
@@ -112,12 +104,11 @@ def run_rips(p: dict) -> None:
                                rips_filtration(d, simplex_dim, max_scale,
                                                conv),
                                meta={"kind": "rips", "convention": conv})
-    _write_manifest(_sibling(p["output"], ".manifest.json"), "rips", p)
 
 
 # ----------------------------------------------------------- image / voxel
 
-def run_cubical(p: dict, read, persistence, title: str, sub: str) -> None:
+def run_cubical(p: dict, read, persistence, title: str) -> None:
     """`image` and `voxel`: read a grid, then the same cubical pipeline."""
     g = read(p["input"])
     if p["superlevel"]:
@@ -133,7 +124,6 @@ def run_cubical(p: dict, read, persistence, title: str, sub: str) -> None:
         io.write_complex_cache(p["save_complex"],
                                build_cubical_filtration(grid),
                                meta={"kind": kind})
-    _write_manifest(_sibling(p["output"], ".manifest.json"), sub, p)
 
 
 # ------------------------------------------------------------- vectorize
@@ -150,7 +140,6 @@ def run_vectorize(p: dict) -> None:
         sigma=p["sigma"], support=support, weight=p["weight"],
         essentials=p["essentials"])
     io.write_image_json(p["output"], img)
-    _write_manifest(_sibling(p["output"], ".manifest.json"), "vectorize", p)
 
 
 # -------------------------------------------------------------- distance
@@ -164,7 +153,6 @@ def run_distance(p: dict) -> None:
         report = wasserstein_distance(pd1, pd2, dim=int(p["dim"]),
                                       p=float(p["p"]))
     io.write_distance_report(p["output"], report)
-    _write_manifest(_sibling(p["output"], ".manifest.json"), "distance", p)
 
 
 # ---------------------------------------------------------------- series
@@ -197,8 +185,6 @@ def run_series(p: dict) -> None:
             val = bottleneck_distance(dg, diagrams[0], dim=1).value
             text = "inf" if math.isinf(val) else repr(float(val))
             fh.write(f"{k},{text}\n")
-    _write_manifest(os.path.join(p["out_dir"], "run.manifest.json"),
-                    "series", p)
 
 
 # -------------------------------------------------------------- sparsify
@@ -233,7 +219,6 @@ def run_sparsify(p: dict) -> None:
     with open(p["output"], "w", encoding="ascii") as fh:
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
-    _write_manifest(_sibling(p["output"], ".manifest.json"), "sparsify", p)
 
 
 # ------------------------------------------------------------------- gen
@@ -279,7 +264,20 @@ def run_gen(p: dict) -> None:
         io.write_voxel(p["output"], field.values)
     else:
         raise ParameterError(f"unknown generator {kind!r}")
-    _write_manifest(_sibling(p["output"], ".manifest.json"), "gen", p)
+
+
+def _run(sub: str, p: dict) -> None:
+    """Run subcommand sub on params p, then record p as its manifest:
+    `run.manifest.json` in a series' out_dir, else the `.manifest.json`
+    sibling of the output."""
+    RUNNERS[sub](p)
+    path = (os.path.join(p["out_dir"], "run.manifest.json") if sub == "series"
+            else _sibling(p["output"], ".manifest.json"))
+    obj = {"tool": "phom", "version": __version__,
+           "subcommand": sub, "params": p}
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(obj, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def _cmd(args) -> None:
@@ -299,7 +297,7 @@ def _cmd(args) -> None:
                             "start": int(start), "end": int(end)}
         except ValueError as exc:
             raise ParameterError(f"bad --perturb: {exc}") from None
-    RUNNERS[args.subcommand](p)
+    _run(args.subcommand, p)
 
 
 # The reader and the persistence function are looked up on each call, so
@@ -307,9 +305,9 @@ def _cmd(args) -> None:
 RUNNERS = {
     "rips": run_rips,
     "image": lambda p: run_cubical(p, io.read_pgm, image_persistence,
-                                   "Cubical persistence", "image"),
+                                   "Cubical persistence"),
     "voxel": lambda p: run_cubical(p, io.read_voxel, voxel_persistence,
-                                   "Voxel persistence", "voxel"),
+                                   "Voxel persistence"),
     "vectorize": run_vectorize,
     "distance": run_distance,
     "series": run_series,
@@ -318,18 +316,8 @@ RUNNERS = {
 }
 
 
-class _ManifestParams(dict):
-    """Replayed params: a missing key is an input error, not a KeyError."""
-
-    def __init__(self, path: str, params: dict):
-        super().__init__(params)
-        self.path = path
-
-    def __missing__(self, key):
-        raise InputError(f"{self.path}: manifest params lack {key!r}")
-
-
 def replay_manifest(path: str) -> None:
+    """Re-run a recorded manifest once its params pass _check_params."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             obj = json.load(fh)
@@ -340,10 +328,13 @@ def replay_manifest(path: str) -> None:
     sub = obj.get("subcommand")
     if sub not in RUNNERS:
         raise InputError(f"{path}: unknown subcommand {sub!r}")
-    if not isinstance(obj.get("params"), dict):
+    params = obj.get("params")
+    if not isinstance(params, dict):
         raise InputError(f"{path}: manifest params must be an object")
-    _check_params(path, build_parser(), dict(obj["params"], subcommand=sub))
-    RUNNERS[sub](_ManifestParams(path, obj["params"]))
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    _check_params(path, subs.choices[sub], params)
+    _run(sub, params)
 
 
 def _is(kind, value) -> bool:
@@ -365,14 +356,14 @@ _RESOLVED = {
 
 def _check_params(path: str, parser: argparse.ArgumentParser,
                   params: dict) -> None:
-    """InputError naming the first param of a replayed manifest whose
-    JSON type (or choice) is not one that parser and _cmd can record.
-
-    A missing key is left to _ManifestParams, which names it when read.
-    """
+    """InputError naming the first param that parser records (through
+    _cmd) but a replayed manifest lacks, or whose JSON type (or choice)
+    parser and _cmd cannot record."""
     for act in parser._actions:
-        if act.dest not in params:
+        if act.default == argparse.SUPPRESS:  # --help records nothing
             continue
+        if act.dest not in params:
+            raise InputError(f"{path}: manifest params lack {act.dest!r}")
         v = params[act.dest]
         if isinstance(act, argparse._SubParsersAction):
             ok = isinstance(v, str) and v in act.choices
@@ -418,21 +409,14 @@ def build_parser() -> _Parser:
     q.add_argument("--svg", action="store_true")
     q.add_argument("--save-complex", metavar="FILE", default=None)
 
-    q = sub.add_parser("image", help="cubical persistence of a PGM/PPM")
-    q.add_argument("input")
-    q.add_argument("-o", "--output", required=True)
-    q.add_argument("--superlevel", action="store_true")
-    q.add_argument("--max-dim", type=int, default=None)
-    q.add_argument("--svg", action="store_true")
-    q.add_argument("--save-complex", metavar="FILE", default=None)
-
-    q = sub.add_parser("voxel", help="cubical persistence of a voxel grid")
-    q.add_argument("input")
-    q.add_argument("-o", "--output", required=True)
-    q.add_argument("--superlevel", action="store_true")
-    q.add_argument("--max-dim", type=int, default=None)
-    q.add_argument("--svg", action="store_true")
-    q.add_argument("--save-complex", metavar="FILE", default=None)
+    for name, what in (("image", "a PGM/PPM"), ("voxel", "a voxel grid")):
+        q = sub.add_parser(name, help=f"cubical persistence of {what}")
+        q.add_argument("input")
+        q.add_argument("-o", "--output", required=True)
+        q.add_argument("--superlevel", action="store_true")
+        q.add_argument("--max-dim", type=int, default=None)
+        q.add_argument("--svg", action="store_true")
+        q.add_argument("--save-complex", metavar="FILE", default=None)
 
     q = sub.add_parser("vectorize", help="diagram to persistence image")
     q.add_argument("input")
@@ -476,7 +460,7 @@ def build_parser() -> _Parser:
     q.add_argument("-o", "--output", required=True)
 
     q = sub.add_parser("gen", help="seeded data generators")
-    gensub = q.add_subparsers(dest="kind")
+    gensub = q.add_subparsers(dest="kind", required=True)
 
     g = gensub.add_parser("annulus")
     g.add_argument("-n", type=int, default=200)
@@ -532,8 +516,6 @@ def main(argv=None) -> int:
             return 0
         if args.subcommand is None:
             raise ParameterError("a subcommand is required (see --help)")
-        if args.subcommand == "gen" and getattr(args, "kind", None) is None:
-            raise ParameterError("gen needs a generator kind (see --help)")
         _cmd(args)
         return 0
     except InputError as exc:

@@ -265,11 +265,15 @@ def _grid_persistence(grid, max_dim: int | None, direction: str,
     max_dim = g.ndim - 1 if max_dim is None else int(max_dim)
     if max_dim < 0:
         raise ParameterError("max_dim must be non-negative")
+    meta = _grid_metadata(g, direction)
+    if not math.isfinite(meta["death_cap"]):
+        raise InputError("grid values span too wide a range: the death "
+                         "cap max + (max - min) overflows")
     groups = _lattice_pairs(g, max_dim)
     vals = _doubled_values(g).ravel()
     return ordered_diagram(
         [(k, vals[b], np.where(x >= 0, vals[x], math.inf), b)
-         for k, b, x in groups], max_dim, _grid_metadata(g, direction))
+         for k, b, x in groups], max_dim, meta)
 
 
 def image_persistence(grid, max_dim: int | None = None) -> PersistenceDiagram:

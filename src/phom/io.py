@@ -349,23 +349,41 @@ def write_image_json(path: str, img: PersistenceImage) -> None:
 
 
 def read_image_json(path: str) -> PersistenceImage:
+    """Read a persistence image that persistence_image could have made:
+    a resolution of two integers >= 1 whose product is the pixel count,
+    a finite range of positive extent, a finite sigma > 0, a known
+    weight and finite pixels."""
     try:
         with _open_read(path) as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: {exc}") from None
     try:
-        nb, npers = (int(v) for v in obj["resolution"])
-        (b0, b1), (p0, p1) = obj["range"]
+        nb, npers = obj["resolution"]
+        (b0, b1), (p0, p1) = ((float(a), float(b)) for a, b in obj["range"])
+        sigma = float(obj["sigma"])
+        weight = obj["weight"]
         pixels = np.array(obj["pixels"], dtype=np.float64)
-        img = PersistenceImage(pixels.reshape(nb, npers),
-                               ((float(b0), float(b1)),
-                                (float(p0), float(p1))),
-                               float(obj["sigma"]), str(obj["weight"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"{path}: malformed persistence image: {exc}"
                          ) from None
-    return img
+    if not all(type(n) is int and n >= 1 for n in (nb, npers)):
+        problem = f"resolution {[nb, npers]} is not two integers >= 1"
+    elif pixels.shape != (nb * npers,):
+        problem = f"{pixels.size} pixels for resolution {nb}x{npers}"
+    elif not (math.isfinite(b1 - b0) and math.isfinite(p1 - p0)
+              and b1 > b0 and p1 > p0):
+        problem = "range must be finite with positive extent"
+    elif not (math.isfinite(sigma) and sigma > 0):
+        problem = "sigma must be finite and positive"
+    elif weight not in ("linear", "constant"):
+        problem = f"unknown weight {weight!r}"
+    elif not np.isfinite(pixels).all():
+        problem = "pixels must be finite"
+    else:
+        return PersistenceImage(pixels.reshape(nb, npers),
+                                ((b0, b1), (p0, p1)), sigma, weight)
+    raise InputError(f"{path}: malformed persistence image: {problem}")
 
 
 # ----------------------------------------------------------- distance report

@@ -113,13 +113,17 @@ def persistence_image(pd: PersistenceDiagram, dim: int,
         raise ParameterError("sigma must be finite and positive")
     if support is None:
         if pts.size:
-            support = ((float(pts[:, 0].min() - 3 * sigma),
-                        float(pts[:, 0].max() + 3 * sigma)),
-                       (float(pts[:, 1].min() - 3 * sigma),
-                        float(pts[:, 1].max() + 3 * sigma)))
+            lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+            support = ((lo[0] - 3 * sigma, hi[0] + 3 * sigma),
+                       (lo[1] - 3 * sigma, hi[1] + 3 * sigma))
         else:
             support = ((0.0, 1.0), (0.0, 1.0))
     (b0, b1), (p0, p1) = support
+    # Python floats overflow to inf silently; an inf extent would fill
+    # every pixel with nan.
+    if not (math.isfinite(b1 - b0) and math.isfinite(p1 - p0)):
+        raise ParameterError("support rectangle must be finite: give a "
+                             "finite --range or a smaller --sigma")
     if not (b1 > b0 and p1 > p0):
         raise ParameterError("support rectangle must have positive extent")
 

@@ -325,6 +325,35 @@ def test_vectorize_rejects_bad_death_cap(tmp_path, capsys, cap):
     assert not (tmp_path / "i.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["--dim", 0],
+                                  ["--range", 0, "inf", 0, 1]])
+def test_vectorize_rejects_non_finite_support(tmp_path, capsys, argv):
+    """A default support that overflows (capped persistence near the
+    float maximum) or an infinite --range is exit 3 before any pixel
+    work: no warning and no file of inf or nan pixels."""
+    dg = tmp_path / "dg.csv"
+    dg.write_text("# death_cap=1.7e308\ndim,birth,death\n"
+                  "0,0.0,inf\n1,0.0,2.0\n")
+    out = tmp_path / "i.json"
+    assert run("vectorize", dg, "-o", out, *argv) == 3
+    assert "--range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,values", [([], "0 1e308 5"),
+                                          (["--superlevel"], "0 -1e308 5")])
+def test_cubical_rejects_grid_whose_death_cap_overflows(tmp_path, capsys,
+                                                        flags, values):
+    """max + (max - min) of the (negated, for superlevel) grid overflows:
+    exit 2 and no diagram whose death_cap phom's reader rejects."""
+    vox = tmp_path / "g.vox"
+    vox.write_text(f"3 1 1\n{values}\n")
+    out = tmp_path / "g.csv"
+    assert run("voxel", vox, "-o", out, *flags) == 2
+    assert "death cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("faces", ["", " 0 1 2"])
 def test_sparsify_rejects_cache_with_wrong_face_count(tmp_path, capsys,
                                                       faces):
@@ -689,6 +718,44 @@ def test_manifest_param_types_are_checked(tmp_path, capsys, sub, key, value):
     capsys.readouterr()
     assert run("--manifest", manifest) == 2
     assert f"manifest param {key!r}" in capsys.readouterr().err
+
+
+def test_replay_lacking_a_param_writes_nothing(tmp_path, capsys):
+    """Deleting any one recorded param of a manifest is exit 2 naming the
+    key, checked before the run starts: no output and no manifest."""
+    pgm = tmp_path / "f.pgm"
+    series = tmp_path / "s.csv"
+    assert run("gen", "diffusion", "--size", 8, "--format", "pgm",
+               "-o", pgm) == 0
+    assert run("gen", "periodic", "-n", 32, "-o", series) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    for argv in (["rips", series, "-o", out / "dg.csv", "--svg",
+                  "--save-complex", out / "dg.cplx"],
+                 ["image", pgm, "-o", out / "im.csv", "--svg",
+                  "--save-complex", out / "im.cplx"],
+                 ["series", series, "--out-dir", out / "s", "--window", 8,
+                  "--stride", 8],
+                 ["gen", "annulus", "-n", 8, "-o", out / "a.csv"]):
+        assert run(*argv) == 0
+    recorded = [json.loads(m.read_text())
+                for m in sorted(out.rglob("*.manifest.json"))]
+    assert sorted(obj["subcommand"] for obj in recorded) == [
+        "gen", "image", "rips", "series"]
+    for f in sorted(out.rglob("*"), reverse=True):
+        f.rmdir() if f.is_dir() else f.unlink()
+    bad = tmp_path / "bad.json"
+    bad.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    for obj in recorded:
+        for key in obj["params"]:
+            params = {k: v for k, v in obj["params"].items() if k != key}
+            bad.write_text(json.dumps(dict(obj, params=params)))
+            capsys.readouterr()
+            assert run("--manifest", bad) == 2, (obj["subcommand"], key)
+            err = capsys.readouterr().err
+            assert f"manifest params lack {key!r}" in err
+            assert sorted(tmp_path.rglob("*")) == before
 
 
 def _malformed(tmp_path, case):

@@ -1,5 +1,6 @@
 """File formats: clouds, diagrams, PGM, voxels, JSON, complex caches."""
 
+import json
 import math
 
 import numpy as np
@@ -292,6 +293,36 @@ def test_image_json_key_order(tmp_path):
         read_image_json(str(path))
     with pytest.raises(InputError):
         path.write_text('{"resolution": [2, 2]}')
+        read_image_json(str(path))
+
+
+_GOOD_IMAGE = {"resolution": [2, 4], "range": [[0.0, 1.0], [0.0, 2.0]],
+               "sigma": 0.5, "weight": "linear", "pixels": [0.125] * 8}
+
+
+@pytest.mark.parametrize("edit", [
+    {"resolution": [-1, 4]}, {"resolution": [2, -4]},
+    {"resolution": [0, 0], "pixels": []}, {"resolution": [2.0, 4]},
+    {"resolution": [True, 8]}, {"resolution": [2, 2]},
+    {"resolution": [2, 4, 1]}, {"range": [[0.0, math.inf], [0.0, 2.0]]},
+    {"range": [[0.0, 1.0]]}, {"range": [[1.0, 1.0], [0.0, 2.0]]},
+    {"range": [[0.0, 1.0], [2.0, 0.0]]},
+    {"range": [[-1e308, 1e308], [0.0, 2.0]]}, {"sigma": -1}, {"sigma": 0},
+    {"sigma": math.nan}, {"weight": "bogus"}, {"weight": 1},
+    {"pixels": [0.125] * 7 + [math.nan]},
+    {"pixels": [0.125] * 7 + [-math.inf]}, {"pixels": [[0.125] * 4] * 2},
+    {"pixels": [0.125] * 9}])
+def test_image_json_rejects_what_vectorize_cannot_write(tmp_path, edit):
+    """A resolution that is not two integers >= 1 matching the pixel
+    count, a range that is not finite with positive extent, a sigma that
+    is not finite and positive, an unknown weight or a pixel that is not
+    finite is malformed input naming the file."""
+    path = tmp_path / "img.json"
+    path.write_text(json.dumps(_GOOD_IMAGE))
+    assert read_image_json(str(path)).resolution == (2, 4)
+    # json writes nan and inf as NaN and Infinity, which json.load reads.
+    path.write_text(json.dumps(dict(_GOOD_IMAGE, **edit)))
+    with pytest.raises(InputError, match=str(path)):
         read_image_json(str(path))
 
 
