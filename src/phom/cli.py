@@ -13,6 +13,7 @@ breach or any unexpected exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -386,6 +387,7 @@ def _check_params(path: str, parser: argparse.ArgumentParser,
             _check_params(path, act.choices[v], params)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     top = _Parser(prog="phom",
                   description="Persistent homology pipelines")

@@ -1,14 +1,14 @@
 """Bottleneck and Wasserstein distances between persistence diagrams.
 
-Both metrics use the L-infinity ground distance and diagonal
-augmentation, built once as a square cost matrix (`_augmented_costs`):
-every point may be matched to a diagonal slot at cost persistence/2,
-and surplus diagonal slots pair off at cost 0.  Wasserstein solves one
-assignment on the p-th powers of those costs.  Bottleneck binary-searches
-the distinct costs and tests each threshold for a perfect matching with
-Hopcroft-Karp; nothing recurses.  Essential points (infinite death) are
-compared separately as multisets of births; a count mismatch makes the
-distance infinite.
+Both use the L-infinity ground distance, and a point may go to the
+diagonal at half its persistence; essential points (infinite death) are
+matched by sorted births, and a count mismatch makes the distance
+infinite.  Wasserstein is one assignment on the p-th powers of the
+square diagonal-augmented costs (`_augmented_costs`).  Bottleneck builds
+none (Efrat, Itai and Katz 2001; Kerber, Morozov and Nigmetov 2017): t
+passes when the pairs of cost <= t cover, in one matching, the first
+diagram's points with half-persistence > t and, in another, the
+second's (Mendelsohn-Dulmage); it gallops and bisects over costs.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import InternalError, ParameterError
 from .persistence import PersistenceDiagram
+from .simplicial import _BLOCK_ENTRIES
 
 
 @dataclass
@@ -43,6 +44,20 @@ class DiagramDistanceReport:
     p: float | None = None
 
 
+def _split(pd1: PersistenceDiagram, pd2: PersistenceDiagram, dim: int):
+    """(finite (birth, death) rows, essential births) of pd1, then pd2."""
+    if dim < 0:
+        raise ParameterError(f"dim must be >= 0, got {dim}")
+    return (pd1.in_dim(dim, True), pd1.in_dim(dim, False)[:, 0],
+            pd2.in_dim(dim, True), pd2.in_dim(dim, False)[:, 0])
+
+
+def _linf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L-infinity costs between the rows of a and b (broadcast)."""
+    return np.maximum(np.abs(a[..., 0] - b[..., 0]),
+                      np.abs(a[..., 1] - b[..., 1]))
+
+
 def _augmented_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n1+n2) square L-infinity costs of the diagonal-augmented matching.
 
@@ -53,8 +68,7 @@ def _augmented_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     n1, n2 = a.shape[0], b.shape[0]
     big = np.zeros((n1 + n2, n1 + n2))
-    big[:n1, :n2] = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
-                               np.abs(a[:, None, 1] - b[None, :, 1]))
+    big[:n1, :n2] = _linf(a[:, None], b[None, :])
     big[:n1, n2:] = ((a[:, 1] - a[:, 0]) / 2.0)[:, None]
     big[n1:, :n2] = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
     return big
@@ -85,37 +99,96 @@ def _matching_pairs(rows: np.ndarray, cols: np.ndarray, n1: int, n2: int
     return sorted(out, key=lambda t: (t[0] is None, t[0], t[1] is None, t[1]))
 
 
+def _heavy_first(x: np.ndarray, y: np.ndarray, px: np.ndarray):
+    """Pairs of the points x (sorted by decreasing half-persistence px, so
+    the heavy ones at any t lead) with y, cost < px, grouped by x: (row
+    offsets, y indices, costs, max over x of min(px, least cost to y))."""
+    least = np.full(x.shape[0], np.inf)
+    idx, costs, counts = ([np.zeros(0, t)] for t in (np.int32, float, int))
+    step = max(1, _BLOCK_ENTRIES // max(1, y.shape[0]))
+    for s in range(0, x.shape[0], step):
+        c = _linf(x[s:s + step, None], y[None, :])
+        least[s:s + step] = c.min(axis=1, initial=np.inf)
+        keep = c < px[s:s + step, None]
+        idx.append(np.nonzero(keep)[1].astype(np.int32))
+        costs.append(c[keep])
+        counts.append(keep.sum(axis=1))
+    ptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return (ptr, np.concatenate(idx), np.concatenate(costs),
+            np.minimum(px, least).max(initial=0.0))
+
+
 def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
                         dim: int = 1) -> DiagramDistanceReport:
     """Exact bottleneck distance in one homology dimension.
 
-    Binary search over the distinct augmented costs.  A threshold is
-    feasible when the edges of cost <= threshold hold a perfect
-    matching (Hopcroft-Karp, `maximum_bipartite_matching`).  Sending
-    every point to the diagonal is perfect at the largest diagonal
-    cost, so that cost is the top candidate and its matching the start.
+    The candidates are the distinct kept costs and half-persistences from
+    the lower bound up to top, the largest half-persistence (everything
+    to the diagonal); the least one that passes the test is the value.
     """
-    a, e1 = pd1.in_dim(dim, True), pd1.in_dim(dim, False)[:, 0]
-    b, e2 = pd2.in_dim(dim, True), pd2.in_dim(dim, False)[:, 0]
+    a, e1, b, e2 = _split(pd1, pd2, dim)
     n1, n2 = a.shape[0], b.shape[0]
-    big = _augmented_costs(a, b)
-    rows = np.arange(n1 + n2)
-    cols = np.concatenate([n2 + np.arange(n1), np.arange(n2)])
-    top = big[rows, cols].max(initial=0.0)
-    cands = np.append(np.unique(big[big < top]), top)
-    lo, hi = 0, cands.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        match = maximum_bipartite_matching(csr_matrix(big <= cands[mid]),
-                                           perm_type="column")
+    pa, pb = (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+    oa, ob = np.argsort(-pa, kind="stable"), np.argsort(-pb, kind="stable")
+    a, pa, b, pb = a[oa], pa[oa], b[ob], pb[ob]
+    ptr_a, to_b, cost_a, bound_a = _heavy_first(a, b, pa)
+    ptr_b, to_a, cost_b, bound_b = _heavy_first(b, a, pb)
+    bound = max(bound_a, bound_b)
+    top = max(pa.max(initial=0.0), pb.max(initial=0.0))
+    vals = np.concatenate([cost_a, cost_b, pa, pb])
+    cands = np.append(np.unique(vals[(vals >= bound) & (vals < top)]), top)
+
+    def heavy_matchings(t: float):
+        # (A-side mates in B, B-side mates in A), -1 for none, or None.
+        nha, nhb = int((pa > t).sum()), int((pb > t).sum())
+        ka, kb = ptr_a[nha], ptr_b[nhb]
+        sa, sb = cost_a[:ka] <= t, cost_b[:kb] <= t
+        ra = np.cumsum(np.concatenate([[0], sa]))[ptr_a[:nha + 1]]
+        rb = np.cumsum(np.concatenate([[0], sb]))[ptr_b[1:nhb + 1]]
+        cols = np.concatenate([to_b[:ka][sa], n2 + to_a[:kb][sb]])
+        graph = csr_matrix((np.ones(cols.size, dtype=bool), cols,
+                            np.concatenate([ra, ra[-1] + rb])),
+                           shape=(nha + nhb, n2 + n1))
+        match = maximum_bipartite_matching(graph, perm_type="column")
         if (match < 0).any():
-            lo = mid + 1
+            return None
+        mate_a, mate_b = np.full(n1, -1), np.full(n2, -1)
+        mate_a[:nha], mate_b[:nhb] = match[:nha], match[nha:] - n2
+        return mate_a, mate_b
+
+    # Gallop from the bound until a test succeeds, then bisect.
+    lo, hi, step, best = -1, cands.size - 1, 1, None
+    while hi - lo > 1:
+        mid = lo + step if best is None and lo + step < hi else (lo + hi) // 2
+        got = heavy_matchings(cands[mid])
+        if got is None:
+            lo, step = mid, 2 * step
         else:
-            hi, cols = mid, match
-    finite_part = float(cands[lo])
-    if big[rows, cols].max(initial=0.0) != finite_part:
+            hi, best = mid, got
+    finite_part = float(cands[hi])
+    if best is None:  # only top, never tested, is feasible
+        best = np.full(n1, -1), np.full(n2, -1)
+
+    mate_a, via_b = (m.tolist() for m in best)
+    mate_b = [-1] * n2
+    for i in np.flatnonzero(best[0] >= 0).tolist():
+        mate_b[mate_a[i]] = i
+    for j in [j for j in range(n2) if mate_b[j] < 0]:
+        while j >= 0 and via_b[j] >= 0:  # a light j stays on the diagonal
+            i = via_b[j]
+            mate_b[j], mate_a[i], j = i, j, mate_a[i]
+            if j >= 0:
+                mate_b[j] = -1
+    mate_a, mate_b = np.array(mate_a, dtype=int), np.array(mate_b, dtype=int)
+    ia = np.flatnonzero(mate_a >= 0)
+    if max(_linf(a[ia], b[mate_a[ia]]).max(initial=0.0),
+           pa[mate_a < 0].max(initial=0.0),
+           pb[mate_b < 0].max(initial=0.0)) != finite_part:
         raise InternalError("bottleneck matching does not attain the value")
-    matching = _matching_pairs(rows, cols, n1, n2)
+    to = np.full(n1, -1)  # back to diagram order
+    to[oa] = np.append(ob, -1)[mate_a]
+    matching = [(i, j if j >= 0 else None) for i, j in enumerate(to.tolist())]
+    matching += [(None, j) for j in np.sort(ob[mate_b < 0]).tolist()]
 
     ess = _match_essentials(e1, e2)
     if ess is None:
@@ -153,8 +226,7 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
 
     if not (1 <= p < math.inf):
         raise ParameterError("wasserstein order p must be finite and >= 1")
-    a, e1 = pd1.in_dim(dim, True), pd1.in_dim(dim, False)[:, 0]
-    b, e2 = pd2.in_dim(dim, True), pd2.in_dim(dim, False)[:, 0]
+    a, e1, b, e2 = _split(pd1, pd2, dim)
     n1, n2 = a.shape[0], b.shape[0]
     big = _powered(_augmented_costs(a, b), p)
     rows, cols = linear_sum_assignment(big)
@@ -174,9 +246,7 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
 def matching_cost(report: DiagramDistanceReport, pd1: PersistenceDiagram,
                   pd2: PersistenceDiagram) -> float:
     """Recompute the distance value implied by a report's matching."""
-    dim = report.dim
-    a, e1 = pd1.in_dim(dim, True), pd1.in_dim(dim, False)[:, 0]
-    b, e2 = pd2.in_dim(dim, True), pd2.in_dim(dim, False)[:, 0]
+    a, e1, b, e2 = _split(pd1, pd2, report.dim)
 
     def one(left: int | None, right: int | None) -> float:
         if left is not None and right is not None:

@@ -263,8 +263,8 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
                       as_cell=Simplex._wrap)
 
 
-# Entries per block of the vectorized (simplices, n) passes: bounds their
-# work arrays to a few MB.
+# Entries per block of the vectorized (simplices, n) passes, and of the
+# bottleneck's (points, points) pass: bounds their work arrays to a few MB.
 _BLOCK_ENTRIES = 1 << 19
 
 

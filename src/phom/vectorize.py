@@ -98,6 +98,8 @@ def persistence_image(pd: PersistenceDiagram, dim: int,
     Pixel accumulation runs in diagram point order, so equal inputs give
     bit-equal images.
     """
+    if dim < 0:
+        raise ParameterError(f"dim must be >= 0, got {dim}")
     nb, npers = int(resolution[0]), int(resolution[1])
     if nb < 1 or npers < 1:
         raise ParameterError("resolution must be at least 1x1")
@@ -111,9 +113,10 @@ def persistence_image(pd: PersistenceDiagram, dim: int,
     sigma = float(sigma)
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ParameterError("sigma must be finite and positive")
+    if pts.size:
+        lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
     if support is None:
         if pts.size:
-            lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
             support = ((lo[0] - 3 * sigma, hi[0] + 3 * sigma),
                        (lo[1] - 3 * sigma, hi[1] + 3 * sigma))
         else:
@@ -126,6 +129,11 @@ def persistence_image(pd: PersistenceDiagram, dim: int,
                              "finite --range or a smaller --sigma")
     if not (b1 > b0 and p1 > p0):
         raise ParameterError("support rectangle must have positive extent")
+    # (edges - b) / sigma below would overflow.
+    if pts.size and not math.isfinite(
+            max(b1 - lo[0], hi[0] - b0, p1 - lo[1], hi[1] - p0) / sigma):
+        raise ParameterError("--sigma is too small for the distance from "
+                             "the points to the support edges")
 
     xedges = np.linspace(b0, b1, nb + 1)
     yedges = np.linspace(p0, p1, npers + 1)

@@ -1,9 +1,9 @@
 """Reference implementations used only by the tests.
 
 Everything here is written from first principles (plain Python,
-itertools, bitmask linear algebra, and scipy's assignment solver for the
-bottleneck oracle) so that a bug in the package cannot hide by agreeing
-with itself.
+itertools, bitmask linear algebra, and scipy's assignment and
+Hopcroft-Karp solvers for the bottleneck oracles) so that a bug in the
+package cannot hide by agreeing with itself.
 """
 
 import itertools
@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 
 # ------------------------------------------------------------- Z2 rank
@@ -264,6 +266,43 @@ def assignment_bottleneck(a, b, e1, e2):
             lo = mid + 1
     gaps = [abs(x - y) for x, y in zip(sorted(e1), sorted(e2))]
     return max([cands[lo]] + gaps)
+
+
+def dense_bottleneck(a, b, e1, e2):
+    """Bottleneck distance by the dense search phom used to run.
+
+    The (n1+n2)^2 diagonal-augmented L-infinity costs (points of a, then
+    one diagonal slot per point of b, against points of b, then one slot
+    per point of a; slot pairs cost 0), and a binary search over their
+    distinct values below the largest diagonal cost, where every point
+    to the diagonal is a perfect matching.  Each threshold is tested for
+    a perfect matching with Hopcroft-Karp on the whole dense mask.
+    """
+    if len(e1) != len(e2):
+        return math.inf
+    a = np.array(a, dtype=np.float64).reshape(-1, 2)
+    b = np.array(b, dtype=np.float64).reshape(-1, 2)
+    n1, n2 = a.shape[0], b.shape[0]
+    big = np.zeros((n1 + n2, n1 + n2))
+    big[:n1, :n2] = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
+                               np.abs(a[:, None, 1] - b[None, :, 1]))
+    big[:n1, n2:] = ((a[:, 1] - a[:, 0]) / 2.0)[:, None]
+    big[n1:, :n2] = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
+    rows = np.arange(n1 + n2)
+    cols = np.concatenate([n2 + np.arange(n1), np.arange(n2)])
+    top = big[rows, cols].max(initial=0.0)
+    cands = np.append(np.unique(big[big < top]), top)
+    lo, hi = 0, cands.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        match = maximum_bipartite_matching(csr_matrix(big <= cands[mid]),
+                                           perm_type="column")
+        if (match < 0).any():
+            lo = mid + 1
+        else:
+            hi = mid
+    gaps = [abs(x - y) for x, y in zip(sorted(e1), sorted(e2))]
+    return max([float(cands[lo])] + gaps)
 
 
 def brute_wasserstein(a, b, e1, e2, p):

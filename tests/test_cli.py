@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,20 @@ def test_vectorize_rejects_non_finite_support(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_vectorize_rejects_sigma_too_small_for_support(tmp_path, capsys):
+    """(edge - point) / sigma would overflow: exit 3 before any pixel
+    work, with no warning and no image file."""
+    dg = tmp_path / "dg.csv"
+    dg.write_text("dim,birth,death\n0,0.2,0.5\n1,0.0,1.0\n")
+    out = tmp_path / "i.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("vectorize", dg, "-o", out, "--dim", 0, "--sigma",
+                   "1e-320", "--range", -1, 1, 0, 2) == 3
+    assert "--sigma" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags,values", [([], "0 1e308 5"),
                                           (["--superlevel"], "0 -1e308 5")])
 def test_cubical_rejects_grid_whose_death_cap_overflows(tmp_path, capsys,
@@ -637,6 +652,12 @@ def test_bad_parameters_are_exit_3(tmp_path):
                "--sigma", -0.5) == 3
     assert run("distance", dg, dg, "-o", tmp_path / "r.json",
                "--metric", "wasserstein", "--p", 0.2) == 3
+    for metric in ("bottleneck", "wasserstein"):
+        assert run("distance", dg, dg, "-o", tmp_path / "r.json",
+                   "--metric", metric, "--dim", -1) == 3
+    assert run("vectorize", dg, "-o", tmp_path / "i.json", "--dim", -1) == 3
+    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "i.json").exists()
     assert run("gen", "annulus", "-o", tmp_path / "missing" / "c.csv") == 3
 
 

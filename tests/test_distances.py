@@ -19,7 +19,8 @@ from phom import (
     wasserstein_distance,
 )
 from phom.io import write_diagram_csv
-from oracles import assignment_bottleneck, brute_bottleneck, brute_wasserstein
+from oracles import (assignment_bottleneck, brute_bottleneck,
+                     brute_wasserstein, dense_bottleneck)
 
 
 def diag(points):
@@ -114,6 +115,27 @@ def test_wasserstein_order_guard():
     d = diag([])
     with pytest.raises(ParameterError):
         wasserstein_distance(d, d, dim=1, p=0.5)
+
+
+def test_negative_dim_is_rejected():
+    d = diag([(1, 0.0, 1.0)])
+    for metric in (bottleneck_distance, wasserstein_distance):
+        with pytest.raises(ParameterError, match="dim"):
+            metric(d, d, dim=-1)
+
+
+def test_bottleneck_switches_an_alternating_path():
+    """At t = 1 the point (1, 5) of the first diagram must go to (0, 5),
+    and (0, 3) of the second must go to (0, 2): the matching that covers
+    the first diagram's heavy points leaves (0, 3) free, so the report
+    needs the walk onto the second diagram's matching.  The result is
+    the only optimal matching."""
+    d1 = diag([(1, 1.0, 5.0), (1, 2.0, 4.0), (1, 0.0, 2.0)])
+    d2 = diag([(1, 0.0, 3.0), (1, 0.0, 5.0)])
+    rep = bottleneck_distance(d1, d2, dim=1)
+    assert rep.value == 1.0
+    # In diagram order: (0, 2), (1, 5), (2, 4) against (0, 3), (0, 5).
+    assert rep.matching == [(0, 0), (1, 1), (2, None)]
 
 
 def random_diagram(rng, max_pts=6, dim=1):
@@ -225,6 +247,51 @@ def test_bottleneck_equals_assignment_oracle(f1, f2, ess):
     d2 = diag([(1, u, v) for u, v in b] + [(1, y, math.inf) for y in e2])
     rep = bottleneck_distance(d1, d2, dim=1)
     assert rep.value == assignment_bottleneck(a, b, e1, e2)
+    assert matching_cost(rep, d1, d2) == rep.value
+    assert_covers(rep, len(a), len(b))
+
+
+_coord = st.floats(0.0, 4.0, allow_nan=False)
+_point = st.tuples(_coord, st.floats(0.0, 2.0, allow_nan=False)).map(
+    lambda bp: (bp[0], bp[0] + bp[1]))
+
+
+@st.composite
+def _float_diagram_pair(draw):
+    """Float diagrams that share points (duplicates within and across
+    sides), either of which may be empty, with equal essential counts."""
+    pool = draw(st.lists(_point, min_size=1, max_size=8))
+    side = st.lists(st.one_of(st.sampled_from(pool), _point), max_size=24)
+    k = draw(st.integers(0, 3))
+    ess = st.lists(_coord, min_size=k, max_size=k)
+    return draw(side), draw(side), draw(ess), draw(ess)
+
+
+@st.composite
+def _noise_grid_pair(draw):
+    """H1 diagrams of two seeded 16x16 or 24x24 noise grids."""
+    n, seed = draw(st.sampled_from([16, 24])), draw(st.integers(0, 10**6))
+    a, b = (image_persistence(gen_diffusion_field(n=n, steps=0, seed=s))
+            .in_dim(1, finite=True).tolist() for s in (seed, seed + 1))
+    return a, b, [], []
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_float_diagram_pair(), _noise_grid_pair()))
+@example(([], [], [], []))
+@example(([(0.5, 1.5)], [], [0.25], [1.0]))
+@example(([], [(0.0, 1.0), (0.0, 1.0)], [], []))
+@example(([(0.0, 2.0)] * 3, [(0.0, 2.0), (0.5, 2.5)], [1.0], [1.0]))
+def test_bottleneck_equals_both_oracles_on_floats(pair):
+    """The value equals the assignment oracle and the dense search bit
+    for bit, and the report's matching covers every point and attains
+    it."""
+    a, b, e1, e2 = pair
+    d1 = diag([(1, u, v) for u, v in a] + [(1, x, math.inf) for x in e1])
+    d2 = diag([(1, u, v) for u, v in b] + [(1, y, math.inf) for y in e2])
+    rep = bottleneck_distance(d1, d2, dim=1)
+    assert rep.value == assignment_bottleneck(a, b, e1, e2)
+    assert rep.value == dense_bottleneck(a, b, e1, e2)
     assert matching_cost(rep, d1, d2) == rep.value
     assert_covers(rep, len(a), len(b))
 

@@ -124,6 +124,11 @@ def test_validation_errors():
         persistence_image(d, dim=1, weight="quadratic")
     with pytest.raises(ParameterError):
         persistence_image(d, dim=1, essentials="drop")
+    with pytest.raises(ParameterError, match="dim"):
+        persistence_image(d, dim=-1)
+    with pytest.raises(ParameterError, match="--sigma"):
+        persistence_image(d, dim=1, sigma=1e-320,
+                          support=((-1.0, 1.0), (0.0, 2.0)))
 
 
 def test_flat_is_row_major():
