@@ -195,10 +195,10 @@ def run_sparsify(p: dict) -> None:
     K = io.read_complex_cache(p["complex"])
     pd = io.read_diagram_csv(p["diagram"])
     idx = int(p["point"])
-    if not 0 <= idx < len(pd.points):
+    if not 0 <= idx < len(pd):
         raise ParameterError(
-            f"--point {idx} outside diagram with {len(pd.points)} points")
-    point = pd.points[idx]
+            f"--point {idx} outside diagram with {len(pd)} points")
+    point = tuple(c[idx].item() for c in (pd.dims, pd.births, pd.deaths))
     _, pairing = compute_persistence(K)
     try:
         cycle = representative_cycle(pairing, point)

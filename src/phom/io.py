@@ -93,7 +93,7 @@ def read_distance_matrix(path: str) -> np.ndarray:
 # ------------------------------------------------------------------ diagrams
 
 def write_diagram_csv(path: str, pd: PersistenceDiagram) -> None:
-    """dim,birth,death rows sorted by (dim, birth, death); death inf allowed.
+    """dim,birth,death rows in the diagram's order; death inf allowed.
 
     Diagram metadata is kept in leading '# key=value' comment lines so
     downstream commands (vectorization caps, direction) can recover it.
@@ -104,9 +104,9 @@ def write_diagram_csv(path: str, pd: PersistenceDiagram) -> None:
             text = _fmt(val) if isinstance(val, float) else str(val)
             fh.write(f"# {key}={text}\n")
         fh.write("dim,birth,death\n")
-        for d, b, dth in sorted(pd.points):
-            dtext = "inf" if math.isinf(dth) else _fmt(dth)
-            fh.write(f"{d},{_fmt(b)},{dtext}\n")
+        for d, b, dth in zip(pd.dims.tolist(), pd.births.tolist(),
+                             pd.deaths.tolist()):
+            fh.write(f"{d},{_fmt(b)},{_fmt(dth)}\n")  # repr(inf) is 'inf'
 
 
 def _parse_meta_value(text: str):
@@ -119,7 +119,7 @@ def _parse_meta_value(text: str):
 
 
 def read_diagram_csv(path: str) -> PersistenceDiagram:
-    points: list[tuple[int, float, float]] = []
+    dims, births, deaths = [], [], []
     metadata: dict = {}
     saw_header = False
     with _open_read(path) as fh:
@@ -150,13 +150,18 @@ def read_diagram_csv(path: str) -> PersistenceDiagram:
                 raise InputError(f"{path}:{ln}: {exc}") from None
             if d < 0:
                 raise InputError(f"{path}:{ln}: negative dimension")
+            if d >= 2**63:  # the diagram stores int64 dims
+                raise InputError(f"{path}:{ln}: dimension exceeds 2**63 - 1")
             if not math.isfinite(b):
                 raise InputError(f"{path}:{ln}: birth must be finite")
             if not b <= dth:
                 raise InputError(f"{path}:{ln}: birth exceeds death")
-            points.append((d, b, dth))
+            dims.append(d)
+            births.append(b)
+            deaths.append(dth)
     if not saw_header:
         raise InputError(f"{path}: missing 'dim,birth,death' header")
+    pd = PersistenceDiagram(dims, births, deaths, metadata)
     if "death_cap" in metadata:
         # vectorize caps essential points at death_cap.
         try:
@@ -165,11 +170,10 @@ def read_diagram_csv(path: str) -> PersistenceDiagram:
             cap = math.nan
         if not math.isfinite(cap):
             raise InputError(f"{path}: death_cap must be a finite number")
-        if any(math.isinf(dth) and b > cap for _, b, dth in points):
+        if np.any(np.isinf(pd.deaths) & (pd.births > cap)):
             raise InputError(f"{path}: death_cap {cap!r} is below the birth "
                              "of an essential point")
-    points.sort()
-    return PersistenceDiagram(points=points, metadata=metadata)
+    return pd
 
 
 # ----------------------------------------------------------------- PGM / PPM

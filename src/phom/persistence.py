@@ -139,39 +139,49 @@ def assemble_cells(values: list[np.ndarray], faces: list[np.ndarray]
     return order, vals[order], dims, off, flat
 
 
-@dataclass
 class PersistenceDiagram:
-    """Multiset of (dim, birth, death) points; death may be math.inf.
+    """Points (dims[i], births[i], deaths[i]), death inf for an essential
+    class; zero-persistence pairs live in the pairing.  The constructor
+    alone orders the points: a stable sort on (dim, birth, death), so
+    equal ones (a -0.0 and a 0.0 birth) keep their given order.
+    Equality is identity; compare `points` for equal contents."""
 
-    points is sorted by (dim, birth, death).  Zero-persistence pairs are
-    not included here; they live in the pairing.
-    """
+    def __init__(self, dims, births, deaths, metadata: dict | None = None):
+        cols = (np.asarray(dims, np.int64), np.asarray(births, np.float64),
+                np.asarray(deaths, np.float64))
+        order = np.lexsort(cols[::-1])
+        self.dims, self.births, self.deaths = (c[order] for c in cols)
+        self.metadata = dict(metadata or {})
 
-    points: list[DiagramPoint]
-    metadata: dict = field(default_factory=dict)
+    @classmethod
+    def from_points(cls, points, metadata: dict | None = None):
+        """A diagram of (dim, birth, death) tuples, in any order."""
+        return cls(*(list(zip(*points)) or [(), (), ()]), metadata)
+
+    @property
+    def points(self) -> list[DiagramPoint]:
+        """The points as (int, float, float) tuples, built on each call."""
+        return list(zip(self.dims.tolist(), self.births.tolist(),
+                        self.deaths.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.dims.size
 
     def in_dim(self, dim: int, finite: bool | None = None) -> np.ndarray:
-        """(m, 2) array of (birth, death) for one dimension.
-
-        finite=True keeps only finite deaths, False only infinite,
-        None keeps everything.
-        """
-        out = [(b, dth) for d, b, dth in self.points if d == dim
-               and (finite is None or finite == math.isfinite(dth))]
-        return np.array(out, dtype=np.float64).reshape(-1, 2)
+        """(m, 2) array of (birth, death) for one dimension: finite=True
+        keeps only finite deaths, False only infinite, None all."""
+        keep = self.dims == dim
+        if finite is not None:
+            keep &= np.isfinite(self.deaths) == finite
+        return np.column_stack((self.births[keep], self.deaths[keep]))
 
     def betti_at(self, eps: float, max_dim: int | None = None) -> list[int]:
         """Counts of points alive at eps (birth <= eps < death) per dim."""
         if max_dim is None:
-            max_dim = max((d for d, _, _ in self.points), default=0)
-        counts = [0] * (max_dim + 1)
-        for d, b, dth in self.points:
-            if d <= max_dim and b <= eps < dth:
-                counts[d] += 1
-        return counts
+            max_dim = int(self.dims.max(initial=0))
+        alive = ((self.dims <= max_dim) & (self.births <= eps)
+                 & (eps < self.deaths))
+        return np.bincount(self.dims[alive], minlength=max_dim + 1).tolist()
 
 
 @dataclass
@@ -390,22 +400,18 @@ def ordered_diagram(groups: list[tuple], max_dim: int,
     """The diagram of groups of (dims, births, deaths, ties) arrays.
 
     dims may be one dimension for the whole group; a death is inf for an
-    essential class.  Zero-persistence pairs are dropped and the points
-    sorted by (dim, birth, death, tie), where tie orders the birth cells
-    as the filtration does: it orders equal points, and so decides where
-    a -0.0 and a 0.0 birth go.
+    essential class.  Zero-persistence pairs are dropped and the rest go
+    to the diagram in tie order, where tie orders the birth cells as the
+    filtration does: the diagram's stable sort keeps that order among
+    equal points, so it decides where a -0.0 and a 0.0 birth go.
     """
     dim = np.concatenate([np.full(len(b), k) for k, b, _, _ in groups])
     birth, death, tie = (np.concatenate([g[i] for g in groups])
                          for i in (1, 2, 3))
     keep = np.flatnonzero(birth != death)
-    keep = keep[np.lexsort((tie[keep], death[keep], birth[keep], dim[keep]))]
-    diagram = PersistenceDiagram(
-        points=list(zip(dim[keep].tolist(), birth[keep].tolist(),
-                        death[keep].tolist())),
-        metadata=dict(metadata or {}))
-    diagram.metadata.setdefault("max_dim", max_dim)
-    return diagram
+    keep = keep[np.argsort(tie[keep], kind="stable")]
+    return PersistenceDiagram(dim[keep], birth[keep], death[keep],
+                              {"max_dim": max_dim, **(metadata or {})})
 
 
 def compute_persistence(K: Filtration, max_dim: int | None = None,

@@ -6,7 +6,7 @@ always render to identical bytes.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .persistence import PersistenceDiagram
 
@@ -38,10 +38,13 @@ def diagram_svg(pd: PersistenceDiagram, title: str = "") -> str:
     Finite points sit above the dashed diagonal; essential points are
     drawn on a dashed horizontal line above the data range.
     """
-    finite = [(d, b, dth) for d, b, dth in pd.points if not math.isinf(dth)]
-    essential = [(d, b) for d, b, dth in pd.points if math.isinf(dth)]
-    xs = ([b for _, b, _ in finite] + [b for _, b in essential])
-    ys = [dth for _, _, dth in finite]
+    # Finite points first, then essential ones.  Python's min and max
+    # below keep the first of a -0.0 and 0.0 tie; numpy's need not.
+    fin = np.isfinite(pd.deaths)
+    dims = pd.dims[fin].tolist() + pd.dims[~fin].tolist()
+    xs = pd.births[fin].tolist() + pd.births[~fin].tolist()
+    ys = pd.deaths[fin].tolist()
+    essential = len(ys) < len(xs)
     lo = min(xs + ys) if xs + ys else 0.0
     hi = max(xs + ys) if xs + ys else 1.0
     if hi <= lo:
@@ -98,17 +101,14 @@ def diagram_svg(pd: PersistenceDiagram, title: str = "") -> str:
         parts.append(
             f'<text x="{_SIZE - _MARGIN + 4}" y="{_fc(sy(inf_y) + 3)}" '
             f'font-family="sans-serif" font-size="10">inf</text>')
-    dims_seen = sorted({d for d, _, _ in pd.points})
-    for k, d in enumerate(dims_seen):
+    for k, d in enumerate(np.unique(pd.dims).tolist()):
         color = _COLORS[d % len(_COLORS)]
         parts.append(
             f'<text x="{_MARGIN + 8 + 54 * k}" y="{_MARGIN - 8}" '
             f'font-family="sans-serif" font-size="11" '
             f'fill="{color}">H{d}</text>')
-    for d, b, dth in finite:
-        parts.append(_marker(d, sx(b), sy(dth), _COLORS[d % len(_COLORS)]))
-    for d, b in essential:
-        parts.append(_marker(d, sx(b), sy(inf_y), _COLORS[d % len(_COLORS)]))
+    for d, b, y in zip(dims, xs, ys + [inf_y] * (len(xs) - len(ys))):
+        parts.append(_marker(d, sx(b), sy(y), _COLORS[d % len(_COLORS)]))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -58,16 +58,13 @@ def _transform_points(pd: PersistenceDiagram, dim: int,
             "essentials='cap' needs a death_cap metadata entry")
     if essentials == "auto":
         essentials = "cap" if cap is not None else "skip"
-    out = []
-    for d, b, dth in pd.points:
-        if d != dim:
-            continue
-        if math.isinf(dth):
-            if essentials == "skip":
-                continue
-            dth = float(cap)
-        out.append((b, dth - b))
-    return np.array(out, dtype=np.float64).reshape(-1, 2)
+    keep = pd.dims == dim
+    if essentials == "skip":
+        keep &= np.isfinite(pd.deaths)
+    births, deaths = pd.births[keep], pd.deaths[keep]
+    if essentials == "cap":
+        deaths = np.where(np.isinf(deaths), float(cap), deaths)
+    return np.column_stack((births, deaths - births))
 
 
 def persistence_image(pd: PersistenceDiagram, dim: int,
@@ -140,7 +137,8 @@ def persistence_image(pd: PersistenceDiagram, dim: int,
     pixels = np.zeros((nb, npers))
     for b, pers in pts:
         if weight == "linear":
-            w = min(max(pers / p1, 0.0), 1.0) if p1 > 0 else 0.0
+            # Clipped before the division, which then cannot overflow.
+            w = min(max(pers, 0.0), p1) / p1 if p1 > 0 else 0.0
         else:
             w = 1.0
         if w == 0.0:

@@ -294,7 +294,7 @@ def test_distances_match_brute_force(report):
 
     def as_diagram(fin, ess):
         pts = [(1, b, d) for b, d in fin] + [(1, b, math.inf) for b in ess]
-        return PersistenceDiagram(points=sorted(pts))
+        return PersistenceDiagram.from_points(pts)
 
     for _ in range(500):
         f1, e1 = random_sets()

@@ -24,7 +24,7 @@ from oracles import (assignment_bottleneck, brute_bottleneck,
 
 
 def diag(points):
-    return PersistenceDiagram(points=sorted(points))
+    return PersistenceDiagram.from_points(points)
 
 
 def test_single_point_vs_empty():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phom import (
     InputError,
@@ -90,8 +91,8 @@ def test_distance_matrix_must_be_square(tmp_path):
 
 def test_diagram_roundtrip(tmp_path):
     path = str(tmp_path / "dg.csv")
-    pd = PersistenceDiagram(
-        points=[(0, 0.0, math.inf), (0, 0.1, 0.7), (1, 0.25, 1.0 / 3.0)],
+    pd = PersistenceDiagram.from_points(
+        [(0, 0.0, math.inf), (0, 0.1, 0.7), (1, 0.25, 1.0 / 3.0)],
         metadata={"max_dim": 1, "filtration": "rips", "max_scale": 0.5})
     write_diagram_csv(path, pd)
     back = read_diagram_csv(path)
@@ -104,7 +105,7 @@ def test_diagram_roundtrip(tmp_path):
 def test_diagram_bytes_are_stable(tmp_path):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    pd = PersistenceDiagram(points=[(1, 0.1, 0.2)], metadata={"k": 3})
+    pd = PersistenceDiagram.from_points([(1, 0.1, 0.2)], metadata={"k": 3})
     write_diagram_csv(str(p1), pd)
     write_diagram_csv(str(p2), read_diagram_csv(str(p1)))
     assert p1.read_bytes() == p2.read_bytes()
@@ -136,6 +137,46 @@ def test_diagram_validation(tmp_path):
     path.write_text("dim,birth,death\n0,0.0\n")
     with pytest.raises(InputError):
         read_diagram_csv(str(path))
+
+    # Dimensions are stored as int64: 2**63 - 1 fits, one more does not.
+    path.write_text("dim,birth,death\n9223372036854775807,0.0,1.0\n")
+    assert read_diagram_csv(str(path)).points == [(2**63 - 1, 0.0, 1.0)]
+    path.write_text("dim,birth,death\n0,0.0,1.0\n"
+                    "9223372036854775808,0.0,1.0\n")
+    with pytest.raises(InputError, match=f"{path}:3: dimension exceeds"):
+        read_diagram_csv(str(path))
+
+
+# Few distinct values, so points tie often, with -0.0 and 0.0 among them.
+_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 1.0 / 3.0, 2.0])
+
+
+@st.composite
+def _tied_points(draw):
+    out = []
+    for _ in range(draw(st.integers(0, 24))):
+        b = draw(_VALUES)
+        d = draw(st.one_of(_VALUES, st.just(math.inf)))
+        out.append((draw(st.integers(0, 3)), *((d, b) if d < b else (b, d))))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=_tied_points())
+def test_diagram_order_is_tuple_order_and_files_round_trip(
+        tmp_path_factory, points):
+    """The constructor orders points as sorted() orders the tuples, equal
+    points (-0.0 and 0.0) in the order given, and a diagram CSV written,
+    read and written again is the same bytes."""
+    pd = PersistenceDiagram.from_points(points)
+    assert repr(pd.points) == repr(sorted(points))
+    a, b = (str(tmp_path_factory.mktemp("dg") / n) for n in "ab")
+    write_diagram_csv(a, pd)
+    back = read_diagram_csv(a)
+    assert repr(back.points) == repr(pd.points)
+    write_diagram_csv(b, back)
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        assert fa.read() == fb.read()
 
 
 @pytest.mark.parametrize("cap", ["abc", "nan", "inf", "-inf", "1e999",
@@ -269,7 +310,7 @@ def test_voxel_errors(tmp_path):
 
 def test_image_json_roundtrip(tmp_path):
     path = str(tmp_path / "img.json")
-    pd = PersistenceDiagram(points=[(1, 0.2, 0.9), (1, 0.3, 1.1)])
+    pd = PersistenceDiagram.from_points([(1, 0.2, 0.9), (1, 0.3, 1.1)])
     img = persistence_image(pd, dim=1, resolution=(5, 7), sigma=0.21,
                             support=((0.0, 1.0), (0.0, 1.5)))
     write_image_json(path, img)
@@ -282,7 +323,7 @@ def test_image_json_roundtrip(tmp_path):
 
 def test_image_json_key_order(tmp_path):
     path = tmp_path / "img.json"
-    pd = PersistenceDiagram(points=[(1, 0.2, 0.9)])
+    pd = PersistenceDiagram.from_points([(1, 0.2, 0.9)])
     write_image_json(str(path), persistence_image(pd, dim=1))
     text = path.read_text()
     assert text.index('"resolution"') < text.index('"range"') \
@@ -328,8 +369,8 @@ def test_image_json_rejects_what_vectorize_cannot_write(tmp_path, edit):
 
 def test_distance_report_roundtrip(tmp_path):
     path = str(tmp_path / "rep.json")
-    d1 = PersistenceDiagram(points=[(1, 0.0, 2.0), (1, 0.5, math.inf)])
-    d2 = PersistenceDiagram(points=[(1, 0.1, 2.2), (1, 0.6, math.inf)])
+    d1 = PersistenceDiagram.from_points([(1, 0.0, 2.0), (1, 0.5, math.inf)])
+    d2 = PersistenceDiagram.from_points([(1, 0.1, 2.2), (1, 0.6, math.inf)])
     for rep in (bottleneck_distance(d1, d2, dim=1),
                 wasserstein_distance(d1, d2, dim=1, p=2.0)):
         write_distance_report(path, rep)
@@ -343,8 +384,8 @@ def test_distance_report_roundtrip(tmp_path):
 
 def test_distance_report_inf_value(tmp_path):
     path = str(tmp_path / "rep.json")
-    d1 = PersistenceDiagram(points=[(1, 0.5, math.inf)])
-    d2 = PersistenceDiagram(points=[])
+    d1 = PersistenceDiagram.from_points([(1, 0.5, math.inf)])
+    d2 = PersistenceDiagram.from_points([])
     rep = bottleneck_distance(d1, d2, dim=1)
     write_distance_report(path, rep)
     assert math.isinf(read_distance_report(path).value)

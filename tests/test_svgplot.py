@@ -7,7 +7,7 @@ from phom.svgplot import diagram_svg, save_diagram_svg
 
 
 def sample_diagram():
-    return PersistenceDiagram(points=[
+    return PersistenceDiagram.from_points([
         (0, 0.0, math.inf), (0, 0.1, 0.6), (1, 0.4, 0.9), (2, 0.5, 0.7)])
 
 
@@ -31,7 +31,7 @@ def test_svg_is_deterministic():
 
 
 def test_svg_empty_diagram():
-    text = diagram_svg(PersistenceDiagram(points=[]))
+    text = diagram_svg(PersistenceDiagram.from_points([]))
     assert "<svg" in text
     assert ">inf</text>" not in text
 

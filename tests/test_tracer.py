@@ -6,7 +6,7 @@ import os
 import numpy as np
 
 from phom import cli, cubical, persistence, simplicial
-from phom.io import write_pgm
+from phom.io import read_complex_cache, write_pgm
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "tracer.py")
@@ -70,3 +70,47 @@ def test_traced_rips_run(tmp_path):
     assert cli.rips_filtration is simplicial.rips_filtration
     assert cli.compute_persistence is persistence.compute_persistence
     assert cli.point_cloud_distances is simplicial.point_cloud_distances
+
+
+def test_traced_point_counts_match_the_diagrams(tmp_path):
+    """The per-layer point counts are the point counts of the diagrams
+    the traced calls read or return: both diagrams' H1 rows for
+    `distance`, the H0 rows for `vectorize`, and every point of the
+    diagram that `sparsify` recomputes from the cache."""
+    tracer = load_tracer()
+
+    def at(name):
+        return str(tmp_path / name)
+
+    def dims(name):
+        lines = (tmp_path / name).read_text().splitlines()
+        return [l.split(",")[0]
+                for l in lines[lines.index("dim,birth,death") + 1:]]
+
+    for k in "12":
+        assert cli.main(["gen", "annulus", "-n", "24", "--noise", "0.1",
+                         "--seed", k, "-o", at(f"c{k}.csv")]) == 0
+        assert cli.main(["rips", at(f"c{k}.csv"), "-o", at(f"dg{k}.csv"),
+                         "--save-complex", at(f"c{k}.cplx")]) == 0
+    write_pgm(at("img.pgm"), np.random.default_rng(0).integers(0, 9, (6, 6)))
+    assert cli.main(["image", at("img.pgm"), "-o", at("g.csv")]) == 0
+    h1 = dims("dg1.csv").index("1")
+    runs = [["distance", at("dg1.csv"), at("dg2.csv"), "-o", at("d.json")],
+            ["vectorize", at("g.csv"), "--dim", "0", "-o", at("v.json")],
+            ["sparsify", "--complex", at("c1.cplx"), "--diagram",
+             at("dg1.csv"), "--point", str(h1), "-o", at("s.json")]]
+    tr = tracer.Tracer()
+    tr.install(tracer.op_targets())
+    try:
+        for op, argv in enumerate(runs):
+            tr.op = op
+            assert cli.main(argv) == 0
+    finally:
+        tr.uninstall()
+    cached, _ = persistence.compute_persistence(
+        read_complex_cache(at("c1.cplx")))
+    assert tr.counts[0]["distances.points"] == \
+        (dims("dg1.csv") + dims("dg2.csv")).count("1") > 0
+    assert tr.counts[0]["distances.calls"] == 1
+    assert tr.counts[1]["vectorize.points"] == dims("g.csv").count("0") > 0
+    assert tr.counts[2]["persistence.points"] == len(cached.dims) > 0

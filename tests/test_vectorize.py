@@ -15,7 +15,7 @@ from phom import (
 
 
 def diag(points, **meta):
-    return PersistenceDiagram(points=sorted(points), metadata=dict(meta))
+    return PersistenceDiagram.from_points(points, metadata=dict(meta))
 
 
 def test_single_point_unit_mass():
@@ -60,7 +60,7 @@ def test_additivity_is_bit_exact():
               weight="linear")
     img_base = persistence_image(diag(base), **kw)
     img_extra = persistence_image(diag([extra]), **kw)
-    img_all = persistence_image(PersistenceDiagram(points=base + [extra]),
+    img_all = persistence_image(PersistenceDiagram.from_points(base + [extra]),
                                 **kw)
     assert np.array_equal(img_all.pixels, img_base.pixels + img_extra.pixels)
 
@@ -73,13 +73,16 @@ def test_linear_weight_zero_on_diagonal():
 
 
 def test_linear_weight_clamps_at_top():
-    sup = ((0.0, 1.0), (0.0, 1.0))
-    # Persistence 3 exceeds the support top edge 1: weight clamps to 1.
-    img_hi = persistence_image(diag([(1, 0.0, 3.0)]), dim=1, sigma=0.5,
-                               support=sup, weight="linear")
-    img_const = persistence_image(diag([(1, 0.0, 3.0)]), dim=1, sigma=0.5,
-                                  support=sup, weight="constant")
-    assert np.array_equal(img_hi.pixels, img_const.pixels)
+    """Persistence 3 exceeds the support's top edge: the weight clamps to
+    1, and a tiny top edge does not overflow persistence / top."""
+    for top in (1.0, 1e-320):
+        sup = ((0.0, 1.0), (0.0, top))
+        img_hi = persistence_image(diag([(1, 0.0, 3.0)]), dim=1, sigma=0.5,
+                                   support=sup, weight="linear")
+        img_const = persistence_image(diag([(1, 0.0, 3.0)]), dim=1,
+                                      sigma=0.5, support=sup,
+                                      weight="constant")
+        assert np.array_equal(img_hi.pixels, img_const.pixels)
 
 
 def test_default_sigma_and_support():
