@@ -218,8 +218,7 @@ def run_sparsify(p: dict) -> None:
         "cells": sparse.labels(),
     }
     with open(p["output"], "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 # ------------------------------------------------------------------- gen
@@ -277,8 +276,7 @@ def _run(sub: str, p: dict) -> None:
     obj = {"tool": "phom", "version": __version__,
            "subcommand": sub, "params": p}
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _cmd(args) -> None:

@@ -230,7 +230,6 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
     n1, n2 = a.shape[0], b.shape[0]
     big = _powered(_augmented_costs(a, b), p)
     rows, cols = linear_sum_assignment(big)
-    total = float(big[rows, cols].sum())
     matching = _matching_pairs(rows, cols, n1, n2)
 
     ess = _match_essentials(e1, e2)
@@ -238,7 +237,11 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
         return DiagramDistanceReport("wasserstein", dim, math.inf,
                                      matching, p=p)
     ess_pairs, gaps = ess
-    total += float(np.sum(_powered(gaps, p)))
+    with np.errstate(over="ignore"):
+        total = float(big[rows, cols].sum() + np.sum(_powered(gaps, p)))
+    if not math.isfinite(total):
+        raise ParameterError(
+            f"wasserstein order p={p!r} overflows the total cost")
     return DiagramDistanceReport("wasserstein", dim, total ** (1.0 / p),
                                  matching, ess_pairs, p=p)
 

@@ -11,55 +11,54 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import ParameterError
 from .persistence import Filtration
-from .simplicial import Simplex
 
 
 @dataclass
 class BoundaryMatrixZ2:
     """The k-th Z2 boundary matrix of a complex, in lexicographic order.
 
-    rows holds the (k-1)-simplices and cols the k-simplices.  For k == 0
-    rows is empty and the matrix is a single zero row (the boundary of a
-    vertex is the empty chain).  columns stores, per column, the sorted
-    row indices of its non-zero entries.
+    rows holds the (k-1)-cells and cols the k-cells, as the complex's
+    cell() gives them.  For k == 0 rows is empty and the matrix is a
+    single zero row (the boundary of a vertex is the empty chain).
+    columns stores, per column, the sorted row indices of its non-zero
+    entries.
     """
 
     k: int
-    rows: list[Simplex]
-    cols: list[Simplex]
+    rows: list
+    cols: list
     columns: list[list[int]] = field(repr=False)
 
     def dense(self) -> np.ndarray:
         """0/1 uint8 matrix; shape ((#rows or 1), #cols)."""
         m = np.zeros((max(1, len(self.rows)), len(self.cols)), dtype=np.uint8)
         for j, col in enumerate(self.columns):
-            for i in col:
-                m[i, j] = 1
+            m[col, j] = 1
         return m
 
 
-def build_boundary_matrix(K: Filtration,
-                          k: int) -> BoundaryMatrixZ2:
-    """Boundary matrix of the k-simplices of K over Z2.
+def build_boundary_matrix(K: Filtration, k: int) -> BoundaryMatrixZ2:
+    """Boundary matrix of the k-cells of any filtration K over Z2.
 
-    Rows and columns are sorted lexicographically by vertex tuple, which
-    matches the tabular layout used for small worked examples.
+    The faces are K's own boundary.  Rows and columns are sorted
+    lexicographically by cell (vertex tuple, doubled-lattice coordinates
+    or cache label), which matches the tabular layout used for small
+    worked examples.
     """
     if k < 0:
         raise ParameterError("boundary dimension must be non-negative")
-    rows = sorted(s for s, _ in K.items() if s.dimension == k - 1)
-    cols = sorted(s for s, _ in K.items() if s.dimension == k)
-    rindex = {s: i for i, s in enumerate(rows)}
-    columns = []
-    for s in cols:
-        if k == 0:
-            columns.append([])
-        else:
-            columns.append(sorted(rindex[f] for f in s.faces()))
-    return BoundaryMatrixZ2(k, rows, cols, columns)
+    rows, cols = (sorted((K.cell(i), i) for i in
+                         np.flatnonzero(K.dims == j).tolist())
+                  for j in (k - 1, k))
+    at = {i: r for r, (_, i) in enumerate(rows)}
+    columns = [sorted(at[f] for f in K.boundary(i).tolist())
+               for _, i in cols]
+    return BoundaryMatrixZ2(k, [c for c, _ in rows], [c for c, _ in cols],
+                            columns)
 
 
 @dataclass
@@ -101,11 +100,7 @@ def gf2_eliminate(mat: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
 
 def gf2_rank(mat: np.ndarray) -> int:
     """Rank of a 0/1 matrix over Z2."""
-    m = np.array(mat, dtype=np.uint8) & 1
-    if m.size == 0:
-        return 0
-    rank, _ = gf2_eliminate(m)
-    return rank
+    return gf2_eliminate(np.array(mat, dtype=np.uint8) & 1)[0]
 
 
 def snf_rank(B: "BoundaryMatrixZ2 | np.ndarray") -> SnfResult:
@@ -115,37 +110,21 @@ def snf_rank(B: "BoundaryMatrixZ2 | np.ndarray") -> SnfResult:
     ones on the diagonal, zeros elsewhere.  Accepts a BoundaryMatrixZ2
     or any 0/1 array.
     """
-    dense = B.dense() if isinstance(B, BoundaryMatrixZ2) else np.asarray(B)
+    dense = B.dense() if isinstance(B, BoundaryMatrixZ2) else B
     work = np.array(dense, dtype=np.uint8) & 1
-    if work.size == 0:
-        return SnfResult(0, [], np.zeros(work.shape, dtype=np.uint8))
     rank, pivots = gf2_eliminate(work)
     diag = np.zeros(work.shape, dtype=np.uint8)
-    for i in range(rank):
-        diag[i, i] = 1
+    diag[range(rank), range(rank)] = 1
     return SnfResult(rank, pivots, diag)
 
 
-def boundary_dense(K, k: int) -> np.ndarray:
-    """Dense Z2 boundary matrix of any filtered complex, filtration order.
-
-    Works for simplicial and cubical complexes alike: rows are the
-    (k-1)-cells and columns the k-cells, both in filtration order.
-    Rank is what matters here, and rank ignores the ordering.
-    """
-    dims = np.asarray(K.dims)
-    rows = np.flatnonzero(dims == k - 1)
-    cols = np.flatnonzero(dims == k)
-    rpos = {int(g): i for i, g in enumerate(rows)}
-    m = np.zeros((max(1, rows.size), cols.size), dtype=np.uint8)
-    if k > 0:
-        for j, g in enumerate(cols):
-            for f in K.boundary(int(g)):
-                m[rpos[int(f)], j] ^= 1
-    return m
+def boundary_dense(K: Filtration, k: int) -> np.ndarray:
+    """Dense Z2 boundary matrix of any filtration, in lexicographic order:
+    build_boundary_matrix(K, k).dense()."""
+    return build_boundary_matrix(K, k).dense()
 
 
-def betti_numbers(K, max_dim: int | None = None) -> list[int]:
+def betti_numbers(K: Filtration, max_dim: int | None = None) -> list[int]:
     """Betti numbers beta_0..beta_max_dim of the full complex.
 
     beta_k = rank(Z_k) - rank(B_k) where rank(Z_k) = #k-cells - rank(d_k)
@@ -153,20 +132,14 @@ def betti_numbers(K, max_dim: int | None = None) -> list[int]:
     is the oracle route, independent of the persistence reduction.
     """
     dims = np.asarray(K.dims)
-    top = int(dims.max()) if dims.size else 0
     if max_dim is None:
-        max_dim = top
+        max_dim = max(K.dim, 0)
     if max_dim < 0:
         raise ParameterError("max_dim must be non-negative")
-    ranks = [0] * (max_dim + 2)
-    for k in range(1, max_dim + 2):
-        if np.any(dims == k):
-            ranks[k] = gf2_rank(boundary_dense(K, k))
-    betti = []
-    for k in range(max_dim + 1):
-        n_k = int(np.count_nonzero(dims == k))
-        betti.append((n_k - ranks[k]) - ranks[k + 1])
-    return betti
+    rank = [0] + [gf2_rank(boundary_dense(K, k)) if np.any(dims == k) else 0
+                  for k in range(1, max_dim + 2)]
+    return [int(np.count_nonzero(dims == k)) - rank[k] - rank[k + 1]
+            for k in range(max_dim + 1)]
 
 
 def format_boundary_table(B: BoundaryMatrixZ2,
@@ -178,15 +151,12 @@ def format_boundary_table(B: BoundaryMatrixZ2,
     the numeric ids are used.  Row/column labels look like "[a,b]"; the
     k == 0 matrix gets the single dummy row label "[0]".
     """
-    if names is None:
-        disp = str
-    elif isinstance(names, dict):
-        disp = lambda v: names.get(v, str(v))
-    else:
-        disp = names
+    disp = ((lambda v: names.get(v, str(v))) if isinstance(names, dict)
+            else names or str)
 
-    def label(s: Simplex) -> str:
-        return "[" + ",".join(disp(v) for v in s) + "]"
+    def label(cell) -> str:  # a cache label is "v0,v1,..." text
+        vs = cell.split(",") if isinstance(cell, str) else cell
+        return "[" + ",".join(disp(v) for v in vs) + "]"
 
     corner = f"d{B.k}"
     row_labels = [label(s) for s in B.rows] if B.rows else ["[0]"]
@@ -204,19 +174,8 @@ def format_boundary_table(B: BoundaryMatrixZ2,
 
 def connected_components(n_vertices: int,
                          edges: Sequence[tuple[int, int]]) -> int:
-    """Number of connected components by union-find (beta_0 cross-check)."""
-    parent = list(range(n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n_vertices
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-            comps -= 1
-    return comps
+    """Number of connected components of a graph (beta_0 cross-check)."""
+    ab = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    graph = csr_matrix((np.ones(len(ab)), (ab[:, 0], ab[:, 1])),
+                       shape=(n_vertices, n_vertices))
+    return int(csgraph.connected_components(graph, directed=False)[0])

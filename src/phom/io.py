@@ -109,17 +109,44 @@ def write_diagram_csv(path: str, pd: PersistenceDiagram) -> None:
             fh.write(f"{d},{_fmt(b)},{_fmt(dth)}\n")  # repr(inf) is 'inf'
 
 
+# The number forms phom writes, by shape (the text without its digits):
+# "-"? digits ["." digits] ["e" [+-]? digits], and inf, -inf and nan.
+_NUMBER_SHAPES = frozenset(
+    [s + p + e for s in (b"", b"-") for p in (b"", b".")
+     for e in (b"", b"e", b"e+", b"e-")] + [b"inf", b"-inf", b"nan"])
+_SHAPE = bytes.maketrans(b"123456789,", b"000000000\n")
+_UNWRITTEN = "a number not in a form phom writes (1, -0.5, 2.5e-07, inf)"
+
+
+def _first_unwritten(texts: list[str]) -> int:
+    """Index of the first text (numbers, split by commas or newlines, that
+    int() or float() has read) with a number in a form phom does not
+    write, or -1: "1_0", "Infinity", "+1", "1E5" or " 1" by its shape,
+    "1." or ".5" by a "." without a digit on each side."""
+    def bad(text: str) -> bool:
+        blob = text.encode().translate(_SHAPE)
+        shapes = blob.translate(None, b"0")
+        return (shapes.count(b".") != blob.count(b"0.0")
+                or not _NUMBER_SHAPES.issuperset(shapes.split(b"\n")))
+    if not bad("\n".join(texts)):
+        return -1
+    return next(i for i, text in enumerate(texts) if bad(text))
+
+
 def _parse_meta_value(text: str):
+    """An int or float when text is one in phom's forms, else the text."""
     for cast in (int, float):
         try:
-            return cast(text)
+            value = cast(text)
         except ValueError:
             continue
+        return value if _first_unwritten([text]) < 0 else text
     return text
 
 
 def read_diagram_csv(path: str) -> PersistenceDiagram:
-    dims, births, deaths = [], [], []
+    """Read a diagram CSV whose numbers are in the forms phom writes."""
+    dims, births, deaths, rows, lns = [], [], [], [], []
     metadata: dict = {}
     saw_header = False
     with _open_read(path) as fh:
@@ -159,14 +186,20 @@ def read_diagram_csv(path: str) -> PersistenceDiagram:
             dims.append(d)
             births.append(b)
             deaths.append(dth)
+            rows.append(text)
+            lns.append(ln)
     if not saw_header:
         raise InputError(f"{path}: missing 'dim,birth,death' header")
+    r = _first_unwritten(rows)
+    if r >= 0:
+        raise InputError(f"{path}:{lns[r]}: {_UNWRITTEN}")
     pd = PersistenceDiagram(dims, births, deaths, metadata)
     if "death_cap" in metadata:
         # vectorize caps essential points at death_cap.
+        cap = metadata["death_cap"]
         try:
-            cap = float(metadata["death_cap"])
-        except (ValueError, OverflowError):
+            cap = math.nan if isinstance(cap, str) else float(cap)
+        except OverflowError:
             cap = math.nan
         if not math.isfinite(cap):
             raise InputError(f"{path}: death_cap must be a finite number")
@@ -402,8 +435,7 @@ def write_distance_report(path: str, report: DiagramDistanceReport) -> None:
         "essential_matching": [[i, j] for i, j in report.essential_matching],
     }
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def read_distance_report(path: str) -> DiagramDistanceReport:
@@ -472,6 +504,8 @@ def read_complex_cache(path: str) -> Filtration:
         raise InputError(f"{path}:{i + 1}: expected 'cells N'")
     try:
         count = int(lines[i].split()[1])
+        if _first_unwritten(lines[i].split()[1:2]) >= 0:
+            raise ValueError
     except (IndexError, ValueError):
         raise InputError(f"{path}:{i + 1}: bad cell count") from None
     if count < 0:
@@ -483,6 +517,7 @@ def read_complex_cache(path: str) -> Filtration:
     labels: list[str] = []
     flat: list[int] = []
     off = [0]
+    numbers: list[str] = []  # per cell line, all but the label
     for c in range(count):
         ln = i + c
         if ln >= len(lines) or not lines[ln].strip():
@@ -527,6 +562,10 @@ def read_complex_cache(path: str) -> Filtration:
         labels.append(parts[2])
         flat.extend(faces)
         off.append(len(flat))
+        numbers.append("\n".join(parts[:2] + parts[3:]))
+    c = _first_unwritten(numbers)
+    if c >= 0:
+        raise InputError(f"{path}:{i + c + 1}: {_UNWRITTEN}")
     for ln in range(i + count, len(lines)):
         if lines[ln].strip():
             raise InputError(

@@ -65,8 +65,7 @@ def boundary_chain(simplex: Vertices) -> list[Simplex]:
     signs of the usual boundary formula all collapse to 1, so the chain is
     just the face list.
     """
-    s = simplex if isinstance(simplex, Simplex) else Simplex(simplex)
-    return s.faces()
+    return Simplex(simplex).faces()
 
 
 @dataclass(frozen=True)
@@ -188,9 +187,13 @@ def _poly_keys(verts: np.ndarray, base: int) -> np.ndarray:
     return keys
 
 
-def _rips_params(dist: np.ndarray, max_dim: int, max_scale: float,
-                 scale: str) -> tuple[np.ndarray, int, float]:
-    """Checked Rips arguments: (edge value matrix, max_dim, max_scale)."""
+def _rips_edges(dist: np.ndarray, max_dim: int, max_scale: float,
+                scale: str) -> tuple:
+    """Checked max_dim and the edge table of both Rips builders, which
+    work with ranks among the distinct edge values up to max_scale: the
+    kept edges (i < j) in lexicographic order, their ranks, the distinct
+    values, and the (n, n) rank matrix, `big` = uvals.size where there is
+    no edge and on the diagonal."""
     d = check_distance_matrix(dist)
     if scale not in ("radius", "diameter"):
         raise ParameterError(f"unknown scale convention {scale!r}")
@@ -200,7 +203,18 @@ def _rips_params(dist: np.ndarray, max_dim: int, max_scale: float,
     max_scale = float(max_scale)
     if not (np.isfinite(max_scale) and max_scale > 0):
         raise ParameterError("max_scale must be finite and positive")
-    return (d / 2.0 if scale == "radius" else d), max_dim, max_scale
+    w = d / 2.0 if scale == "radius" else d
+    n = w.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    ev = w[iu, ju]
+    keep = ev <= max_scale
+    iu, ju = iu[keep].astype(np.int64), ju[keep].astype(np.int64)
+    uvals, erank = np.unique(ev[keep], return_inverse=True)
+    rank = np.full((n, n), uvals.size, dtype=np.int64)
+    rank[iu, ju] = erank
+    rank[ju, iu] = erank
+    return (max_dim, np.column_stack([iu, ju]), erank.astype(np.int64),
+            uvals, rank)
 
 
 def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
@@ -213,7 +227,8 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
 
     Args:
         dist: square distance matrix (see check_distance_matrix).
-        max_dim: largest simplex dimension to build, 0 <= max_dim <= n-1.
+        max_dim: largest simplex dimension to build, 0 <= max_dim <= n-1
+            and (n+1)**max_dim < 2**63, so that face keys fit in int64.
         max_scale: cells with value above this are dropped; must be > 0.
         scale: "radius" or "diameter".
 
@@ -221,29 +236,24 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
         A Filtration whose cell order is (value, dimension, lexicographic
         vertices).
     """
-    w, max_dim, max_scale = _rips_params(dist, max_dim, max_scale, scale)
-    n = w.shape[0]
+    max_dim, edges, erank, uvals, rank = _rips_edges(dist, max_dim,
+                                                     max_scale, scale)
+    n = rank.shape[0]
     if max_dim > n - 1:
         raise ParameterError(
             f"max_dim {max_dim} exceeds n_points - 1 = {n - 1}")
+    # The face lookup keys max_dim vertices in base n + 1.
+    if (n + 1) ** max_dim >= 2 ** 63:
+        raise ParameterError(
+            f"{n} points with max_dim {max_dim} overflow 64-bit face keys; "
+            "lower max_dim")
 
-    simp = [np.arange(n, dtype=np.int64)[:, None]]
-    values = [np.zeros(n)]
-    if max_dim >= 1:
-        iu, ju = np.triu_indices(n, 1)
-        ev = w[iu, ju]
-        keep = ev <= max_scale
-        simp.append(np.column_stack([iu[keep], ju[keep]]).astype(np.int64))
-        values.append(ev[keep])
-        if max_dim >= 2 and values[1].size:
-            wm = np.where(w <= max_scale, w, np.inf)
-            np.fill_diagonal(wm, np.inf)
-            for _ in range(2, max_dim + 1):
-                verts, xv = _rips_extend(simp[-1], values[-1], wm, np.inf)
-                if not verts.size:
-                    break
-                simp.append(verts)
-                values.append(xv)
+    levels = [(edges, erank)]
+    while len(levels) < max_dim and levels[-1][1].size:
+        levels.append(_rips_extend(*levels[-1], rank, uvals.size))
+    simp = [np.arange(n, dtype=np.int64)[:, None]] + [
+        s for s, _ in levels[:max_dim]]
+    values = [np.zeros(n)] + [uvals[r] for _, r in levels[:max_dim]]
 
     # Each list is lexicographic, so are its _poly_keys: a face is found
     # by searchsorted among the simplices one dimension down.
@@ -296,27 +306,16 @@ def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
         scale: "radius" (edge value = half the distance) or "diameter".
         metadata: extra metadata stored on the diagram.
     """
-    w, max_dim, max_scale = _rips_params(dist, max_dim, max_scale, scale)
-    n = w.shape[0]
-    iu, ju = np.triu_indices(n, 1)
-    ev = w[iu, ju]
-    keep = ev <= max_scale
-    iu, ju = iu[keep].astype(np.int64), ju[keep].astype(np.int64)
-    # Every simplex value is an edge value: work with ranks among the
-    # distinct ones.  `big` marks a missing edge and the diagonal.
-    uvals, erank = np.unique(ev[keep], return_inverse=True)
+    max_dim, simp, srank, uvals, rank = _rips_edges(dist, max_dim,
+                                                    max_scale, scale)
+    n = rank.shape[0]
     big = uvals.size
-    rank = np.full((n, n), big, dtype=np.int64)
-    rank[iu, ju] = erank
-    rank[ju, iu] = erank
     top = min(max_dim, n - 1)
     if top >= 1 and big * (n + 1) ** (top + 2) >= 2 ** 63:
         raise ParameterError(
             f"{n} points with max_dim {max_dim} overflow 64-bit cell keys; "
             "lower max_dim or max_scale")
 
-    simp = np.column_stack([iu, ju])
-    srank = erank.astype(np.int64)
     keys = srank * (n + 1) ** 2 + _poly_keys(simp, n + 1)
     order = np.argsort(keys)
     e, v = union_find_h0(n, simp[order, 0], simp[order, 1])
@@ -345,27 +344,25 @@ def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
     return ordered_diagram(groups, max_dim, metadata)
 
 
-def _rips_extend(simp: np.ndarray, vals: np.ndarray, weight: np.ndarray,
-                 missing) -> tuple[np.ndarray, np.ndarray]:
-    """All (k+1)-simplices, each from its face without the last vertex.
-
-    weight holds the edge values, `missing` where there is no edge and on
-    the diagonal; a simplex's value is the largest of its edge values.
-    """
-    n = weight.shape[0]
+def _rips_extend(simp: np.ndarray, ranks: np.ndarray, rank: np.ndarray,
+                 big: int) -> tuple[np.ndarray, np.ndarray]:
+    """All (k+1)-simplices and their ranks, each from its face without
+    the last vertex; a simplex's rank is the largest of its edge ranks in
+    the rank matrix of _rips_edges."""
+    n = rank.shape[0]
     step = max(1, _BLOCK_ENTRIES // n)
-    out_s, out_v = [], []
+    out_s, out_r = [], []
     above = np.arange(n)
     for s in range(0, simp.shape[0], step):
         S = simp[s:s + step]
-        M = _max_rows(weight, S)
-        r, v = np.nonzero((M < missing) & (above > S[:, -1:]))
+        M = _max_rows(rank, S)
+        r, v = np.nonzero((M < big) & (above > S[:, -1:]))
         out_s.append(np.column_stack([S[r], v]))
-        out_v.append(np.maximum(vals[s:s + step][r], M[r, v]))
+        out_r.append(np.maximum(ranks[s:s + step][r], M[r, v]))
     if not out_s:
         return (np.zeros((0, simp.shape[1] + 1), dtype=simp.dtype),
-                vals[:0])
-    return np.concatenate(out_s), np.concatenate(out_v)
+                ranks[:0])
+    return np.concatenate(out_s), np.concatenate(out_r)
 
 
 def _max_rows(weight: np.ndarray, S: np.ndarray) -> np.ndarray:

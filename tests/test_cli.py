@@ -661,6 +661,22 @@ def test_bad_parameters_are_exit_3(tmp_path):
     assert run("gen", "annulus", "-o", tmp_path / "missing" / "c.csv") == 3
 
 
+def test_wasserstein_total_that_overflows_is_exit_3(tmp_path, capsys):
+    """Two costs whose squares fit but whose sum overflows: exit 3, no
+    numpy warning, and no report of "value": "inf"."""
+    a = tmp_path / "a.csv"
+    a.write_text("dim,birth,death\n1,0.0,2.5e+154\n1,0.0,2.6e+154\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("dim,birth,death\n")
+    out = tmp_path / "r.json"
+    assert run("distance", a, empty, "-o", out, "--metric",
+               "wasserstein") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: wasserstein order") and "overflow" in err
+    assert "RuntimeWarning" not in err
+    assert not out.exists() and not (tmp_path / "r.manifest.json").exists()
+
+
 @pytest.mark.parametrize("p,other", [
     ("inf", "1,0.0,0.5\n"), ("inf", "1,0.0,1.0\n"), ("2000", ""),
     ("200", "1,0.0,1000.0\n")])
@@ -802,9 +818,10 @@ def _malformed(tmp_path, case):
             bad.write_text(json.dumps(obj))
         return ["--manifest", bad]
     if case.startswith("cache"):
-        bad.write_bytes(b"# phom-complex 1\nmeta kind\ncells 1\n0 0.0 0\n"
-                        if case == "cache-meta" else
-                        b"# phom-complex 1\ncells 1\n0 0.0 \xff\n")
+        bad.write_bytes({
+            "cache-meta": b"# phom-complex 1\nmeta kind\ncells 1\n0 0.0 0\n",
+            "cache-byte": b"# phom-complex 1\ncells 1\n0 0.0 \xff\n",
+            "cache-number": b"# phom-complex 1\ncells 1\n0 0_0.0 0\n"}[case])
         return ["sparsify", "--complex", bad, "--diagram", good_dg,
                 "--point", 0, "-o", tmp_path / "x.json"]
     text, argv = {
@@ -815,6 +832,10 @@ def _malformed(tmp_path, case):
                    ["series", bad, "--out-dir", tmp_path / "s"]),
         "distance": (b"dim,birth,death\n1,0.0,1.\xff\n",
                      ["distance", bad, good_dg, "-o", out]),
+        "distance-number": (b"dim,birth,death\n1,0.0,1_0.5\n",
+                            ["distance", bad, good_dg, "-o", out]),
+        "vectorize-number": (b"# death_cap=1_0\ndim,birth,death\n",
+                             ["vectorize", bad, "-o", out]),
         "vectorize": (b"# \xff\ndim,birth,death\n1,0.0,1.0\n",
                       ["vectorize", bad, "-o", out]),
         "image": (b"P2\n1 1\n255\n\xff\n", ["image", bad, "-o", out]),
@@ -827,10 +848,12 @@ def _malformed(tmp_path, case):
 @pytest.mark.parametrize("case", [
     "rips", "matrix", "series", "distance", "vectorize", "image", "voxel",
     "cache-byte", "cache-meta", "manifest-byte", "manifest-no-params",
-    "manifest-list-params", "manifest-missing-key"])
+    "manifest-list-params", "manifest-missing-key", "distance-number",
+    "vectorize-number", "cache-number"])
 def test_malformed_reader_input_is_exit_2(tmp_path, capsys, case):
-    """A non-ASCII byte, a `meta` line without a value or a manifest
-    without usable params is malformed input, for every reader."""
+    """A non-ASCII byte, a `meta` line without a value, a manifest
+    without usable params or a number in a form phom does not write
+    ("1_0") is malformed input, for every reader."""
     argv = _malformed(tmp_path, case)
     capsys.readouterr()
     assert run(*argv) == 2

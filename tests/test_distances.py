@@ -117,6 +117,18 @@ def test_wasserstein_order_guard():
         wasserstein_distance(d, d, dim=1, p=0.5)
 
 
+def test_wasserstein_total_that_overflows_is_rejected():
+    """Each cost**2 fits in a float, their sum does not: the true value,
+    about 1.8e154, cannot be computed this way, so it is a ParameterError
+    (and no numpy overflow warning), not a distance of inf."""
+    d1 = diag([(1, 0.0, 2.5e154), (1, 0.0, 2.6e154)])
+    with pytest.raises(ParameterError, match="overflows the total"):
+        wasserstein_distance(d1, diag([]), dim=1, p=2.0)
+    # One point less and the total is finite: sqrt of (1.25e154)**2.
+    one = wasserstein_distance(diag([(1, 0.0, 2.5e154)]), diag([]), dim=1)
+    assert one.value == pytest.approx(1.25e154)
+
+
 def test_negative_dim_is_rejected():
     d = diag([(1, 0.0, 1.0)])
     for metric in (bottleneck_distance, wasserstein_distance):

@@ -179,8 +179,34 @@ def test_diagram_order_is_tuple_order_and_files_round_trip(
         assert fa.read() == fb.read()
 
 
+@pytest.mark.parametrize("row", [
+    "1_0,0.0,1.5", "1,1_0.5,20.0", "1,0.0,1_0.5", "1,0.0,Infinity",
+    "1,0.0,INF", "+1,0.0,1.0", "1,+0.5,1.0", "1,0.5,1.", "1,.5,1.0",
+    "1,0.5,1E5", "1, 0.5,1.0", "1,0.5,1.e5", "01_2,0.0,1.0"])
+def test_diagram_numbers_only_in_written_forms(tmp_path, row):
+    """int() and float() read "1_0" as 10 and "Infinity" as inf; a
+    diagram holds only the forms phom writes, or it names the line."""
+    path = tmp_path / "dg.csv"
+    path.write_text(f"# k=1\ndim,birth,death\n0,0.0,1.0\n{row}\n")
+    with pytest.raises(InputError, match=f"{path}:4: a number not in"):
+        read_diagram_csv(str(path))
+
+
+def test_diagram_written_forms_are_read(tmp_path):
+    path = tmp_path / "dg.csv"
+    path.write_text("# count=3\n# odd=1_0\n# cap=Infinity\n"
+                    "dim,birth,death\n0,-0.0,1e-05\n1,2.5e-07,1.7e308\n"
+                    "12,0.25,1e+16\n0,-3.0,inf\n")
+    pd = read_diagram_csv(str(path))
+    assert repr(pd.points) == repr([(0, -3.0, math.inf), (0, -0.0, 1e-05),
+                                    (1, 2.5e-07, 1.7e308),
+                                    (12, 0.25, 1e16)])
+    # Metadata in other forms stays text.
+    assert pd.metadata == {"count": 3, "odd": "1_0", "cap": "Infinity"}
+
+
 @pytest.mark.parametrize("cap", ["abc", "nan", "inf", "-inf", "1e999",
-                                 "0.5"])
+                                 "0.5", "1_0", "Infinity"])
 def test_diagram_death_cap_must_be_finite_and_cap_essentials(tmp_path, cap):
     """vectorize caps infinite deaths at death_cap, so it must be a
     finite number no smaller than any essential point's birth."""
@@ -458,6 +484,22 @@ def test_complex_cache_rejects_bad_faces(tmp_path, last, why):
     path.write_text("# phom-complex 1\ncells 6\n0 0.0 a\n0 0.0 b\n"
                     "0 0.0 c\n1 1.0 ab 0 1\n1 1.0 bc 1 2\n" + last + "\n")
     with pytest.raises(InputError, match=f"{path}:8: .*{why}"):
+        read_complex_cache(str(path))
+
+
+@pytest.mark.parametrize("line,bad", [
+    (3, "cells 1_0"), (3, "cells +6"), (5, "0 0_0 b"), (7, "1 1.0 bc 1 +2"),
+    (7, "1 Infinity bc 1 2"), (8, "1_0 1.0 ac 0 2"), (8, "1 1.0 ac 0_0 2")])
+def test_complex_cache_numbers_only_in_written_forms(tmp_path, line, bad):
+    lines = ["# phom-complex 1", "meta kind rips", "cells 6", "0 0.0 a",
+             "0 0.0 b", "0 0.0 c", "1 1.0 ab 0 1", "1 1.0 bc 1 2",
+             "1 1.0 ac 0 2"]
+    path = tmp_path / "K.cplx"
+    path.write_text("\n".join(lines) + "\n")
+    assert read_complex_cache(str(path)).n_cells == 6
+    lines[line - 1] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InputError, match=f"{path}:{line}: "):
         read_complex_cache(str(path))
 
 

@@ -301,3 +301,33 @@ def test_rips_equals_reference_complex_of_its_cells(case):
     assert K.keys == [tuple(k) for k in ref.keys]
     assert all(type(k) is tuple for k in K.keys)
     assert K.meta == ref.meta == {}
+    # One edge table: every zero-length edge enters at the same zero,
+    # even where the distances mix -0.0 and 0.0.
+    zeros = K.values[(K.dims > 0) & (K.values == 0)]
+    assert np.signbit(zeros).all() or not np.signbit(zeros).any()
+
+
+def test_rips_face_keys_fit_in_int64():
+    """Face keys are max_dim vertices in base n + 1: 17 points build up
+    to max_dim 15 (18**15 < 2**63) with every face wired, and one more,
+    or 20 points at max_dim 15, is a ParameterError before any cell."""
+    n = 17
+    d = np.ones((n, n)) - np.eye(n)
+    K = rips_filtration(d, 15, 10.0)
+    # Each cell as a vertex bitmask: face c of a cell drops its c-th
+    # vertex, so the dropped bits rise and add up to the cell.
+    mask = np.array([sum(1 << v for v in c) for c in K.keys])
+    assert len(K) == 2 ** n - 2 and np.unique(mask).size == len(K)
+    cell = np.repeat(mask, np.diff(K.bnd_off))
+    dropped = cell - mask[K.bnd_flat]
+    assert np.all(mask[K.bnd_flat] & ~cell == 0)
+    assert np.all(dropped & (dropped - 1) == 0)
+    starts = K.bnd_off[:-1][K.dims > 0]
+    assert np.array_equal(np.add.reduceat(dropped, starts),
+                          mask[K.dims > 0])
+    rising = np.diff(dropped) > 0
+    rising[starts[1:] - 1] = True
+    assert rising.all()
+    for m, md in ((17, 16), (20, 15)):
+        with pytest.raises(ParameterError, match="64-bit face keys"):
+            rips_filtration(np.ones((m, m)) - np.eye(m), md, 10.0)
