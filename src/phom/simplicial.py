@@ -209,7 +209,8 @@ def _rips_edges(dist: np.ndarray, max_dim: int, max_scale: float,
     ev = w[iu, ju]
     keep = ev <= max_scale
     iu, ju = iu[keep].astype(np.int64), ju[keep].astype(np.int64)
-    uvals, erank = np.unique(ev[keep], return_inverse=True)
+    # + 0.0 makes every zero +0.0, so no value's sign hangs on point order.
+    uvals, erank = np.unique(ev[keep] + 0.0, return_inverse=True)
     rank = np.full((n, n), uvals.size, dtype=np.int64)
     rank[iu, ju] = erank
     rank[ju, iu] = erank

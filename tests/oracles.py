@@ -8,11 +8,16 @@ package cannot hide by agreeing with itself.
 
 import itertools
 import math
+import re
+from io import StringIO
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+
+from phom.errors import InputError
+from phom.persistence import PersistenceDiagram
 
 
 # ------------------------------------------------------------- Z2 rank
@@ -351,3 +356,235 @@ def random_filtration(rng, nv=6, p_edge=0.55, p_tri=0.6, p_tet=0.5,
                 base = max(cells[f] for f in faces)
                 cells[combo] = base + float(rng.integers(0, 3)) / 4.0
     return list(cells.items())
+
+
+# ------------------------------------------------- line-by-line readers
+#
+# The text readers as they were before they parsed in one pass: every
+# line or token is converted and checked in order, and the first fault
+# raises.  The one-pass readers in phom.io must return what these return
+# and raise the messages these raise.
+
+_NUMBER_SHAPES = frozenset(
+    [s + p + e for s in (b"", b"-") for p in (b"", b".")
+     for e in (b"", b"e", b"e+", b"e-")] + [b"inf", b"-inf", b"nan"])
+_SHAPE = bytes.maketrans(b"123456789,", b"000000000\n")
+_UNWRITTEN = "a number not in a form phom writes (1, -0.5, 2.5e-07, inf)"
+_PGM_TOKEN = re.compile(rb"#[^\n]*|([^\s#]\S*)")
+
+
+def _open_read(path, text=True):
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return StringIO(data.decode("ascii"), newline=None) if text else data
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(
+            f"{path}: non-ASCII byte at byte {exc.start}") from None
+
+
+def _first_unwritten(texts):
+    def bad(text):
+        blob = text.encode().translate(_SHAPE)
+        shapes = blob.translate(None, b"0")
+        return (shapes.count(b".") != blob.count(b"0.0")
+                or not _NUMBER_SHAPES.issuperset(shapes.split(b"\n")))
+    for i, text in enumerate(texts):
+        if bad(text):
+            return i
+    return -1
+
+
+def _parse_meta_value(text):
+    for cast in (int, float):
+        try:
+            value = cast(text)
+        except ValueError:
+            continue
+        return value if _first_unwritten([text]) < 0 else text
+    return text
+
+
+def read_point_cloud_lines(path):
+    rows = []
+    width = None
+    with _open_read(path) as fh:
+        for ln, line in enumerate(fh, 1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            parts = text.split(",")
+            if width is None:
+                width = len(parts)
+            elif len(parts) != width:
+                raise InputError(
+                    f"{path}:{ln}: expected {width} columns, got {len(parts)}")
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise InputError(f"{path}:{ln}: {exc}") from None
+    if not rows:
+        raise InputError(f"{path}: no points")
+    arr = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{path}: non-finite coordinates")
+    return arr
+
+
+def read_diagram_csv_lines(path):
+    dims, births, deaths, rows, lns = [], [], [], [], []
+    metadata = {}
+    saw_header = False
+    with _open_read(path) as fh:
+        for ln, line in enumerate(fh, 1):
+            text = line.strip()
+            if not text:
+                continue
+            if text.startswith("#"):
+                body = text[1:].strip()
+                if "=" in body:
+                    key, _, val = body.partition("=")
+                    metadata[key.strip()] = _parse_meta_value(val.strip())
+                continue
+            if not saw_header:
+                if text != "dim,birth,death":
+                    raise InputError(
+                        f"{path}:{ln}: expected header 'dim,birth,death'")
+                saw_header = True
+                continue
+            parts = text.split(",")
+            if len(parts) != 3:
+                raise InputError(f"{path}:{ln}: expected 3 columns")
+            try:
+                d = int(parts[0])
+                b = float(parts[1])
+                dth = math.inf if parts[2] == "inf" else float(parts[2])
+            except ValueError as exc:
+                raise InputError(f"{path}:{ln}: {exc}") from None
+            if d < 0:
+                raise InputError(f"{path}:{ln}: negative dimension")
+            if d >= 2**63:
+                raise InputError(f"{path}:{ln}: dimension exceeds 2**63 - 1")
+            if not math.isfinite(b):
+                raise InputError(f"{path}:{ln}: birth must be finite")
+            if not b <= dth:
+                raise InputError(f"{path}:{ln}: birth exceeds death")
+            dims.append(d)
+            births.append(b)
+            deaths.append(dth)
+            rows.append(text)
+            lns.append(ln)
+    if not saw_header:
+        raise InputError(f"{path}: missing 'dim,birth,death' header")
+    r = _first_unwritten(rows)
+    if r >= 0:
+        raise InputError(f"{path}:{lns[r]}: {_UNWRITTEN}")
+    pd = PersistenceDiagram(dims, births, deaths, metadata)
+    if "death_cap" in metadata:
+        cap = metadata["death_cap"]
+        try:
+            cap = math.nan if isinstance(cap, str) else float(cap)
+        except OverflowError:
+            cap = math.nan
+        if not math.isfinite(cap):
+            raise InputError(f"{path}: death_cap must be a finite number")
+        if np.any(np.isinf(pd.deaths) & (pd.births > cap)):
+            raise InputError(f"{path}: death_cap {cap!r} is below the birth "
+                             "of an essential point")
+    return pd
+
+
+def _pgm_tokens(data, path, count, start):
+    out = []
+    for m in _PGM_TOKEN.finditer(data, start):
+        tok = m[1]
+        if tok is None:
+            continue
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise InputError(
+                f"{path}: bad integer {tok!r} at byte {m.start()}") from None
+        if len(out) == count:
+            return out, m.end()
+    raise InputError(
+        f"{path}: truncated header at byte {max(start, len(data))}")
+
+
+def read_pgm_tokens(path):
+    data = _open_read(path, text=False)
+    if len(data) < 2:
+        raise InputError(f"{path}: not a PGM/PPM file")
+    magic = data[:2].decode("ascii", "replace")
+    if magic not in ("P2", "P5", "P3", "P6"):
+        raise InputError(f"{path}: unsupported magic {magic!r}")
+    color = magic in ("P3", "P6")
+    binary = magic in ("P5", "P6")
+    header, pos = _pgm_tokens(data, path, 3, 2)
+    width, height, maxval = header
+    if width < 1 or height < 1:
+        raise InputError(f"{path}: bad dimensions {width}x{height}")
+    if not 1 <= maxval <= 65535:
+        raise InputError(f"{path}: maxval {maxval} outside [1, 65535]")
+    n_samples = width * height * (3 if color else 1)
+    if binary:
+        pos += 1
+        wide = maxval > 255
+        need = n_samples * (2 if wide else 1)
+        raw = data[pos:pos + need]
+        if len(raw) < need:
+            raise InputError(
+                f"{path}: expected {need} sample bytes, got {len(raw)}")
+        dtype = ">u2" if wide else np.uint8
+        samples = np.frombuffer(raw, dtype=dtype, count=n_samples)
+        samples = samples.astype(np.float64)
+    else:
+        toks, _ = _pgm_tokens(data, path, n_samples, pos)
+        samples = np.array(toks, dtype=np.float64)
+    if samples.min() < 0 or samples.max() > maxval:
+        raise InputError(f"{path}: sample outside [0, {maxval}]")
+    if color:
+        rgb = samples.reshape(height, width, 3)
+        return rgb.mean(axis=2) * (255.0 / maxval)
+    return samples.reshape(height, width)
+
+
+def read_voxel_lines(path):
+    with _open_read(path) as fh:
+        lines = fh.readlines()
+    body = []
+    for ln, line in enumerate(lines, 1):
+        text = line.strip()
+        if text and not text.startswith("#"):
+            body.append((ln, text))
+    if not body:
+        raise InputError(f"{path}: empty voxel file")
+    ln0, head = body[0]
+    parts = head.split()
+    if len(parts) != 3:
+        raise InputError(f"{path}:{ln0}: header must be 'nx ny nz'")
+    try:
+        nx, ny, nz = (int(p) for p in parts)
+    except ValueError as exc:
+        raise InputError(f"{path}:{ln0}: {exc}") from None
+    if nx < 1 or ny < 1 or nz < 1:
+        raise InputError(f"{path}:{ln0}: dimensions must be positive")
+    vals = []
+    for ln, text in body[1:]:
+        for tok in text.split():
+            try:
+                vals.append(float(tok))
+            except ValueError:
+                raise InputError(f"{path}:{ln}: bad value {tok!r}") from None
+        if len(vals) > nx * ny * nz:
+            raise InputError(
+                f"{path}:{ln}: more than {nx * ny * nz} values")
+    if len(vals) != nx * ny * nz:
+        raise InputError(
+            f"{path}: expected {nx * ny * nz} values, got {len(vals)}")
+    arr = np.array(vals, dtype=np.float64).reshape(nz, ny, nx)
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"{path}: non-finite voxel values")
+    return arr

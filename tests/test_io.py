@@ -332,6 +332,9 @@ def test_voxel_errors(tmp_path):
     path.write_text("1 1 1\nzap\n")
     with pytest.raises(InputError):
         read_voxel(str(path))
+    path.write_text("0 2 2\n")  # no values, as many as 0 * 2 * 2
+    with pytest.raises(InputError, match="dimensions must be positive"):
+        read_voxel(str(path))
 
 
 def test_image_json_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 explicit rips_filtration + compute_persistence path and the oracles."""
 
 import inspect
+import itertools
 import sys
 
 import numpy as np
@@ -89,6 +90,23 @@ def test_zero_length_square_mixing_signs(scale):
     d = np.array([[z, z, 1.0, 0.0], [z, 0.0, 0.0, 1.0],
                   [1.0, z, z, 0.0], [z, 1.0, z, z]])
     check_same(d, 1, "above", scale)
+
+
+@pytest.mark.parametrize("scale", ["radius", "diameter"])
+def test_zero_values_do_not_depend_on_point_order(scale):
+    """The cycle 0-1-2-3 with edges 0.0, -0.0, 0.0, -0.0 and diagonals of
+    length 1: all 24 renumberings of its points give the same diagram,
+    zero signs included, on both paths."""
+    d = np.ones((4, 4))
+    np.fill_diagonal(d, 0.0)
+    for i, v in enumerate([0.0, -0.0, 0.0, -0.0]):
+        d[i, (i + 1) % 4] = d[(i + 1) % 4, i] = v
+    got = set()
+    for perm in itertools.permutations(range(4)):
+        e = d[np.ix_(perm, perm)]
+        got.add(repr(rips_persistence(e, 1, 1.0, scale).points))
+        got.add(repr(explicit(e, 1, 1.0, scale).points))
+    assert len(got) == 1
 
 
 def test_matches_textbook_reduction():
