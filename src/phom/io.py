@@ -350,6 +350,9 @@ def read_pgm(path: str) -> np.ndarray:
         except ValueError:
             raise _line_fault(_pgm_tokens, path, data, n_samples, pos
                               ) from None
+        except OverflowError:  # an integer beyond float range
+            raise InputError(f"{path}: sample outside [0, {maxval}]"
+                             ) from None
     if samples.min() < 0 or samples.max() > maxval:
         raise InputError(f"{path}: sample outside [0, {maxval}]")
     if color:

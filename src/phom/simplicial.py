@@ -191,9 +191,13 @@ def _rips_edges(dist: np.ndarray, max_dim: int, max_scale: float,
                 scale: str) -> tuple:
     """Checked max_dim and the edge table of both Rips builders, which
     work with ranks among the distinct edge values up to max_scale: the
-    kept edges (i < j) in lexicographic order, their ranks, the distinct
-    values, and the (n, n) rank matrix, `big` = uvals.size where there is
-    no edge and on the diagonal."""
+    kept edges (i < j) in lexicographic order, their int64 ranks, the
+    distinct values, and the (n, n) int32 rank matrix, `big` = uvals.size
+    where there is no edge and on the diagonal.
+
+    The rank matrix holds ranks up to `big`, which is at most the edge
+    count n(n-1)/2; so n(n-1)/2 must be at most 2**31 - 1 (n <= 65,536),
+    else ParameterError before anything n x n is allocated."""
     d = check_distance_matrix(dist)
     if scale not in ("radius", "diameter"):
         raise ParameterError(f"unknown scale convention {scale!r}")
@@ -203,15 +207,19 @@ def _rips_edges(dist: np.ndarray, max_dim: int, max_scale: float,
     max_scale = float(max_scale)
     if not (np.isfinite(max_scale) and max_scale > 0):
         raise ParameterError("max_scale must be finite and positive")
+    n = d.shape[0]
+    if n * (n - 1) // 2 > np.iinfo(np.int32).max:
+        raise ParameterError(
+            f"{n} points have more edges than an int32 rank matrix holds; "
+            "at most 65536 points")
     w = d / 2.0 if scale == "radius" else d
-    n = w.shape[0]
     iu, ju = np.triu_indices(n, 1)
     ev = w[iu, ju]
     keep = ev <= max_scale
     iu, ju = iu[keep].astype(np.int64), ju[keep].astype(np.int64)
     # + 0.0 makes every zero +0.0, so no value's sign hangs on point order.
     uvals, erank = np.unique(ev[keep] + 0.0, return_inverse=True)
-    rank = np.full((n, n), uvals.size, dtype=np.int64)
+    rank = np.full((n, n), uvals.size, dtype=np.int32)
     rank[iu, ju] = erank
     rank[ju, iu] = erank
     return (max_dim, np.column_stack([iu, ju]), erank.astype(np.int64),
@@ -375,32 +383,44 @@ def _max_rows(weight: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 class _RipsCohomology:
-    """Cofacets of the k-simplices: their keys, coboundaries and apparent
-    pairs, for reduce_coboundaries."""
+    """Cofacets of the k-simplices: their coboundaries and apparent
+    pairs, for reduce_coboundaries.  Ranks are read from the int32 rank
+    matrix and widened to int64 before they are scaled by `base`."""
 
     def __init__(self, rank: np.ndarray, big: int, k: int):
         self.rank, self.big, self.k = rank, big, k
-        # As _poly_keys: pw[p] weighs the vertex at position p of a cofacet.
-        self.pw = (rank.shape[0] + 1) ** np.arange(k + 1, -1, -1,
-                                                   dtype=np.int64)
-        self.base = int(self.pw[0]) * (rank.shape[0] + 1)
-
-    def cofacet_keys(self, S: np.ndarray, v: np.ndarray, r: np.ndarray,
-                     c: np.ndarray) -> np.ndarray:
-        """Keys of the cofacets S[i] + {v[i]}, of rank r[i], where c[i]
-        vertices of S[i] are below v[i]; S may be one row for all v."""
-        pw = self.pw
-        lex = pw[c] * (v + 1)
-        for i in range(self.k + 1):
-            lex += (S[:, i] + 1) * np.where(c > i, pw[i], pw[i + 1])
-        return r * self.base + lex
+        n = rank.shape[0]
+        # As _poly_keys: pw[p] weighs the vertex at position p of a cofacet,
+        # and lexw[p, v] is the term of vertex v there.
+        self.pw = (n + 1) ** np.arange(k + 1, -1, -1, dtype=np.int64)
+        self.base = int(self.pw[0]) * (n + 1)
+        self.lexw = self.pw[:, None] * np.arange(1, n + 1)
 
     def coboundary(self, s: np.ndarray, r: int) -> list[int]:
-        """Sorted cofacet keys of one simplex s (vertex ids) of rank r."""
-        M = _max_rows(self.rank, s[None])[0]
-        v = np.flatnonzero(M < self.big)
-        return np.sort(self.cofacet_keys(s[None], v, np.maximum(M[v], r),
-                                         np.searchsorted(s, v))).tolist()
+        """Sorted cofacet keys of one simplex s (ascending vertex ids) of
+        rank r, built over all n vertices v at once: the rank part from
+        the largest of s's rank rows, the lex part in k + 2 slices, where
+        the vertices between s[c-1] and s[c] sit at position c of s + {v}.
+        Slots with no cofacet (rank big) are clamped so they cannot wrap,
+        then masked out."""
+        rank, big, pw = self.rank, self.big, self.pw.tolist()
+        sl = s.tolist()
+        M = rank[sl[0]]
+        for u in sl[1:]:
+            M = np.maximum(M, rank[u])
+        keys = np.minimum(np.maximum(M, r), big - 1).astype(np.int64)
+        keys *= self.base
+        # off: the lex part of s's own vertices once v sits at position c.
+        off = sum(p * (u + 1) for p, u in zip(pw[1:], sl))
+        lo = 0
+        for c, hi in enumerate(sl + [rank.shape[0]]):
+            keys[lo:hi] += self.lexw[c, lo:hi] + off
+            if c < len(sl):
+                off += (pw[c] - pw[c + 1]) * (hi + 1)
+                lo = hi + 1
+        keys = keys[M < big]
+        keys.sort()
+        return keys.tolist()
 
     def apparent(self, S: np.ndarray, sr: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -412,15 +432,15 @@ class _RipsCohomology:
         s + {v} - {u} has a lower rank, or the same rank and u > v (the
         facet dropping the smaller vertex is lex-larger).
         """
-        rank, big, k = self.rank, self.big, self.k
+        rank, big, k, pw = self.rank, self.big, self.k, self.pw
         rows = np.arange(S.shape[0])
-        M = np.maximum(_max_rows(rank, S), sr[:, None])
+        M = np.maximum(_max_rows(rank, S), sr.astype(np.int32)[:, None])
         vs = M.argmin(axis=1)
         cm = M[rows, vs]
         ok = cm == sr
         to_v = [rank[S[:, c], vs] for c in range(k + 1)]
         for c in range(k + 1):
-            fr = np.full(S.shape[0], -1, dtype=np.int64)
+            fr = np.full(S.shape[0], -1, dtype=np.int32)
             for a in range(k + 1):
                 if a == c:
                     continue
@@ -429,5 +449,9 @@ class _RipsCohomology:
                     if b != c:
                         fr = np.maximum(fr, rank[S[:, a], S[:, b]])
             ok &= (fr < sr) | ((fr == sr) & (S[:, c] > vs))
+        # The pivot's key: vs sits at position `below` of its cofacet.
         below = (S < vs[:, None]).sum(axis=1)
-        return self.cofacet_keys(S, vs, cm, below), cm < big, ok
+        lex = pw[below] * (vs + 1)
+        for i in range(k + 1):
+            lex += (S[:, i] + 1) * np.where(below > i, pw[i], pw[i + 1])
+        return cm.astype(np.int64) * self.base + lex, cm < big, ok

@@ -358,6 +358,27 @@ def random_filtration(rng, nv=6, p_edge=0.55, p_tri=0.6, p_tet=0.5,
     return list(cells.items())
 
 
+# ------------------------------------------------ Rips coboundaries
+
+def rips_coboundary(rank, big, k, s, r):
+    """Sorted cofacet keys of the k-simplex s (ascending vertex ids) of
+    rank r, in the engine's encoding rank * (n+1)**(k+2) + the vertices'
+    digits in base n + 1.  This is the engine's former one-row coboundary:
+    mask the vertices v with an edge to all of s, place each by
+    searchsorted, key and sort.
+    """
+    n = rank.shape[0]
+    pw = (n + 1) ** np.arange(k + 1, -1, -1, dtype=np.int64)
+    base = int(pw[0]) * (n + 1)
+    M = rank[s].max(axis=0).astype(np.int64)
+    v = np.flatnonzero(M < big)
+    c = np.searchsorted(s, v)
+    lex = pw[c] * (v + 1)
+    for i in range(k + 1):
+        lex += (s[i] + 1) * np.where(c > i, pw[i], pw[i + 1])
+    return np.sort(np.maximum(M[v], r) * base + lex).tolist()
+
+
 # ------------------------------------------------- line-by-line readers
 #
 # The text readers as they were before they parsed in one pass: every
@@ -542,6 +563,8 @@ def read_pgm_tokens(path):
         samples = samples.astype(np.float64)
     else:
         toks, _ = _pgm_tokens(data, path, n_samples, pos)
+        if not all(0 <= t <= maxval for t in toks):
+            raise InputError(f"{path}: sample outside [0, {maxval}]")
         samples = np.array(toks, dtype=np.float64)
     if samples.min() < 0 or samples.max() > maxval:
         raise InputError(f"{path}: sample outside [0, {maxval}]")

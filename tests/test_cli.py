@@ -839,6 +839,8 @@ def _malformed(tmp_path, case):
         "vectorize": (b"# \xff\ndim,birth,death\n1,0.0,1.0\n",
                       ["vectorize", bad, "-o", out]),
         "image": (b"P2\n1 1\n255\n\xff\n", ["image", bad, "-o", out]),
+        "image-huge": (b"P2\n2 1\n255\n1 " + b"9" * 400 + b"\n",
+                       ["image", bad, "-o", out]),
         "voxel": (b"1 1 1\n\xff\n", ["voxel", bad, "-o", out]),
     }[case]
     bad.write_bytes(text)
@@ -849,11 +851,12 @@ def _malformed(tmp_path, case):
     "rips", "matrix", "series", "distance", "vectorize", "image", "voxel",
     "cache-byte", "cache-meta", "manifest-byte", "manifest-no-params",
     "manifest-list-params", "manifest-missing-key", "distance-number",
-    "vectorize-number", "cache-number"])
+    "vectorize-number", "cache-number", "image-huge"])
 def test_malformed_reader_input_is_exit_2(tmp_path, capsys, case):
     """A non-ASCII byte, a `meta` line without a value, a manifest
-    without usable params or a number in a form phom does not write
-    ("1_0") is malformed input, for every reader."""
+    without usable params, a number in a form phom does not write
+    ("1_0") or a PGM sample too large for a float is malformed input, for
+    every reader."""
     argv = _malformed(tmp_path, case)
     capsys.readouterr()
     assert run(*argv) == 2

@@ -98,3 +98,16 @@ def test_reader_matches_line_oracle(seeds, reader, name, edits):
     assert outcome(read, str(bad)) == want
     if not edits:
         assert want[0] == "ok"
+
+
+@pytest.mark.parametrize("body", [
+    b"P2\n2 1\n255\n1 " + b"9" * 400,
+    b"P3\n1 1\n255\n1 2 -" + b"9" * 400,
+    b"P2\n1 1\n7\n" + str(2 ** 1024 - 1).encode()])
+def test_pgm_sample_beyond_float_is_out_of_range(tmp_path, body):
+    path = tmp_path / "big.pgm"
+    path.write_bytes(body + b"\n")
+    maxval = int(body.split()[3])
+    want = ("InputError", f"{path}: sample outside [0, {maxval}]")
+    assert outcome(read_pgm, str(path)) == want
+    assert outcome(read_pgm_tokens, str(path)) == want

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from phom import (InputError, ParameterError, compute_persistence,
                   point_cloud_distances, rips_filtration, rips_persistence,
                   sample_annulus)
-from oracles import diagram_from_pairs, reduction_pairs
+from phom.simplicial import _RipsCohomology, _rips_edges
+from oracles import diagram_from_pairs, reduction_pairs, rips_coboundary
 
 
 def explicit(d, max_dim, max_scale, scale):
@@ -165,3 +166,60 @@ def test_guards():
         rips_persistence(np.ones((30, 30)) - np.eye(30), 12, 2.0)
     with pytest.raises(InputError):
         rips_persistence(np.array([[0.0, 1.0], [2.0, 0.0]]), 1, 1.0)
+
+
+def coboundary_pair(d, k, max_scale, s):
+    """The engine's coboundary of the k-simplex s and the oracle's, on
+    the rank matrix of d at max_scale (diameter convention)."""
+    _, _, _, uvals, rank = _rips_edges(d, k, max_scale, "diameter")
+    assert rank.dtype == np.int32
+    s = np.array(s, dtype=np.int64)
+    r = int(rank[np.ix_(s, s)][np.triu_indices(k + 1, 1)].max())
+    got = _RipsCohomology(rank, uvals.size, k).coboundary(s, r)
+    return got, rips_coboundary(rank, uvals.size, k, s, r)
+
+
+@st.composite
+def simplices_in_matrices(draw):
+    """An n-point integer distance matrix, 2 <= n <= 150, with 1, 3 or
+    about a million levels (heavy ties or none), a max_scale that drops
+    some of its edges or none, and a k-simplex, 1 <= k <= 3, inside it
+    that may hold vertex 0, vertex n - 1 or both."""
+    n = draw(st.integers(2, 150))
+    k = draw(st.integers(1, min(3, n - 1)))
+    levels = draw(st.sampled_from([1, 3, 10 ** 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = np.triu(rng.integers(1, levels + 1, size=(n, n)), 1).astype(float)
+    d += d.T
+    max_scale = float(draw(st.sampled_from([levels, max(1, levels // 2)])))
+    ends = [v for v, keep in ((0, draw(st.booleans())),
+                              (n - 1, draw(st.booleans()))) if keep]
+    ends = sorted(set(ends))[:k + 1]
+    rest = np.setdiff1d(np.arange(n), ends)
+    s = sorted(ends + rng.choice(rest, k + 1 - len(ends),
+                                 replace=False).tolist())
+    # s's own edges are kept, so s is a simplex of the complex.
+    sub = np.ix_(s, s)
+    d[sub] = np.minimum(d[sub], max_scale)
+    return d, k, max_scale, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=simplices_in_matrices())
+def test_coboundary_matches_oracle(case):
+    got, want = coboundary_pair(*case)
+    assert got == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_coboundary_keys_past_int32(k):
+    """At n=150 every coboundary key of these simplices passes 2**31, so
+    a rank scaled in int32 would wrap."""
+    d = point_cloud_distances(sample_annulus(150, noise=0.05, seed=4))
+    rng = np.random.default_rng(k)
+    for s in [range(k + 1), range(150 - k - 1, 150),
+              [0, *sorted(rng.choice(np.arange(1, 149), k - 1,
+                                     replace=False)), 149]]:
+        got, want = coboundary_pair(d, k, 4.0, list(s))
+        assert got == want
+        assert len(got) == 150 - k - 1 and got[0] > 2 ** 31
