@@ -1,4 +1,9 @@
-"""Persistent homology for point clouds, images, voxel grids and series."""
+"""Persistent homology for point clouds, images, voxel grids and series.
+
+Importing phom loads no part of scipy: a function that calls scipy
+imports it in its own body, so a command pays only for the scipy parts
+its code path uses (`phom rips` uses none).
+"""
 
 __version__ = "0.1.0"
 

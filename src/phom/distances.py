@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import InternalError, ParameterError
 from .persistence import PersistenceDiagram
@@ -140,6 +138,8 @@ def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
 
     def heavy_matchings(t: float):
         # (A-side mates in B, B-side mates in A), -1 for none, or None.
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_bipartite_matching
         nha, nhb = int((pa > t).sum()), int((pb > t).sum())
         ka, kb = ptr_a[nha], ptr_b[nhb]
         sa, sb = cost_a[:ka] <= t, cost_b[:kb] <= t
@@ -220,8 +220,6 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
     p-th root of the optimal total, plus the essential birth mismatch
     handled the same way.
     """
-    # scipy.optimize costs every phom process ~0.1 s to import; only
-    # this function needs it.
     from scipy.optimize import linear_sum_assignment
 
     if not (1 <= p < math.inf):

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .errors import ParameterError
 from .persistence import Filtration
@@ -175,6 +174,7 @@ def format_boundary_table(B: BoundaryMatrixZ2,
 def connected_components(n_vertices: int,
                          edges: Sequence[tuple[int, int]]) -> int:
     """Number of connected components of a graph (beta_0 cross-check)."""
+    from scipy.sparse import csgraph, csr_matrix
     ab = np.array(edges, dtype=np.int64).reshape(-1, 2)
     graph = csr_matrix((np.ones(len(ab)), (ab[:, 0], ab[:, 1])),
                        shape=(n_vertices, n_vertices))

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import InputError, InternalError, ParameterError
 
@@ -311,6 +309,8 @@ def contracted_h0(n: int, a: np.ndarray,
     oldest = np.unique(lo * n + hi, return_index=True)[1]
     keep, lo, hi = keep[oldest], lo[oldest], hi[oldest]
     if keep.size:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import minimum_spanning_tree
         roots, ends = np.unique(np.concatenate([lo, hi]), return_inverse=True)
         k = keep.size
         tree = minimum_spanning_tree(csr_matrix(

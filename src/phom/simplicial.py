@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError, InternalError, ParameterError
 from .persistence import (Filtration, PersistenceDiagram, assemble_cells,
@@ -20,6 +19,11 @@ from .persistence import (Filtration, PersistenceDiagram, assemble_cells,
                           union_find_h0)
 
 Vertices = Sequence[int]
+
+# Entries per block of the row-blocked passes (distances, edges, the
+# Rips engine's (simplices, n) passes, the bottleneck's (points, points)
+# pass): bounds their work arrays to a few MB.
+_BLOCK_ENTRIES = 1 << 19
 
 
 class Simplex(tuple):
@@ -151,16 +155,28 @@ def validate_complex(K: Filtration) -> ComplexViolation | None:
 def point_cloud_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix of an (n, d) point cloud.
 
-    The result is exactly symmetric with a zero diagonal.
+    The result is exactly symmetric with a zero diagonal, and bit-equal
+    to scipy's squareform(pdist(points)): each entry adds the squared
+    coordinate differences in coordinate order, then takes the root.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
         raise InputError("point cloud must be a non-empty 2-d array")
     if not np.all(np.isfinite(pts)):
         raise InputError("point cloud contains non-finite coordinates")
-    if pts.shape[0] == 1:
-        return np.zeros((1, 1))
-    return squareform(pdist(pts))
+    n = pts.shape[0]
+    d = np.zeros((n, n))
+    step = max(1, _BLOCK_ENTRIES // n)
+    with np.errstate(over="ignore"):
+        for i in range(0, n, step):
+            for c in range(pts.shape[1]):
+                diff = pts[i:i + step, c, None] - pts[:, c]
+                d[i:i + step] += np.square(diff, out=diff)
+    np.sqrt(d, out=d)
+    if not np.isfinite(d.max()):
+        raise InputError("point cloud coordinates span too wide a range: "
+                         "a distance overflows float64")
+    return d
 
 
 def check_distance_matrix(d: np.ndarray) -> np.ndarray:
@@ -212,13 +228,19 @@ def _rips_edges(dist: np.ndarray, max_dim: int, max_scale: float,
         raise ParameterError(
             f"{n} points have more edges than an int32 rank matrix holds; "
             "at most 65536 points")
-    w = d / 2.0 if scale == "radius" else d
-    iu, ju = np.triu_indices(n, 1)
-    ev = w[iu, ju]
-    keep = ev <= max_scale
-    iu, ju = iu[keep].astype(np.int64), ju[keep].astype(np.int64)
+    # The kept edges j > i, row block by row block: nonzero lists a
+    # block's (i, j) in lexicographic order.
+    step = max(1, _BLOCK_ENTRIES // n)
+    iu, ju, ev = [], [], []
+    for i in range(0, n, step):
+        w = d[i:i + step] / 2.0 if scale == "radius" else d[i:i + step]
+        bi, bj = np.nonzero(np.triu(w <= max_scale, i + 1))
+        iu.append(bi + i)
+        ju.append(bj)
+        ev.append(w[bi, bj])
+    iu, ju = np.concatenate(iu), np.concatenate(ju)
     # + 0.0 makes every zero +0.0, so no value's sign hangs on point order.
-    uvals, erank = np.unique(ev[keep] + 0.0, return_inverse=True)
+    uvals, erank = np.unique(np.concatenate(ev) + 0.0, return_inverse=True)
     rank = np.full((n, n), uvals.size, dtype=np.int32)
     rank[iu, ju] = erank
     rank[ju, iu] = erank
@@ -280,11 +302,6 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
     cells = [tuple(row) for s in simp for row in s.tolist()]
     return Filtration(*wired, [cells[i] for i in order.tolist()],
                       as_cell=Simplex._wrap)
-
-
-# Entries per block of the vectorized (simplices, n) passes, and of the
-# bottleneck's (points, points) pass: bounds their work arrays to a few MB.
-_BLOCK_ENTRIES = 1 << 19
 
 
 def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,

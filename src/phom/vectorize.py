@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ParameterError
 from .persistence import PersistenceDiagram
@@ -132,6 +131,7 @@ def persistence_image(pd: PersistenceDiagram, dim: int,
         raise ParameterError("--sigma is too small for the distance from "
                              "the points to the support edges")
 
+    from scipy.special import ndtr
     xedges = np.linspace(b0, b1, nb + 1)
     yedges = np.linspace(p0, p1, npers + 1)
     pixels = np.zeros((nb, npers))

@@ -1,9 +1,9 @@
 """Reference implementations used only by the tests.
 
 Everything here is written from first principles (plain Python,
-itertools, bitmask linear algebra, and scipy's assignment and
-Hopcroft-Karp solvers for the bottleneck oracles) so that a bug in the
-package cannot hide by agreeing with itself.
+itertools, bitmask linear algebra, scipy's pdist for distances, and
+scipy's assignment and Hopcroft-Karp solvers for the bottleneck oracles)
+so that a bug in the package cannot hide by agreeing with itself.
 """
 
 import itertools
@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.spatial.distance import pdist, squareform
 
 from phom.errors import InputError
 from phom.persistence import PersistenceDiagram
@@ -377,6 +378,32 @@ def rips_coboundary(rank, big, k, s, r):
     for i in range(k + 1):
         lex += (s[i] + 1) * np.where(c > i, pw[i], pw[i + 1])
     return np.sort(np.maximum(M[v], r) * base + lex).tolist()
+
+
+# ------------------------------------------------ Rips edge table
+
+def pdist_distances(points):
+    """scipy's Euclidean distance matrix of an (n, d) cloud (n >= 1)."""
+    return squareform(pdist(np.asarray(points, dtype=np.float64)))
+
+
+def rips_edges(d, max_scale, scale):
+    """The engine's former edge table of a valid distance matrix, built
+    from the full upper triangle and halved matrix before the max_scale
+    cut: (kept edges (i < j) in lexicographic order, int64 ranks,
+    distinct values, (n, n) int32 rank matrix with `big` off the edges).
+    """
+    n = d.shape[0]
+    w = d / 2.0 if scale == "radius" else d
+    iu, ju = np.triu_indices(n, 1)
+    ev = w[iu, ju]
+    keep = ev <= max_scale
+    iu, ju = iu[keep].astype(np.int64), ju[keep].astype(np.int64)
+    uvals, erank = np.unique(ev[keep] + 0.0, return_inverse=True)
+    rank = np.full((n, n), uvals.size, dtype=np.int32)
+    rank[iu, ju] = erank
+    rank[ju, iu] = erank
+    return np.column_stack([iu, ju]), erank.astype(np.int64), uvals, rank
 
 
 # ------------------------------------------------- line-by-line readers

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -626,6 +628,80 @@ def test_exit_codes(tmp_path, capsys):
     good_cloud = tmp_path / "c.csv"
     assert run("gen", "annulus", "-n", 5, "-o", good_cloud) == 0
     assert run("--manifest", tmp_path / "c.manifest.json", "gen") == 3
+
+
+@pytest.mark.parametrize("sub", ["rips", "series"])
+def test_cloud_whose_distances_overflow_is_exit_2(tmp_path, capsys, sub):
+    """Coordinates whose differences square past float64 are a fault of
+    the cloud, named as such (pytest turns numpy's overflow warning into
+    an error, so a warning would show as exit 4)."""
+    cloud = tmp_path / "c.csv"
+    pts = np.zeros((40, 2))
+    pts[0, 0], pts[1, 0] = 1e200, -1e200
+    write_point_cloud(str(cloud), pts)
+    argv = {"rips": ["rips", cloud, "-o", tmp_path / "dg.csv"],
+            "series": ["series", cloud, "--out-dir", tmp_path / "s",
+                       "--window", 20, "--stride", 20]}[sub]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert "span too wide a range: a distance overflows" in \
+        capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: imports phom, runs `phom rips`, then one
+# command or call through each function that imports a scipy part, and
+# prints [step, exit code or result, scipy submodules loaded] per step.
+_SCIPY_PARTS_SCRIPT = """
+import json, sys
+from phom import cli, connected_components
+
+def parts():
+    return sorted(m for m in sys.modules if m.startswith("scipy."))
+
+d = sys.argv[1] + "/"
+steps = [["import_", 0, parts()]]
+for name, argv in [
+        ("gen", ["gen", "annulus", "-n", "30", "--seed", "1", "-o",
+                 d + "a.csv"]),
+        ("gen_b", ["gen", "annulus", "-n", "30", "--seed", "2", "-o",
+                   d + "b.csv"]),
+        ("rips", ["rips", d + "a.csv", "-o", d + "a_dg.csv"]),
+        ("rips_b", ["rips", d + "b.csv", "-o", d + "b_dg.csv"]),
+        ("vectorize", ["vectorize", d + "a_dg.csv", "-o", d + "i.json"]),
+        ("distance", ["distance", d + "a_dg.csv", d + "b_dg.csv", "-o",
+                      d + "r.json"]),
+        ("wasserstein", ["distance", d + "a_dg.csv", d + "b_dg.csv",
+                         "--metric", "wasserstein", "-o", d + "w.json"]),
+        ("image", ["image", d + "g.pgm", "-o", d + "g_dg.csv"])]:
+    steps.append([name, cli.main(argv), parts()])
+steps.append(["components", connected_components(3, [(0, 1)]), parts()])
+print(json.dumps(steps))
+"""
+
+
+def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
+    """`import phom, phom.cli` and `phom rips` load no scipy submodule;
+    each deferred import then loads its part and its command exits 0."""
+    write_pgm(str(tmp_path / "g.pgm"),
+              np.random.default_rng(0).integers(0, 256, size=(12, 12)))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", _SCIPY_PARTS_SCRIPT,
+         str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=300, check=True).stdout
+    steps = {name: (code, set(parts))
+             for name, code, parts in json.loads(out)}
+    assert {name: code for name, (code, _) in steps.items()} == dict(
+        import_=0, gen=0, gen_b=0, rips=0, rips_b=0, vectorize=0,
+        distance=0, wasserstein=0, image=0, components=2)
+    assert steps["import_"][1] == set()
+    assert steps["rips_b"][1] == set()
+    assert "scipy.special" in steps["vectorize"][1]
+    assert "scipy.sparse" not in steps["vectorize"][1]
+    assert "scipy.sparse.csgraph" in steps["distance"][1]
+    assert "scipy.optimize" not in steps["distance"][1]
+    assert "scipy.optimize" in steps["wasserstein"][1]
 
 
 def test_malformed_inputs_are_exit_2(tmp_path):

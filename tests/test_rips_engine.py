@@ -13,7 +13,8 @@ from phom import (InputError, ParameterError, compute_persistence,
                   point_cloud_distances, rips_filtration, rips_persistence,
                   sample_annulus)
 from phom.simplicial import _RipsCohomology, _rips_edges
-from oracles import diagram_from_pairs, reduction_pairs, rips_coboundary
+from oracles import (diagram_from_pairs, reduction_pairs, rips_coboundary,
+                     rips_edges)
 
 
 def explicit(d, max_dim, max_scale, scale):
@@ -166,6 +167,28 @@ def test_guards():
         rips_persistence(np.ones((30, 30)) - np.eye(30), 12, 2.0)
     with pytest.raises(InputError):
         rips_persistence(np.array([[0.0, 1.0], [2.0, 0.0]]), 1, 1.0)
+
+
+def same_edge_table(d, max_scale, scale):
+    got = _rips_edges(d, 1, max_scale, scale)[1:]
+    for g, w in zip(got, rips_edges(d, max_scale, scale)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=integer_matrices(), where=common["where"], scale=common["scale"])
+def test_edge_table_matches_oracle(d, where, scale):
+    same_edge_table(d, scale_at(d, where, scale), scale)
+
+
+@pytest.mark.parametrize("scale", ["radius", "diameter"])
+@pytest.mark.parametrize("n", [725, 1500])
+def test_edge_table_matches_oracle_across_row_blocks(n, scale):
+    """n > 724 spreads the rows over several _BLOCK_ENTRIES blocks."""
+    d = point_cloud_distances(sample_annulus(n, noise=0.05, seed=n))
+    for max_scale in (0.05, 0.6, 3.0):
+        same_edge_table(d, max_scale, scale)
 
 
 def coboundary_pair(d, k, max_scale, s):

@@ -18,6 +18,7 @@ from phom import (
     rips_filtration,
     validate_complex,
 )
+from oracles import pdist_distances
 from test_rips_engine import clouds, integer_matrices
 
 
@@ -167,6 +168,46 @@ def test_point_cloud_distances_rejects_bad_input():
         point_cloud_distances(np.zeros((0, 2)))
     with pytest.raises(InputError):
         point_cloud_distances(np.array([[0.0, np.nan]]))
+    # A square or a difference past float64.
+    for pts in ([[1e200, 0.0], [-1e200, 0.0]], [[1.5e308], [-1.5e308]]):
+        with pytest.raises(InputError, match="span too wide a range"):
+            point_cloud_distances(np.array(pts))
+
+
+@st.composite
+def scaled_clouds(draw):
+    """n = 1..40 points in 1..40 dimensions at a coordinate scale from
+    1e-6 to 1e6, about an offset of the same scale, with some points
+    repeated."""
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 40))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = (rng.normal(size=(n, dim)) + rng.normal(size=dim)) * scale
+    dups = draw(st.integers(0, n - 1))
+    pts[rng.integers(0, n, dups)] = pts[rng.integers(0, n, dups)]
+    return pts
+
+
+def same_bits_as_pdist(pts):
+    d = point_cloud_distances(pts)
+    assert d.dtype == np.float64 and d.shape == (len(pts),) * 2
+    assert d.tobytes() == pdist_distances(pts).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=scaled_clouds())
+def test_point_cloud_distances_equal_pdist_bit_for_bit(pts):
+    same_bits_as_pdist(pts)
+
+
+@pytest.mark.parametrize("n, dim", [(1, 1), (1, 5), (2, 1), (2, 40),
+                                    (725, 2), (1500, 40)])
+def test_point_cloud_distances_equal_pdist_across_row_blocks(n, dim):
+    """n > 724 spreads the rows over several _BLOCK_ENTRIES blocks."""
+    pts = np.random.default_rng(n + dim).normal(size=(n, dim))
+    pts[n // 2] = pts[0]
+    same_bits_as_pdist(pts)
 
 
 def test_check_distance_matrix_errors():
