@@ -12,8 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
-from .persistence import Filtration
+from .errors import InputError, ParameterError
+from .persistence import Filtration, union_find_h0
 
 
 @dataclass
@@ -173,9 +173,13 @@ def format_boundary_table(B: BoundaryMatrixZ2,
 
 def connected_components(n_vertices: int,
                          edges: Sequence[tuple[int, int]]) -> int:
-    """Number of connected components of a graph (beta_0 cross-check)."""
-    from scipy.sparse import csgraph, csr_matrix
+    """Number of connected components of a graph (beta_0 cross-check);
+    an endpoint outside [0, n_vertices) is InputError."""
+    if n_vertices < 0:
+        raise ParameterError("n_vertices must be non-negative")
     ab = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    graph = csr_matrix((np.ones(len(ab)), (ab[:, 0], ab[:, 1])),
-                       shape=(n_vertices, n_vertices))
-    return int(csgraph.connected_components(graph, directed=False)[0])
+    bad = np.flatnonzero(((ab < 0) | (ab >= n_vertices)).any(axis=1))
+    if bad.size:
+        raise InputError(f"edge {tuple(ab[bad[0]].tolist())} has an "
+                         f"endpoint outside [0, {n_vertices})")
+    return n_vertices - union_find_h0(n_vertices, ab[:, 0], ab[:, 1])[0].size

@@ -272,17 +272,16 @@ def union_find_h0(n: int, a: np.ndarray,
 
 def contracted_h0(n: int, a: np.ndarray,
                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """union_find_h0(n, a, b), with its loop run over a spanning tree only.
+    """union_find_h0(n, a, b), with its loop run over the contracted graph.
 
     A node whose oldest edge leads to an older node is killed by that
     edge, since no earlier edge touches it (an apparent merge).
     Contracting these edges, by pointer jumping to the oldest node of
     each chain, leaves a graph on the surviving roots.  Only the oldest
-    edge between two roots can merge, and of those only the minimum
-    spanning tree under edge order does (Kruskal's merge set, unique as
-    the weights position + 1 differ); union_find_h0 applies the elder
-    rule to that tree.  This pays on lattices, where most nodes merge
-    apparently; on a few thousand edges union_find_h0 alone is faster.
+    edge between two roots can merge, so union_find_h0 scans those edges
+    in position order and applies the elder rule to them.  This pays on
+    lattices, where most nodes merge apparently; on a few thousand edges
+    union_find_h0 alone is faster.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -306,20 +305,11 @@ def contracted_h0(n: int, a: np.ndarray,
     lo, hi = root[a], root[b]
     keep = np.flatnonzero(lo != hi)
     lo, hi = np.minimum(lo[keep], hi[keep]), np.maximum(lo[keep], hi[keep])
-    oldest = np.unique(lo * n + hi, return_index=True)[1]
-    keep, lo, hi = keep[oldest], lo[oldest], hi[oldest]
-    if keep.size:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import minimum_spanning_tree
-        roots, ends = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-        k = keep.size
-        tree = minimum_spanning_tree(csr_matrix(
-            (keep + 1.0, (ends[:k], ends[k:])), shape=(roots.size,) * 2))
-        t = np.sort(tree.data.astype(np.int64) - 1)
-        te, tk = union_find_h0(roots.size, np.searchsorted(roots, root[a[t]]),
-                               np.searchsorted(roots, root[b[t]]))
-        e = np.concatenate([e, t[te]])
-        nodes = np.concatenate([nodes, roots[tk]])
+    # np.unique gives the oldest edge of each root pair in (lo, hi) order.
+    keep = keep[np.sort(np.unique(lo * n + hi, return_index=True)[1])]
+    te, tk = union_find_h0(n, root[a[keep]], root[b[keep]])
+    e = np.concatenate([e, keep[te]])
+    nodes = np.concatenate([nodes, tk])
     order = np.argsort(e)
     return e[order], nodes[order]
 

@@ -24,6 +24,8 @@ Vertices = Sequence[int]
 # Rips engine's (simplices, n) passes, the bottleneck's (points, points)
 # pass): bounds their work arrays to a few MB.
 _BLOCK_ENTRIES = 1 << 19
+# check_distance_matrix compares d with d.T tile by tile, in cache.
+_SYMMETRY_TILE = 256
 
 
 class Simplex(tuple):
@@ -190,8 +192,11 @@ def check_distance_matrix(d: np.ndarray) -> np.ndarray:
         raise InputError("distance matrix contains negative entries")
     if np.any(np.diagonal(d) != 0):
         raise InputError("distance matrix diagonal must be zero")
-    if not np.array_equal(d, d.T):
-        raise InputError("distance matrix is not symmetric")
+    n, t = d.shape[0], _SYMMETRY_TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            if not np.array_equal(d[i:i + t, j:j + t], d[j:j + t, i:i + t].T):
+                raise InputError("distance matrix is not symmetric")
     return d
 
 

@@ -1,8 +1,9 @@
 """Reference implementations used only by the tests.
 
 Everything here is written from first principles (plain Python,
-itertools, bitmask linear algebra, scipy's pdist for distances, and
-scipy's assignment and Hopcroft-Karp solvers for the bottleneck oracles)
+itertools, bitmask linear algebra, scipy's pdist for distances,
+scipy's connected components for graphs, and scipy's assignment and
+Hopcroft-Karp solvers for the bottleneck oracles)
 so that a bug in the package cannot hide by agreeing with itself.
 """
 
@@ -12,9 +13,11 @@ import re
 from io import StringIO
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import (connected_components,
+                                  maximum_bipartite_matching)
 from scipy.spatial.distance import pdist, squareform
 
 from phom.errors import InputError
@@ -98,6 +101,24 @@ def components_via_union_find(cells):
                 parent[rb] = ra
                 comps -= 1
     return comps
+
+
+def csgraph_components(n, edges):
+    """Number of connected components of a graph, by scipy.sparse.csgraph."""
+    ab = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    graph = csr_matrix((np.ones(len(ab)), (ab[:, 0], ab[:, 1])),
+                       shape=(n, n))
+    return int(connected_components(graph, directed=False)[0])
+
+
+@st.composite
+def multigraphs(draw):
+    """n nodes and an edge list in filtration order: duplicate edges,
+    self-loops and isolated nodes all occur."""
+    n = draw(st.integers(1, 12))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=40))
+    return n, edges
 
 
 # ----------------------------------------------- cubical cell algebra

@@ -648,9 +648,10 @@ def test_cloud_whose_distances_overflow_is_exit_2(tmp_path, capsys, sub):
         capsys.readouterr().err
 
 
-# Runs in a fresh interpreter: imports phom, runs `phom rips`, then one
-# command or call through each function that imports a scipy part, and
-# prints [step, exit code or result, scipy submodules loaded] per step.
+# Runs in a fresh interpreter: imports phom, runs `phom rips`, the
+# cubical commands and a components count, then one command through each
+# function that imports a scipy part, and prints [step, exit code or
+# result, scipy submodules loaded] per step.
 _SCIPY_PARTS_SCRIPT = """
 import json, sys
 from phom import cli, connected_components
@@ -660,30 +661,37 @@ def parts():
 
 d = sys.argv[1] + "/"
 steps = [["import_", 0, parts()]]
-for name, argv in [
-        ("gen", ["gen", "annulus", "-n", "30", "--seed", "1", "-o",
-                 d + "a.csv"]),
-        ("gen_b", ["gen", "annulus", "-n", "30", "--seed", "2", "-o",
-                   d + "b.csv"]),
-        ("rips", ["rips", d + "a.csv", "-o", d + "a_dg.csv"]),
-        ("rips_b", ["rips", d + "b.csv", "-o", d + "b_dg.csv"]),
-        ("vectorize", ["vectorize", d + "a_dg.csv", "-o", d + "i.json"]),
-        ("distance", ["distance", d + "a_dg.csv", d + "b_dg.csv", "-o",
-                      d + "r.json"]),
-        ("wasserstein", ["distance", d + "a_dg.csv", d + "b_dg.csv",
-                         "--metric", "wasserstein", "-o", d + "w.json"]),
-        ("image", ["image", d + "g.pgm", "-o", d + "g_dg.csv"])]:
-    steps.append([name, cli.main(argv), parts()])
+
+def command(name, *argv):
+    steps.append([name, cli.main(list(argv)), parts()])
+
+command("gen", "gen", "annulus", "-n", "30", "--seed", "1", "-o", d + "a.csv")
+command("gen_b", "gen", "annulus", "-n", "30", "--seed", "2", "-o",
+        d + "b.csv")
+command("rips", "rips", d + "a.csv", "-o", d + "a_dg.csv")
+command("rips_b", "rips", d + "b.csv", "-o", d + "b_dg.csv")
+command("image", "image", d + "g.pgm", "-o", d + "g_dg.csv")
+command("superlevel", "image", d + "g.pgm", "--superlevel", "-o",
+        d + "s_dg.csv")
+command("voxel", "voxel", d + "v.vox", "-o", d + "v_dg.csv")
 steps.append(["components", connected_components(3, [(0, 1)]), parts()])
+command("vectorize", "vectorize", d + "a_dg.csv", "-o", d + "i.json")
+command("distance", "distance", d + "a_dg.csv", d + "b_dg.csv", "-o",
+        d + "r.json")
+command("wasserstein", "distance", d + "a_dg.csv", d + "b_dg.csv",
+        "--metric", "wasserstein", "-o", d + "w.json")
 print(json.dumps(steps))
 """
 
 
 def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
-    """`import phom, phom.cli` and `phom rips` load no scipy submodule;
-    each deferred import then loads its part and its command exits 0."""
-    write_pgm(str(tmp_path / "g.pgm"),
-              np.random.default_rng(0).integers(0, 256, size=(12, 12)))
+    """`import phom, phom.cli`, `phom rips`, `phom image` (sub- and
+    superlevel), `phom voxel` and connected_components load no scipy
+    submodule; each deferred import then loads its part and its command
+    exits 0."""
+    rng = np.random.default_rng(0)
+    write_pgm(str(tmp_path / "g.pgm"), rng.integers(0, 256, size=(12, 12)))
+    write_voxel(str(tmp_path / "v.vox"), rng.integers(0, 9, size=(5, 4, 6)))
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -693,10 +701,11 @@ def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
     steps = {name: (code, set(parts))
              for name, code, parts in json.loads(out)}
     assert {name: code for name, (code, _) in steps.items()} == dict(
-        import_=0, gen=0, gen_b=0, rips=0, rips_b=0, vectorize=0,
-        distance=0, wasserstein=0, image=0, components=2)
-    assert steps["import_"][1] == set()
-    assert steps["rips_b"][1] == set()
+        import_=0, gen=0, gen_b=0, rips=0, rips_b=0, image=0, superlevel=0,
+        voxel=0, components=2, vectorize=0, distance=0, wasserstein=0)
+    for name in ["import_", "rips_b", "image", "superlevel", "voxel",
+                 "components"]:
+        assert steps[name][1] == set(), name
     assert "scipy.special" in steps["vectorize"][1]
     assert "scipy.sparse" not in steps["vectorize"][1]
     assert "scipy.sparse.csgraph" in steps["distance"][1]

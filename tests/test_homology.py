@@ -1,10 +1,14 @@
 """Boundary matrices, GF(2) ranks, Betti numbers, and table rendering."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from phom import (
     FilteredSimplicialComplex,
+    InputError,
     ParameterError,
     betti_numbers,
     boundary_dense,
@@ -18,7 +22,13 @@ from phom import (
     snf_rank,
 )
 from phom.io import read_complex_cache, write_complex_cache
-from oracles import bitmask_rank, components_via_union_find, simplex_betti
+from oracles import (
+    bitmask_rank,
+    components_via_union_find,
+    csgraph_components,
+    multigraphs,
+    simplex_betti,
+)
 
 NAMES = dict(enumerate("abcde"))
 
@@ -258,6 +268,24 @@ def test_connected_components_matches_union_find_oracle():
                  for _ in range(n_e)] if n > 1 else []
         cells = [(i,) for i in range(n)] + [tuple(e) for e in set(edges)]
         assert connected_components(n, edges) == components_via_union_find(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=multigraphs())
+@example(graph=(1, [(0, 0)]))
+@example(graph=(5, [(3, 3), (1, 4), (4, 1), (1, 4)]))
+def test_connected_components_matches_csgraph(graph):
+    n, edges = graph
+    assert connected_components(n, edges) == csgraph_components(n, edges)
+
+
+def test_connected_components_rejects_bad_endpoints():
+    assert connected_components(0, []) == 0
+    for edge in [(0, 3), (-1, 0), (2, 7)]:
+        with pytest.raises(InputError, match=re.escape(str(edge))):
+            connected_components(3, [(0, 1), edge])
+    with pytest.raises(ParameterError):
+        connected_components(-1, [])
 
 
 def test_format_table_custom_names():

@@ -27,6 +27,7 @@ from phom.persistence import MAX_BUDGET, contracted_h0, union_find_h0
 from oracles import (
     brute_min_cycle_size,
     diagram_from_pairs,
+    multigraphs,
     random_filtration,
     reduction_pairs,
     simplex_betti,
@@ -163,22 +164,20 @@ def test_engine_and_cycles_match_oracle(built, cached, data):
             assert i in cyc.cells and cycle_boundary_is_zero(cyc)
 
 
-@st.composite
-def multigraphs(draw):
-    """n nodes and an edge list in filtration order: duplicate edges,
-    self-loops and isolated nodes all occur."""
-    n = draw(st.integers(1, 12))
-    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                    st.integers(0, n - 1)), max_size=40))
-    return n, edges
-
-
 @settings(max_examples=500, deadline=None)
 @given(graph=multigraphs())
 @example(graph=(1, []))
 @example(graph=(1, [(0, 0)]))
 @example(graph=(4, []))
 @example(graph=(3, [(2, 1), (1, 2), (2, 1), (0, 2)]))
+# Root pairs (1, 2) then (0, 2): np.unique returns them swapped.
+@example(graph=(4, [(2, 3), (1, 3), (0, 3)]))
+# The vertex graph of the 3x3 image [[0,1,0],[1,2,1],[0,1,0]]: four
+# roots remain after contraction.
+@example(graph=(16, [(0, 1), (2, 3), (0, 4), (1, 5), (2, 6), (3, 7),
+                     (4, 5), (6, 7), (8, 9), (10, 11), (8, 12), (9, 13),
+                     (10, 14), (11, 15), (12, 13), (14, 15), (1, 2), (5, 6),
+                     (4, 8), (5, 9), (6, 10), (7, 11), (9, 10), (13, 14)]))
 def test_contracted_h0_matches_union_find(graph):
     n, edges = graph
     a = np.array([x for x, _ in edges], dtype=np.int64)

@@ -18,6 +18,7 @@ from phom import (
     rips_filtration,
     validate_complex,
 )
+from phom.simplicial import _SYMMETRY_TILE
 from oracles import pdist_distances
 from test_rips_engine import clouds, integer_matrices
 
@@ -223,6 +224,42 @@ def test_check_distance_matrix_errors():
         check_distance_matrix(np.array([[0.5, 1.0], [1.0, 0.0]]))
     with pytest.raises(InputError):
         check_distance_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+@st.composite
+def nearly_symmetric_matrices(draw):
+    """Symmetric distance matrices below one tile up to two tiles and a
+    partial one, with up to three off-diagonal entries changed: mostly
+    on tile borders and in the last partial tile."""
+    t = _SYMMETRY_TILE
+    n = draw(st.sampled_from([2, 3, t - 1, t, t + 1, 2 * t + 37]))
+    d = np.random.default_rng(n).random((n, n))
+    d = d + d.T
+    np.fill_diagonal(d, 0.0)
+    borders = sorted({0, n - 1} | {k + o for k in range(t, n, t)
+                                   for o in (-1, 0)})
+    index = st.one_of(st.sampled_from(borders), st.integers(0, n - 1))
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        if i == j:
+            continue
+        kind = draw(st.sampled_from(["next", "zero", "signed_zero"]))
+        if kind == "next":
+            d[i, j] = np.nextafter(d[j, i], 9.0)
+        elif kind == "zero":
+            d[i, j] = 0.0
+        else:
+            d[i, j], d[j, i] = -0.0, 0.0
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=nearly_symmetric_matrices())
+def test_symmetry_verdict_matches_whole_matrix_compare(d):
+    if np.array_equal(d, d.T):
+        assert check_distance_matrix(d) is not None
+    else:
+        with pytest.raises(InputError, match="is not symmetric"):
+            check_distance_matrix(d)
 
 
 def test_rips_unit_triangle():
