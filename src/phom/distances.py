@@ -66,7 +66,10 @@ def _augmented_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     n1, n2 = a.shape[0], b.shape[0]
     big = np.zeros((n1 + n2, n1 + n2))
-    big[:n1, :n2] = _linf(a[:, None], b[None, :])
+    step = max(1, _BLOCK_ENTRIES // max(1, n2))
+    for s in range(0, n1, step):
+        e = min(s + step, n1)
+        big[s:e, :n2] = _linf(a[s:e, None], b[None, :])
     big[:n1, n2:] = ((a[:, 1] - a[:, 0]) / 2.0)[:, None]
     big[n1:, :n2] = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
     return big
@@ -201,14 +204,18 @@ def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
 
 
 def _powered(costs: np.ndarray, p: float) -> np.ndarray:
-    """costs ** p; a nonzero cost whose power overflows to inf or
-    underflows to 0 is a ParameterError, not a wrong distance."""
+    """costs ** p, in place; a nonzero cost whose power overflows to inf
+    or underflows to 0 is a ParameterError, not a wrong distance.  Powers
+    with p >= 1 are monotone, so the check looks only at the least
+    nonzero cost and the largest."""
+    ends = np.array([costs.min(where=costs > 0, initial=np.inf),
+                     costs.max(initial=0.0)])
     with np.errstate(over="ignore", under="ignore"):
-        out = costs ** p
-    if np.any((costs > 0) & ((out == 0) | np.isinf(out))):
+        np.power(ends, p, out=ends)
+    if ends[0] == 0 or np.isinf(ends[1]):
         raise ParameterError(
             f"wasserstein order p={p!r} overflows or underflows a cost")
-    return out
+    return np.power(costs, p, out=costs)
 
 
 def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -196,20 +197,34 @@ class PersistencePairing:
     essential: list[int]
     max_dim: int
 
+    @cached_property
+    def _pair_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dims, birth values, death values) of the pairs."""
+        K = self.complex
+        b, d = np.array(self.pairs, dtype=np.int64).reshape(-1, 2).T
+        return K.dims[b], K.values[b], K.values[d]
+
+    @cached_property
+    def _essential_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dims, birth values) of the essentials."""
+        e = np.array(self.essential, dtype=np.int64)
+        return self.complex.dims[e], self.complex.values[e]
+
     def pair_for(self, point: DiagramPoint) -> tuple[int, int | None]:
         """(birth_cell, death_cell) of the first pair matching a point."""
         dim, birth, death = int(point[0]), float(point[1]), float(point[2])
-        K = self.complex
         if math.isinf(death):
-            for i in self.essential:
-                if int(K.dims[i]) == dim and float(K.values[i]) == birth:
-                    return i, None
+            dims, births = self._essential_keys
+            hits = np.flatnonzero((dims == dim) & (births == birth))
         else:
-            for i, j in self.pairs:
-                if (int(K.dims[i]) == dim and float(K.values[i]) == birth
-                        and float(K.values[j]) == death):
-                    return i, j
-        raise ParameterError(f"no diagram point {point} in pairing")
+            dims, births, deaths = self._pair_keys
+            hits = np.flatnonzero((dims == dim) & (births == birth)
+                                  & (deaths == death))
+        if not hits.size:
+            raise ParameterError(f"no diagram point {point} in pairing")
+        k = int(hits[0])
+        return ((self.essential[k], None) if math.isinf(death)
+                else tuple(self.pairs[k]))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here is written from first principles (plain Python,
 itertools, bitmask linear algebra, scipy's pdist for distances,
-scipy's connected components for graphs, and scipy's assignment and
-Hopcroft-Karp solvers for the bottleneck oracles)
+scipy's connected components for graphs, scipy's assignment and
+Hopcroft-Karp solvers for the bottleneck oracles, and scipy's ndtr for
+persistence images)
 so that a bug in the package cannot hide by agreeing with itself.
 """
 
@@ -18,6 +19,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import (connected_components,
                                   maximum_bipartite_matching)
+from scipy.special import ndtr
 from scipy.spatial.distance import pdist, squareform
 
 from phom.errors import InputError
@@ -340,6 +342,53 @@ def brute_wasserstein(a, b, e1, e2, p):
         best = min(best, sum(c ** p for c in costs))
     best += sum(abs(x - y) ** p for x, y in zip(sorted(e1), sorted(e2)))
     return best ** (1.0 / p)
+
+
+# ------------------------------------------------ pairing lookup scan
+
+def scan_pair_for(pairing, point):
+    """(birth_cell, death_cell) of the first pair of `pairing` whose
+    dimension, birth value and death value equal the point's, scanning
+    the pairs (or, for an infinite death, the essentials) in order; None
+    when no pair matches."""
+    dim, birth, death = int(point[0]), float(point[1]), float(point[2])
+    K = pairing.complex
+    if math.isinf(death):
+        for i in pairing.essential:
+            if int(K.dims[i]) == dim and float(K.values[i]) == birth:
+                return i, None
+    else:
+        for i, j in pairing.pairs:
+            if (int(K.dims[i]) == dim and float(K.values[i]) == birth
+                    and float(K.values[j]) == death):
+                return i, j
+    return None
+
+
+# ------------------------------------------- per-point persistence image
+
+def loop_image_pixels(pts, support, resolution, sigma, weight):
+    """Persistence image pixels, one point at a time in the given order.
+
+    pts are (birth, persistence) rows; each point adds w * outer(wx, wy),
+    where wx and wy are differences of scipy's ndtr over the pixel edges
+    and w is the linear or constant weight.
+    """
+    (b0, b1), (p0, p1) = support
+    xedges = np.linspace(b0, b1, resolution[0] + 1)
+    yedges = np.linspace(p0, p1, resolution[1] + 1)
+    pixels = np.zeros(resolution)
+    for b, pers in pts:
+        if weight == "linear":
+            w = min(max(pers, 0.0), p1) / p1 if p1 > 0 else 0.0
+        else:
+            w = 1.0
+        if w == 0.0:
+            continue
+        wx = np.diff(ndtr((xedges - b) / sigma))
+        wy = np.diff(ndtr((yedges - pers) / sigma))
+        pixels += w * np.outer(wx, wy)
+    return pixels
 
 
 # ------------------------------------------------ brute-force sparsify

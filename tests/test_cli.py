@@ -686,9 +686,9 @@ print(json.dumps(steps))
 
 def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
     """`import phom, phom.cli`, `phom rips`, `phom image` (sub- and
-    superlevel), `phom voxel` and connected_components load no scipy
-    submodule; each deferred import then loads its part and its command
-    exits 0."""
+    superlevel), `phom voxel`, connected_components and `phom vectorize`
+    load no scipy submodule; each deferred import then loads its part
+    and its command exits 0."""
     rng = np.random.default_rng(0)
     write_pgm(str(tmp_path / "g.pgm"), rng.integers(0, 256, size=(12, 12)))
     write_voxel(str(tmp_path / "v.vox"), rng.integers(0, 9, size=(5, 4, 6)))
@@ -704,10 +704,8 @@ def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
         import_=0, gen=0, gen_b=0, rips=0, rips_b=0, image=0, superlevel=0,
         voxel=0, components=2, vectorize=0, distance=0, wasserstein=0)
     for name in ["import_", "rips_b", "image", "superlevel", "voxel",
-                 "components"]:
+                 "components", "vectorize"]:
         assert steps[name][1] == set(), name
-    assert "scipy.special" in steps["vectorize"][1]
-    assert "scipy.sparse" not in steps["vectorize"][1]
     assert "scipy.sparse.csgraph" in steps["distance"][1]
     assert "scipy.optimize" not in steps["distance"][1]
     assert "scipy.optimize" in steps["wasserstein"][1]

@@ -3,6 +3,7 @@
 import inspect
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from phom import (
     matching_cost,
     wasserstein_distance,
 )
+from phom import distances
 from phom.io import write_diagram_csv
 from oracles import (assignment_bottleneck, brute_bottleneck,
                      brute_wasserstein, dense_bottleneck)
@@ -127,6 +129,30 @@ def test_wasserstein_total_that_overflows_is_rejected():
     # One point less and the total is finite: sqrt of (1.25e154)**2.
     one = wasserstein_distance(diag([(1, 0.0, 2.5e154)]), diag([]), dim=1)
     assert one.value == pytest.approx(1.25e154)
+
+
+def test_wasserstein_cost_power_out_of_range_is_rejected():
+    """A nonzero cost whose p-th power is inf or 0 is a ParameterError;
+    a zero cost (two diagonal slots) is not."""
+    for death in (2e200, 2e-200):
+        with pytest.raises(ParameterError, match="underflows a cost"):
+            wasserstein_distance(diag([(1, 0.0, death)]), diag([]), dim=1)
+    rep = wasserstein_distance(diag([(1, 0.0, 2e-100), (1, 0.0, 2e100)]),
+                               diag([(1, 0.0, 2e-100)]), dim=1)
+    assert rep.value == pytest.approx(1e100)
+
+
+def test_augmented_costs_fill_in_row_blocks():
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(0, 4, size=(23, 2)), rng.uniform(0, 4, size=(17, 2))
+    want = np.zeros((40, 40))
+    want[:23, :17] = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]),
+                                np.abs(a[:, None, 1] - b[None, :, 1]))
+    want[:23, 17:] = ((a[:, 1] - a[:, 0]) / 2.0)[:, None]
+    want[23:, :17] = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
+    for block in (1, 40, 1 << 19):
+        with mock.patch.object(distances, "_BLOCK_ENTRIES", block):
+            assert np.array_equal(distances._augmented_costs(a, b), want)
 
 
 def test_negative_dim_is_rejected():

@@ -30,6 +30,7 @@ from oracles import (
     multigraphs,
     random_filtration,
     reduction_pairs,
+    scan_pair_for,
     simplex_betti,
 )
 
@@ -230,6 +231,31 @@ def test_pair_for_roundtrip_and_miss():
             assert float(K.values[j]) == pt[2]
     with pytest.raises(ParameterError):
         pairing.pair_for((0, 0.25, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(built=filtrations(), data=st.data())
+def test_pair_for_matches_scan(built, data):
+    """The array lookup returns the scan's first match in pairing order,
+    on tied values (duplicate points), essentials, -0.0 and misses."""
+    K, _ = built
+    dg, pairing = compute_persistence(K, max_dim=data.draw(
+        st.integers(0, max(K.dim, 0))))
+    queries = list(dg.points)
+    for dim, birth, death in dg.points[:4]:
+        queries += [(dim + 1, birth, death), (dim, birth, math.inf),
+                    (dim, -birth, death), (dim, birth, death + 0.125),
+                    (dim, birth, -math.inf)]
+    queries.append(data.draw(st.tuples(st.integers(-1, 3),
+                                       st.sampled_from([-0.0, 0.0, 0.5]),
+                                       st.sampled_from([0.5, math.inf]))))
+    for pt in queries:
+        want = scan_pair_for(pairing, pt)
+        if want is None:
+            with pytest.raises(ParameterError, match="no diagram point"):
+                pairing.pair_for(pt)
+        else:
+            assert pairing.pair_for(pt) == want
 
 
 def test_representative_cycle_dim0_is_birth_vertex():

@@ -1,17 +1,29 @@
 """Persistence-image rasterization: mass, linearity, stability."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtr
 
 from phom import (
     ParameterError,
     PersistenceDiagram,
+    image_persistence,
     image_stability_constant,
     persistence_image,
     wasserstein_distance,
 )
+from phom import vectorize
+from phom.vectorize import _MAXLOG, _ndtr, _transform_points
+from oracles import loop_image_pixels
+
+# |a| where -z*z crosses -MAXLOG (z = |a| / sqrt(2)), and its neighbours.
+_EDGE = math.sqrt(2 * _MAXLOG)
+_NEAR_EDGE = [math.nextafter(_EDGE, 0.0), _EDGE,
+              math.nextafter(_EDGE, math.inf)]
 
 
 def diag(points, **meta):
@@ -29,8 +41,100 @@ def test_single_point_unit_mass():
     assert img.resolution == (40, 40)
 
 
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                  min_size=1, max_size=40))
+@example(a=[0.0, -0.0])
+@example(a=[math.sqrt(2), -math.sqrt(2), math.nextafter(math.sqrt(2), 0.0),
+            math.nextafter(-math.sqrt(2), 0.0)])
+@example(a=[8 * math.sqrt(2), -8 * math.sqrt(2),
+            math.nextafter(8 * math.sqrt(2), 0.0),
+            math.nextafter(-8 * math.sqrt(2), 0.0)])
+@example(a=_NEAR_EDGE + [-v for v in _NEAR_EDGE])
+@example(a=[5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf])
+def test_ndtr_is_bit_equal_to_scipy(a):
+    """The Cephes port gives scipy's bits, sign included, on each branch:
+    erf below z = 1, erfc with P/Q below z = 8 and R/S above, and the
+    underflow past z^2 = MAXLOG, infinities included."""
+    a = np.array(a)
+    got, want = _ndtr(a), ndtr(a)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+_coord = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                   st.floats(-5, 5))
+_pers = st.one_of(st.sampled_from([0.0, 0.25, 1.0, math.inf]),
+                  st.floats(0, 6))
+
+
+@st.composite
+def image_cases(draw):
+    """(diagram, dim, persistence_image keyword arguments)."""
+    pts = [(k, b, b + p) for k, b, p in draw(st.lists(
+        st.tuples(st.integers(0, 1), _coord, _pers), max_size=25))]
+    meta = {"death_cap": draw(st.floats(-1, 12))} if draw(
+        st.booleans()) else {}
+    kw = dict(resolution=(draw(st.integers(1, 6)), draw(st.integers(1, 6))),
+              weight=draw(st.sampled_from(["linear", "constant"])),
+              essentials=draw(st.sampled_from(
+                  ["auto", "skip"] + (["cap"] if meta else []))))
+    if draw(st.booleans()):
+        kw["sigma"] = draw(st.floats(0.05, 3))
+    if draw(st.booleans()):
+        b0, p0 = draw(st.floats(-6, 6)), draw(st.floats(-6, 6))
+        kw["support"] = ((b0, b0 + draw(st.floats(0.1, 12))),
+                         (p0, p0 + draw(st.floats(0.1, 12))))
+    return (PersistenceDiagram.from_points(pts, metadata=meta),
+            draw(st.integers(0, 1)), kw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=image_cases(), block=st.sampled_from([1, 40, 1 << 19]))
+# Resolution 1x1; an empty dimension; zero-weight points (on the
+# diagonal, and every point under a top edge p1 <= 0).
+@example(case=(diag([(1, 0.5, 2.0), (1, 1.0, 1.5)]), 1,
+               dict(resolution=(1, 1), weight="linear",
+                    essentials="auto")), block=1)
+@example(case=(diag([(0, 0.5, 2.0)]), 1,
+               dict(resolution=(3, 4), weight="constant",
+                    essentials="auto")), block=1 << 19)
+@example(case=(diag([(1, 0.5, 0.5), (1, 1.0, 2.0), (1, 2.0, 2.0)]), 1,
+               dict(resolution=(5, 3), weight="linear", essentials="auto",
+                    sigma=0.3)), block=15)
+@example(case=(diag([(1, 0.5, 1.0), (1, 1.0, 2.0)]), 1,
+               dict(resolution=(4, 4), weight="linear", essentials="auto",
+                    support=((0.0, 3.0), (-2.0, -0.5)))), block=1)
+def test_image_matches_point_loop(case, block):
+    """The blockwise image is the per-point loop's, bit for bit, for any
+    block size: H0/H1, linear/constant, cap/skip, given or default
+    sigma and support."""
+    pd, dim, kw = case
+    try:
+        with mock.patch.object(vectorize, "_BLOCK_ENTRIES", block):
+            img = persistence_image(pd, dim, **kw)
+    except ParameterError:
+        return
+    pts = _transform_points(pd, dim, kw["essentials"])
+    want = loop_image_pixels(pts, img.support, kw["resolution"], img.sigma,
+                             kw["weight"])
+    assert np.array_equal(img.pixels, want)
+
+
+def test_noise_image_across_blocks_matches_point_loop():
+    """A 64x64 noise H1 diagram at 50x50: at 2,500 entries a point, the
+    points fill several blocks."""
+    pd = image_persistence(np.random.default_rng(3).random((64, 64)))
+    for weight in ("linear", "constant"):
+        img = persistence_image(pd, 1, resolution=(50, 50), weight=weight)
+        pts = _transform_points(pd, 1, "auto")
+        assert len(pts) > 3 * (vectorize._BLOCK_ENTRIES // 2500)
+        want = loop_image_pixels(pts, img.support, (50, 50), img.sigma,
+                                 weight)
+        assert np.array_equal(img.pixels, want)
+
+
 def test_pixels_are_cell_integrals():
-    from scipy.special import ndtr
     d = diag([(1, 0.5, 1.5)])
     img = persistence_image(d, dim=1, resolution=(4, 5), sigma=0.3,
                             support=((0.0, 1.0), (0.0, 2.0)),
