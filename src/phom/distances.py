@@ -8,7 +8,11 @@ square diagonal-augmented costs (`_augmented_costs`).  Bottleneck builds
 none (Efrat, Itai and Katz 2001; Kerber, Morozov and Nigmetov 2017): t
 passes when the pairs of cost <= t cover, in one matching, the first
 diagram's points with half-persistence > t and, in another, the
-second's (Mendelsohn-Dulmage); it gallops and bisects over costs.
+second's (Mendelsohn-Dulmage); it gallops and bisects over costs.  Each
+test grows the matchings the test before left by augmenting paths
+(`_cover_heavy`, after Hopcroft and Karp 1973, in numpy), and a failed
+test names the least cost at which it could pass, which the search
+skips to.
 """
 
 from __future__ import annotations
@@ -56,15 +60,27 @@ def _linf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                       np.abs(a[..., 1] - b[..., 1]))
 
 
+# Bytes the Wasserstein cost matrix may take: 2**30 holds 11,585 points
+# (the 128x128 noise pairs have about 6,350); its assignment needs about
+# as much again.
+_WASSERSTEIN_BUDGET = 1 << 30
+
+
 def _augmented_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(n1+n2) square L-infinity costs of the diagonal-augmented matching.
 
     Rows are the n1 points of `a` then n2 diagonal slots; columns the n2
     points of `b` then n1 diagonal slots.  A point costs its L-infinity
     distance to a point, persistence/2 to any diagonal slot, and two
-    slots pair off at 0.
+    slots pair off at 0.  A matrix over _WASSERSTEIN_BUDGET bytes is a
+    ParameterError, raised before anything is allocated.
     """
     n1, n2 = a.shape[0], b.shape[0]
+    need = 8 * (n1 + n2) ** 2
+    if need > _WASSERSTEIN_BUDGET:
+        raise ParameterError(
+            f"wasserstein needs a {n1 + n2} x {n1 + n2} cost matrix of "
+            f"{need:,} bytes, over the budget of {_WASSERSTEIN_BUDGET:,}")
     big = np.zeros((n1 + n2, n1 + n2))
     step = max(1, _BLOCK_ENTRIES // max(1, n2))
     for s in range(0, n1, step):
@@ -119,6 +135,117 @@ def _heavy_first(x: np.ndarray, y: np.ndarray, px: np.ndarray):
             np.minimum(px, least).max(initial=0.0))
 
 
+# The greedy start of each threshold test looks at _PROBES pairs of each
+# free row in each of _PROBE_ROUNDS rounds; the path search reads about
+# _SEARCH_CHUNK pairs at a step, so that trees which found their path
+# stop growing early.
+_PROBES, _PROBE_ROUNDS, _SEARCH_CHUNK = 8, 8, 1 << 16
+_HASH = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _probe_greedy(ptr, to, cost, t, rows, mate_row, mate_col) -> None:
+    """Greedy start: in each round every free row of `rows` looks at
+    _PROBES of its pairs, at hashed positions, and proposes the first
+    free column within t; each column takes its first proposer.  It
+    reads a few pairs per row, not all of them, and stops at a round in
+    which no row proposes."""
+    rows = rows[ptr[rows + 1] > ptr[rows]]
+    h = (rows[:, None] * (_PROBES * _PROBE_ROUNDS)
+         + np.arange(1, _PROBES * _PROBE_ROUNDS + 1)).astype(np.uint64)
+    h *= _HASH
+    h ^= h >> np.uint64(29)
+    lens = (ptr[rows + 1] - ptr[rows]).astype(np.uint64)
+    pos = ptr[rows, None] + (h % lens[:, None]).astype(np.int64)
+    col, within = to[pos], cost[pos] <= t
+    for r in range(0, _PROBES * _PROBE_ROUNDS, _PROBES):
+        ok = within[:, r:r + _PROBES] & (mate_col[col[:, r:r + _PROBES]] < 0)
+        hit = np.flatnonzero(ok.any(axis=1))
+        if hit.size == 0:
+            return
+        cols, first = np.unique(col[hit, r + ok[hit].argmax(axis=1)],
+                                return_index=True)
+        won = rows[hit[first]]
+        mate_row[won], mate_col[cols] = cols, won
+        left = mate_row[rows] < 0
+        rows, col, within = rows[left], col[left], within[left]
+
+
+def _pair_positions(ptr: np.ndarray, rows: np.ndarray, lens: np.ndarray):
+    """Positions in the per-side arrays of the pairs of `rows` (at least
+    one), whose pair counts are `lens`, row after row."""
+    total = np.cumsum(lens)
+    return np.arange(total[-1]) + np.repeat(ptr[rows] - (total - lens), lens)
+
+
+def _cover_heavy(ptr, to, cost, p: np.ndarray, t: float,
+                 mate_row: np.ndarray, mate_col: np.ndarray) -> float | None:
+    """Extend a matching of rows to columns (`mate_row`, `mate_col`, -1
+    for free; updated in place) by pairs of cost <= t until it covers the
+    heavy rows, those with half-persistence p > t (a prefix, as p
+    decreases).  None when it does; else the least t' > t at which that
+    can change, so that every threshold below t' fails too.
+
+    ptr, to and cost are one side of `_heavy_first`.  Light rows give up
+    their mates first.  After `_probe_greedy` (when more than one row is
+    free), augmenting paths are searched from all free rows at once: a
+    queue of rows, where each column reached first joins the tree of the
+    row that reached it and brings in its mate, so the trees are disjoint
+    and every tree that reaches a free column flips its path in the same
+    pass.  A pass that reaches no free column has searched every
+    alternating path from the free rows, so the matching is maximum: the
+    rows it reached outnumber the columns they reach within t, all taken
+    by them, until t' (their least pair to another column above t, or
+    the least half-persistence among them).
+    """
+    nh = int((p > t).sum())
+    light = np.flatnonzero(mate_row[nh:] >= 0) + nh
+    mate_col[mate_row[light]] = -1
+    mate_row[light] = -1
+    free = np.flatnonzero(mate_row[:nh] < 0)
+    if free.size > 1:
+        _probe_greedy(ptr, to, cost, t, free, mate_row, mate_col)
+        free = np.flatnonzero(mate_row[:nh] < 0)
+    while free.size:
+        tree = np.full(mate_row.size, -1)
+        tree[free] = np.arange(free.size)
+        parent = np.full(mate_col.size, -1)  # the row that reached a column
+        end = np.full(free.size, -1)  # the free column a tree reached
+        queue = free
+        while queue.size:
+            lens = ptr[queue + 1] - ptr[queue]
+            k = max(1, int(np.searchsorted(np.cumsum(lens), _SEARCH_CHUNK)))
+            pos = _pair_positions(ptr, queue[:k], lens[:k])
+            rid, col = np.repeat(queue[:k], lens[:k]), to[pos]
+            keep = (cost[pos] <= t) & (parent[col] < 0)
+            rid, col = rid[keep], col[keep]
+            first = np.full(mate_col.size, rid.size)
+            np.minimum.at(first, col, np.arange(rid.size))
+            cols = np.flatnonzero(first < rid.size)
+            parent[cols] = rid[first[cols]]
+            mates = mate_col[cols]
+            taken = mates >= 0
+            tree[mates[taken]] = tree[parent[cols[taken]]]
+            queue = np.concatenate([queue[k:], mates[taken]])
+            if not taken.all():
+                trees, i = np.unique(tree[parent[cols[~taken]]],
+                                     return_index=True)
+                end[trees] = cols[~taken][i]
+                queue = queue[end[tree[queue]] < 0]
+        col = end[end >= 0]
+        if col.size == 0:
+            rows = np.flatnonzero(tree >= 0)
+            pos = _pair_positions(ptr, rows, ptr[rows + 1] - ptr[rows])
+            out = cost[pos][(cost[pos] > t) & (parent[to[pos]] < 0)]
+            return float(min(out.min(initial=np.inf), p[rows].min()))
+        while col.size:  # flip every path, column by column to its root
+            row = parent[col]
+            prev = mate_row[row]
+            mate_row[row], mate_col[col] = col, row
+            col = prev[prev >= 0]
+        free = np.flatnonzero(mate_row[:nh] < 0)
+    return None
+
+
 def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
                         dim: int = 1) -> DiagramDistanceReport:
     """Exact bottleneck distance in one homology dimension.
@@ -138,36 +265,40 @@ def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
     top = max(pa.max(initial=0.0), pb.max(initial=0.0))
     vals = np.concatenate([cost_a, cost_b, pa, pb])
     cands = np.append(np.unique(vals[(vals >= bound) & (vals < top)]), top)
+    # Each test starts from the matchings the last one left, less their
+    # pairs that cost more than t when t went down.
+    mates = tuple(np.full(n, -1) for n in (n1, n2, n2, n1))
+    last = -math.inf
 
     def heavy_matchings(t: float):
-        # (A-side mates in B, B-side mates in A), -1 for none, or None.
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import maximum_bipartite_matching
-        nha, nhb = int((pa > t).sum()), int((pb > t).sum())
-        ka, kb = ptr_a[nha], ptr_b[nhb]
-        sa, sb = cost_a[:ka] <= t, cost_b[:kb] <= t
-        ra = np.cumsum(np.concatenate([[0], sa]))[ptr_a[:nha + 1]]
-        rb = np.cumsum(np.concatenate([[0], sb]))[ptr_b[1:nhb + 1]]
-        cols = np.concatenate([to_b[:ka][sa], n2 + to_a[:kb][sb]])
-        graph = csr_matrix((np.ones(cols.size, dtype=bool), cols,
-                            np.concatenate([ra, ra[-1] + rb])),
-                           shape=(nha + nhb, n2 + n1))
-        match = maximum_bipartite_matching(graph, perm_type="column")
-        if (match < 0).any():
-            return None
-        mate_a, mate_b = np.full(n1, -1), np.full(n2, -1)
-        mate_a[:nha], mate_b[:nhb] = match[:nha], match[nha:] - n2
-        return mate_a, mate_b
+        # (A-side mates in B, B-side mates in A), -1 for none; or, when a
+        # side fails, the least threshold at which it may pass.
+        nonlocal last
+        for x, y, mate_row, mate_col in ((a, b, *mates[:2]),
+                                         (b, a, *mates[2:])):
+            if t < last:
+                i = np.flatnonzero(mate_row >= 0)
+                i = i[_linf(x[i], y[mate_row[i]]) > t]
+                mate_col[mate_row[i]] = -1
+                mate_row[i] = -1
+        last = t
+        for side in ((ptr_a, to_b, cost_a, pa, t, *mates[:2]),
+                     (ptr_b, to_a, cost_b, pb, t, *mates[2:])):
+            lift = _cover_heavy(*side)
+            if lift is not None:
+                return lift
+        return mates[0].copy(), mates[2].copy()
 
-    # Gallop from the bound until a test succeeds, then bisect.
+    # Gallop from the bound until a test succeeds, then bisect; a failed
+    # test also fails every candidate below its lift.
     lo, hi, step, best = -1, cands.size - 1, 1, None
     while hi - lo > 1:
         mid = lo + step if best is None and lo + step < hi else (lo + hi) // 2
         got = heavy_matchings(cands[mid])
-        if got is None:
-            lo, step = mid, 2 * step
-        else:
+        if isinstance(got, tuple):
             hi, best = mid, got
+        else:
+            lo, step = int(np.searchsorted(cands, got)) - 1, 2 * step
     finite_part = float(cands[hi])
     if best is None:  # only top, never tested, is feasible
         best = np.full(n1, -1), np.full(n2, -1)
@@ -207,9 +338,14 @@ def _powered(costs: np.ndarray, p: float) -> np.ndarray:
     """costs ** p, in place; a nonzero cost whose power overflows to inf
     or underflows to 0 is a ParameterError, not a wrong distance.  Powers
     with p >= 1 are monotone, so the check looks only at the least
-    nonzero cost and the largest."""
-    ends = np.array([costs.min(where=costs > 0, initial=np.inf),
-                     costs.max(initial=0.0)])
+    nonzero cost, found in blocks of rows, and the largest."""
+    rows = np.atleast_2d(costs)
+    step = max(1, _BLOCK_ENTRIES // max(1, rows.shape[1]))
+    least = np.inf
+    for s in range(0, rows.shape[0], step):
+        block = rows[s:s + step]
+        least = min(least, block.min(where=block > 0, initial=np.inf))
+    ends = np.array([least, costs.max(initial=0.0)])
     with np.errstate(over="ignore", under="ignore"):
         np.power(ends, p, out=ends)
     if ends[0] == 0 or np.isinf(ends[1]):

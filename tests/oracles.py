@@ -334,6 +334,16 @@ def dense_bottleneck(a, b, e1, e2):
     return max([float(cands[lo])] + gaps)
 
 
+def csgraph_matching(ptr, cols, n_cols):
+    """Size of a maximum matching of the rows of the CSR bipartite graph
+    (ptr, cols) onto n_cols columns, by scipy's Hopcroft-Karp
+    (`maximum_bipartite_matching`)."""
+    graph = csr_matrix((np.ones(cols.size, dtype=bool), cols, ptr),
+                       shape=(ptr.size - 1, n_cols))
+    match = maximum_bipartite_matching(graph, perm_type="column")
+    return int((match >= 0).sum())
+
+
 def brute_wasserstein(a, b, e1, e2, p):
     if len(e1) != len(e2):
         return math.inf

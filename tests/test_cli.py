@@ -678,6 +678,10 @@ steps.append(["components", connected_components(3, [(0, 1)]), parts()])
 command("vectorize", "vectorize", d + "a_dg.csv", "-o", d + "i.json")
 command("distance", "distance", d + "a_dg.csv", d + "b_dg.csv", "-o",
         d + "r.json")
+command("gen_s", "gen", "periodic", "-n", "64", "--seed", "2", "-o",
+        d + "s.csv")
+command("series", "series", d + "s.csv", "--out-dir", d + "run",
+        "--window", "16", "--stride", "16")
 command("wasserstein", "distance", d + "a_dg.csv", d + "b_dg.csv",
         "--metric", "wasserstein", "-o", d + "w.json")
 print(json.dumps(steps))
@@ -686,9 +690,10 @@ print(json.dumps(steps))
 
 def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
     """`import phom, phom.cli`, `phom rips`, `phom image` (sub- and
-    superlevel), `phom voxel`, connected_components and `phom vectorize`
-    load no scipy submodule; each deferred import then loads its part
-    and its command exits 0."""
+    superlevel), `phom voxel`, connected_components, `phom vectorize`,
+    `phom distance` (bottleneck) and `phom series` load no scipy
+    submodule; Wasserstein then loads scipy.optimize, and every command
+    exits 0."""
     rng = np.random.default_rng(0)
     write_pgm(str(tmp_path / "g.pgm"), rng.integers(0, 256, size=(12, 12)))
     write_voxel(str(tmp_path / "v.vox"), rng.integers(0, 9, size=(5, 4, 6)))
@@ -702,12 +707,11 @@ def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
              for name, code, parts in json.loads(out)}
     assert {name: code for name, (code, _) in steps.items()} == dict(
         import_=0, gen=0, gen_b=0, rips=0, rips_b=0, image=0, superlevel=0,
-        voxel=0, components=2, vectorize=0, distance=0, wasserstein=0)
+        voxel=0, components=2, vectorize=0, distance=0, gen_s=0, series=0,
+        wasserstein=0)
     for name in ["import_", "rips_b", "image", "superlevel", "voxel",
-                 "components", "vectorize"]:
+                 "components", "vectorize", "distance", "series"]:
         assert steps[name][1] == set(), name
-    assert "scipy.sparse.csgraph" in steps["distance"][1]
-    assert "scipy.optimize" not in steps["distance"][1]
     assert "scipy.optimize" in steps["wasserstein"][1]
 
 

@@ -3,6 +3,7 @@
 import inspect
 import math
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from phom import (
 from phom import distances
 from phom.io import write_diagram_csv
 from oracles import (assignment_bottleneck, brute_bottleneck,
-                     brute_wasserstein, dense_bottleneck)
+                     brute_wasserstein, csgraph_matching, dense_bottleneck)
 
 
 def diag(points):
@@ -153,6 +154,69 @@ def test_augmented_costs_fill_in_row_blocks():
     for block in (1, 40, 1 << 19):
         with mock.patch.object(distances, "_BLOCK_ENTRIES", block):
             assert np.array_equal(distances._augmented_costs(a, b), want)
+
+
+def test_powered_finds_least_nonzero_in_row_blocks():
+    """The least nonzero cost, found block by block, gives the verdict
+    and the powers of a whole-matrix masked min, wherever the tiny or
+    the huge cost sits."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for shape in [(40, 40), (7, 7), (0, 0), (1, 1), (5,), (0,)]:
+        base = np.round(rng.uniform(0, 3, size=shape), 1)  # zeros occur
+        cases.append(base)
+        for spot in ([0], [-1], [base.size // 2]) if base.size else []:
+            for odd in (1e-200, 1e200):
+                c = base.copy()
+                c.flat[spot] = odd
+                cases.append(c)
+    for block in (1, 40, 1 << 19):
+        with mock.patch.object(distances, "_BLOCK_ENTRIES", block):
+            for costs in cases:
+                with np.errstate(over="ignore", under="ignore"):
+                    ends = np.array([costs.min(where=costs > 0,
+                                               initial=np.inf),
+                                     costs.max(initial=0.0)]) ** 2.0
+                if ends[0] == 0 or np.isinf(ends[1]):
+                    with pytest.raises(ParameterError, match=(
+                            r"wasserstein order p=2.0 overflows or "
+                            r"underflows a cost")):
+                        distances._powered(costs.copy(), 2.0)
+                else:
+                    assert np.array_equal(distances._powered(costs.copy(),
+                                                             2.0),
+                                          costs ** 2.0)
+
+
+def test_wasserstein_budget_fires_before_allocating(tmp_path):
+    """Lowered to just under the 8*(n1+n2)**2 bytes of the cost matrix,
+    the budget is a ParameterError naming both figures, raised before
+    anything near that size is allocated; at the exact size it passes,
+    and `phom distance` turns it into exit 3."""
+    rng = np.random.default_rng(3)
+    pts = [(1, u, u + w) for u, w in rng.uniform(0.1, 2, size=(300, 2))]
+    d1, d2 = diag(pts[:180]), diag(pts[180:])
+    need = 8 * 300 ** 2
+    with mock.patch.object(distances, "_WASSERSTEIN_BUDGET", need - 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=(
+                    f"300 x 300 cost matrix of {need:,} bytes, over the "
+                    f"budget of {need - 1:,}")):
+                wasserstein_distance(d1, d2, dim=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < need // 4
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_diagram_csv(str(a), d1)
+        write_diagram_csv(str(b), d2)
+        assert cli.main(["distance", str(a), str(b), "--metric",
+                         "wasserstein", "-o", str(tmp_path / "w.json")]) == 3
+        assert not (tmp_path / "w.json").exists()
+    with mock.patch.object(distances, "_WASSERSTEIN_BUDGET", need):
+        assert wasserstein_distance(d1, d2, dim=1).value == \
+            wasserstein_distance(d1, d2, dim=1).value
 
 
 def test_negative_dim_is_rejected():
@@ -332,6 +396,95 @@ def test_bottleneck_equals_both_oracles_on_floats(pair):
     assert rep.value == dense_bottleneck(a, b, e1, e2)
     assert matching_cost(rep, d1, d2) == rep.value
     assert_covers(rep, len(a), len(b))
+
+
+def _csr(rows):
+    """(ptr, cols, costs) of a list of rows of (column, cost) pairs."""
+    ptr = np.cumsum([0] + [len(r) for r in rows])
+    cols = np.array([c for r in rows for c, _ in r], dtype=np.int32)
+    costs = np.array([w for r in rows for _, w in r], dtype=np.float64)
+    return ptr, cols, costs
+
+
+@st.composite
+def _bipartite_graphs(draw):
+    """One side of `_heavy_first` as a random graph: (rows of (column,
+    cost) pairs, columns, half-persistences, t, a starting matching).
+    Rows may be empty or list a column twice, there may be no column,
+    and small integers make ties common.  The starting matching is valid
+    at t and may hold light rows."""
+    n_cols = draw(st.integers(0, 10))
+    pair = st.tuples(st.integers(0, max(n_cols - 1, 0)), st.integers(0, 3))
+    rows = draw(st.lists(st.lists(pair, max_size=6 if n_cols else 0),
+                         max_size=14))
+    p = sorted(draw(st.lists(st.integers(0, 5), min_size=len(rows),
+                             max_size=len(rows))), reverse=True)
+    t = draw(st.integers(0, 3))
+    warm, used = [], set()
+    picks = st.tuples(st.integers(0, max(len(rows) - 1, 0)),
+                      st.integers(0, 5))
+    for r, k in draw(st.lists(picks, max_size=8)) if rows else []:
+        if k < len(rows[r]) and rows[r][k][1] <= t and r not in \
+                {u for u, _ in warm} and rows[r][k][0] not in used:
+            warm.append((r, rows[r][k][0]))
+            used.add(rows[r][k][0])
+    return rows, n_cols, p, t, warm
+
+
+def _chain(m):
+    """Row 0 reaches column 0 only, row i columns i - 1 and i, and the
+    start matches row i to column i - 1: the one augmenting path runs
+    through all m rows."""
+    rows = [[(0, 0)]] + [[(i - 1, 0), (i, 0)] for i in range(1, m)]
+    return rows, m, [1] * m, 0, [(i, i - 1) for i in range(1, m)]
+
+
+def _max_matching(rows, n_cols, p, t):
+    """scipy's maximum matching size of the rows with p > t by their
+    pairs of cost <= t, and the number of those rows."""
+    heavy = [[(c, w) for c, w in row if w <= t]
+             for row, q in zip(rows, p) if q > t]
+    ptr, cols, _ = _csr(heavy)
+    return csgraph_matching(ptr, cols, n_cols), len(heavy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bipartite_graphs())
+@example(([], 0, [], 0, []))
+@example(([[], [(0, 1)]], 1, [2, 2], 1, []))
+@example(([[(0, 0), (0, 0)], [(0, 0)]], 1, [1, 1], 0, [(1, 0)]))
+@example(([[(0, 0), (1, 2)], [(0, 0)]], 2, [3, 3], 0, [(1, 0)]))
+@example(_chain(5_000))
+def test_cover_heavy_matches_csgraph(graph):
+    """The in-repo matching of the heavy rows (p > t) by pairs within t
+    is a valid matching of scipy's maximum size, and it reports whether
+    it covers them; when it does not, scipy finds no cover at any
+    threshold between t and the reported lift either.  Long alternating
+    paths do not recurse."""
+    rows, n_cols, p, t, warm = graph
+    ptr, cols, costs = _csr(rows)
+    mate_row, mate_col = np.full(len(rows), -1), np.full(n_cols, -1)
+    for r, c in warm:
+        mate_row[r], mate_col[c] = c, r
+    lift = distances._cover_heavy(ptr, cols, costs, np.array(p, dtype=float),
+                                  float(t), mate_row, mate_col)
+    size, nh = _max_matching(rows, n_cols, p, t)
+    matched = np.flatnonzero(mate_row >= 0)
+    assert (lift is None) == (size == nh)
+    assert matched.size == size and (matched < nh).all()
+    assert np.unique(mate_row[matched]).size == matched.size
+    assert (mate_col[mate_row[matched]] == matched).all()
+    assert (mate_col >= 0).sum() == matched.size
+    within = costs <= t
+    for r in matched.tolist():
+        seg = slice(ptr[r], ptr[r + 1])
+        assert (within[seg] & (cols[seg] == mate_row[r])).any()
+    if lift is not None:
+        assert lift > t
+        for u in sorted({w for _, w in sum(rows, [])} | set(p)):
+            if t < u < lift:
+                size, nh = _max_matching(rows, n_cols, p, u)
+                assert size < nh, u
 
 
 def test_large_pair_does_not_recurse(tmp_path):
