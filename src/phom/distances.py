@@ -141,6 +141,10 @@ def _heavy_first(x: np.ndarray, y: np.ndarray, px: np.ndarray):
 # stop growing early.
 _PROBES, _PROBE_ROUNDS, _SEARCH_CHUNK = 8, 8, 1 << 16
 _HASH = np.uint64(0x9E3779B97F4A7C15)
+# Heavy rows with at most this many pairs are matched on Python lists
+# (`_cover_small`): on noise-grid H1 diagrams the lists were faster up to
+# 16x16 grids (about 450 pairs a side), the arrays from 20x20 (1,100).
+_SMALL_PAIRS = 512
 
 
 def _probe_greedy(ptr, to, cost, t, rows, mate_row, mate_col) -> None:
@@ -177,6 +181,57 @@ def _pair_positions(ptr: np.ndarray, rows: np.ndarray, lens: np.ndarray):
     return np.arange(total[-1]) + np.repeat(ptr[rows] - (total - lens), lens)
 
 
+def _lift(ptr, to, cost, p, t: float, rows: np.ndarray,
+          reached: np.ndarray) -> float:
+    """The least t' > t at which `rows` could all be covered, when their
+    pairs within t reach only the columns marked in `reached`, and those
+    are all matched to them: their least pair above t to another column,
+    or their least half-persistence."""
+    pos = _pair_positions(ptr, rows, ptr[rows + 1] - ptr[rows])
+    out = cost[pos][(cost[pos] > t) & ~reached[to[pos]]]
+    return float(min(out.min(initial=np.inf), p[rows].min()))
+
+
+def _cover_small(ptr, to, cost, p, t: float, nh: int, mate_row: np.ndarray,
+                 mate_col: np.ndarray) -> float | None:
+    """`_cover_heavy` on Python lists, for few pairs: one depth-first
+    search per free heavy row, on an explicit stack.  The first row that
+    no augmenting path reaches ends it; the rows its search reached give
+    the lift."""
+    first = ptr[:nh + 1].tolist()
+    cols, costs = to[:first[-1]].tolist(), cost[:first[-1]].tolist()
+    mr, mc = mate_row.tolist(), mate_col.tolist()
+    try:
+        for u in range(nh):
+            if mr[u] >= 0:
+                continue
+            seen, rows, stack = set(), [u], [[u, first[u]]]
+            while stack:
+                top = stack[-1]
+                r, j = top
+                if j == first[r + 1]:
+                    stack.pop()
+                    continue
+                top[1] = j + 1
+                c = cols[j]
+                if costs[j] > t or c in seen:
+                    continue
+                seen.add(c)
+                if mc[c] < 0:  # flip the path on the stack
+                    for r, j in stack:
+                        mr[r], mc[cols[j - 1]] = cols[j - 1], r
+                    break
+                rows.append(mc[c])
+                stack.append([mc[c], first[mc[c]]])
+            else:
+                reached = np.zeros(len(mc), dtype=bool)
+                reached[list(seen)] = True
+                return _lift(ptr, to, cost, p, t, np.array(rows), reached)
+        return None
+    finally:
+        mate_row[:], mate_col[:] = mr, mc
+
+
 def _cover_heavy(ptr, to, cost, p: np.ndarray, t: float,
                  mate_row: np.ndarray, mate_col: np.ndarray) -> float | None:
     """Extend a matching of rows to columns (`mate_row`, `mate_col`, -1
@@ -186,8 +241,9 @@ def _cover_heavy(ptr, to, cost, p: np.ndarray, t: float,
     can change, so that every threshold below t' fails too.
 
     ptr, to and cost are one side of `_heavy_first`.  Light rows give up
-    their mates first.  After `_probe_greedy` (when more than one row is
-    free), augmenting paths are searched from all free rows at once: a
+    their mates first.  Heavy rows with at most _SMALL_PAIRS pairs go to
+    `_cover_small`.  Otherwise, after `_probe_greedy` (when more than one
+    row is free), augmenting paths are searched from all free rows at once: a
     queue of rows, where each column reached first joins the tree of the
     row that reached it and brings in its mate, so the trees are disjoint
     and every tree that reaches a free column flips its path in the same
@@ -201,6 +257,8 @@ def _cover_heavy(ptr, to, cost, p: np.ndarray, t: float,
     light = np.flatnonzero(mate_row[nh:] >= 0) + nh
     mate_col[mate_row[light]] = -1
     mate_row[light] = -1
+    if ptr[nh] <= _SMALL_PAIRS:
+        return _cover_small(ptr, to, cost, p, t, nh, mate_row, mate_col)
     free = np.flatnonzero(mate_row[:nh] < 0)
     if free.size > 1:
         _probe_greedy(ptr, to, cost, t, free, mate_row, mate_col)
@@ -233,10 +291,8 @@ def _cover_heavy(ptr, to, cost, p: np.ndarray, t: float,
                 queue = queue[end[tree[queue]] < 0]
         col = end[end >= 0]
         if col.size == 0:
-            rows = np.flatnonzero(tree >= 0)
-            pos = _pair_positions(ptr, rows, ptr[rows + 1] - ptr[rows])
-            out = cost[pos][(cost[pos] > t) & (parent[to[pos]] < 0)]
-            return float(min(out.min(initial=np.inf), p[rows].min()))
+            return _lift(ptr, to, cost, p, t, np.flatnonzero(tree >= 0),
+                         parent >= 0)
         while col.size:  # flip every path, column by column to its root
             row = parent[col]
             prev = mate_row[row]

@@ -3,8 +3,8 @@
 Everything here is written from first principles (plain Python,
 itertools, bitmask linear algebra, scipy's pdist for distances,
 scipy's connected components for graphs, scipy's assignment and
-Hopcroft-Karp solvers for the bottleneck oracles, and scipy's ndtr for
-persistence images)
+Hopcroft-Karp solvers for the bottleneck and matching oracles, and
+scipy's ndtr for persistence images)
 so that a bug in the package cannot hide by agreeing with itself.
 """
 

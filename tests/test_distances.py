@@ -384,14 +384,16 @@ def _noise_grid_pair(draw):
 @example(([(0.5, 1.5)], [], [0.25], [1.0]))
 @example(([], [(0.0, 1.0), (0.0, 1.0)], [], []))
 @example(([(0.0, 2.0)] * 3, [(0.0, 2.0), (0.5, 2.5)], [1.0], [1.0]))
-def test_bottleneck_equals_both_oracles_on_floats(pair):
+@pytest.mark.parametrize("small_pairs", [-1, 1 << 30])
+def test_bottleneck_equals_both_oracles_on_floats(small_pairs, pair):
     """The value equals the assignment oracle and the dense search bit
     for bit, and the report's matching covers every point and attains
-    it."""
+    it, with the list search and with the array search."""
     a, b, e1, e2 = pair
     d1 = diag([(1, u, v) for u, v in a] + [(1, x, math.inf) for x in e1])
     d2 = diag([(1, u, v) for u, v in b] + [(1, y, math.inf) for y in e2])
-    rep = bottleneck_distance(d1, d2, dim=1)
+    with mock.patch.object(distances, "_SMALL_PAIRS", small_pairs):
+        rep = bottleneck_distance(d1, d2, dim=1)
     assert rep.value == assignment_bottleneck(a, b, e1, e2)
     assert rep.value == dense_bottleneck(a, b, e1, e2)
     assert matching_cost(rep, d1, d2) == rep.value
@@ -455,23 +457,28 @@ def _max_matching(rows, n_cols, p, t):
 @example(([[(0, 0), (0, 0)], [(0, 0)]], 1, [1, 1], 0, [(1, 0)]))
 @example(([[(0, 0), (1, 2)], [(0, 0)]], 2, [3, 3], 0, [(1, 0)]))
 @example(_chain(5_000))
-def test_cover_heavy_matches_csgraph(graph):
+@pytest.mark.parametrize("small_pairs", [-1, 1 << 30])
+def test_cover_heavy_matches_csgraph(small_pairs, graph):
     """The in-repo matching of the heavy rows (p > t) by pairs within t
-    is a valid matching of scipy's maximum size, and it reports whether
-    it covers them; when it does not, scipy finds no cover at any
-    threshold between t and the reported lift either.  Long alternating
-    paths do not recurse."""
+    is valid and covers them exactly when scipy's maximum matching does;
+    when it does not, scipy finds no cover at any threshold between t
+    and the reported lift either.  Both the list search for few pairs
+    and the array search run, and long alternating paths recurse in
+    neither."""
     rows, n_cols, p, t, warm = graph
     ptr, cols, costs = _csr(rows)
     mate_row, mate_col = np.full(len(rows), -1), np.full(n_cols, -1)
     for r, c in warm:
         mate_row[r], mate_col[c] = c, r
-    lift = distances._cover_heavy(ptr, cols, costs, np.array(p, dtype=float),
-                                  float(t), mate_row, mate_col)
+    with mock.patch.object(distances, "_SMALL_PAIRS", small_pairs):
+        lift = distances._cover_heavy(ptr, cols, costs,
+                                      np.array(p, dtype=float), float(t),
+                                      mate_row, mate_col)
     size, nh = _max_matching(rows, n_cols, p, t)
     matched = np.flatnonzero(mate_row >= 0)
     assert (lift is None) == (size == nh)
-    assert matched.size == size and (matched < nh).all()
+    assert matched.size == size if lift is None else matched.size <= size
+    assert (matched < nh).all()
     assert np.unique(mate_row[matched]).size == matched.size
     assert (mate_col[mate_row[matched]] == matched).all()
     assert (mate_col >= 0).sum() == matched.size
