@@ -61,8 +61,7 @@ def _linf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # Bytes the Wasserstein cost matrix may take: 2**30 holds 11,585 points
-# (the 128x128 noise pairs have about 6,350); its assignment needs about
-# as much again.
+# (the H1 diagrams of two 128x128 noise grids have about 6,350, 323 MB).
 _WASSERSTEIN_BUDGET = 1 << 30
 
 

@@ -215,8 +215,7 @@ def test_wasserstein_budget_fires_before_allocating(tmp_path):
                          "wasserstein", "-o", str(tmp_path / "w.json")]) == 3
         assert not (tmp_path / "w.json").exists()
     with mock.patch.object(distances, "_WASSERSTEIN_BUDGET", need):
-        assert wasserstein_distance(d1, d2, dim=1).value == \
-            wasserstein_distance(d1, d2, dim=1).value
+        assert math.isfinite(wasserstein_distance(d1, d2, dim=1).value)
 
 
 def test_negative_dim_is_rejected():
@@ -384,20 +383,21 @@ def _noise_grid_pair(draw):
 @example(([(0.5, 1.5)], [], [0.25], [1.0]))
 @example(([], [(0.0, 1.0), (0.0, 1.0)], [], []))
 @example(([(0.0, 2.0)] * 3, [(0.0, 2.0), (0.5, 2.5)], [1.0], [1.0]))
-@pytest.mark.parametrize("small_pairs", [-1, 1 << 30])
-def test_bottleneck_equals_both_oracles_on_floats(small_pairs, pair):
+def test_bottleneck_equals_both_oracles_on_floats(pair):
     """The value equals the assignment oracle and the dense search bit
     for bit, and the report's matching covers every point and attains
     it, with the list search and with the array search."""
     a, b, e1, e2 = pair
     d1 = diag([(1, u, v) for u, v in a] + [(1, x, math.inf) for x in e1])
     d2 = diag([(1, u, v) for u, v in b] + [(1, y, math.inf) for y in e2])
-    with mock.patch.object(distances, "_SMALL_PAIRS", small_pairs):
-        rep = bottleneck_distance(d1, d2, dim=1)
-    assert rep.value == assignment_bottleneck(a, b, e1, e2)
-    assert rep.value == dense_bottleneck(a, b, e1, e2)
-    assert matching_cost(rep, d1, d2) == rep.value
-    assert_covers(rep, len(a), len(b))
+    want = assignment_bottleneck(a, b, e1, e2)
+    assert want == dense_bottleneck(a, b, e1, e2)
+    for small_pairs in (-1, 1 << 30):
+        with mock.patch.object(distances, "_SMALL_PAIRS", small_pairs):
+            rep = bottleneck_distance(d1, d2, dim=1)
+        assert rep.value == want
+        assert matching_cost(rep, d1, d2) == rep.value
+        assert_covers(rep, len(a), len(b))
 
 
 def _csr(rows):
@@ -488,7 +488,7 @@ def test_cover_heavy_matches_csgraph(small_pairs, graph):
         assert (within[seg] & (cols[seg] == mate_row[r])).any()
     if lift is not None:
         assert lift > t
-        for u in sorted({w for _, w in sum(rows, [])} | set(p)):
+        for u in sorted({w for row in rows for _, w in row} | set(p)):
             if t < u < lift:
                 size, nh = _max_matching(rows, n_cols, p, u)
                 assert size < nh, u
