@@ -10,9 +10,9 @@ passes when the pairs of cost <= t cover, in one matching, the first
 diagram's points with half-persistence > t and, in another, the
 second's (Mendelsohn-Dulmage); it gallops and bisects over costs.  Each
 test grows the matchings the test before left by augmenting paths
-(`_cover_heavy`, after Hopcroft and Karp 1973, in numpy), and a failed
-test names the least cost at which it could pass, which the search
-skips to.
+(`_cover_heavy`, after Hopcroft and Karp 1973: on numpy arrays, or on
+Python lists for few pairs), and a failed test names the least cost at
+which it could pass, which the search skips to.
 """
 
 from __future__ import annotations
