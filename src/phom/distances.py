@@ -54,6 +54,13 @@ def _split(pd1: PersistenceDiagram, pd2: PersistenceDiagram, dim: int):
             pd2.in_dim(dim, True), pd2.in_dim(dim, False)[:, 0])
 
 
+def _half_persistence(x: np.ndarray) -> np.ndarray:
+    """Cost to the diagonal, (death - birth) / 2, of the rows of x; inf
+    without a warning where the persistence overflows float64."""
+    with np.errstate(over="ignore"):
+        return (x[:, 1] - x[:, 0]) / 2.0
+
+
 def _linf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L-infinity costs between the rows of a and b (broadcast)."""
     return np.maximum(np.abs(a[..., 0] - b[..., 0]),
@@ -85,8 +92,8 @@ def _augmented_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for s in range(0, n1, step):
         e = min(s + step, n1)
         big[s:e, :n2] = _linf(a[s:e, None], b[None, :])
-    big[:n1, n2:] = ((a[:, 1] - a[:, 0]) / 2.0)[:, None]
-    big[n1:, :n2] = ((b[:, 1] - b[:, 0]) / 2.0)[None, :]
+    big[:n1, n2:] = _half_persistence(a)[:, None]
+    big[n1:, :n2] = _half_persistence(b)[None, :]
     return big
 
 
@@ -311,7 +318,7 @@ def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
     """
     a, e1, b, e2 = _split(pd1, pd2, dim)
     n1, n2 = a.shape[0], b.shape[0]
-    pa, pb = (a[:, 1] - a[:, 0]) / 2.0, (b[:, 1] - b[:, 0]) / 2.0
+    pa, pb = _half_persistence(a), _half_persistence(b)
     oa, ob = np.argsort(-pa, kind="stable"), np.argsort(-pb, kind="stable")
     a, pa, b, pb = a[oa], pa[oa], b[ob], pb[ob]
     ptr_a, to_b, cost_a, bound_a = _heavy_first(a, b, pa)

@@ -130,7 +130,10 @@ def _transform_points(pd: PersistenceDiagram, dim: int,
     births, deaths = pd.births[keep], pd.deaths[keep]
     if essentials == "cap":
         deaths = np.where(np.isinf(deaths), float(cap), deaths)
-    return np.column_stack((births, deaths - births))
+    # A persistence past the float maximum is inf, which the sigma and
+    # support checks reject.
+    with np.errstate(over="ignore"):
+        return np.column_stack((births, deaths - births))
 
 
 def persistence_image(pd: PersistenceDiagram, dim: int,

@@ -460,6 +460,53 @@ def rips_coboundary(rank, big, k, s, r):
     return np.sort(np.maximum(M[v], r) * base + lex).tolist()
 
 
+# ------------------------------------------- cubical H1, column by column
+
+def sequential_lattice_pairs(g, max_dim):
+    """phom.cubical._lattice_pairs with voxel H1 reduced the way the
+    engine did before it paired columns on arrays: every uncleared edge
+    column goes to reduce_coboundaries with its plain cofaces, no square
+    is left out, and the apparent pairs are marked so that its owner
+    dict holds them.  H0 and H_{d-1} are the engine's own."""
+    from phom.cubical import _cell_order, _face_steps, _h0_pairs, _top_pairs
+    from phom.persistence import reduce_coboundaries
+
+    d = g.ndim
+    rank, cells = _cell_order(g)
+    groups, died = _h0_pairs(rank, cells)
+    if d == 3 and max_dim >= 1:
+        big = cells[2].size
+        cof = np.full((cells[1].size, 4), big, dtype=np.int64)
+        youngest = np.full(big + 1, -1, dtype=np.int64)
+        for ax, slot, up, below, above in _face_steps(rank, 2):
+            cof[below, 2 * (ax - slot) + 1] = up
+            cof[above, 2 * (ax - slot)] = up
+            youngest[up] = np.maximum.reduce([youngest[up], below, above])
+        cols = np.delete(np.arange(cells[1].size), died)
+        cof = np.sort(cof[cols], axis=1)
+        oldest = cof[:, 0]
+        count = (cof < big).sum(axis=1).tolist()
+        born, dies, ess = reduce_coboundaries(
+            cols, oldest, oldest < big, youngest[oldest] == cols,
+            lambda j: cof[j].tolist()[:count[j]])
+        groups += [(1, cells[1][cols[born]], cells[2][dies]),
+                   (1, cells[1][cols[ess]], np.full(ess.size, -1))]
+    if 1 <= d - 1 <= max_dim:
+        born, dies = _top_pairs(rank, cells)
+        groups.append((d - 1, cells[d - 1][born], cells[d][dies]))
+    return groups
+
+
+def pair_cells(groups):
+    """{dim: sorted (birth cell, death cell) list} of _lattice_pairs
+    groups; a pair listed twice stays twice."""
+    out = {}
+    for k, births, deaths in groups:
+        out.setdefault(k, []).extend(
+            zip(np.asarray(births).tolist(), np.asarray(deaths).tolist()))
+    return {k: sorted(v) for k, v in out.items()}
+
+
 # ------------------------------------------------ Rips edge table
 
 def pdist_distances(points):

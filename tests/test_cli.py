@@ -764,6 +764,31 @@ def test_wasserstein_total_that_overflows_is_exit_3(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "r.manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["distance", "{dg}", "{other}", "-o", "{out}"], 0),
+    (["distance", "{dg}", "{other}", "-o", "{out}", "--metric",
+      "wasserstein"], 3),
+    (["vectorize", "{dg}", "-o", "{out}"], 3)])
+def test_persistence_that_overflows_warns_nothing(tmp_path, capsys, argv,
+                                                  code):
+    """A point whose persistence, 1e308 - -1e308, overflows float64: the
+    bottleneck is still the point-to-point cost 1e308, Wasserstein's
+    squared cost and the image's sigma still fail with exit 3, and no
+    numpy warning is printed (pytest turns one into exit 4)."""
+    dg = tmp_path / "dg.csv"
+    dg.write_text("dim,birth,death\n1,-1e308,1e308\n")
+    other = tmp_path / "other.csv"
+    other.write_text("dim,birth,death\n1,0.0,1.0\n")
+    out = tmp_path / "out.json"
+    paths = {"dg": dg, "other": other, "out": out}
+    assert run(*[a.format(**paths) for a in argv]) == code
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    if code == 0:
+        assert read_distance_report(str(out)).value == 1e308
+    else:
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("p,other", [
     ("inf", "1,0.0,0.5\n"), ("inf", "1,0.0,1.0\n"), ("2000", ""),
     ("200", "1,0.0,1000.0\n")])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phom import (
     InputError,
@@ -15,8 +15,10 @@ from phom import (
     superlevel_persistence,
     voxel_persistence,
 )
+from phom import cubical
+from phom.datagen import gen_diffusion_field
 from oracles import (cube_betti, cube_cells, cube_faces, diagram_from_pairs,
-                     reduction_pairs)
+                     pair_cells, reduction_pairs, sequential_lattice_pairs)
 
 
 def test_single_pixel_counts():
@@ -193,6 +195,19 @@ def test_grid_validation():
         voxel_persistence(np.zeros((2, 2)))
 
 
+def test_grid_whose_lattice_keys_overflow_is_rejected(monkeypatch):
+    """Sort keys below the lattice's cell count squared must fit in
+    int64; a grid with more lattice cells is refused before any work.
+    The bound is lowered here, as a real grid past it needs gigabytes."""
+    bound = cubical._MAX_LATTICE
+    assert bound ** 2 < 2**63 <= (bound + 1) ** 2
+    monkeypatch.setattr(cubical, "_MAX_LATTICE", 7 * 9 * 5)
+    voxel_persistence(np.zeros((3, 4, 2)))
+    for g in (np.zeros((3, 4, 3)), np.zeros((32, 31))):
+        with pytest.raises(InputError, match="too large"):
+            superlevel_persistence(g)
+
+
 def test_death_cap_flat_grid():
     dg = image_persistence(np.zeros((2, 2)))
     # Flat grids still get a positive cap: one unit past the constant.
@@ -262,3 +277,91 @@ def test_grid_paths_match_textbook_reduction(g):
         for max_dim in range(g.ndim + 1):
             want = diagram_from_pairs(pairs, unpaired, dims, values, max_dim)
             assert sorted(persistence(g, max_dim=max_dim).points) == want
+
+
+def diffusion_voxels(n, seed=0):
+    """n^3 grid of n smoothed noise slices, as perfbench's grid-cubical
+    builds its voxel input."""
+    return np.stack([gen_diffusion_field(n=n, steps=5,
+                                         seed=1000 * (seed + 1) + z)
+                     for z in range(n)])
+
+
+@st.composite
+def leveled_voxels(draw):
+    """3-d grids of 1-10 per axis on 2-5 levels, with zeros of both
+    signs."""
+    shape = tuple(draw(st.lists(st.integers(1, 10), min_size=3,
+                                max_size=3)))
+    levels = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = (rng.integers(0, levels, size=shape) - levels // 2).astype(float)
+    return np.where((g == 0) & (rng.random(shape) < 0.5), -0.0, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=leveled_voxels())
+@example(g=np.zeros((1, 1, 1)))
+@example(g=np.arange(20.0).reshape(1, 4, 5))
+@example(g=np.arange(512.0).reshape(8, 8, 8))
+@example(g=diffusion_voxels(24))
+def test_voxel_pairs_match_sequential_reduction(g):
+    """The void squares left out and the pairs made on arrays change no
+    pair: birth and death cells equal those of the column-by-column
+    reduction, sub- and superlevel, at every max_dim.  On the 24^3
+    diffusion grid each array level runs several rounds."""
+    for grid in (g, -g):
+        for max_dim in range(4):
+            assert (pair_cells(cubical._lattice_pairs(grid, max_dim))
+                    == pair_cells(sequential_lattice_pairs(grid, max_dim)))
+
+
+@pytest.mark.parametrize("g", [
+    diffusion_voxels(24),
+    np.random.default_rng(7).integers(0, 2, size=(10, 9, 8)).astype(float)])
+def test_voxel_reduction_gets_only_critical_columns(monkeypatch, g):
+    """reduce_coboundaries gets no apparent column from the voxel path,
+    and no column it gets holds an apparent pivot, a square that gives
+    birth to a void, the death of a pair made on arrays or a key that is
+    no square; the array levels changed at least one column, and paired
+    more than the apparent columns."""
+    calls = []
+    real = cubical.reduce_coboundaries
+
+    def spy(keys, pivot, has_cof, apparent, coboundary):
+        out = real(keys, pivot, has_cof, apparent, coboundary)
+        calls.append((keys.tolist(), apparent.copy(),
+                      [coboundary(j) for j in range(keys.size)], out[1]))
+        return out
+
+    monkeypatch.setattr(cubical, "reduce_coboundaries", spy)
+    groups = cubical._lattice_pairs(g, 2)
+    assert len(calls) == 1
+    keys, apparent, columns, heap_deaths = calls[0]
+    assert keys and not apparent.any()
+
+    rank, cells = cubical._cell_order(g)
+    cleared = set(cubical._h0_pairs(rank, cells)[1].tolist())
+    voids = set(cubical._top_pairs(rank, cells)[0].tolist())
+    faces = {}
+    for _, _, up, below, above in cubical._face_steps(rank, 2):
+        for p, a, b in zip(up.ravel().tolist(), below.ravel().tolist(),
+                           above.ravel().tolist()):
+            faces.setdefault(p, []).extend((a, b))
+    cofaces = {}
+    for p, edges in faces.items():
+        if p not in voids:
+            for e in edges:
+                cofaces.setdefault(e, []).append(p)
+    apparent_pairs = {e: min(c) for e, c in cofaces.items()
+                      if e not in cleared and max(faces[min(c)]) == e}
+    deaths = {int(rank.reshape(-1)[x]) for k, _, dead in groups if k == 1
+              for x in dead.tolist() if x >= 0}
+    held = (voids | set(apparent_pairs.values())
+            | (deaths - set(heap_deaths.tolist())))
+    assert not set(keys) & apparent_pairs.keys()
+    for col in columns:
+        assert col == sorted(set(col)) and not set(col) & held
+        assert all(0 <= k < cells[2].size for k in col)
+    assert any(set(col) - set(cofaces[e]) for e, col in zip(keys, columns))
+    assert len(keys) < len(cofaces.keys() - cleared - apparent_pairs.keys())
