@@ -278,7 +278,7 @@ def _reduced_pairs(rank: np.ndarray, cells: list[np.ndarray],
     b, d, ess = reduce_coboundaries(
         cols[left], np.append(key, big)[ends[:-1]], ends[1:] > ends[:-1],
         np.zeros(left.size, dtype=bool),
-        lambda j: flat[offs[j]:offs[j + 1]])
+        lambda js: [flat[offs[j]:offs[j + 1]] for j in js])
     born = np.concatenate(born + [cols[left[b]]])
     dies = np.concatenate(dies + [d])
     ess = np.concatenate([cols[oldest == big], cols[left[ess]]])

@@ -55,14 +55,22 @@ def _split(pd1: PersistenceDiagram, pd2: PersistenceDiagram, dim: int):
 
 
 def _half_persistence(x: np.ndarray) -> np.ndarray:
-    """Cost to the diagonal, (death - birth) / 2, of the rows of x; inf
-    without a warning where the persistence overflows float64."""
+    """Cost to the diagonal, (death - birth) / 2, of the finite rows of
+    x; death / 2 - birth / 2 in the rows where the difference overflows
+    float64, so the half is exact there and every other row keeps its
+    bits."""
     with np.errstate(over="ignore"):
-        return (x[:, 1] - x[:, 0]) / 2.0
+        half = (x[:, 1] - x[:, 0]) / 2.0
+    over = np.isinf(half)
+    half[over] = x[over, 1] / 2.0 - x[over, 0] / 2.0
+    return half
 
 
 def _linf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L-infinity costs between the rows of a and b (broadcast)."""
+    """L-infinity costs between the rows of a and b (broadcast); inf
+    where a difference overflows float64, which is the cost there.  The
+    callers that form costs silence that overflow once per call, not
+    here in the hot loops."""
     return np.maximum(np.abs(a[..., 0] - b[..., 0]),
                       np.abs(a[..., 1] - b[..., 1]))
 
@@ -308,6 +316,7 @@ def _cover_heavy(ptr, to, cost, p: np.ndarray, t: float,
     return None
 
 
+@np.errstate(over="ignore")
 def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
                         dim: int = 1) -> DiagramDistanceReport:
     """Exact bottleneck distance in one homology dimension.
@@ -416,6 +425,7 @@ def _powered(costs: np.ndarray, p: float) -> np.ndarray:
     return np.power(costs, p, out=costs)
 
 
+@np.errstate(over="ignore")
 def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
                          dim: int = 1, p: float = 2.0
                          ) -> DiagramDistanceReport:
@@ -440,8 +450,7 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
         return DiagramDistanceReport("wasserstein", dim, math.inf,
                                      matching, p=p)
     ess_pairs, gaps = ess
-    with np.errstate(over="ignore"):
-        total = float(big[rows, cols].sum() + np.sum(_powered(gaps, p)))
+    total = float(big[rows, cols].sum() + np.sum(_powered(gaps, p)))
     if not math.isfinite(total):
         raise ParameterError(
             f"wasserstein order p={p!r} overflows the total cost")
@@ -449,6 +458,7 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
                                  matching, ess_pairs, p=p)
 
 
+@np.errstate(over="ignore")
 def matching_cost(report: DiagramDistanceReport, pd1: PersistenceDiagram,
                   pd2: PersistenceDiagram) -> float:
     """Recompute the distance value implied by a report's matching."""
@@ -459,9 +469,9 @@ def matching_cost(report: DiagramDistanceReport, pd1: PersistenceDiagram,
             return float(max(abs(a[left, 0] - b[right, 0]),
                              abs(a[left, 1] - b[right, 1])))
         if left is not None:
-            return float(a[left, 1] - a[left, 0]) / 2.0
+            return float(_half_persistence(a[left:left + 1])[0])
         if right is not None:
-            return float(b[right, 1] - b[right, 0]) / 2.0
+            return float(_half_persistence(b[right:right + 1])[0])
         return 0.0
 
     edge = [one(l, r) for l, r in report.matching]

@@ -331,18 +331,29 @@ def contracted_h0(n: int, a: np.ndarray,
 
 def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
                         has_cof: np.ndarray, apparent: np.ndarray,
-                        coboundary: Callable[[int], list]
+                        coboundaries: Callable[[list[int]], list[list]]
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair the columns of one dimension by Z2 coboundary reduction.
 
     Column j is the cell of key keys[j]; the cells paired one dimension
-    down are left out (clearing).  coboundary(j) gives the sorted keys
-    of its cofaces, where key order is filtration order, so the pivot of
-    a column with a coface (has_cof[j]) is its least key, pivot[j].  An
-    apparent column owns its pivot without column arithmetic; the others
-    are reduced in reverse filtration order.  A working column is a heap
-    in which equal keys cancel lazily; only entries up to the pivot are
-    ever popped.
+    down are left out (clearing).  coboundaries(js) gives, for a list of
+    columns, the sorted keys of each one's cofaces, where key order is
+    filtration order, so the pivot of a column with a coface
+    (has_cof[j]) is its least key, pivot[j].  A caller may leave out
+    rows that are never pivots.  An apparent column owns its pivot
+    without column arithmetic; the others are reduced in reverse
+    filtration order.  A working column is a heap in which equal keys
+    cancel lazily; only entries up to the pivot are ever popped.
+
+    No column is computed twice, and one call computes many: the
+    columns to reduce come _TODO_BLOCK at a time, with the owners of
+    their pivots.  When the working column reaches a key whose owner is
+    not computed yet, the call also computes the owners of the keys it
+    will reach before any unowned key, as far as the lists added so far
+    show: each list brings its owned keys up to its first unowned key
+    onto an ahead heap, and that unowned key onto a side heap.  A
+    reduced column keeps its heap, and its odd entries are taken when
+    another column first adds it.
 
     Returns (birth columns, their death keys, essential columns); a
     column without cofaces or reduced to zero is essential.
@@ -352,10 +363,22 @@ def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
         a = s + np.flatnonzero(apparent[s:s + (1 << 16)])
         owner.update(zip(pivot[a].tolist(), a.tolist()))
     todo = np.flatnonzero(has_cof & ~apparent)
-    reduced: dict[int, list] = {}
+    added: dict[int, list] = {}
+    kept: dict[int, tuple[int, list]] = {}
     zero: list[int] = []
-    for j in todo[np.argsort(keys[todo])[::-1]].tolist():
-        heap = coboundary(j)
+    push = heapq.heappush
+    order = todo[np.argsort(keys[todo])[::-1]].tolist()
+    lists: dict[int, list] = {}
+    for i, j in enumerate(order):
+        if j not in lists:
+            fetch = _block_list(order[i:i + _TODO_BLOCK], pivot, owner,
+                                added, kept)
+            for c, col in zip(fetch, coboundaries(fetch)):
+                (added if apparent[c] else lists)[c] = col
+        heap = lists.pop(j)
+        ahead: list[int] = []
+        side: list[int] = []
+        _look_ahead(heap, owner, ahead, side)
         while True:
             p = _pop_pivot(heap)
             if p is None:
@@ -364,17 +387,69 @@ def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
             o = owner.get(p)
             if o is None:
                 owner[p] = j
-                reduced[j] = [p] + _odd_entries(heap)
+                kept[j] = (p, heap)
                 break
-            add = reduced.get(o)
+            add = added.get(o)
             if add is None:
-                add = coboundary(o)
-            for x in add[1:]:
-                heapq.heappush(heap, x)
+                if o in kept:
+                    q, h = kept.pop(o)
+                    add = added[o] = [q] + _odd_entries(h)
+                else:
+                    fetch = _fetch_list(o, p, ahead, side, owner, added, kept)
+                    added.update(zip(fetch, coboundaries(fetch)))
+                    add = added[o]
+            rest = add[1:]
+            for x in rest:
+                push(heap, x)
+            _look_ahead(rest, owner, ahead, side)
     return (np.fromiter(owner.values(), np.int64, len(owner)),
             np.fromiter(owner, np.int64, len(owner)),
             np.concatenate([np.flatnonzero(~has_cof),
                             np.array(zero, dtype=np.int64)]))
+
+
+# Columns to reduce whose coboundaries one call computes ahead.
+_TODO_BLOCK = 64
+
+
+def _block_list(block: list[int], pivot: np.ndarray, owner: dict,
+                added: dict, kept: dict) -> list[int]:
+    """A block of columns to reduce, then the owners of their pivots
+    that no column has computed (apparent ones): each is added to its
+    column."""
+    first = {o: None for o in map(owner.get, pivot[block].tolist())
+             if o is not None and o not in added and o not in kept}
+    return block + list(first)
+
+
+def _look_ahead(keys: list, owner: dict, ahead: list, side: list) -> None:
+    """Push keys on the ahead heap while they are owned, and the first
+    unowned one on the side heap."""
+    for x in keys:
+        if x not in owner:
+            heapq.heappush(side, x)
+            return
+        heapq.heappush(ahead, x)
+
+
+def _fetch_list(o: int, p: int, ahead: list, side: list, owner: dict,
+                added: dict, kept: dict) -> list[int]:
+    """Column o, whose pivot p the working column has reached, and the
+    owners that no column has computed of the keys of odd multiplicity
+    on the ahead heap between p and the least key on the side heap past
+    p; those keys leave the heap."""
+    pop = heapq.heappop
+    while side and side[0] < p:
+        pop(side)
+    stop = side[0] if side else math.inf
+    fetch = {o: None}
+    while ahead and ahead[0] < stop:
+        q = pop(ahead)
+        if ahead and ahead[0] == q:  # two lists bring q: it cancels
+            pop(ahead)
+        elif q > p and owner[q] not in added and owner[q] not in kept:
+            fetch[owner[q]] = None
+    return list(fetch)
 
 
 def _pop_pivot(heap: list) -> int | None:
@@ -484,7 +559,8 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
         at = cols.tolist()
         born, dead, ess = reduce_coboundaries(
             cols, oldest[cols], has_cof[cols], apparent[cols],
-            lambda j: cof_list[cof_at[at[j]]:cof_at[at[j] + 1]])
+            lambda js: [cof_list[cof_at[at[j]]:cof_at[at[j] + 1]]
+                        for j in js])
         births.append(cols[born])
         deaths.append(dead)
         died[dead] = True

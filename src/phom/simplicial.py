@@ -364,12 +364,13 @@ def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
         S, sr, ck = simp[cols], srank[cols], keys[cols]
         cob = _RipsCohomology(rank, big, k)
         # Blocks bound the (rows, n) work arrays; an empty S is one block.
-        piv, has, app = map(np.concatenate, zip(*[
+        piv, has, app, apx = map(np.concatenate, zip(*[
             cob.apparent(S[s:s + step], sr[s:s + step])
             for s in range(0, max(cols.size, 1), step)]))
-        srl = sr.tolist()
+        if k == 1:
+            cob.apex = _apexes(srank, sr, apx, big)
         born, paired, ess = reduce_coboundaries(
-            ck, piv, has, app, lambda j: cob.coboundary(S[j], srl[j]))
+            ck, piv, has, app, lambda js: cob.coboundaries(S[js], sr[js]))
         groups += [(k, uvals[sr[born]], uvals[paired // cob.base], ck[born]),
                    (k, uvals[sr[ess]], np.full(ess.size, math.inf), ck[ess])]
     return ordered_diagram(groups, max_dim, metadata)
@@ -404,57 +405,89 @@ def _max_rows(weight: np.ndarray, S: np.ndarray) -> np.ndarray:
     return M
 
 
+def _apexes(erank: np.ndarray, sr: np.ndarray, apx: np.ndarray,
+            big: int) -> np.ndarray:
+    """Apex of each edge rank, for _RipsCohomology.coboundaries: apx[i]
+    of column i of rank sr[i] where no other edge (of ranks erank) has
+    that rank, else -1, as for ranks of no column (cleared edges)."""
+    apex = np.full(big, -1, dtype=np.int32)
+    ok = (apx >= 0) & (np.bincount(erank, minlength=big)[sr] == 1)
+    apex[sr[ok]] = apx[ok]
+    return apex
+
+
 class _RipsCohomology:
     """Cofacets of the k-simplices: their coboundaries and apparent
     pairs, for reduce_coboundaries.  Ranks are read from the int32 rank
-    matrix and widened to int64 before they are scaled by `base`."""
+    matrix and widened to int64 before they are scaled by `base`.  For
+    k = 1, `apex` may hold the edge apexes by rank (_apexes), which
+    leave out of the coboundaries triangles that are never H1 pivots."""
 
     def __init__(self, rank: np.ndarray, big: int, k: int):
         self.rank, self.big, self.k = rank, big, k
+        self.apex: np.ndarray | None = None
         n = rank.shape[0]
-        # As _poly_keys: pw[p] weighs the vertex at position p of a cofacet,
-        # and lexw[p, v] is the term of vertex v there.
+        # As _poly_keys: pw[p] weighs the vertex at position p of a cofacet.
         self.pw = (n + 1) ** np.arange(k + 1, -1, -1, dtype=np.int64)
         self.base = int(self.pw[0]) * (n + 1)
-        self.lexw = self.pw[:, None] * np.arange(1, n + 1)
 
-    def coboundary(self, s: np.ndarray, r: int) -> list[int]:
-        """Sorted cofacet keys of one simplex s (ascending vertex ids) of
-        rank r, built over all n vertices v at once: the rank part from
-        the largest of s's rank rows, the lex part in k + 2 slices, where
-        the vertices between s[c-1] and s[c] sit at position c of s + {v}.
-        Slots with no cofacet (rank big) are clamped so they cannot wrap,
-        then masked out."""
-        rank, big, pw = self.rank, self.big, self.pw.tolist()
-        sl = s.tolist()
-        M = rank[sl[0]]
-        for u in sl[1:]:
-            M = np.maximum(M, rank[u])
-        keys = np.minimum(np.maximum(M, r), big - 1).astype(np.int64)
-        keys *= self.base
-        # off: the lex part of s's own vertices once v sits at position c.
-        off = sum(p * (u + 1) for p, u in zip(pw[1:], sl))
-        lo = 0
-        for c, hi in enumerate(sl + [rank.shape[0]]):
-            keys[lo:hi] += self.lexw[c, lo:hi] + off
-            if c < len(sl):
-                off += (pw[c] - pw[c + 1]) * (hi + 1)
-                lo = hi + 1
-        keys = keys[M < big]
-        keys.sort()
-        return keys.tolist()
+    def _keys(self, R: np.ndarray, S: np.ndarray,
+              v: np.ndarray) -> np.ndarray:
+        """Keys of the cofacets S[i] + {v[i]} of ranks R.  The lex part
+        weighs vertex c of S by pw[c + 1], by pw[c] once v sits above it,
+        and v by pw[0] less pw[c] - pw[c + 1] for each such c; so each c
+        adds (pw[c] - pw[c + 1]) * min(S[i, c] - v, 0)."""
+        pw = self.pw
+        keys = R * self.base + pw[0] * (v + 1) + (S + 1) @ pw[1:]
+        for c in range(S.shape[1]):
+            keys += (pw[c] - pw[c + 1]) * np.minimum(S[:, c] - v, 0)
+        return keys
+
+    def coboundaries(self, S: np.ndarray, sr: np.ndarray) -> list[list[int]]:
+        """Sorted cofacet keys of each simplex of S (rows of ascending
+        vertex ids) of rank sr, built in blocks of rows on the (row, v)
+        pairs with a cofacet; the rank of S[i] + {v} is the largest of
+        sr[i] and v's ranks to S[i].  Within a row the lex part grows
+        with v, so a stable sort by (row, rank) sorts the keys.
+
+        With apexes, a triangle abc whose longest edge ab has an apex
+        x < c with rank[c, x] below the triangle's rank is left out:
+        abx, acx and bcx all come before abc, so abc closes a 2-cycle and
+        is never an H1 pivot (compression; Bauer, Kerber and
+        Reininghaus, Clear and Compress, 2014)."""
+        rank, big, apex = self.rank, self.big, self.apex
+        step = max(1, _BLOCK_ENTRIES // rank.shape[0])
+        out: list[list[int]] = []
+        for s in range(0, S.shape[0], step):
+            B, r = S[s:s + step], sr[s:s + step]
+            M = _max_rows(rank, B)
+            row, v = np.nonzero(M < big)
+            R = np.maximum(M[row, v], r[row])
+            if apex is not None:
+                x, u, w = apex[R], B[row, 0], B[row, 1]
+                # c: the vertex off the edge of rank R.
+                c = np.where(R == r[row], v, np.where(R == rank[u, v], w, u))
+                keep = (x < 0) | (x >= c) | (rank[c, x] >= R)
+                row, v, R = row[keep], v[keep], R[keep]
+            order = np.argsort(row * (big + 1) + R, kind="stable")
+            flat = self._keys(R, B[row], v)[order].tolist()
+            ends = np.cumsum(np.bincount(row, minlength=B.shape[0])).tolist()
+            out += [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        return out
 
     def apparent(self, S: np.ndarray, sr: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per column: pivot key, has a cofacet, is in an apparent pair.
+                 ) -> tuple[np.ndarray, ...]:
+        """Per column: pivot key, has a cofacet, is in an apparent pair,
+        apex.
 
         The oldest cofacet of s is s + {v} with the least (rank, v), since
         for fixed s the lex order of s + {v} follows v.  s is its youngest
         facet when the cofacet has s's rank and every other facet
         s + {v} - {u} has a lower rank, or the same rank and u > v (the
-        facet dropping the smaller vertex is lex-larger).
+        facet dropping the smaller vertex is lex-larger).  The apex is
+        that v where all of its ranks to s are below s's own, else -1.
         """
-        rank, big, k, pw = self.rank, self.big, self.k, self.pw
+        rank, big, k = self.rank, self.big, self.k
         rows = np.arange(S.shape[0])
         M = np.maximum(_max_rows(rank, S), sr.astype(np.int32)[:, None])
         vs = M.argmin(axis=1)
@@ -471,9 +504,5 @@ class _RipsCohomology:
                     if b != c:
                         fr = np.maximum(fr, rank[S[:, a], S[:, b]])
             ok &= (fr < sr) | ((fr == sr) & (S[:, c] > vs))
-        # The pivot's key: vs sits at position `below` of its cofacet.
-        below = (S < vs[:, None]).sum(axis=1)
-        lex = pw[below] * (vs + 1)
-        for i in range(k + 1):
-            lex += (S[:, i] + 1) * np.where(below > i, pw[i], pw[i + 1])
-        return cm.astype(np.int64) * self.base + lex, cm < big, ok
+        apex = np.where(np.maximum.reduce(to_v) < sr, vs, -1)
+        return self._keys(cm.astype(np.int64), S, vs), cm < big, ok, apex

@@ -460,6 +460,38 @@ def rips_coboundary(rank, big, k, s, r):
     return np.sort(np.maximum(M[v], r) * base + lex).tolist()
 
 
+def rips_key_simplex(key, n, k):
+    """(ascending vertices, rank) of the k-simplex of an engine key."""
+    r, lex = divmod(int(key), (n + 1) ** (k + 1))
+    vs = []
+    for _ in range(k + 1):
+        lex, v = divmod(lex, n + 1)
+        vs.append(v - 1)
+    return vs[::-1], r
+
+
+def rips_positive(rank, big, k, key):
+    """True when the k-simplex of this engine key gives birth in H_k by
+    brute force: for some other vertex x, every other facet of the
+    simplex plus x has a smaller key, so the boundary of the simplex is
+    a sum of boundaries that came before it."""
+    n = rank.shape[0]
+    s, _ = rips_key_simplex(key, n, k)
+
+    def key_of(vs):
+        r = max(int(rank[a, b]) for a, b in itertools.combinations(vs, 2))
+        lex = 0
+        for v in vs:
+            lex = lex * (n + 1) + v + 1
+        return r * (n + 1) ** len(vs) + lex if r < big else None
+
+    for x in sorted(set(range(n)) - set(s)):
+        others = [key_of(sorted(set(s) - {u} | {x})) for u in s]
+        if all(o is not None and o < key for o in others):
+            return True
+    return False
+
+
 # ------------------------------------------- cubical H1, column by column
 
 def sequential_lattice_pairs(g, max_dim):
@@ -488,7 +520,7 @@ def sequential_lattice_pairs(g, max_dim):
         count = (cof < big).sum(axis=1).tolist()
         born, dies, ess = reduce_coboundaries(
             cols, oldest, oldest < big, youngest[oldest] == cols,
-            lambda j: cof[j].tolist()[:count[j]])
+            lambda js: [cof[j].tolist()[:count[j]] for j in js])
         groups += [(1, cells[1][cols[born]], cells[2][dies]),
                    (1, cells[1][cols[ess]], np.full(ess.size, -1))]
     if 1 <= d - 1 <= max_dim:

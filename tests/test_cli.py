@@ -131,6 +131,28 @@ def test_distance_command(tmp_path):
     assert rep.value == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("metric, code", [("bottleneck", 0),
+                                          ("wasserstein", 3)])
+def test_distance_of_points_whose_gap_overflows(tmp_path, metric, code):
+    """Points whose L-infinity distance overflows float64 cost inf, and
+    no overflow warning escapes, so a run under `python -W error` keeps
+    the exit-code contract: the bottleneck is 1e308 (the first point to
+    the diagonal), and Wasserstein's p-th powers overflow, which is a
+    parameter error, not a crash (exit 4)."""
+    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "r.json"
+    a.write_text("dim,birth,death\n1,-1e308,1e308\n")
+    b.write_text("dim,birth,death\n1,1e308,1.5e308\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "phom.cli", "distance",
+         str(a), str(b), "-o", str(out), "--metric", metric],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert read_distance_report(str(out)).value == 1e308
+
+
 def test_series_windows_and_scores(tmp_path):
     src = tmp_path / "series.csv"
     assert run("gen", "periodic", "-n", 128, "--seed", 2, "-o", src) == 0

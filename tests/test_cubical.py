@@ -328,10 +328,10 @@ def test_voxel_reduction_gets_only_critical_columns(monkeypatch, g):
     calls = []
     real = cubical.reduce_coboundaries
 
-    def spy(keys, pivot, has_cof, apparent, coboundary):
-        out = real(keys, pivot, has_cof, apparent, coboundary)
+    def spy(keys, pivot, has_cof, apparent, coboundaries):
+        out = real(keys, pivot, has_cof, apparent, coboundaries)
         calls.append((keys.tolist(), apparent.copy(),
-                      [coboundary(j) for j in range(keys.size)], out[1]))
+                      coboundaries(list(range(keys.size))), out[1]))
         return out
 
     monkeypatch.setattr(cubical, "reduce_coboundaries", spy)

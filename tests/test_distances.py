@@ -132,6 +132,22 @@ def test_wasserstein_total_that_overflows_is_rejected():
     assert one.value == pytest.approx(1.25e154)
 
 
+def test_half_persistence_that_overflows_stays_exact():
+    """The bottleneck from (-1e308, 1e308) to an empty diagram is half of
+    2e308, which float64 holds though 2e308 does not; rows whose
+    difference is finite keep the bits of (death - birth) / 2."""
+    d1 = diag([(1, -1e308, 1e308), (1, 0.1, 0.7)])
+    rep = bottleneck_distance(d1, diag([]), dim=1)
+    assert rep.value == 1e308
+    assert matching_cost(rep, d1, diag([])) == 1e308
+    rng = np.random.default_rng(0)
+    x = np.sort(rng.normal(scale=1e3, size=(200, 2)), axis=1)
+    x[0] = (-1e308, 1.7e308)
+    half = distances._half_persistence(x)
+    assert half[0] == 1.7e308 / 2 + 1e308 / 2
+    assert half[1:].tobytes() == ((x[1:, 1] - x[1:, 0]) / 2.0).tobytes()
+
+
 def test_wasserstein_cost_power_out_of_range_is_rejected():
     """A nonzero cost whose p-th power is inf or 0 is a ParameterError;
     a zero cost (two diagonal slots) is not."""

@@ -20,10 +20,15 @@ from phom import (
     point_cloud_distances,
     representative_cycle,
     rips_filtration,
+    rips_persistence,
+    sample_annulus,
     sparsify_cycle,
+    voxel_persistence,
 )
+from phom import cubical, persistence, simplicial
 from phom.io import read_complex_cache, write_complex_cache
-from phom.persistence import MAX_BUDGET, contracted_h0, union_find_h0
+from phom.persistence import (MAX_BUDGET, contracted_h0,
+                              reduce_coboundaries, union_find_h0)
 from oracles import (
     brute_min_cycle_size,
     diagram_from_pairs,
@@ -401,3 +406,71 @@ def test_metadata_passthrough():
     dg, _ = compute_persistence(three_path(), metadata={"source": "unit"})
     assert dg.metadata["source"] == "unit"
     assert dg.metadata["max_dim"] == 1
+
+
+def reduction_inputs(module, run):
+    """The arguments of every reduce_coboundaries call that run() makes
+    through module."""
+    calls = []
+    real = module.reduce_coboundaries
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "reduce_coboundaries", spy)
+        run()
+    return calls
+
+
+def logged_reduction(args):
+    """reduce_coboundaries on args, and the column lists it asked for."""
+    asked = []
+
+    def coboundaries(js):
+        asked.append(list(js))
+        return args[4](js)
+
+    return reduce_coboundaries(*args[:4], coboundaries), asked
+
+
+def tied_matrix(seed):
+    rng = np.random.default_rng(seed)
+    d = np.triu(rng.integers(1, 4, size=(30, 30)), 1).astype(float)
+    return d + d.T
+
+
+@pytest.mark.parametrize("module, run", [
+    *[(simplicial, lambda n=n: rips_persistence(
+        point_cloud_distances(sample_annulus(n, noise=0.05, seed=n)),
+        1, 0.6)) for n in (60, 90, 120)],
+    *[(simplicial, lambda s=s: rips_persistence(tied_matrix(s), 2, 3.0,
+                                                "diameter"))
+      for s in (0, 1)],
+    (cubical, lambda: voxel_persistence(
+        np.random.default_rng(3).random((12, 11, 10)))),
+])
+def test_reduction_does_not_depend_on_prefetch(module, run):
+    """reduce_coboundaries gives the same pairs when each call computes
+    one column as when it computes blocks of columns to reduce and the
+    owners ahead in one call, and the batching run computes no column
+    twice and makes fewer calls."""
+    calls = reduction_inputs(module, run)
+    assert calls
+    batches = singles = 0
+    for args in calls:
+        batched, asked = logged_reduction(args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(persistence, "_block_list",
+                       lambda block, *rest: block[:1])
+            mp.setattr(persistence, "_fetch_list", lambda o, *rest: [o])
+            single, one_by_one = logged_reduction(args)
+        for a, b in zip(batched, single):
+            assert np.array_equal(a, b)
+        flat = [j for js in asked for j in js]
+        assert len(flat) == len(set(flat)) >= len(one_by_one)
+        assert all(len(js) == 1 for js in one_by_one)
+        assert set(flat) >= {j for js in one_by_one for j in js}
+        batches, singles = batches + len(asked), singles + len(one_by_one)
+    assert batches < singles

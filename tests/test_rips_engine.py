@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from phom import (InputError, ParameterError, compute_persistence,
                   point_cloud_distances, rips_filtration, rips_persistence,
                   sample_annulus)
+from phom import simplicial
 from phom.simplicial import _RipsCohomology, _rips_edges
 from oracles import (diagram_from_pairs, reduction_pairs, rips_coboundary,
-                     rips_edges)
+                     rips_edges, rips_key_simplex, rips_positive)
 
 
 def explicit(d, max_dim, max_scale, scale):
@@ -198,7 +199,8 @@ def coboundary_pair(d, k, max_scale, s):
     assert rank.dtype == np.int32
     s = np.array(s, dtype=np.int64)
     r = int(rank[np.ix_(s, s)][np.triu_indices(k + 1, 1)].max())
-    got = _RipsCohomology(rank, uvals.size, k).coboundary(s, r)
+    got, = _RipsCohomology(rank, uvals.size, k).coboundaries(
+        s[None], np.array([r]))
     return got, rips_coboundary(rank, uvals.size, k, s, r)
 
 
@@ -246,3 +248,80 @@ def test_coboundary_keys_past_int32(k):
         got, want = coboundary_pair(d, k, 4.0, list(s))
         assert got == want
         assert len(got) == 150 - k - 1 and got[0] > 2 ** 31
+
+
+@st.composite
+def matrices_with_dim(draw):
+    """A homology dimension 1 <= k <= 3 and an n-point integer distance
+    matrix with 1, 3 or about a million levels, as in
+    simplices_in_matrices, with a max_scale that drops some of its edges
+    or none; n <= 24 for k = 1 and n <= 10 above, so that every column
+    can be checked."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 24 if k == 1 else 10))
+    levels = draw(st.sampled_from([1, 3, 10 ** 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = np.triu(rng.integers(1, levels + 1, size=(n, n)), 1).astype(float)
+    d += d.T
+    max_scale = float(draw(st.sampled_from([levels, max(1, levels // 2)])))
+    return d, k, max_scale
+
+
+def engine_coboundaries(d, k, max_scale):
+    """Per dimension 1..k of rips_persistence: the column keys and the
+    coboundaries its callback gives for all of them."""
+    got = []
+    real = simplicial.reduce_coboundaries
+
+    def spy(keys, pivot, has_cof, apparent, coboundaries):
+        got.append((keys.tolist(), coboundaries(list(range(keys.size)))))
+        return real(keys, pivot, has_cof, apparent, coboundaries)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "reduce_coboundaries", spy)
+        rips_persistence(d, k, max_scale, "diameter")
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=matrices_with_dim())
+def test_batched_coboundaries_drop_only_positive_triangles(case):
+    """Every column's batched coboundary is the oracle's without some
+    keys; each key left out is a positive triangle, and no key is left
+    out above dimension 1."""
+    d, k, max_scale = case
+    _, _, _, uvals, rank = _rips_edges(d, k, max_scale, "diameter")
+    n, big = d.shape[0], uvals.size
+    for dim, (keys, columns) in enumerate(engine_coboundaries(*case), 1):
+        for key, got in zip(keys, columns):
+            s, r = rips_key_simplex(key, n, dim)
+            want = rips_coboundary(rank, big, dim, np.array(s), r)
+            dropped = set(want) - set(got)
+            assert got == [x for x in want if x not in dropped]
+            assert dim == 1 or not dropped
+            assert all(rips_positive(rank, big, 2, x) for x in dropped)
+
+
+def test_batched_coboundaries_drop_most_annulus_triangles():
+    """On an annulus below the enclosing radius the apexes leave out
+    most triangles of the H1 columns, and only positive ones."""
+    d = point_cloud_distances(sample_annulus(40, noise=0.05, seed=2))
+    _, _, _, uvals, rank = _rips_edges(d, 1, 0.6, "radius")
+    got = want = 0
+    real = simplicial.reduce_coboundaries
+
+    def spy(keys, pivot, has_cof, apparent, coboundaries):
+        nonlocal got, want
+        for key, col in zip(keys.tolist(),
+                            coboundaries(list(range(keys.size)))):
+            s, r = rips_key_simplex(key, 40, 1)
+            full = rips_coboundary(rank, uvals.size, 1, np.array(s), r)
+            assert all(rips_positive(rank, uvals.size, 2, x)
+                       for x in set(full) - set(col))
+            got, want = got + len(col), want + len(full)
+        return real(keys, pivot, has_cof, apparent, coboundaries)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "reduce_coboundaries", spy)
+        rips_persistence(d, 1, 0.6)
+    assert want and got < want / 4
