@@ -55,22 +55,16 @@ def _split(pd1: PersistenceDiagram, pd2: PersistenceDiagram, dim: int):
 
 
 def _half_persistence(x: np.ndarray) -> np.ndarray:
-    """Cost to the diagonal, (death - birth) / 2, of the finite rows of
-    x; death / 2 - birth / 2 in the rows where the difference overflows
-    float64, so the half is exact there and every other row keeps its
-    bits."""
-    with np.errstate(over="ignore"):
-        half = (x[:, 1] - x[:, 0]) / 2.0
+    """Cost to the diagonal, (death - birth) / 2, of the rows of x, and
+    death / 2 - birth / 2 in the rows where the difference overflows."""
+    half = (x[:, 1] - x[:, 0]) / 2.0
     over = np.isinf(half)
     half[over] = x[over, 1] / 2.0 - x[over, 0] / 2.0
     return half
 
 
 def _linf(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L-infinity costs between the rows of a and b (broadcast); inf
-    where a difference overflows float64, which is the cost there.  The
-    callers that form costs silence that overflow once per call, not
-    here in the hot loops."""
+    """L-infinity costs of the rows of a and b (broadcast); inf on overflow."""
     return np.maximum(np.abs(a[..., 0] - b[..., 0]),
                       np.abs(a[..., 1] - b[..., 1]))
 

@@ -345,15 +345,11 @@ def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
     filtration order.  A working column is a heap in which equal keys
     cancel lazily; only entries up to the pivot are ever popped.
 
-    No column is computed twice, and one call computes many: the
-    columns to reduce come _TODO_BLOCK at a time, with the owners of
-    their pivots.  When the working column reaches a key whose owner is
-    not computed yet, the call also computes the owners of the keys it
-    will reach before any unowned key, as far as the lists added so far
-    show: each list brings its owned keys up to its first unowned key
-    onto an ahead heap, and that unowned key onto a side heap.  A
-    reduced column keeps its heap, and its odd entries are taken when
-    another column first adds it.
+    No column is computed twice.  One call computes _TODO_BLOCK columns
+    to reduce and the owners of their pivots, or the owner of a key just
+    reached and of the owned keys ahead of it before any unowned key in
+    the lists added so far (_fetch_list).  A reduced column keeps its
+    heap until another column first adds it.
 
     Returns (birth columns, their death keys, essential columns); a
     column without cofaces or reduced to zero is essential.
@@ -363,21 +359,17 @@ def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
         a = s + np.flatnonzero(apparent[s:s + (1 << 16)])
         owner.update(zip(pivot[a].tolist(), a.tolist()))
     todo = np.flatnonzero(has_cof & ~apparent)
-    added: dict[int, list] = {}
-    kept: dict[int, tuple[int, list]] = {}
+    order = todo[np.argsort(keys[todo])[::-1]].tolist()
+    # Computed columns: lists, or (pivot, heap) of reduced ones not added.
+    cols: dict[int, list | tuple[int, list]] = {}
     zero: list[int] = []
     push = heapq.heappush
-    order = todo[np.argsort(keys[todo])[::-1]].tolist()
-    lists: dict[int, list] = {}
     for i, j in enumerate(order):
-        if j not in lists:
-            fetch = _block_list(order[i:i + _TODO_BLOCK], pivot, owner,
-                                added, kept)
-            for c, col in zip(fetch, coboundaries(fetch)):
-                (added if apparent[c] else lists)[c] = col
-        heap = lists.pop(j)
-        ahead: list[int] = []
-        side: list[int] = []
+        if j not in cols:
+            fetch = _block_list(order[i:i + _TODO_BLOCK], pivot, owner, cols)
+            cols.update(zip(fetch, coboundaries(fetch)))
+        heap = cols.pop(j)
+        ahead, side = [], []  # owned keys, first unowned key of each list
         _look_ahead(heap, owner, ahead, side)
         while True:
             p = _pop_pivot(heap)
@@ -387,17 +379,15 @@ def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
             o = owner.get(p)
             if o is None:
                 owner[p] = j
-                kept[j] = (p, heap)
+                cols[j] = (p, heap)
                 break
-            add = added.get(o)
+            add = cols.get(o)
             if add is None:
-                if o in kept:
-                    q, h = kept.pop(o)
-                    add = added[o] = [q] + _odd_entries(h)
-                else:
-                    fetch = _fetch_list(o, p, ahead, side, owner, added, kept)
-                    added.update(zip(fetch, coboundaries(fetch)))
-                    add = added[o]
+                fetch = _fetch_list(o, p, ahead, side, owner, cols)
+                cols.update(zip(fetch, coboundaries(fetch)))
+                add = cols[o]
+            elif isinstance(add, tuple):
+                add = cols[o] = [add[0]] + _odd_entries(add[1])
             rest = add[1:]
             for x in rest:
                 push(heap, x)
@@ -408,18 +398,15 @@ def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
                             np.array(zero, dtype=np.int64)]))
 
 
-# Columns to reduce whose coboundaries one call computes ahead.
+# Columns to reduce that one call computes ahead.
 _TODO_BLOCK = 64
 
 
 def _block_list(block: list[int], pivot: np.ndarray, owner: dict,
-                added: dict, kept: dict) -> list[int]:
-    """A block of columns to reduce, then the owners of their pivots
-    that no column has computed (apparent ones): each is added to its
-    column."""
-    first = {o: None for o in map(owner.get, pivot[block].tolist())
-             if o is not None and o not in added and o not in kept}
-    return block + list(first)
+                cols: dict) -> list[int]:
+    """A block of columns to reduce, then their pivots' owners to do."""
+    return block + list({o: None for o in map(owner.get, pivot[block].tolist())
+                         if o is not None and o not in cols})
 
 
 def _look_ahead(keys: list, owner: dict, ahead: list, side: list) -> None:
@@ -433,21 +420,19 @@ def _look_ahead(keys: list, owner: dict, ahead: list, side: list) -> None:
 
 
 def _fetch_list(o: int, p: int, ahead: list, side: list, owner: dict,
-                added: dict, kept: dict) -> list[int]:
-    """Column o, whose pivot p the working column has reached, and the
-    owners that no column has computed of the keys of odd multiplicity
-    on the ahead heap between p and the least key on the side heap past
-    p; those keys leave the heap."""
-    pop = heapq.heappop
+                cols: dict) -> list[int]:
+    """Column o, the owner of the pivot p just reached, then the owners
+    not computed of the keys on the ahead heap past p and before the
+    least key on the side heap; a key there twice cancels."""
     while side and side[0] < p:
-        pop(side)
+        heapq.heappop(side)
     stop = side[0] if side else math.inf
     fetch = {o: None}
     while ahead and ahead[0] < stop:
-        q = pop(ahead)
-        if ahead and ahead[0] == q:  # two lists bring q: it cancels
-            pop(ahead)
-        elif q > p and owner[q] not in added and owner[q] not in kept:
+        q = heapq.heappop(ahead)
+        if ahead and ahead[0] == q:
+            heapq.heappop(ahead)
+        elif q > p and owner[q] not in cols:
             fetch[owner[q]] = None
     return list(fetch)
 

@@ -367,8 +367,10 @@ def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
         piv, has, app, apx = map(np.concatenate, zip(*[
             cob.apparent(S[s:s + step], sr[s:s + step])
             for s in range(0, max(cols.size, 1), step)]))
-        if k == 1:
-            cob.apex = _apexes(srank, sr, apx, big)
+        if k == 1:  # apexes by rank; -1 where edges tie or none has one
+            cob.apex = np.full(big, -1, dtype=np.int32)
+            ok = (apx >= 0) & (np.bincount(srank, minlength=big)[sr] == 1)
+            cob.apex[sr[ok]] = apx[ok]
         born, paired, ess = reduce_coboundaries(
             ck, piv, has, app, lambda js: cob.coboundaries(S[js], sr[js]))
         groups += [(k, uvals[sr[born]], uvals[paired // cob.base], ck[born]),
@@ -405,23 +407,11 @@ def _max_rows(weight: np.ndarray, S: np.ndarray) -> np.ndarray:
     return M
 
 
-def _apexes(erank: np.ndarray, sr: np.ndarray, apx: np.ndarray,
-            big: int) -> np.ndarray:
-    """Apex of each edge rank, for _RipsCohomology.coboundaries: apx[i]
-    of column i of rank sr[i] where no other edge (of ranks erank) has
-    that rank, else -1, as for ranks of no column (cleared edges)."""
-    apex = np.full(big, -1, dtype=np.int32)
-    ok = (apx >= 0) & (np.bincount(erank, minlength=big)[sr] == 1)
-    apex[sr[ok]] = apx[ok]
-    return apex
-
-
 class _RipsCohomology:
     """Cofacets of the k-simplices: their coboundaries and apparent
     pairs, for reduce_coboundaries.  Ranks are read from the int32 rank
-    matrix and widened to int64 before they are scaled by `base`.  For
-    k = 1, `apex` may hold the edge apexes by rank (_apexes), which
-    leave out of the coboundaries triangles that are never H1 pivots."""
+    matrix and widened to int64 before they are scaled by `base`; for
+    k = 1, `apex` may hold the apex of each edge rank (coboundaries)."""
 
     def __init__(self, rank: np.ndarray, big: int, k: int):
         self.rank, self.big, self.k = rank, big, k
@@ -434,9 +424,8 @@ class _RipsCohomology:
     def _keys(self, R: np.ndarray, S: np.ndarray,
               v: np.ndarray) -> np.ndarray:
         """Keys of the cofacets S[i] + {v[i]} of ranks R.  The lex part
-        weighs vertex c of S by pw[c + 1], by pw[c] once v sits above it,
-        and v by pw[0] less pw[c] - pw[c + 1] for each such c; so each c
-        adds (pw[c] - pw[c + 1]) * min(S[i, c] - v, 0)."""
+        weighs v by pw[0] and S's vertex c by pw[c + 1]; each c below v
+        gains pw[c] - pw[c + 1] and v loses as much."""
         pw = self.pw
         keys = R * self.base + pw[0] * (v + 1) + (S + 1) @ pw[1:]
         for c in range(S.shape[1]):
@@ -445,16 +434,13 @@ class _RipsCohomology:
 
     def coboundaries(self, S: np.ndarray, sr: np.ndarray) -> list[list[int]]:
         """Sorted cofacet keys of each simplex of S (rows of ascending
-        vertex ids) of rank sr, built in blocks of rows on the (row, v)
-        pairs with a cofacet; the rank of S[i] + {v} is the largest of
-        sr[i] and v's ranks to S[i].  Within a row the lex part grows
-        with v, so a stable sort by (row, rank) sorts the keys.
-
-        With apexes, a triangle abc whose longest edge ab has an apex
-        x < c with rank[c, x] below the triangle's rank is left out:
-        abx, acx and bcx all come before abc, so abc closes a 2-cycle and
-        is never an H1 pivot (compression; Bauer, Kerber and
-        Reininghaus, Clear and Compress, 2014)."""
+        vertex ids) of rank sr, built in row blocks on the (row, v) pairs
+        with a cofacet.  The lex part grows with v, so a stable sort by
+        (row, rank) sorts a row's keys.  With apexes, a triangle abc
+        whose longest edge ab has an apex x < c with rank[c, x] below
+        ab's is left out: abx, acx and bcx come before it, so it closes
+        a 2-cycle and is never an H1 pivot (compression; Bauer, Kerber
+        and Reininghaus, Clear and Compress, 2014)."""
         rank, big, apex = self.rank, self.big, self.apex
         step = max(1, _BLOCK_ENTRIES // rank.shape[0])
         out: list[list[int]] = []

@@ -143,7 +143,8 @@ def test_half_persistence_that_overflows_stays_exact():
     rng = np.random.default_rng(0)
     x = np.sort(rng.normal(scale=1e3, size=(200, 2)), axis=1)
     x[0] = (-1e308, 1.7e308)
-    half = distances._half_persistence(x)
+    with np.errstate(over="ignore"):  # as its callers
+        half = distances._half_persistence(x)
     assert half[0] == 1.7e308 / 2 + 1e308 / 2
     assert half[1:].tobytes() == ((x[1:, 1] - x[1:, 0]) / 2.0).tobytes()
 
