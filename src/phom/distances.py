@@ -403,14 +403,17 @@ def _powered(costs: np.ndarray, p: float) -> np.ndarray:
     """costs ** p, in place; a nonzero cost whose power overflows to inf
     or underflows to 0 is a ParameterError, not a wrong distance.  Powers
     with p >= 1 are monotone, so the check looks only at the least
-    nonzero cost, found in blocks of rows, and the largest."""
+    nonzero cost and the largest finite one, found in blocks of rows.  A
+    cost that is already inf stays inf: every point's cost to the
+    diagonal is finite, so the assignment never needs it."""
     rows = np.atleast_2d(costs)
     step = max(1, _BLOCK_ENTRIES // max(1, rows.shape[1]))
-    least = np.inf
+    least, most = np.inf, 0.0
     for s in range(0, rows.shape[0], step):
         block = rows[s:s + step]
         least = min(least, block.min(where=block > 0, initial=np.inf))
-    ends = np.array([least, costs.max(initial=0.0)])
+        most = max(most, block.max(where=block < np.inf, initial=0.0))
+    ends = np.array([least, most])
     with np.errstate(over="ignore", under="ignore"):
         np.power(ends, p, out=ends)
     if ends[0] == 0 or np.isinf(ends[1]):

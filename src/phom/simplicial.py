@@ -208,17 +208,24 @@ def _poly_keys(verts: np.ndarray, base: int) -> np.ndarray:
     return keys
 
 
+def _rank_dtype(big: int) -> type:
+    """The narrowest of int16 and int32 that holds ranks 0..big: the Rips
+    passes stream (rows, n) blocks of the rank matrix."""
+    return np.int16 if big <= np.iinfo(np.int16).max else np.int32
+
+
 def _rips_edges(dist: np.ndarray, max_dim: int, max_scale: float,
                 scale: str) -> tuple:
     """Checked max_dim and the edge table of both Rips builders, which
     work with ranks among the distinct edge values up to max_scale: the
     kept edges (i < j) in lexicographic order, their int64 ranks, the
-    distinct values, and the (n, n) int32 rank matrix, `big` = uvals.size
-    where there is no edge and on the diagonal.
+    distinct values, and the (n, n) rank matrix, `big` = uvals.size where
+    there is no edge and on the diagonal.
 
-    The rank matrix holds ranks up to `big`, which is at most the edge
-    count n(n-1)/2; so n(n-1)/2 must be at most 2**31 - 1 (n <= 65,536),
-    else ParameterError before anything n x n is allocated."""
+    The rank matrix has the type _rank_dtype(big) and holds ranks up to
+    `big`, which is at most the edge count n(n-1)/2; so n(n-1)/2 must be
+    at most 2**31 - 1 (n <= 65,536), else ParameterError before anything
+    n x n is allocated."""
     d = check_distance_matrix(dist)
     if scale not in ("radius", "diameter"):
         raise ParameterError(f"unknown scale convention {scale!r}")
@@ -246,7 +253,7 @@ def _rips_edges(dist: np.ndarray, max_dim: int, max_scale: float,
     iu, ju = np.concatenate(iu), np.concatenate(ju)
     # + 0.0 makes every zero +0.0, so no value's sign hangs on point order.
     uvals, erank = np.unique(np.concatenate(ev) + 0.0, return_inverse=True)
-    rank = np.full((n, n), uvals.size, dtype=np.int32)
+    rank = np.full((n, n), uvals.size, dtype=_rank_dtype(uvals.size))
     rank[iu, ju] = erank
     rank[ju, iu] = erank
     return (max_dim, np.column_stack([iu, ju]), erank.astype(np.int64),
@@ -400,17 +407,18 @@ def _rips_extend(simp: np.ndarray, ranks: np.ndarray, rank: np.ndarray,
 
 
 def _max_rows(weight: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """(len(S), n): per simplex, the largest weight from its vertices."""
+    """(len(S), n): per simplex, the largest weight from its vertices, in
+    a new array that callers may overwrite."""
     M = weight[S[:, 0]]
     for c in range(1, S.shape[1]):
-        M = np.maximum(M, weight[S[:, c]])
+        np.maximum(M, weight[S[:, c]], out=M)
     return M
 
 
 class _RipsCohomology:
     """Cofacets of the k-simplices: their coboundaries and apparent
-    pairs, for reduce_coboundaries.  Ranks are read from the int32 rank
-    matrix and widened to int64 before they are scaled by `base`; for
+    pairs, for reduce_coboundaries.  Ranks are read in the rank matrix's
+    type and widened to int64 before they are scaled by `base`; for
     k = 1, `apex` may hold the apex of each edge rank (coboundaries)."""
 
     def __init__(self, rank: np.ndarray, big: int, k: int):
@@ -474,14 +482,18 @@ class _RipsCohomology:
         that v where all of its ranks to s are below s's own, else -1.
         """
         rank, big, k = self.rank, self.big, self.k
-        rows = np.arange(S.shape[0])
-        M = np.maximum(_max_rows(rank, S), sr.astype(np.int32)[:, None])
-        vs = M.argmin(axis=1)
-        cm = M[rows, vs]
+        M = _max_rows(rank, S)
+        np.maximum(M, sr.astype(rank.dtype)[:, None], out=M)
+        if M.itemsize == 2:  # argmin is slow on int16, fast on int32
+            cm = M.min(axis=1)
+            vs = (M == cm[:, None]).argmax(axis=1)
+        else:
+            vs = M.argmin(axis=1)
+            cm = M[np.arange(M.shape[0]), vs]
         ok = cm == sr
         to_v = [rank[S[:, c], vs] for c in range(k + 1)]
         for c in range(k + 1):
-            fr = np.full(S.shape[0], -1, dtype=np.int32)
+            fr = np.full(S.shape[0], -1, dtype=rank.dtype)
             for a in range(k + 1):
                 if a == c:
                     continue

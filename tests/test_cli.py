@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from phom import (build_cubical_filtration, cli, compute_persistence,
-                  cubical, point_cloud_distances, rips_filtration,
-                  sample_annulus, sample_double_annulus, sliding_windows)
+                  cubical, matching_cost, point_cloud_distances,
+                  rips_filtration, sample_annulus, sample_double_annulus,
+                  sliding_windows)
 from phom.io import (
     read_complex_cache,
     read_diagram_csv,
@@ -151,6 +152,38 @@ def test_distance_of_points_whose_gap_overflows(tmp_path, metric, code):
     assert proc.returncode == code, proc.stderr
     if code == 0:
         assert read_distance_report(str(out)).value == 1e308
+
+
+def test_wasserstein_p1_of_points_whose_gap_overflows(tmp_path):
+    """For p = 1 no cost is raised to a power: the cross cost between
+    the two points is inf, but matching each to the diagonal costs
+    1e308 + 2.5e307, which float64 holds, and equals the matching's
+    own cost."""
+    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "r.json"
+    a.write_text("dim,birth,death\n1,-1e308,1e308\n")
+    b.write_text("dim,birth,death\n1,1e308,1.5e308\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "phom.cli", "distance",
+         str(a), str(b), "-o", str(out), "--metric", "wasserstein",
+         "--p", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rep = read_distance_report(str(out))
+    assert rep.value == 1e308 + 2.5e307
+    assert rep.value == matching_cost(rep, read_diagram_csv(str(a)),
+                                      read_diagram_csv(str(b)))
+
+
+def test_python_dash_m_phom_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phom", "--version"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("phom ")
 
 
 def test_series_windows_and_scores(tmp_path):

@@ -170,9 +170,15 @@ def test_guards():
         rips_persistence(np.array([[0.0, 1.0], [2.0, 0.0]]), 1, 1.0)
 
 
+def rank_type(big):
+    """The rank matrix's type: int16 while it holds big, else int32."""
+    return np.int16 if big <= 2 ** 15 - 1 else np.int32
+
+
 def same_edge_table(d, max_scale, scale):
     got = _rips_edges(d, 1, max_scale, scale)[1:]
-    for g, w in zip(got, rips_edges(d, max_scale, scale)):
+    *want, rank = rips_edges(d, max_scale, scale)
+    for g, w in zip(got, [*want, rank.astype(rank_type(want[2].size))]):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
 
@@ -196,7 +202,7 @@ def coboundary_pair(d, k, max_scale, s):
     """The engine's coboundary of the k-simplex s and the oracle's, on
     the rank matrix of d at max_scale (diameter convention)."""
     _, _, _, uvals, rank = _rips_edges(d, k, max_scale, "diameter")
-    assert rank.dtype == np.int32
+    assert rank.dtype == rank_type(uvals.size)
     s = np.array(s, dtype=np.int64)
     r = int(rank[np.ix_(s, s)][np.triu_indices(k + 1, 1)].max())
     got, = _RipsCohomology(rank, uvals.size, k).coboundaries(
@@ -316,3 +322,51 @@ def test_batched_coboundaries_drop_most_annulus_triangles():
         assert all(rips_positive(rank, uvals.size, 2, x) for x in dropped)
         kept, left_out = kept + len(got), left_out + len(dropped)
     assert left_out > 3 * kept
+
+
+def with_rank_type(d, max_dim, max_scale, scale, dtype):
+    """rips_persistence with the rank matrix's type forced to dtype
+    through the one rule that chooses it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "_rank_dtype", lambda big: dtype)
+        assert _rips_edges(d, max_dim, max_scale, scale)[4].dtype == dtype
+        return rips_persistence(d, max_dim, max_scale, scale)
+
+
+def same_with_int32_ranks(d, max_dim, max_scale, scale):
+    got = rips_persistence(d, max_dim, max_scale, scale)
+    want = with_rank_type(d, max_dim, max_scale, scale, np.int32)
+    assert repr(got.points) == repr(want.points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cloud=clouds, **common)
+def test_int32_ranks_give_the_same_diagrams_on_clouds(cloud, max_dim, where,
+                                                      scale):
+    d = point_cloud_distances(np.array(cloud))
+    same_with_int32_ranks(d, max_dim, scale_at(d, where, scale), scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=matrices_with_dim())
+def test_int32_ranks_give_the_same_diagrams_on_matrices(case):
+    d, k, max_scale = case
+    same_with_int32_ranks(d, k, max_scale, "diameter")
+
+
+@pytest.mark.parametrize("kept, dtype", [(2 ** 15 - 1, np.int16),
+                                         (2 ** 15, np.int32)])
+def test_rank_type_at_the_int16_boundary(kept, dtype):
+    """257 points have 32,896 distinct distances.  Cut after exactly
+    32,767 of them, `big` is the largest int16 and the rank matrix is
+    int16; after 32,768 it is int32.  Either way the diagrams equal
+    those of int64 ranks."""
+    d = point_cloud_distances(np.random.default_rng(7).uniform(size=(257, 2)))
+    ev = np.unique(d[np.triu_indices(257, 1)])
+    assert ev.size == 257 * 256 // 2
+    max_scale = float(ev[kept - 1])
+    _, _, _, uvals, rank = _rips_edges(d, 1, max_scale, "diameter")
+    assert uvals.size == kept and rank.dtype == dtype
+    got = rips_persistence(d, 1, max_scale, "diameter")
+    want = with_rank_type(d, 1, max_scale, "diameter", np.int64)
+    assert repr(got.points) == repr(want.points)
