@@ -399,20 +399,26 @@ def bottleneck_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
                                  matching, ess_pairs)
 
 
-def _powered(costs: np.ndarray, p: float) -> np.ndarray:
+def _powered(costs: np.ndarray, p: float,
+             cross: tuple[int, int] = (0, 0)) -> np.ndarray:
     """costs ** p, in place; a nonzero cost whose power overflows to inf
     or underflows to 0 is a ParameterError, not a wrong distance.  Powers
     with p >= 1 are monotone, so the check looks only at the least
-    nonzero cost and the largest finite one, found in blocks of rows.  A
-    cost that is already inf stays inf: every point's cost to the
-    diagonal is finite, so the assignment never needs it."""
+    nonzero cost and the largest one, found in blocks of rows.  Only a
+    point-to-point cost, in costs[:n1, :n2] with (n1, n2) = cross, may
+    already be inf and stays inf: the assignment can send both points to
+    the diagonal instead.  Any other inf cost is a ParameterError."""
     rows = np.atleast_2d(costs)
+    n1, n2 = cross
     step = max(1, _BLOCK_ENTRIES // max(1, rows.shape[1]))
     least, most = np.inf, 0.0
     for s in range(0, rows.shape[0], step):
         block = rows[s:s + step]
         least = min(least, block.min(where=block > 0, initial=np.inf))
-        most = max(most, block.max(where=block < np.inf, initial=0.0))
+        counted = block < np.inf
+        counted[max(0, n1 - s):] = True
+        counted[:, n2:] = True
+        most = max(most, block.max(where=counted, initial=0.0))
     ends = np.array([least, most])
     with np.errstate(over="ignore", under="ignore"):
         np.power(ends, p, out=ends)
@@ -438,7 +444,7 @@ def wasserstein_distance(pd1: PersistenceDiagram, pd2: PersistenceDiagram,
         raise ParameterError("wasserstein order p must be finite and >= 1")
     a, e1, b, e2 = _split(pd1, pd2, dim)
     n1, n2 = a.shape[0], b.shape[0]
-    big = _powered(_augmented_costs(a, b), p)
+    big = _powered(_augmented_costs(a, b), p, (n1, n2))
     rows, cols = linear_sum_assignment(big)
     matching = _matching_pairs(rows, cols, n1, n2)
 

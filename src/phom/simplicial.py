@@ -484,12 +484,8 @@ class _RipsCohomology:
         rank, big, k = self.rank, self.big, self.k
         M = _max_rows(rank, S)
         np.maximum(M, sr.astype(rank.dtype)[:, None], out=M)
-        if M.itemsize == 2:  # argmin is slow on int16, fast on int32
-            cm = M.min(axis=1)
-            vs = (M == cm[:, None]).argmax(axis=1)
-        else:
-            vs = M.argmin(axis=1)
-            cm = M[np.arange(M.shape[0]), vs]
+        cm = M.min(axis=1)  # argmin is slow on int16
+        vs = (M == cm[:, None]).argmax(axis=1)
         ok = cm == sr
         to_v = [rank[S[:, c], vs] for c in range(k + 1)]
         for c in range(k + 1):

@@ -132,48 +132,33 @@ def test_distance_command(tmp_path):
     assert rep.value == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("metric, code", [("bottleneck", 0),
-                                          ("wasserstein", 3)])
-def test_distance_of_points_whose_gap_overflows(tmp_path, metric, code):
+@pytest.mark.parametrize("args, code, value", [
+    (["--metric", "bottleneck"], 0, 1e308),
+    (["--metric", "wasserstein"], 3, None),
+    (["--metric", "wasserstein", "--p", "1"], 0, 1e308 + 2.5e307)],
+    ids=["bottleneck-0", "wasserstein-3", "wasserstein-p1-0"])
+def test_distance_of_points_whose_gap_overflows(tmp_path, args, code, value):
     """Points whose L-infinity distance overflows float64 cost inf, and
     no overflow warning escapes, so a run under `python -W error` keeps
     the exit-code contract: the bottleneck is 1e308 (the first point to
-    the diagonal), and Wasserstein's p-th powers overflow, which is a
-    parameter error, not a crash (exit 4)."""
+    the diagonal); Wasserstein p=2's powers overflow, which is a
+    parameter error, not a crash (exit 4); p=1 raises nothing to a power
+    and sends both points to the diagonal, 1e308 + 2.5e307."""
     a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "r.json"
     a.write_text("dim,birth,death\n1,-1e308,1e308\n")
     b.write_text("dim,birth,death\n1,1e308,1.5e308\n")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "phom.cli", "distance",
-         str(a), str(b), "-o", str(out), "--metric", metric],
+         str(a), str(b), "-o", str(out), *args],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     if code == 0:
-        assert read_distance_report(str(out)).value == 1e308
-
-
-def test_wasserstein_p1_of_points_whose_gap_overflows(tmp_path):
-    """For p = 1 no cost is raised to a power: the cross cost between
-    the two points is inf, but matching each to the diagonal costs
-    1e308 + 2.5e307, which float64 holds, and equals the matching's
-    own cost."""
-    a, b, out = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "r.json"
-    a.write_text("dim,birth,death\n1,-1e308,1e308\n")
-    b.write_text("dim,birth,death\n1,1e308,1.5e308\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "phom.cli", "distance",
-         str(a), str(b), "-o", str(out), "--metric", "wasserstein",
-         "--p", "1"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    rep = read_distance_report(str(out))
-    assert rep.value == 1e308 + 2.5e307
-    assert rep.value == matching_cost(rep, read_diagram_csv(str(a)),
-                                      read_diagram_csv(str(b)))
+        rep = read_distance_report(str(out))
+        assert rep.value == value
+        assert rep.value == matching_cost(rep, read_diagram_csv(str(a)),
+                                          read_diagram_csv(str(b)))
 
 
 def test_python_dash_m_phom_runs_the_cli():

@@ -205,6 +205,34 @@ def test_powered_finds_least_nonzero_in_row_blocks():
                                           costs ** 2.0)
 
 
+def test_powered_lets_only_point_to_point_costs_be_inf():
+    """An inf cost stays inf in costs[:n1, :n2], the point-to-point
+    block, and is a ParameterError anywhere else, whatever the blocks."""
+    for block in (1, 3, 1 << 19):
+        with mock.patch.object(distances, "_BLOCK_ENTRIES", block):
+            for spot, ok in [((0, 0), True), ((1, 2), True),
+                             ((2, 0), False), ((0, 3), False),
+                             ((4, 4), False)]:
+                costs = np.ones((5, 5))
+                costs[spot] = np.inf
+                if ok:
+                    out = distances._powered(costs.copy(), 2.0, (2, 3))
+                    assert np.array_equal(out, costs ** 2.0)
+                else:
+                    with pytest.raises(ParameterError):
+                        distances._powered(costs.copy(), 2.0, (2, 3))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_wasserstein_of_an_infinite_half_persistence_is_rejected(p):
+    """A finite point born at -inf costs inf to the diagonal, which no
+    matching avoids: a ParameterError, not scipy's infeasible-matrix
+    ValueError."""
+    d = PersistenceDiagram([1], [-math.inf], [1.0])
+    with pytest.raises(ParameterError):
+        wasserstein_distance(d, diag([]), dim=1, p=p)
+
+
 def test_wasserstein_budget_fires_before_allocating(tmp_path):
     """Lowered to just under the 8*(n1+n2)**2 bytes of the cost matrix,
     the budget is a ParameterError naming both figures, raised before
