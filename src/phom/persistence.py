@@ -36,14 +36,13 @@ class Filtration:
     A builder (rips_filtration, FilteredSimplicialComplex,
     build_cubical_filtration, io.read_complex_cache) fills in every
     field, the CSR boundary included: the faces of cell i sit at
-    bnd_flat[bnd_off[i]:bnd_off[i + 1]].  rips_filtration and
-    build_cubical_filtration sort and wire their cells with
-    assemble_cells.
+    bnd_flat[bnd_off[i]:bnd_off[i + 1]].  All but the cache reader sort
+    and wire their cells with assemble_cells.
 
-    keys holds one key per cell: vertex tuples for simplices, an (n, d)
-    array of doubled-lattice coordinates for cubes (no Python object per
-    cell), or label strings read from a cache.  as_cell turns one key
-    into what cell() returns.
+    keys holds one key per cell: an (n, w) int64 array of vertex ids
+    for simplices, each row padded with -1, an (n, d) array of
+    doubled-lattice coordinates for cubes, or label strings read from a
+    cache.  as_cell turns one key into what cell() returns.
     """
 
     values: np.ndarray
@@ -80,10 +79,17 @@ class Filtration:
             yield self.cell(i), float(self.values[i])
 
     def labels(self) -> list[str]:
-        """Printable cell labels, e.g. "0,3,7" for a triangle."""
+        """Printable cell labels, e.g. "0,3,7" for a triangle: a row of a
+        key array ends at its -1 padding."""
         keys = self.keys
-        return [_label(k) for k in
-                (keys.tolist() if isinstance(keys, np.ndarray) else keys)]
+        if not isinstance(keys, np.ndarray):
+            return [_label(k) for k in keys]
+        width, out = (keys != -1).sum(axis=1), np.empty(len(keys), object)
+        for w in np.unique(width).tolist():
+            rows = np.flatnonzero(width == w)
+            cols = keys[rows, :w].T.tolist()
+            out[rows] = list(map(",".join(["{}"] * w).format, *cols))
+        return out.tolist()
 
     def index_of(self, key) -> int:
         """Position of the cell with this key, by a scan; raises KeyError."""

@@ -2,7 +2,8 @@
 
 Cells are kept in filtration order: sorted by (value, dimension,
 lexicographic vertices), so every face precedes its cofaces and any
-sublevel set is a prefix of the cell list.
+sublevel set is a prefix of the cell list.  Both explicit builders end
+in _simplicial_filtration, on lexicographic vertex arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, InternalError, ParameterError
+from .errors import InputError, ParameterError
 from .persistence import (Filtration, PersistenceDiagram, assemble_cells,
                           ordered_diagram, reduce_coboundaries,
                           union_find_h0)
@@ -39,6 +40,8 @@ class Simplex(tuple):
             raise ParameterError("a simplex needs at least one vertex")
         if vs[0] < 0:
             raise ParameterError(f"vertex ids must be non-negative, got {vs}")
+        if vs[-1] >= 1 << 63:
+            raise ParameterError(f"vertex ids must be below 2**63, got {vs}")
         for a, b in zip(vs, vs[1:]):
             if a >= b:
                 raise ParameterError(
@@ -89,68 +92,91 @@ class ComplexViolation:
 
 def FilteredSimplicialComplex(cells: Iterable[tuple[Vertices, float]]
                               ) -> Filtration:
-    """Filtration of an explicit list of (vertices, value) cells.
-
-    Cells are sorted into (value, dimension, lexicographic vertices)
-    order and their boundaries are wired up front; a duplicate cell, a
-    non-finite value or a missing face raises InputError.
-    """
-    rows = []
+    """Filtration of (vertices, value) cells, each checked as a Simplex
+    in input order; then a non-finite value, a duplicate cell or a
+    missing face is an InputError."""
+    by_dim: dict[int, list] = {}
     for verts, value in cells:
         s = Simplex(verts)
-        rows.append((float(value), len(s), s))
-    rows.sort()
-    keys = [r[2] for r in rows]
-    values = np.array([r[0] for r in rows], dtype=np.float64)
-    if not np.all(np.isfinite(values)):
+        by_dim.setdefault(len(s) - 1, []).append((s, float(value)))
+    simp, values = [], []
+    for k in range(max(by_dim, default=0) + 1):
+        rows = by_dim.get(k, [])
+        a = np.array([s for s, _ in rows], dtype=np.int64).reshape(-1, k + 1)
+        order = np.lexsort(a.T[::-1])
+        simp.append(a[order])
+        values.append(np.array([v for _, v in rows], dtype=float)[order])
+    if not all(np.isfinite(v).all() for v in values):
         raise InputError("filtration values must be finite")
-    index = {s: i for i, s in enumerate(keys)}
-    if len(index) != len(keys):
+    if any((a[1:] == a[:-1]).all(axis=1).any() for a in simp):
         raise InputError("duplicate cells in filtration")
-    flat = []
-    off = [0]
-    for s in keys:
-        for face in s.faces():
-            if face not in index:
-                raise InputError(
-                    f"cell {tuple(s)} is missing face {tuple(face)}")
-            flat.append(index[face])
-        off.append(len(flat))
-    return Filtration(values, np.array([r[1] - 1 for r in rows],
-                                       dtype=np.int32),
-                      np.array(off, dtype=np.int64),
-                      np.array(flat, dtype=np.int64), keys,
-                      as_cell=Simplex._wrap)
+    return _simplicial_filtration(simp, values)
+
+
+def _lex_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of ids in [0, 2**63) as big-endian bytes: they sort as rows."""
+    b = np.ascontiguousarray(a, ">i8")
+    return b.view(f"V{8 * a.shape[1]}").ravel()
+
+
+def _simplicial_filtration(simp: list[np.ndarray],
+                           values: list[np.ndarray]) -> Filtration:
+    """Filtration of the lexicographic (m_k, k+1) int64 vertex arrays
+    simp[k], of values values[k], keyed by one (m, len(simp)) vertex array
+    padded with -1.  Faces are found by binary search; the first cell in
+    filtration order that misses one is an InputError."""
+    faces, missing = [simp[0][:, :0]], [np.full(len(simp[0]), -1)]
+    for k in range(1, len(simp)):  # missing: a cell's first missing face
+        below = _lex_rows(simp[k - 1])
+        faces.append(np.empty_like(simp[k]))
+        missing.append(np.full(len(simp[k]), -1))
+        for c in range(k, -1, -1):  # so the least c is kept
+            f = np.delete(simp[k], c, axis=1)
+            p = faces[k][:, c] = np.searchsorted(below, _lex_rows(f))
+            ok = p < below.size
+            ok[ok] = (simp[k - 1][p[ok]] == f[ok]).all(axis=1)
+            missing[k][~ok] = c
+    order, *wired = assemble_cells(values, faces)
+    keys = np.concatenate([np.pad(a, [(0, 0), (0, len(simp) - a.shape[1])],
+                                  constant_values=-1) for a in simp])[order]
+    missing = np.concatenate(missing)[order]
+    if np.any(missing >= 0):
+        i = np.argmax(missing >= 0)
+        s, c = keys[i][keys[i] >= 0].tolist(), missing[i]
+        raise InputError(f"cell {tuple(s)} is missing face "
+                         f"{tuple(s[:c] + s[c + 1:])}")
+    return Filtration(*wired, keys, as_cell=lambda row: Simplex._wrap(
+        tuple(v for v in row.tolist() if v >= 0)))
 
 
 def validate_complex(K: Filtration) -> ComplexViolation | None:
     """Check closure, value monotonicity and cell ordering.
 
     Returns None when the simplicial filtration is valid, otherwise a
-    report naming the first offending cell in filtration order.
-    """
-    index = {v: i for i, v in enumerate(K.keys)}
+    report naming the first offending cell in filtration order; a
+    cubical filtration or a cache is a ParameterError."""
+    if "grid_shape" in K.meta or (len(K) and isinstance(K.cell(0), str)):
+        raise ParameterError("validate_complex takes simplicial complexes")
+    cells = [Simplex._wrap(K.cell(i)) for i in range(len(K))]
+    index = {v: i for i, v in enumerate(cells)}
     prev_key = None
-    for i, v in enumerate(K.keys):
+    for i, v in enumerate(cells):
         val = float(K.values[i])
         key = (val, len(v), v)
         if prev_key is not None and key < prev_key:
             return ComplexViolation(
-                "order break", i, Simplex._wrap(v),
+                "order break", i, v,
                 f"cell at position {i} sorts before its predecessor")
         prev_key = key
-        if len(v) > 1:
-            for c in range(len(v)):
-                face = v[:c] + v[c + 1:]
-                j = index.get(face)
-                if j is None:
-                    return ComplexViolation(
-                        "missing face", i, Simplex._wrap(v),
-                        f"face {face} is absent")
-                if K.values[j] > val:
-                    return ComplexViolation(
-                        "value inversion", i, Simplex._wrap(v),
-                        f"face {face} enters at {K.values[j]!r} > {val!r}")
+        for face in map(tuple, v.faces()):
+            j = index.get(face)
+            if j is None:
+                return ComplexViolation("missing face", i, v,
+                                        f"face {face} is absent")
+            if K.values[j] > val:
+                return ComplexViolation(
+                    "value inversion", i, v,
+                    f"face {face} enters at {K.values[j]!r} > {val!r}")
     return None
 
 
@@ -271,7 +297,7 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
     Args:
         dist: square distance matrix (see check_distance_matrix).
         max_dim: largest simplex dimension to build, 0 <= max_dim <= n-1
-            and (n+1)**max_dim < 2**63, so that face keys fit in int64.
+            and (n+1)**max_dim < 2**63.
         max_scale: cells with value above this are dropped; must be > 0.
         scale: "radius" or "diameter".
 
@@ -285,7 +311,6 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
     if max_dim > n - 1:
         raise ParameterError(
             f"max_dim {max_dim} exceeds n_points - 1 = {n - 1}")
-    # The face lookup keys max_dim vertices in base n + 1.
     if (n + 1) ** max_dim >= 2 ** 63:
         raise ParameterError(
             f"{n} points with max_dim {max_dim} overflow 64-bit face keys; "
@@ -294,26 +319,10 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
     levels = [(edges, erank)]
     while len(levels) < max_dim and levels[-1][1].size:
         levels.append(_rips_extend(*levels[-1], rank, uvals.size))
-    simp = [np.arange(n, dtype=np.int64)[:, None]] + [
-        s for s, _ in levels[:max_dim]]
-    values = [np.zeros(n)] + [uvals[r] for _, r in levels[:max_dim]]
-
-    # Each list is lexicographic, so are its _poly_keys: a face is found
-    # by searchsorted among the simplices one dimension down.
-    faces = [simp[0][:, :0]]
-    for k in range(1, len(simp)):
-        below = _poly_keys(simp[k - 1], n + 1)
-        faces.append(np.empty_like(simp[k]))
-        for c in range(k + 1):
-            fkeys = _poly_keys(np.delete(simp[k], c, axis=1), n + 1)
-            p = np.searchsorted(below, fkeys)
-            if np.any(below[p] != fkeys):
-                raise InternalError("rips facet lookup failed")
-            faces[k][:, c] = p
-    order, *wired = assemble_cells(values, faces)
-    cells = [tuple(row) for s in simp for row in s.tolist()]
-    return Filtration(*wired, [cells[i] for i in order.tolist()],
-                      as_cell=Simplex._wrap)
+    levels = levels[:max_dim]
+    return _simplicial_filtration(
+        [np.arange(n, dtype=np.int64)[:, None]] + [s for s, _ in levels],
+        [np.zeros(n)] + [uvals[r] for _, r in levels])
 
 
 def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,

@@ -23,7 +23,8 @@ from scipy.special import ndtr
 from scipy.spatial.distance import pdist, squareform
 
 from phom.errors import InputError
-from phom.persistence import PersistenceDiagram
+from phom.persistence import Filtration, PersistenceDiagram
+from phom.simplicial import Simplex
 
 
 # ------------------------------------------------------------- Z2 rank
@@ -437,6 +438,44 @@ def random_filtration(rng, nv=6, p_edge=0.55, p_tri=0.6, p_tet=0.5,
                 base = max(cells[f] for f in faces)
                 cells[combo] = base + float(rng.integers(0, 3)) / 4.0
     return list(cells.items())
+
+
+# ------------------------------------------ reference simplicial builder
+
+def reference_complex(cells):
+    """The filtration of (vertices, value) cells, built one cell at a
+    time: each cell checked as a Simplex in input order, a Python sort by
+    (value, dimension, vertices), a dict index and a face loop.  Raises
+    what phom.FilteredSimplicialComplex raises, in the same order: the
+    first bad Simplex, then a non-finite value, a duplicate cell, and
+    the first cell missing a face in filtration order.  Its dict index
+    takes vertex ids of any size.  keys are the Simplex objects."""
+    rows = []
+    for verts, value in cells:
+        s = Simplex(verts)
+        rows.append((float(value), len(s), s))
+    rows.sort()
+    keys = [r[2] for r in rows]
+    values = np.array([r[0] for r in rows], dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise InputError("filtration values must be finite")
+    index = {s: i for i, s in enumerate(keys)}
+    if len(index) != len(keys):
+        raise InputError("duplicate cells in filtration")
+    flat = []
+    off = [0]
+    for s in keys:
+        for face in s.faces():
+            if face not in index:
+                raise InputError(
+                    f"cell {tuple(s)} is missing face {tuple(face)}")
+            flat.append(index[face])
+        off.append(len(flat))
+    return Filtration(values, np.array([r[1] - 1 for r in rows],
+                                       dtype=np.int32),
+                      np.array(off, dtype=np.int64),
+                      np.array(flat, dtype=np.int64), keys,
+                      as_cell=Simplex._wrap)
 
 
 # ------------------------------------------------ Rips coboundaries

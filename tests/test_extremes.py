@@ -1,6 +1,8 @@
 """Well-formed inputs whose values sit at the float extremes: every run
 keeps the exit-code contract (0, 2 or 3, never 4), and every successful
-run replays byte for byte from its manifest."""
+run replays byte for byte from its manifest.  The explicit path (`phom
+rips --save-complex`, then `phom sparsify` on every diagram point) runs
+on clouds and distance matrices of such values."""
 
 import sys
 import tempfile
@@ -10,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from phom import cli
-from phom.io import write_point_cloud
+from phom.io import read_diagram_csv, write_point_cloud
 
 EXTREMES = [0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1.0,
             1e308, sys.float_info.max]
@@ -18,6 +20,14 @@ EXTREMES = [0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1.0,
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def assert_replays(tmp, manifest):
+    """Replaying the manifest exits 0 and leaves every file in tmp as it
+    was, byte for byte."""
+    before = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+    assert run("--manifest", Path(tmp) / manifest) == 0
+    assert before == {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
 
 
 @st.composite
@@ -55,7 +65,61 @@ def test_rips_distance_matrix_at_float_extremes(d, convention, max_dim,
         code = run(*argv)
         assert code in (0, 2, 3)
         if code == 0:
-            before = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
-            assert run("--manifest", Path(tmp) / "dg.manifest.json") == 0
-            after = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
-            assert before == after
+            assert_replays(tmp, "dg.manifest.json")
+
+
+# Coordinates and distances for the explicit path: ties, zeros of both
+# signs, subnormals, 1e154 (whose square is near the top of float64) and
+# +-1e308 (whose differences overflow).
+EXPLICIT = [0.0, -0.0, 5e-324, 1e-320, 1.0, 2.0, 1e154, -1e154, 1e308,
+            -1e308]
+
+
+@st.composite
+def explicit_inputs(draw):
+    """(values, is a distance matrix): an n x d cloud, or a symmetric
+    n x n matrix with a zero diagonal of either sign, 1 <= n <= 5, of
+    values drawn from EXPLICIT."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 3))
+        return np.array(draw(st.lists(st.sampled_from(EXPLICIT),
+                                      min_size=n * d, max_size=n * d))
+                        ).reshape(n, d), False
+    m = n * (n - 1) // 2
+    a = np.zeros((n, n))
+    a[np.triu_indices(n, 1)] = draw(st.lists(
+        st.sampled_from([abs(x) for x in EXPLICIT]), min_size=m, max_size=m))
+    a += a.T
+    np.fill_diagonal(a, draw(st.lists(st.sampled_from([0.0, -0.0]),
+                                      min_size=n, max_size=n)))
+    return a, True
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=explicit_inputs(),
+       convention=st.sampled_from(["radius", "diameter"]),
+       max_scale=st.none() | st.sampled_from([1e-320, 1.0, 1e154, 1e308]))
+def test_save_complex_and_sparsify_at_float_extremes(case, convention,
+                                                     max_scale):
+    values, matrix = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "in.csv", Path(tmp) / "dg.csv"
+        cache = Path(tmp) / "K.cplx"
+        write_point_cloud(str(src), values)
+        argv = ["rips", src, "-o", out, "--save-complex", cache,
+                "--convention", convention]
+        argv += ["--distance-matrix"] if matrix else []
+        argv += [] if max_scale is None else ["--max-scale", max_scale]
+        code = run(*argv)
+        assert code in (0, 2, 3)
+        if code != 0:
+            return
+        assert_replays(tmp, "dg.manifest.json")
+        for i in range(len(read_diagram_csv(str(out)))):
+            sparse = Path(tmp) / f"sparse{i}.json"
+            code = run("sparsify", "--complex", cache, "--diagram", out,
+                       "--point", i, "-o", sparse)
+            assert code in (0, 2, 3)
+            if code == 0:
+                assert_replays(tmp, f"sparse{i}.manifest.json")

@@ -13,13 +13,15 @@ from phom import (
     ParameterError,
     Simplex,
     boundary_chain,
+    build_cubical_filtration,
     check_distance_matrix,
     point_cloud_distances,
     rips_filtration,
     validate_complex,
 )
+from phom.io import read_complex_cache, write_complex_cache
 from phom.simplicial import _SYMMETRY_TILE
-from oracles import pdist_distances
+from oracles import pdist_distances, random_filtration, reference_complex
 from test_rips_engine import clouds, integer_matrices
 
 
@@ -128,6 +130,17 @@ def test_validate_ok_and_missing_face():
     assert v is not None
     assert v.kind == "missing face"
     assert tuple(v.cell) == (0, 1, 2)
+
+
+def test_validate_rejects_cubical_and_cached_filtrations(tmp_path):
+    """Cubical keys and cache labels are not vertex lists: ParameterError,
+    not a TypeError or a made-up missing face."""
+    with pytest.raises(ParameterError, match="simplicial"):
+        validate_complex(build_cubical_filtration(np.eye(3)))
+    path = str(tmp_path / "K.cplx")
+    write_complex_cache(path, FilteredSimplicialComplex(triangle_cells()))
+    with pytest.raises(ParameterError, match="simplicial"):
+        validate_complex(read_complex_cache(path))
 
 
 def test_validate_value_inversion():
@@ -364,29 +377,110 @@ def rips_inputs(draw):
     return d, draw(st.integers(0, min(3, n - 1))), ms, scale
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=rips_inputs())
-def test_rips_equals_reference_complex_of_its_cells(case):
-    """rips_filtration equals FilteredSimplicialComplex built from its own
-    cells: same order, values and keys, and the same faces in the same
-    order, which is what a complex cache writes."""
-    K = rips_filtration(*case)
-    ref = FilteredSimplicialComplex(K.items())
+def assert_same_complex(K, ref):
+    """K equals the reference builder's filtration: the bytes of its
+    arrays and every cell; its keys are int64 vertex rows padded with
+    -1."""
     for f in ("values", "dims", "bnd_off", "bnd_flat"):
         got, want = getattr(K, f), getattr(ref, f)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-    assert K.keys == [tuple(k) for k in ref.keys]
-    assert all(type(k) is tuple for k in K.keys)
+    cells = [K.cell(i) for i in range(len(K))]
+    assert cells == ref.keys
+    assert all(type(c) is Simplex for c in cells)
+    w = K.keys.shape[1]
+    assert K.keys.dtype == np.int64 and w > K.dim
+    assert K.keys.tolist() == [list(c) + [-1] * (w - len(c))
+                               for c in ref.keys]
     assert K.meta == ref.meta == {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=rips_inputs())
+def test_rips_equals_reference_complex_of_its_cells(case):
+    """rips_filtration, and FilteredSimplicialComplex of its cells, equal
+    the reference builder of those cells: same order, values and cells,
+    and the same faces in the same order, which is what a complex cache
+    writes."""
+    K = rips_filtration(*case)
+    ref = reference_complex(K.items())
+    assert_same_complex(K, ref)
+    assert_same_complex(FilteredSimplicialComplex(K.items()), ref)
     # One edge table: every zero-length edge enters at the same zero,
     # even where the distances mix -0.0 and 0.0.
     zeros = K.values[(K.dims > 0) & (K.values == 0)]
     assert np.signbit(zeros).all() or not np.signbit(zeros).any()
 
 
+@st.composite
+def mutated_cells(draw):
+    """The cells of a random filtration, with vertex ids shifted by 0,
+    2**62 or 2**63 - 8, shuffled, then maybe mutated: a cell dropped or
+    repeated, a value made non-finite, a vertex list made invalid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shift = draw(st.sampled_from([0, 2 ** 62, 2 ** 63 - 8]))
+    cells = [(tuple(v + shift for v in verts), value) for verts, value in
+             random_filtration(rng, nv=draw(st.integers(1, 7)))]
+    cells = list(draw(st.permutations(cells)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(cells) - 1))
+        verts, value = cells[i]
+        verts = verts or (0,)  # a vertex list emptied by a mutation
+        kind = draw(st.sampled_from(["drop", "repeat", "value", "vertices"]))
+        if kind == "drop" and len(cells) > 1:
+            del cells[i]
+        elif kind == "repeat":
+            cells.insert(draw(st.integers(0, len(cells))),
+                         (verts, draw(st.sampled_from([value, value + 1]))))
+        elif kind == "value":
+            cells[i] = (verts, draw(st.sampled_from(
+                [float("nan"), float("inf"), -float("inf")])))
+        elif kind == "vertices":
+            cells[i] = (draw(st.sampled_from(
+                [(), (-1,) + verts, verts + verts[-1:],
+                 (verts[-1] + 1,) + verts])), value)
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=mutated_cells())
+def test_complex_matches_reference_builder(cells):
+    """FilteredSimplicialComplex builds what the reference builder
+    builds, or raises the same exception class with the same message."""
+    try:
+        ref = reference_complex(cells)
+    except (InputError, ParameterError) as exc:
+        with pytest.raises(type(exc)) as got:
+            FilteredSimplicialComplex(cells)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    assert_same_complex(FilteredSimplicialComplex(cells), ref)
+
+
+def test_complex_beyond_64_bit_face_keys():
+    """The closure of a 9-simplex among 600 vertices: 601**9 > 2**63, so
+    no base-(n+1) int64 key holds its faces, and it still builds."""
+    rng = np.random.default_rng(5)
+    top = sorted(rng.choice(600, 10, replace=False).tolist())
+    cells = [((v,), 0.0) for v in range(600)] + [
+        (face, float(r)) for r in range(2, 11)
+        for face in itertools.combinations(top, r)]
+    order = rng.permutation(len(cells))
+    cells = [cells[i] for i in order]
+    assert_same_complex(FilteredSimplicialComplex(cells),
+                        reference_complex(cells))
+
+
+@pytest.mark.parametrize("verts", [(2 ** 63,), (0, 2 ** 63), (1, 2 ** 64 + 1)])
+def test_complex_rejects_vertex_ids_past_int64(verts):
+    cells = [((0,), 0.0), ((1,), 0.0), (verts, 1.0)]
+    with pytest.raises(ParameterError, match="below 2\\*\\*63"):
+        FilteredSimplicialComplex(cells)
+
+
 def test_rips_face_keys_fit_in_int64():
-    """Face keys are max_dim vertices in base n + 1: 17 points build up
+    """rips_filtration takes (n+1)**max_dim < 2**63: 17 points build up
     to max_dim 15 (18**15 < 2**63) with every face wired, and one more,
     or 20 points at max_dim 15, is a ParameterError before any cell."""
     n = 17
@@ -394,7 +488,7 @@ def test_rips_face_keys_fit_in_int64():
     K = rips_filtration(d, 15, 10.0)
     # Each cell as a vertex bitmask: face c of a cell drops its c-th
     # vertex, so the dropped bits rise and add up to the cell.
-    mask = np.array([sum(1 << v for v in c) for c in K.keys])
+    mask = np.array([sum(1 << v for v in K.cell(i)) for i in range(len(K))])
     assert len(K) == 2 ** n - 2 and np.unique(mask).size == len(K)
     cell = np.repeat(mask, np.diff(K.bnd_off))
     dropped = cell - mask[K.bnd_flat]
