@@ -27,7 +27,8 @@ from .persistence import (Filtration, PersistenceDiagram, PersistencePairing,
 from .simplicial import (ComplexViolation, FilteredSimplicialComplex, Simplex,
                          boundary_chain, check_distance_matrix,
                          point_cloud_distances, rips_filtration,
-                         rips_persistence, validate_complex)
+                         rips_persistence, rips_persistence_batch,
+                         validate_complex)
 from .vectorize import (PersistenceImage, image_stability_constant,
                         persistence_image)
 
@@ -75,6 +76,7 @@ __all__ = [
     "representative_cycle",
     "rips_filtration",
     "rips_persistence",
+    "rips_persistence_batch",
     "sample_annulus",
     "sample_double_annulus",
     "sliding_windows",

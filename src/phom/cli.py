@@ -31,8 +31,9 @@ from .distances import bottleneck_distance, wasserstein_distance
 from .errors import InputError, InternalError, ParameterError
 from .persistence import (check_budget, compute_persistence,
                           representative_cycle, sparsify_cycle)
-from .simplicial import (point_cloud_distances, rips_filtration,
-                         rips_persistence)
+from .simplicial import (_BLOCK_ENTRIES, point_cloud_distances,
+                         rips_filtration, rips_persistence,
+                         rips_persistence_batch)
 from .svgplot import save_diagram_svg
 from .vectorize import persistence_image
 
@@ -171,14 +172,19 @@ def run_series(p: dict) -> None:
         max_scale = _enclosing_scale(dmats, conv)
     os.makedirs(p["out_dir"], exist_ok=True)
     diagrams = []
-    for k, m in enumerate(dmats):
-        dg = rips_persistence(
-            m, 1, max_scale, conv,
-            metadata={"filtration": "rips", "convention": conv,
-                      "max_scale": float(max_scale), "window": k})
-        io.write_diagram_csv(
-            os.path.join(p["out_dir"], f"window_{k:03d}.csv"), dg)
-        diagrams.append(dg)
+    # Equal-size windows go to the engine together, in chunks whose
+    # stacked rank matrices hold about _BLOCK_ENTRIES entries.
+    step = max(1, _BLOCK_ENTRIES // len(dmats[0]) ** 2)
+    for s in range(0, len(dmats), step):
+        diagrams += rips_persistence_batch(
+            dmats[s:s + step], 1, max_scale, conv,
+            [{"filtration": "rips", "convention": conv,
+              "max_scale": float(max_scale), "window": k}
+             for k in range(s, min(s + step, len(dmats)))])
+        for k in range(s, len(diagrams)):
+            io.write_diagram_csv(
+                os.path.join(p["out_dir"], f"window_{k:03d}.csv"),
+                diagrams[k])
     with open(os.path.join(p["out_dir"], "score.csv"), "w",
               encoding="ascii") as fh:
         fh.write("window,bottleneck\n")

@@ -275,9 +275,9 @@ def _reduced_pairs(rank: np.ndarray, cells: list[np.ndarray],
     col, key = _eliminate(col, key, owner, table, bounds, big)
     ends = np.searchsorted(col, np.arange(left.size + 1))
     flat, offs = key.tolist(), ends.tolist()
-    b, d, ess = reduce_coboundaries(
-        cols[left], np.append(key, big)[ends[:-1]], ends[1:] > ends[:-1],
-        np.zeros(left.size, dtype=bool),
+    (b, d, ess), = reduce_coboundaries(
+        [(cols[left], np.append(key, big)[ends[:-1]], ends[1:] > ends[:-1],
+          np.zeros(left.size, dtype=bool))],
         lambda js: [flat[offs[j]:offs[j + 1]] for j in js])
     born = np.concatenate(born + [cols[left[b]]])
     dies = np.concatenate(dies + [d])

@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Generator, Iterator
 
 import numpy as np
 
@@ -335,23 +335,60 @@ def contracted_h0(n: int, a: np.ndarray,
     return e[order], nodes[order]
 
 
-def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
-                        has_cof: np.ndarray, apparent: np.ndarray,
+def reduce_coboundaries(problems: list[tuple[np.ndarray, ...]],
                         coboundaries: Callable[[list[int]], list[list]]
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Pair the columns of independent reductions in lockstep.
+
+    Each problem is (keys, pivot, has_cof, apparent), the columns of one
+    dimension of one complex, and _reduction pairs them.  The reductions
+    advance round by round: in each round every one still running asks
+    for one list of columns, and a single call coboundaries(rows)
+    computes them all, in the order asked.  Column j of problem i is row
+    start[i] + j, where start[i] counts the columns of problems 0..i-1;
+    a caller with one problem gets its own column numbers.  A reduction
+    asks for the same lists alone or beside others, so its pairs do not
+    depend on the batch.  Returns the result of each problem.
+    """
+    start = np.cumsum([0] + [len(p[0]) for p in problems]).tolist()
+    runs = [_reduction(*p) for p in problems]
+    out: list = [None] * len(runs)
+    sent: dict[int, list | None] = dict.fromkeys(range(len(runs)))
+    while True:
+        asks = {}
+        for i, got in sent.items():
+            try:
+                asks[i] = runs[i].send(got)
+            except StopIteration as stop:
+                out[i] = stop.value
+        if not asks:
+            return out
+        rows: list[int] = []
+        for i, js in asks.items():
+            rows += [start[i] + j for j in js] if start[i] else js
+        cobs = coboundaries(rows)
+        sent, at = {}, 0
+        for i, js in asks.items():
+            sent[i], at = cobs[at:at + len(js)], at + len(js)
+
+
+def _reduction(keys: np.ndarray, pivot: np.ndarray, has_cof: np.ndarray,
+               apparent: np.ndarray
+               ) -> Generator[list[int], list[list],
+                              tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Pair the columns of one dimension by Z2 coboundary reduction.
 
     Column j is the cell of key keys[j]; the cells paired one dimension
-    down are left out (clearing).  coboundaries(js) gives, for a list of
-    columns, the sorted keys of each one's cofaces, where key order is
-    filtration order, so the pivot of a column with a coface
-    (has_cof[j]) is its least key, pivot[j].  A caller may leave out
-    rows that are never pivots.  An apparent column owns its pivot
+    down are left out (clearing).  The generator yields lists of columns
+    and is sent, for each, the sorted keys of each one's cofaces, where
+    key order is filtration order, so the pivot of a column with a
+    coface (has_cof[j]) is its least key, pivot[j].  A caller may leave
+    out rows that are never pivots.  An apparent column owns its pivot
     without column arithmetic; the others are reduced in reverse
     filtration order.  A working column is a heap in which equal keys
     cancel lazily; only entries up to the pivot are ever popped.
 
-    No column is computed twice.  One call computes _TODO_BLOCK columns
+    No column is asked for twice.  One list holds _TODO_BLOCK columns
     to reduce and the owners of their pivots, or the owner of a key just
     reached and of the owned keys ahead of it before any unowned key in
     the lists added so far (_fetch_list).  A reduced column keeps its
@@ -373,7 +410,7 @@ def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
     for i, j in enumerate(order):
         if j not in cols:
             fetch = _block_list(order[i:i + _TODO_BLOCK], pivot, owner, cols)
-            cols.update(zip(fetch, coboundaries(fetch)))
+            cols.update(zip(fetch, (yield fetch)))
         heap = cols.pop(j)
         ahead, side = [], []  # owned keys, first unowned key of each list
         _look_ahead(heap, owner, ahead, side)
@@ -390,7 +427,7 @@ def reduce_coboundaries(keys: np.ndarray, pivot: np.ndarray,
             add = cols.get(o)
             if add is None:
                 fetch = _fetch_list(o, p, ahead, side, owner, cols)
-                cols.update(zip(fetch, coboundaries(fetch)))
+                cols.update(zip(fetch, (yield fetch)))
                 add = cols[o]
             elif isinstance(add, tuple):
                 add = cols[o] = [add[0]] + _odd_entries(add[1])
@@ -548,8 +585,8 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
     for k in range(1, min(max_dim, top) + 1):
         cols = np.flatnonzero((dims == k) & ~died)
         at = cols.tolist()
-        born, dead, ess = reduce_coboundaries(
-            cols, oldest[cols], has_cof[cols], apparent[cols],
+        (born, dead, ess), = reduce_coboundaries(
+            [(cols, oldest[cols], has_cof[cols], apparent[cols])],
             lambda js: [cof_list[cof_at[at[j]]:cof_at[at[j] + 1]]
                         for j in js])
         births.append(cols[born])

@@ -245,13 +245,21 @@ def _rips_edges(dist: np.ndarray, max_dim: int, max_scale: float,
     """Checked max_dim and the edge table of both Rips builders, which
     work with ranks among the distinct edge values up to max_scale: the
     kept edges (i < j) in lexicographic order, their int64 ranks, the
-    distinct values, and the (n, n) rank matrix, `big` = uvals.size where
-    there is no edge and on the diagonal.
+    distinct values, and the (n, n) rank matrix of _rank_matrix, `big` =
+    uvals.size where there is no edge and on the diagonal."""
+    max_dim, edges, erank, uvals = _kept_edges(dist, max_dim, max_scale,
+                                               scale)
+    return (max_dim, edges, erank, uvals,
+            _rank_matrix([(edges, erank)], len(dist), uvals.size))
 
-    The rank matrix has the type _rank_dtype(big) and holds ranks up to
-    `big`, which is at most the edge count n(n-1)/2; so n(n-1)/2 must be
-    at most 2**31 - 1 (n <= 65,536), else ParameterError before anything
-    n x n is allocated."""
+
+def _kept_edges(dist: np.ndarray, max_dim: int, max_scale: float,
+                scale: str) -> tuple:
+    """_rips_edges without the rank matrix.
+
+    The rank matrix holds ranks up to `big`, which is at most the edge
+    count n(n-1)/2; so n(n-1)/2 must be at most 2**31 - 1 (n <= 65,536),
+    else ParameterError before anything n x n is allocated."""
     d = check_distance_matrix(dist)
     if scale not in ("radius", "diameter"):
         raise ParameterError(f"unknown scale convention {scale!r}")
@@ -276,14 +284,24 @@ def _rips_edges(dist: np.ndarray, max_dim: int, max_scale: float,
         iu.append(bi + i)
         ju.append(bj)
         ev.append(w[bi, bj])
-    iu, ju = np.concatenate(iu), np.concatenate(ju)
     # + 0.0 makes every zero +0.0, so no value's sign hangs on point order.
     uvals, erank = np.unique(np.concatenate(ev) + 0.0, return_inverse=True)
-    rank = np.full((n, n), uvals.size, dtype=_rank_dtype(uvals.size))
-    rank[iu, ju] = erank
-    rank[ju, iu] = erank
-    return (max_dim, np.column_stack([iu, ju]), erank.astype(np.int64),
-            uvals, rank)
+    return (max_dim, np.column_stack([np.concatenate(iu), np.concatenate(ju)]),
+            erank.astype(np.int64), uvals)
+
+
+def _rank_matrix(tables: list[tuple[np.ndarray, np.ndarray]], n: int,
+                 big: int) -> np.ndarray:
+    """The rank matrices of the (edges, ranks) tables of n-point
+    complexes, stacked as (len(tables) * n, n), so that complex w holds
+    rows w*n..w*n+n-1; `big` where there is no edge and on the diagonal.
+    Its type is _rank_dtype(big), so big must be at least every table's
+    count of distinct edge values."""
+    rank = np.full((len(tables) * n, n), big, dtype=_rank_dtype(big))
+    for w, (edges, erank) in enumerate(tables):
+        rank[w * n + edges[:, 0], edges[:, 1]] = erank
+        rank[w * n + edges[:, 1], edges[:, 0]] = erank
+    return rank
 
 
 def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
@@ -333,6 +351,7 @@ def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
     Gives the points of compute_persistence(rips_filtration(dist,
     max_dim + 1, max_scale, scale), max_dim): same total order (value,
     dimension, lexicographic vertices), zero-persistence pairs dropped.
+    It is rips_persistence_batch on a list of one matrix.
 
     H0 comes from union-find over the edges in filtration order.  Each
     dimension k = 1..max_dim reduces the coboundaries of the k-simplices
@@ -353,45 +372,105 @@ def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
         scale: "radius" (edge value = half the distance) or "diameter".
         metadata: extra metadata stored on the diagram.
     """
-    max_dim, simp, srank, uvals, rank = _rips_edges(dist, max_dim,
-                                                    max_scale, scale)
-    n = rank.shape[0]
-    big = uvals.size
-    top = min(max_dim, n - 1)
-    if top >= 1 and big * (n + 1) ** (top + 2) >= 2 ** 63:
-        raise ParameterError(
-            f"{n} points with max_dim {max_dim} overflow 64-bit cell keys; "
-            "lower max_dim or max_scale")
+    return rips_persistence_batch([dist], max_dim, max_scale, scale,
+                                  [metadata])[0]
 
-    keys = srank * (n + 1) ** 2 + _poly_keys(simp, n + 1)
-    order = np.argsort(keys)
-    e, v = union_find_h0(n, simp[order, 0], simp[order, 1])
-    alive = np.delete(np.arange(n), v)
-    groups = [(0, np.zeros(v.size), uvals[srank[order[e]]], v),
-              (0, np.zeros(alive.size), np.full(alive.size, math.inf),
-               alive)]
-    paired = keys[order[e]]
+
+def rips_persistence_batch(dists: list[np.ndarray], max_dim: int,
+                           max_scale: float, scale: str = "radius",
+                           metadata: list[dict | None] | None = None
+                           ) -> list[PersistenceDiagram]:
+    """rips_persistence of each of a list of equal-size distance
+    matrices, with metadata[w] stored on diagram w.
+
+    Each matrix keeps its own edge ranks, keys, apexes, clearing, H0 and
+    key guard; a matrix that fails a check raises as rips_persistence
+    would, the first one in list order.  The work on arrays and the
+    reduction run on all matrices at once: their rank matrices are
+    stacked (_rank_matrix), each dimension's apparent pass takes the
+    columns of every matrix in one row list, and reduce_coboundaries
+    advances the matrices' reductions in lockstep, so one coboundaries
+    call per round serves all of them.  A matrix's columns get the same
+    lists as alone, so every diagram is the one rips_persistence gives.
+    The stack takes len(dists) * n * n ranks: callers bound the list.
+    """
+    groups, paired, simp, srank, keys, uv = [], [], [], [], [], []
+    for d in dists:
+        max_dim, edges, erank, uvals = _kept_edges(d, max_dim, max_scale,
+                                                   scale)
+        n = len(dists[0])
+        if len(d) != n:
+            raise ParameterError(
+                "rips_persistence_batch takes matrices of one size")
+        top = min(max_dim, n - 1)
+        if top >= 1 and uvals.size * (n + 1) ** (top + 2) >= 2 ** 63:
+            raise ParameterError(
+                f"{n} points with max_dim {max_dim} overflow 64-bit cell "
+                "keys; lower max_dim or max_scale")
+        keys.append(erank * (n + 1) ** 2 + _poly_keys(edges, n + 1))
+        order = np.argsort(keys[-1])
+        e, v = union_find_h0(n, edges[order, 0], edges[order, 1])
+        alive = np.delete(np.arange(n), v)
+        groups.append([(0, np.zeros(v.size), uvals[erank[order[e]]], v),
+                       (0, np.zeros(alive.size),
+                        np.full(alive.size, math.inf), alive)])
+        paired.append(keys[-1][order[e]])
+        simp.append(edges)
+        srank.append(erank)
+        uv.append(uvals)
+    if not dists:
+        return []
+    big = max(u.size for u in uv)
+    rank = _rank_matrix(list(zip(simp, srank)), n, big)
     step = max(1, _BLOCK_ENTRIES // n)
-    for k in range(1, top + 1):
+    live = list(range(len(dists)))
+    for k in range(1, min(max_dim, n - 1) + 1):
         if k > 1:
-            simp, srank = _rips_extend(simp, srank, rank, big)
-            keys = srank * (n + 1) ** (k + 1) + _poly_keys(simp, n + 1)
-        cols = np.flatnonzero(~np.isin(keys, paired))
-        S, sr, ck = simp[cols], srank[cols], keys[cols]
+            for w in live:
+                simp[w], srank[w] = _rips_extend(
+                    simp[w], srank[w], rank[w * n:(w + 1) * n], big)
+                keys[w] = (srank[w] * (n + 1) ** (k + 1)
+                           + _poly_keys(simp[w], n + 1))
+        # A matrix is done once it has no k-simplex; its keys in higher
+        # dimensions are not covered by the key guard.
+        live = [w for w in live if simp[w].shape[0]]
+        if not live:
+            break
+        cols = []
+        for w in live:
+            c = np.flatnonzero(~np.isin(keys[w], paired[w]))
+            cols.append((simp[w][c], srank[w][c], keys[w][c]))
+        S, sr, ck = (np.concatenate(a) for a in zip(*cols))
+        win = np.repeat(live, [c[2].size for c in cols])
         cob = _RipsCohomology(rank, big, k)
         # Blocks bound the (rows, n) work arrays; an empty S is one block.
         piv, has, app, apx = map(np.concatenate, zip(*[
-            cob.apparent(S[s:s + step], sr[s:s + step])
-            for s in range(0, max(cols.size, 1), step)]))
+            cob.apparent(S[s:s + step], sr[s:s + step], win[s:s + step])
+            for s in range(0, max(S.shape[0], 1), step)]))
         if k == 1:  # apexes by rank; -1 where edges tie or none has one
-            cob.apex = np.full(big, -1, dtype=np.int32)
-            ok = (apx >= 0) & (np.bincount(srank, minlength=big)[sr] == 1)
-            cob.apex[sr[ok]] = apx[ok]
-        born, paired, ess = reduce_coboundaries(
-            ck, piv, has, app, lambda js: cob.coboundaries(S[js], sr[js]))
-        groups += [(k, uvals[sr[born]], uvals[paired // cob.base], ck[born]),
-                   (k, uvals[sr[ess]], np.full(ess.size, math.inf), ck[ess])]
-    return ordered_diagram(groups, max_dim, metadata)
+            cob.apex = np.full(len(dists) * big, -1, dtype=np.int32)
+            held = np.bincount(np.concatenate([w * big + srank[w]
+                                               for w in live]),
+                               minlength=cob.apex.size)
+            at = win * big + sr
+            ok = (apx >= 0) & (held[at] == 1)
+            cob.apex[at[ok]] = apx[ok]
+
+        def coboundaries(rows):
+            rows = np.array(rows, dtype=np.int64)
+            return cob.coboundaries(S[rows], sr[rows], win[rows])
+
+        ends = np.cumsum([0] + [c[2].size for c in cols]).tolist()
+        results = reduce_coboundaries(
+            [(ck[a:b], piv[a:b], has[a:b], app[a:b])
+             for a, b in zip(ends, ends[1:])], coboundaries)
+        for w, (_, rw, kw), (born, dead, ess) in zip(live, cols, results):
+            paired[w] = dead
+            groups[w] += [
+                (k, uv[w][rw[born]], uv[w][dead // cob.base], kw[born]),
+                (k, uv[w][rw[ess]], np.full(ess.size, math.inf), kw[ess])]
+    return [ordered_diagram(g, max_dim, m)
+            for g, m in zip(groups, metadata or [None] * len(dists))]
 
 
 def _rips_extend(simp: np.ndarray, ranks: np.ndarray, rank: np.ndarray,
@@ -425,15 +504,18 @@ def _max_rows(weight: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 class _RipsCohomology:
-    """Cofacets of the k-simplices: their coboundaries and apparent
-    pairs, for reduce_coboundaries.  Ranks are read in the rank matrix's
-    type and widened to int64 before they are scaled by `base`; for
-    k = 1, `apex` may hold the apex of each edge rank (coboundaries)."""
+    """Cofacets of the k-simplices of the complexes whose rank matrices
+    _rank_matrix stacked: their coboundaries and apparent pairs, for
+    reduce_coboundaries.  Each row comes with its complex w, whose ranks
+    are rows w*n.. of the stack.  Ranks are read in the stack's type and
+    widened to int64 before they are scaled by `base`; for k = 1, `apex`
+    may hold the apex of each edge rank r of complex w at w*big + r
+    (coboundaries)."""
 
     def __init__(self, rank: np.ndarray, big: int, k: int):
         self.rank, self.big, self.k = rank, big, k
         self.apex: np.ndarray | None = None
-        n = rank.shape[0]
+        n = self.n = rank.shape[1]
         # As _poly_keys: pw[p] weighs the vertex at position p of a cofacet.
         self.pw = (n + 1) ** np.arange(k + 1, -1, -1, dtype=np.int64)
         self.base = int(self.pw[0]) * (n + 1)
@@ -449,28 +531,34 @@ class _RipsCohomology:
             keys += (pw[c] - pw[c + 1]) * np.minimum(S[:, c] - v, 0)
         return keys
 
-    def coboundaries(self, S: np.ndarray, sr: np.ndarray) -> list[list[int]]:
+    def coboundaries(self, S: np.ndarray, sr: np.ndarray,
+                     win: np.ndarray) -> list[list[int]]:
         """Sorted cofacet keys of each simplex of S (rows of ascending
-        vertex ids) of rank sr, built in row blocks on the (row, v) pairs
-        with a cofacet.  The lex part grows with v, so a stable sort by
-        (row, rank) sorts a row's keys.  With apexes, a triangle abc
-        whose longest edge ab has an apex x < c with rank[c, x] below
-        ab's is left out: abx, acx and bcx come before it, so it closes
-        a 2-cycle and is never an H1 pivot (compression; Bauer, Kerber
-        and Reininghaus, Clear and Compress, 2014)."""
-        rank, big, apex = self.rank, self.big, self.apex
-        step = max(1, _BLOCK_ENTRIES // rank.shape[0])
+        vertex ids) of rank sr in complex win, non-decreasing, built in
+        row blocks on the (row, v) pairs with a cofacet.  The lex part grows with v, so a
+        stable sort by (row, rank) sorts a row's keys.  With apexes, a
+        triangle abc whose longest edge ab has an apex x < c with
+        rank[c, x] below ab's is left out: abx, acx and bcx come before
+        it, so it closes a 2-cycle and is never an H1 pivot (compression;
+        Bauer, Kerber and Reininghaus, Clear and Compress, 2014)."""
+        rank, big, apex, n = self.rank, self.big, self.apex, self.n
+        step = max(1, _BLOCK_ENTRIES // n)
         out: list[list[int]] = []
         for s in range(0, S.shape[0], step):
-            B, r = S[s:s + step], sr[s:s + step]
-            M = _max_rows(rank, B)
+            B, r, cw = S[s:s + step], sr[s:s + step], win[s:s + step]
+            M = _max_rows(rank, B + (cw * n)[:, None])
             row, v = np.nonzero(M < big)
             R = np.maximum(M[row, v], r[row])
             if apex is not None:
-                x, u, w = apex[R], B[row, 0], B[row, 1]
+                # win is sorted, so a block of one complex takes its
+                # offsets as scalars.
+                cw = cw[0] if cw[0] == cw[-1] else cw[row]
+                o, x = cw * n, apex[cw * big + R]
+                u, w = B[row, 0], B[row, 1]
                 # c: the vertex off the edge of rank R.
-                c = np.where(R == r[row], v, np.where(R == rank[u, v], w, u))
-                keep = (x < 0) | (x >= c) | (rank[c, x] >= R)
+                c = np.where(R == r[row], v,
+                             np.where(R == rank[u + o, v], w, u))
+                keep = (x < 0) | (x >= c) | (rank[c + o, x] >= R)
                 row, v, R = row[keep], v[keep], R[keep]
             order = np.argsort(row * (big + 1) + R, kind="stable")
             flat = self._keys(R, B[row], v)[order].tolist()
@@ -478,10 +566,10 @@ class _RipsCohomology:
             out += [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
         return out
 
-    def apparent(self, S: np.ndarray, sr: np.ndarray
+    def apparent(self, S: np.ndarray, sr: np.ndarray, win: np.ndarray
                  ) -> tuple[np.ndarray, ...]:
-        """Per column: pivot key, has a cofacet, is in an apparent pair,
-        apex.
+        """Per column (simplex S[i] of rank sr[i] in complex win[i]):
+        pivot key, has a cofacet, is in an apparent pair, apex.
 
         The oldest cofacet of s is s + {v} with the least (rank, v), since
         for fixed s the lex order of s + {v} follows v.  s is its youngest
@@ -491,12 +579,13 @@ class _RipsCohomology:
         that v where all of its ranks to s are below s's own, else -1.
         """
         rank, big, k = self.rank, self.big, self.k
-        M = _max_rows(rank, S)
+        So = S + (win * self.n)[:, None]  # S's rows in the stack
+        M = _max_rows(rank, So)
         np.maximum(M, sr.astype(rank.dtype)[:, None], out=M)
         cm = M.min(axis=1)  # argmin is slow on int16
         vs = (M == cm[:, None]).argmax(axis=1)
         ok = cm == sr
-        to_v = [rank[S[:, c], vs] for c in range(k + 1)]
+        to_v = [rank[So[:, c], vs] for c in range(k + 1)]
         for c in range(k + 1):
             fr = np.full(S.shape[0], -1, dtype=rank.dtype)
             for a in range(k + 1):
@@ -505,7 +594,7 @@ class _RipsCohomology:
                 fr = np.maximum(fr, to_v[a])
                 for b in range(a + 1, k + 1):
                     if b != c:
-                        fr = np.maximum(fr, rank[S[:, a], S[:, b]])
+                        fr = np.maximum(fr, rank[So[:, a], S[:, b]])
             ok &= (fr < sr) | ((fr == sr) & (S[:, c] > vs))
         apex = np.where(np.maximum.reduce(to_v) < sr, vs, -1)
         return self._keys(cm.astype(np.int64), S, vs), cm < big, ok, apex

@@ -557,8 +557,8 @@ def sequential_lattice_pairs(g, max_dim):
         cof = np.sort(cof[cols], axis=1)
         oldest = cof[:, 0]
         count = (cof < big).sum(axis=1).tolist()
-        born, dies, ess = reduce_coboundaries(
-            cols, oldest, oldest < big, youngest[oldest] == cols,
+        (born, dies, ess), = reduce_coboundaries(
+            [(cols, oldest, oldest < big, youngest[oldest] == cols)],
             lambda js: [cof[j].tolist()[:count[j]] for j in js])
         groups += [(1, cells[1][cols[born]], cells[2][dies]),
                    (1, cells[1][cols[ess]], np.full(ess.size, -1))]

@@ -13,7 +13,7 @@ import pytest
 from phom import (build_cubical_filtration, cli, compute_persistence,
                   cubical, matching_cost, point_cloud_distances,
                   rips_filtration, sample_annulus, sample_double_annulus,
-                  sliding_windows)
+                  simplicial, sliding_windows)
 from phom.io import (
     read_complex_cache,
     read_diagram_csv,
@@ -187,6 +187,49 @@ def test_series_windows_and_scores(tmp_path):
     assert lines[0] == "window,bottleneck"
     assert len(lines) == 5
     assert float(lines[1].split(",")[1]) == 0.0
+
+
+def test_series_in_chunks_writes_the_same_files(tmp_path, monkeypatch):
+    """With _BLOCK_ENTRIES at 200, `phom series` hands its 8-point
+    windows to the engine 3 at a time, and the engine's row blocks hold
+    25 rows; every file, the manifest included, is byte-identical to the
+    run of one chunk.  Both runs use the same relative paths, so the
+    manifests compare."""
+    src = tmp_path / "series.csv"
+    assert run("gen", "periodic", "-n", 96, "--noise", 0.05, "--seed", 4,
+               "-o", src) == 0
+    files = []
+    for block in (None, 200):
+        here = tmp_path / f"block{block}"
+        here.mkdir()
+        (here / "s.csv").write_bytes(src.read_bytes())
+        monkeypatch.chdir(here)
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(cli, "_BLOCK_ENTRIES", block)
+                mp.setattr(simplicial, "_BLOCK_ENTRIES", block)
+            assert run("series", "s.csv", "--out-dir", "run", "--window", 8,
+                       "--stride", 5) == 0
+        files.append({f.name: f.read_bytes()
+                      for f in (here / "run").iterdir()})
+    assert len(files[0]) == 20 and files[0] == files[1]
+
+
+@pytest.mark.parametrize("max_dim", [14, 15])
+def test_rips_without_edges_at_high_max_dim(tmp_path, max_dim):
+    """17 points 10 apart at --max-scale 1 keep no edge, so every
+    dimension from 1 on is empty: a --max-dim whose keys would pass
+    int64 gives the points of --max-dim 13."""
+    dm = tmp_path / "d.csv"
+    d = np.full((17, 17), 10.0)
+    np.fill_diagonal(d, 0.0)
+    write_point_cloud(str(dm), d)
+    for m, out in ((13, "want.csv"), (max_dim, "got.csv")):
+        assert run("rips", dm, "--distance-matrix", "--max-scale", 1,
+                   "--max-dim", m, "-o", tmp_path / out) == 0
+    got = point_rows(tmp_path / "got.csv")
+    assert got == point_rows(tmp_path / "want.csv")
+    assert got[1:] == ["0,0.0,inf"] * 17
 
 
 def test_series_rejects_wrong_width(tmp_path):

@@ -328,10 +328,11 @@ def test_voxel_reduction_gets_only_critical_columns(monkeypatch, g):
     calls = []
     real = cubical.reduce_coboundaries
 
-    def spy(keys, pivot, has_cof, apparent, coboundaries):
-        out = real(keys, pivot, has_cof, apparent, coboundaries)
+    def spy(problems, coboundaries):
+        out = real(problems, coboundaries)
+        (keys, pivot, has_cof, apparent), = problems
         calls.append((keys.tolist(), apparent.copy(),
-                      coboundaries(list(range(keys.size))), out[1]))
+                      coboundaries(list(range(keys.size))), out[0][1]))
         return out
 
     monkeypatch.setattr(cubical, "reduce_coboundaries", spy)

@@ -123,3 +123,32 @@ def test_save_complex_and_sparsify_at_float_extremes(case, convention,
             assert code in (0, 2, 3)
             if code == 0:
                 assert_replays(tmp, f"sparse{i}.manifest.json")
+
+
+@st.composite
+def extreme_series(draw):
+    """A two-column series of 1-12 rows of EXTREMES and their negatives,
+    and a window of at most its length."""
+    n = draw(st.integers(1, 12))
+    value = st.sampled_from(EXTREMES + [-x for x in EXTREMES])
+    rows = draw(st.lists(st.tuples(value, value), min_size=n, max_size=n))
+    return np.array(rows), draw(st.integers(1, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=extreme_series(), stride=st.integers(1, 12),
+       convention=st.sampled_from(["radius", "diameter"]),
+       max_scale=st.none() | st.sampled_from(EXTREMES))
+def test_series_at_float_extremes(case, stride, convention, max_scale):
+    series, window = case
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "s.csv", Path(tmp) / "run"
+        write_point_cloud(str(src), series)
+        argv = ["series", src, "--out-dir", out, "--window", window,
+                "--stride", stride, "--convention", convention]
+        if max_scale is not None:
+            argv += ["--max-scale", max_scale]
+        code = run(*argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert_replays(out, "run.manifest.json")

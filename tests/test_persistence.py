@@ -21,6 +21,7 @@ from phom import (
     representative_cycle,
     rips_filtration,
     rips_persistence,
+    rips_persistence_batch,
     sample_annulus,
     sparsify_cycle,
     voxel_persistence,
@@ -425,14 +426,14 @@ def reduction_inputs(module, run):
 
 
 def logged_reduction(args):
-    """reduce_coboundaries on args, and the column lists it asked for."""
+    """reduce_coboundaries on args, and the row lists it asked for."""
     asked = []
 
-    def coboundaries(js):
-        asked.append(list(js))
-        return args[4](js)
+    def coboundaries(rows):
+        asked.append(list(rows))
+        return args[1](rows)
 
-    return reduce_coboundaries(*args[:4], coboundaries), asked
+    return reduce_coboundaries(args[0], coboundaries), asked
 
 
 def tied_matrix(seed):
@@ -448,14 +449,19 @@ def tied_matrix(seed):
     *[(simplicial, lambda s=s: rips_persistence(tied_matrix(s), 2, 3.0,
                                                 "diameter"))
       for s in (0, 1)],
+    (simplicial, lambda: rips_persistence_batch(
+        [point_cloud_distances(sample_annulus(40, noise=0.05, seed=s))
+         for s in range(4)], 1, 0.6)),
+    (simplicial, lambda: rips_persistence_batch(
+        [tied_matrix(0), tied_matrix(1)], 2, 3.0, "diameter")),
     (cubical, lambda: voxel_persistence(
         np.random.default_rng(3).random((12, 11, 10)))),
 ])
 def test_reduction_does_not_depend_on_prefetch(module, run):
     """reduce_coboundaries gives the same pairs when each call computes
-    one column as when it computes blocks of columns to reduce and the
-    owners ahead in one call, and the batching run computes no column
-    twice and makes fewer calls."""
+    one column per reduction as when it computes blocks of columns to
+    reduce and the owners ahead in one call, and the batching run
+    computes no column twice and makes fewer calls."""
     calls = reduction_inputs(module, run)
     assert calls
     batches = singles = 0
@@ -466,11 +472,16 @@ def test_reduction_does_not_depend_on_prefetch(module, run):
                        lambda block, *rest: block[:1])
             mp.setattr(persistence, "_fetch_list", lambda o, *rest: [o])
             single, one_by_one = logged_reduction(args)
-        for a, b in zip(batched, single):
-            assert np.array_equal(a, b)
+        for got, want in zip(batched, single):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
         flat = [j for js in asked for j in js]
         assert len(flat) == len(set(flat)) >= len(one_by_one)
-        assert all(len(js) == 1 for js in one_by_one)
+        # Row r is a column of problem searchsorted(start, r, "right") - 1.
+        start = np.cumsum([0] + [len(p[0]) for p in args[0]])
+        for js in one_by_one:
+            owners = np.searchsorted(start, js, "right") - 1
+            assert 1 <= len(js) == len(set(owners.tolist())) <= len(args[0])
         assert set(flat) >= {j for js in one_by_one for j in js}
         batches, singles = batches + len(asked), singles + len(one_by_one)
     assert batches < singles

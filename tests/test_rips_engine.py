@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phom import (InputError, ParameterError, compute_persistence,
-                  point_cloud_distances, rips_filtration, rips_persistence,
-                  sample_annulus)
+                  gen_periodic_pair, point_cloud_distances, rips_filtration,
+                  rips_persistence, rips_persistence_batch, sample_annulus,
+                  sliding_windows)
 from phom import simplicial
 from phom.simplicial import _RipsCohomology, _rips_edges
 from oracles import (diagram_from_pairs, reduction_pairs, rips_coboundary,
@@ -52,10 +53,10 @@ clouds = st.integers(2, 3).flatmap(lambda dim: st.lists(
 
 
 @st.composite
-def integer_matrices(draw):
+def integer_matrices(draw, sizes=st.integers(1, 8)):
     """Symmetric integer distances 0..3: heavy ties, zero off-diagonals,
     and in some matrices zeros that are -0.0 on either side or both."""
-    n = draw(st.integers(1, 8))
+    n = draw(sizes)
     vals = draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2,
                          max_size=n * (n - 1) // 2))
     d = np.zeros((n, n))
@@ -82,6 +83,63 @@ def test_matches_explicit_path_on_clouds(cloud, max_dim, where, scale):
 @given(d=integer_matrices(), **common)
 def test_matches_explicit_path_on_tied_distances(d, max_dim, where, scale):
     check_same(d, max_dim, where, scale)
+
+
+@st.composite
+def matrix_lists(draw):
+    """2-4 distance matrices of one size n <= 8: integer ones as drawn by
+    integer_matrices, or those of clouds of one dimension."""
+    n, count = draw(st.integers(1, 8)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        return [draw(integer_matrices(st.just(n))) for _ in range(count)]
+    point = st.tuples(*[st.floats(0, 1, allow_nan=False)]
+                      * draw(st.integers(2, 3)))
+    return [point_cloud_distances(np.array(draw(
+        st.lists(point, min_size=n, max_size=n)))) for _ in range(count)]
+
+
+def same_as_alone(ds, max_dim, max_scale, scale):
+    """rips_persistence_batch gives each matrix the diagram, zero signs
+    and metadata included, that rips_persistence gives it alone, and
+    reduce_coboundaries gets the same columns, apparent flags and
+    coboundaries for it (compared as a multiset: the batch lists them by
+    dimension, then matrix)."""
+    metas = [{"window": w} for w in range(len(ds))]
+    want, alone = [], []
+    for d, m in zip(ds, metas):
+        dg, problems = reduction_problems(lambda: rips_persistence(
+            d, max_dim, max_scale, scale, metadata=m))
+        want.append(dg)
+        alone += problems
+    got, batched = reduction_problems(lambda: rips_persistence_batch(
+        ds, max_dim, max_scale, scale, metas))
+    assert [repr(g.points) for g in got] == [repr(w.points) for w in want]
+    assert [g.metadata for g in got] == [w.metadata for w in want]
+    assert sorted(map(repr, batched)) == sorted(map(repr, alone))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=matrix_lists(), **common)
+def test_batch_matches_each_matrix_alone(ds, max_dim, where, scale):
+    same_as_alone(ds, max_dim, scale_at(ds[0], where, scale), scale)
+
+
+def test_batch_matches_each_matrix_alone_across_row_blocks(monkeypatch):
+    """With _BLOCK_ENTRIES at 40, the apparent pass and every
+    coboundaries call of 16-point windows take 2 rows per block, so the
+    rows of one window span many blocks."""
+    series = gen_periodic_pair(160, noise_sigma=0.05, seed=3)
+    ds = [point_cloud_distances(w) for w in sliding_windows(series, 16, 8)]
+    monkeypatch.setattr(simplicial, "_BLOCK_ENTRIES", 40)
+    for max_dim, max_scale in ((1, 0.6), (2, 0.45), (1, 5.0)):
+        same_as_alone(ds, max_dim, max_scale, "radius")
+
+
+def test_batch_takes_matrices_of_one_size():
+    d = point_cloud_distances(np.eye(3))
+    assert rips_persistence_batch([], 1, 1.0) == []
+    with pytest.raises(ParameterError, match="one size"):
+        rips_persistence_batch([d, d[:2, :2]], 1, 1.0)
 
 
 @pytest.mark.parametrize("scale", ["radius", "diameter"])
@@ -206,7 +264,7 @@ def coboundary_pair(d, k, max_scale, s):
     s = np.array(s, dtype=np.int64)
     r = int(rank[np.ix_(s, s)][np.triu_indices(k + 1, 1)].max())
     got, = _RipsCohomology(rank, uvals.size, k).coboundaries(
-        s[None], np.array([r]))
+        s[None], np.array([r]), np.zeros(1, dtype=np.int64))
     return got, rips_coboundary(rank, uvals.size, k, s, r)
 
 
@@ -273,20 +331,35 @@ def matrices_with_dim(draw):
     return d, k, max_scale
 
 
-def engine_coboundaries(d, k, max_scale, scale="diameter"):
-    """Per dimension 1..k of rips_persistence: the column keys and the
-    coboundaries its callback gives for all of them."""
+def reduction_problems(run):
+    """run()'s result, and each problem that reduce_coboundaries gets
+    from it: its (keys, pivot, has_cof, apparent) as lists, then the
+    coboundaries its callback gives for all of its columns.  A column
+    without cofaces gets pivot -1: the reduction never reads its pivot,
+    which the engine forms from the no-edge sentinel."""
     got = []
     real = simplicial.reduce_coboundaries
 
-    def spy(keys, pivot, has_cof, apparent, coboundaries):
-        got.append((keys.tolist(), coboundaries(list(range(keys.size)))))
-        return real(keys, pivot, has_cof, apparent, coboundaries)
+    def spy(problems, coboundaries):
+        cobs = coboundaries(list(range(sum(len(p[0]) for p in problems))))
+        for keys, pivot, has_cof, apparent in problems:
+            got.append(([keys.tolist(), np.where(has_cof, pivot, -1).tolist(),
+                         has_cof.tolist(), apparent.tolist()],
+                        cobs[:keys.size]))
+            cobs = cobs[keys.size:]
+        return real(problems, coboundaries)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplicial, "reduce_coboundaries", spy)
-        rips_persistence(d, k, max_scale, scale)
-    return got
+        return run(), got
+
+
+def engine_coboundaries(d, k, max_scale, scale="diameter"):
+    """Per dimension 1..k of rips_persistence: the column keys and the
+    coboundaries its callback gives for all of them."""
+    _, got = reduction_problems(lambda: rips_persistence(d, k, max_scale,
+                                                         scale))
+    return [(columns[0], cobs) for columns, cobs in got]
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 
-from phom import cli, cubical, persistence, simplicial
+from phom import cli, cubical, datagen, distances, persistence, simplicial
 from phom.io import read_complex_cache, write_pgm
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -70,6 +70,32 @@ def test_traced_rips_run(tmp_path):
     assert cli.rips_filtration is simplicial.rips_filtration
     assert cli.compute_persistence is persistence.compute_persistence
     assert cli.point_cloud_distances is simplicial.point_cloud_distances
+
+
+def test_traced_series_run(tmp_path):
+    """`phom series` runs under the tracer's wrappers: one window cut, one
+    distance matrix and one bottleneck call per window, and one diagram
+    file per window, each span under cli.main."""
+    tracer = load_tracer()
+    src = tmp_path / "s.csv"
+    assert cli.main(["gen", "periodic", "-n", "64", "-o", str(src)]) == 0
+    tr = tracer.Tracer()
+    tr.install(tracer.op_targets())
+    try:
+        tr.op = 0
+        assert cli.main(["series", str(src), "--out-dir",
+                         str(tmp_path / "run"), "--window", "16",
+                         "--stride", "16"]) == 0
+    finally:
+        tr.uninstall()
+    names = [s[0] for s in tr.spans]
+    assert names.count("cli.main") == names.count("datagen.windows") == 1
+    assert names.count("simplicial.distances") == 4
+    assert names.count("distances.bottleneck") == 4
+    assert names.count("io.write_diagram_csv") == 4
+    assert all(tr.spans[s[3]][0] == "cli.main" for s in tr.spans[1:])
+    assert cli.sliding_windows is datagen.sliding_windows
+    assert cli.bottleneck_distance is distances.bottleneck_distance
 
 
 def test_traced_point_counts_match_the_diagrams(tmp_path):
