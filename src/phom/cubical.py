@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError
 from .persistence import (Filtration, PersistenceDiagram, assemble_cells,
-                          contracted_h0, ordered_diagram, reduce_coboundaries)
+                          boruvka_h0, ordered_diagram, reduce_coboundaries)
 # Not used in this module, but perfbench/tracer.py wraps
 # phom.cubical.compute_persistence, and its op_targets() raises
 # AttributeError when the name is missing.
@@ -125,21 +125,26 @@ def _cell_order(g: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
     Within a dimension the filtration order is (value, flat position),
     and flat position is lexicographic.  Replacing each value by its
-    rank among the grid values makes that order one integer sort per
-    dimension.
+    rank among the grid values makes that order one int64 sort per
+    dimension.  Ranks and positions are int32 when the lattice has fewer
+    than 2**31 cells, and int64 beyond.
     """
     d = g.ndim
+    size = math.prod(2 * n + 1 for n in g.shape)
+    dt = np.int32 if size < 2**31 else np.int64
     level = _doubled_values(
-        np.unique(g, return_inverse=True)[1].reshape(g.shape))
-    size = level.size
-    flat = np.arange(size).reshape(level.shape)
-    rank = np.empty(level.shape, dtype=np.int64)
+        np.unique(g, return_inverse=True)[1].reshape(g.shape).astype(dt))
+    flat = np.arange(size, dtype=dt).reshape(level.shape)
+    rank = np.empty(level.shape, dtype=dt)
     cells = []
     for k in range(d + 1):
         blocks = [_block(d, odd) for odd in combinations(range(d), k)]
-        c = np.sort(np.concatenate(
-            [(level[b] * size + flat[b]).ravel() for b in blocks])) % size
-        rank.reshape(-1)[c] = np.arange(c.size)
+        keys = np.concatenate([(level[b].astype(np.int64) * size
+                                + flat[b]).ravel() for b in blocks])
+        keys.sort()
+        c = (keys % size).astype(dt)
+        del keys
+        rank.reshape(-1)[c] = np.arange(c.size, dtype=dt)
         cells.append(c)
     return rank, cells
 
@@ -194,12 +199,12 @@ def _face_steps(rank: np.ndarray, k: int):
 def _h0_pairs(rank: np.ndarray,
               cells: list[np.ndarray]) -> tuple[list[tuple], np.ndarray]:
     """H0 groups of _lattice_pairs, and the ranks of the merging edges."""
-    a = np.empty(cells[1].size, dtype=np.int64)
+    a = np.empty(cells[1].size, dtype=rank.dtype)
     b = np.empty_like(a)
     for _, _, edges, below, above in _face_steps(rank, 1):
         a[edges] = below
         b[edges] = above
-    e, v = contracted_h0(cells[0].size, a, b)
+    e, v = boruvka_h0(cells[0].size, a, b)
     alive = np.delete(cells[0], v)
     return [(0, cells[0][v], cells[1][e]),
             (0, alive, np.full(alive.size, -1))], e
@@ -343,13 +348,13 @@ def _top_pairs(rank: np.ndarray,
     nf = cells[d - 1].size
     # Dual edge nf-1-f joins the ages (nt minus rank, exterior 0) of the
     # top cells below and above face f.
-    a = np.zeros(nf, dtype=np.int64)
+    a = np.zeros(nf, dtype=rank.dtype)
     b = np.zeros_like(a)
     for _, _, tops, below, above in _face_steps(rank, d):
         age = nt - tops
         b[nf - 1 - below] = age
         a[nf - 1 - above] = age
-    e, v = contracted_h0(nt + 1, a, b)
+    e, v = boruvka_h0(nt + 1, a, b)
     return nf - 1 - e, nt - v
 
 

@@ -291,48 +291,74 @@ def union_find_h0(n: int, a: np.ndarray,
     return np.array(edges, dtype=np.int64), np.array(killed, dtype=np.int64)
 
 
-def contracted_h0(n: int, a: np.ndarray,
-                  b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """union_find_h0(n, a, b), with its loop run over the contracted graph.
+# boruvka_h0 hands what is left to union_find_h0 once a round kills
+# fewer than 1/_FINISH of the roots that still have an edge: on a path
+# whose edges run along it, every round kills one root.
+_FINISH = 8
 
-    A node whose oldest edge leads to an older node is killed by that
-    edge, since no earlier edge touches it (an apparent merge).
-    Contracting these edges, by pointer jumping to the oldest node of
-    each chain, leaves a graph on the surviving roots.  Only the oldest
-    edge between two roots can merge, so union_find_h0 scans those edges
-    in position order and applies the elder rule to them.  This pays on
-    lattices, where most nodes merge apparently; on a few thousand edges
-    union_find_h0 alone is faster.
+
+def boruvka_h0(n: int, a: np.ndarray,
+               b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """union_find_h0(n, a, b) by rounds of numpy contraction.
+
+    A root whose oldest edge leads to an older root is killed by that
+    edge, since no earlier edge touches it (an apparent merge).  Each
+    round kills every such root, resolves the chains of kills by pointer
+    jumping, gives the surviving roots compact ids in age order and
+    drops the edges inside a root; union_find_h0 gives the same pairs on
+    the contracted graph as on the one before it.  This is Borůvka's
+    contraction under the elder rule.  Once a round kills fewer than
+    1/_FINISH of the roots with an edge, union_find_h0 finishes.
+
+    The work is done in the dtype of a and b, which must hold n and the
+    edge count; take() gathers int32 indices faster than [] does.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    m = a.size
-    first = np.full(n, m, dtype=np.int64)
-    np.minimum.at(first, a, np.arange(m))
-    np.minimum.at(first, b, np.arange(m))
-    nodes = np.flatnonzero(first < m)
-    e = first[nodes]
-    other = a[e] + b[e] - nodes
-    app = other < nodes
-    root = np.arange(n)
-    root[nodes[app]] = other[app]
-    nodes, e = nodes[app], e[app]
-    while True:
-        up = root[root]
-        if np.array_equal(up, root):
+    a, b = np.asarray(a), np.asarray(b)
+    dt = np.result_type(a, b)
+    # killed[e] is the vertex that edge e kills, or -1.
+    killed = np.full(a.size, -1, dtype=dt)
+    pos = np.flatnonzero(a != b).astype(dt)
+    if pos.size < a.size:
+        a, b = a.take(pos), b.take(pos)
+    age = np.arange(n, dtype=dt)
+    while a.size:
+        first = np.full(age.size, a.size, dtype=dt)
+        at = np.arange(a.size, dtype=dt)
+        np.minimum.at(first, a, at)
+        np.minimum.at(first, b, at)
+        nodes = np.flatnonzero(first < a.size)
+        e = first.take(nodes)
+        up = a.take(e) ^ b.take(e) ^ nodes  # the oldest edge's other end
+        kill = np.flatnonzero(up < nodes)
+        if kill.size * _FINISH < nodes.size:
             break
-        root = up
-
-    lo, hi = root[a], root[b]
-    keep = np.flatnonzero(lo != hi)
-    lo, hi = np.minimum(lo[keep], hi[keep]), np.maximum(lo[keep], hi[keep])
-    # np.unique gives the oldest edge of each root pair in (lo, hi) order.
-    keep = keep[np.sort(np.unique(lo * n + hi, return_index=True)[1])]
-    te, tk = union_find_h0(n, root[a[keep]], root[b[keep]])
-    e = np.concatenate([e, keep[te]])
-    nodes = np.concatenate([nodes, tk])
-    order = np.argsort(e)
-    return e[order], nodes[order]
+        dead, up = nodes.take(kill), up.take(kill)
+        killed[pos.take(e.take(kill))] = age.take(dead)
+        root = np.arange(age.size, dtype=dt)
+        root[dead] = up
+        while True:
+            jump = root.take(up)
+            move = np.flatnonzero(jump != up)
+            if not move.size:
+                break
+            dead, up = dead.take(move), jump.take(move)
+            root[dead] = up
+        live = np.zeros(age.size, dtype=bool)
+        live[nodes] = True
+        live[nodes.take(kill)] = False
+        alive = np.flatnonzero(live)
+        ids = np.empty(age.size, dtype=dt)
+        ids[alive] = np.arange(alive.size, dtype=dt)
+        root = ids.take(root)
+        a, b = root.take(a), root.take(b)
+        keep = np.flatnonzero(a != b)
+        a, b, pos = a.take(keep), b.take(keep), pos.take(keep)
+        age = age.take(alive)
+    if a.size:
+        e, v = union_find_h0(age.size, a, b)
+        killed[pos.take(e)] = age.take(v)
+    e = np.flatnonzero(killed >= 0)
+    return e, killed.take(e).astype(np.int64)
 
 
 def reduce_coboundaries(problems: list[tuple[np.ndarray, ...]],

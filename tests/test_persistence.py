@@ -28,7 +28,7 @@ from phom import (
 )
 from phom import cubical, persistence, simplicial
 from phom.io import read_complex_cache, write_complex_cache
-from phom.persistence import (MAX_BUDGET, contracted_h0,
+from phom.persistence import (MAX_BUDGET, boruvka_h0,
                               reduce_coboundaries, union_find_h0)
 from oracles import (
     brute_min_cycle_size,
@@ -190,7 +190,7 @@ def test_contracted_h0_matches_union_find(graph):
     a = np.array([x for x, _ in edges], dtype=np.int64)
     b = np.array([y for _, y in edges], dtype=np.int64)
     want = union_find_h0(n, a, b)
-    got = contracted_h0(n, a, b)
+    got = boruvka_h0(n, a, b)
     assert got[0].tolist() == want[0].tolist()
     assert got[1].tolist() == want[1].tolist()
 
