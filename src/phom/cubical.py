@@ -59,8 +59,7 @@ def _expand_axis_min(a: np.ndarray, ax: int) -> np.ndarray:
     e[1::2] = a
     e[0] = a[0]
     e[-1] = a[-1]
-    if n > 1:
-        e[2:-1:2] = np.minimum(a[:-1], a[1:])
+    e[2:-1:2] = np.minimum(a[:-1], a[1:])
     return np.moveaxis(e, 0, ax)
 
 
@@ -121,13 +120,12 @@ def _block(d: int, odd) -> tuple:
 def _cell_order(g: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The cells of each dimension in filtration order, as flat positions
     on the doubled lattice, and the lattice of each cell's rank among the
-    cells of its dimension.
+    cells of its dimension, both int32 below 2**31 lattice cells.
 
     Within a dimension the filtration order is (value, flat position),
     and flat position is lexicographic.  Replacing each value by its
     rank among the grid values makes that order one int64 sort per
-    dimension.  Ranks and positions are int32 when the lattice has fewer
-    than 2**31 cells, and int64 beyond.
+    dimension, whose keys are freed once sorted.
     """
     d = g.ndim
     size = math.prod(2 * n + 1 for n in g.shape)
@@ -139,11 +137,9 @@ def _cell_order(g: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     cells = []
     for k in range(d + 1):
         blocks = [_block(d, odd) for odd in combinations(range(d), k)]
-        keys = np.concatenate([(level[b].astype(np.int64) * size
-                                + flat[b]).ravel() for b in blocks])
-        keys.sort()
-        c = (keys % size).astype(dt)
-        del keys
+        c = (np.sort(np.concatenate([(level[b].astype(np.int64) * size
+                                      + flat[b]).ravel() for b in blocks]))
+             % size).astype(dt)
         rank.reshape(-1)[c] = np.arange(c.size, dtype=dt)
         cells.append(c)
     return rank, cells
@@ -199,8 +195,7 @@ def _face_steps(rank: np.ndarray, k: int):
 def _h0_pairs(rank: np.ndarray,
               cells: list[np.ndarray]) -> tuple[list[tuple], np.ndarray]:
     """H0 groups of _lattice_pairs, and the ranks of the merging edges."""
-    a = np.empty(cells[1].size, dtype=rank.dtype)
-    b = np.empty_like(a)
+    a, b = np.empty((2, cells[1].size), dtype=rank.dtype)
     for _, _, edges, below, above in _face_steps(rank, 1):
         a[edges] = below
         b[edges] = above
@@ -348,8 +343,7 @@ def _top_pairs(rank: np.ndarray,
     nf = cells[d - 1].size
     # Dual edge nf-1-f joins the ages (nt minus rank, exterior 0) of the
     # top cells below and above face f.
-    a = np.zeros(nf, dtype=rank.dtype)
-    b = np.zeros_like(a)
+    a, b = np.zeros((2, nf), dtype=rank.dtype)
     for _, _, tops, below, above in _face_steps(rank, d):
         age = nt - tops
         b[nf - 1 - below] = age

@@ -271,9 +271,7 @@ def union_find_h0(n: int, a: np.ndarray,
     of their oldest vertices.  Returns (merging edge positions, killed
     vertices).
     """
-    parent = list(range(n))
-    edges: list[int] = []
-    killed: list[int] = []
+    parent, edges, killed = list(range(n)), [], []
     for e, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
@@ -291,39 +289,30 @@ def union_find_h0(n: int, a: np.ndarray,
     return np.array(edges, dtype=np.int64), np.array(killed, dtype=np.int64)
 
 
-# boruvka_h0 hands what is left to union_find_h0 once a round kills
-# fewer than 1/_FINISH of the roots that still have an edge: on a path
-# whose edges run along it, every round kills one root.
+# boruvka_h0 runs rounds while each kills 1/_FINISH of the roots with
+# an edge (on a path ordered along itself, one), then union_find_h0.
 _FINISH = 8
 
 
 def boruvka_h0(n: int, a: np.ndarray,
                b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """union_find_h0(n, a, b) by rounds of numpy contraction.
+    """union_find_h0(n, a, b) by Borůvka's contraction in numpy rounds.
 
     A root whose oldest edge leads to an older root is killed by that
-    edge, since no earlier edge touches it (an apparent merge).  Each
-    round kills every such root, resolves the chains of kills by pointer
-    jumping, gives the surviving roots compact ids in age order and
-    drops the edges inside a root; union_find_h0 gives the same pairs on
-    the contracted graph as on the one before it.  This is Borůvka's
-    contraction under the elder rule.  Once a round kills fewer than
-    1/_FINISH of the roots with an edge, union_find_h0 finishes.
-
-    The work is done in the dtype of a and b, which must hold n and the
-    edge count; take() gathers int32 indices faster than [] does.
+    edge, as no earlier edge touches it (the elder rule).  A round kills
+    every such root, follows chains of kills by pointer jumping,
+    renumbers the surviving roots in age order and drops the edges
+    inside a root; union_find_h0 gives the same pairs before and after.
+    Ids stay in the dtype of a and b; take() gathers int32 ids faster.
     """
-    a, b = np.asarray(a), np.asarray(b)
     dt = np.result_type(a, b)
-    # killed[e] is the vertex that edge e kills, or -1.
-    killed = np.full(a.size, -1, dtype=dt)
+    killed = np.full(a.size, -1, dtype=dt)  # the vertex edge e kills
     pos = np.flatnonzero(a != b).astype(dt)
     if pos.size < a.size:
         a, b = a.take(pos), b.take(pos)
     age = np.arange(n, dtype=dt)
     while a.size:
-        first = np.full(age.size, a.size, dtype=dt)
-        at = np.arange(a.size, dtype=dt)
+        first, at = np.full(age.size, a.size, dt), np.arange(a.size, dtype=dt)
         np.minimum.at(first, a, at)
         np.minimum.at(first, b, at)
         nodes = np.flatnonzero(first < a.size)
@@ -336,24 +325,16 @@ def boruvka_h0(n: int, a: np.ndarray,
         killed[pos.take(e.take(kill))] = age.take(dead)
         root = np.arange(age.size, dtype=dt)
         root[dead] = up
-        while True:
-            jump = root.take(up)
-            move = np.flatnonzero(jump != up)
-            if not move.size:
-                break
-            dead, up = dead.take(move), jump.take(move)
+        while (move := np.flatnonzero(root.take(up) != up)).size:
+            dead, up = dead.take(move), root.take(up.take(move))
             root[dead] = up
-        live = np.zeros(age.size, dtype=bool)
-        live[nodes] = True
-        live[nodes.take(kill)] = False
-        alive = np.flatnonzero(live)
+        alive = np.delete(nodes, kill)
         ids = np.empty(age.size, dtype=dt)
         ids[alive] = np.arange(alive.size, dtype=dt)
         root = ids.take(root)
         a, b = root.take(a), root.take(b)
         keep = np.flatnonzero(a != b)
-        a, b, pos = a.take(keep), b.take(keep), pos.take(keep)
-        age = age.take(alive)
+        a, b, pos, age = a.take(keep), b.take(keep), pos.take(keep), age[alive]
     if a.size:
         e, v = union_find_h0(age.size, a, b)
         killed[pos.take(e)] = age.take(v)

@@ -15,7 +15,7 @@ from phom import (
     superlevel_persistence,
     voxel_persistence,
 )
-from phom import cubical
+from phom import cubical, persistence
 from phom.datagen import gen_diffusion_field
 from oracles import (cube_betti, cube_cells, cube_faces, diagram_from_pairs,
                      pair_cells, reduction_pairs, sequential_lattice_pairs)
@@ -244,19 +244,84 @@ def grid_runs(g):
     return runs
 
 
+def snake(shape):
+    """Every index of a grid of this shape, in a boustrophedon walk whose
+    consecutive indices are neighbours."""
+    if len(shape) == 1:
+        return [(i,) for i in range(shape[0])]
+    inner = snake(shape[1:])
+    return [(i,) + c for i in range(shape[0])
+            for c in (inner if i % 2 == 0 else inner[::-1])]
+
+
+def serpentine_ramp(shape):
+    """A corridor snakes through the cells of even index and the cells
+    between consecutive ones, walled off at a height above it all.  Its
+    basins rise along it (-0.0, 0.0, 1.0, ...) while the passes between
+    them fall, so each basin's lowest pass leads to the next, younger
+    basin: after the first round of boruvka_h0, each round kills one
+    root, the last, until union_find_h0 takes over."""
+    rooms = snake(tuple((n + 1) // 2 for n in shape))
+    path = [tuple(2 * x for x in rooms[0])]
+    for room in rooms[1:]:
+        cell = tuple(2 * x for x in room)
+        path += [tuple((p + q) // 2 for p, q in zip(path[-1], cell)), cell]
+    g = np.full(shape, 3.0 * len(rooms))
+    for t, cell in enumerate(path):
+        g[cell] = 2.0 * len(rooms) - t if t % 2 else t // 2 - 1.0
+    g[path[0]] = -0.0
+    return g
+
+
+def plateau(shape):
+    """A flat grid of 0.0 and -0.0 in a checkerboard."""
+    return np.where(np.indices(shape).sum(axis=0) % 2, -0.0, 0.0)
+
+
+RAMPS = [serpentine_ramp((21,)), serpentine_ramp((5, 7)),
+         serpentine_ramp((3, 5, 5))]
+
+
 @settings(max_examples=300, deadline=None)
-@given(g=tied_grids(), data=st.data())
-def test_grid_paths_match_explicit_complex(g, data):
+@given(g=tied_grids(), max_dim=st.integers(0, 3))
+@example(g=RAMPS[0], max_dim=0)
+@example(g=-RAMPS[0], max_dim=0)
+@example(g=RAMPS[1], max_dim=2)
+@example(g=RAMPS[2], max_dim=3)
+@example(g=plateau((9,)), max_dim=1)
+@example(g=-plateau((4, 5)), max_dim=2)
+@example(g=plateau((3, 3, 3)), max_dim=3)
+def test_grid_paths_match_explicit_complex(g, max_dim):
     """The diagram functions, which never build the complex, give the
     points of compute_persistence on build_cubical_filtration at every
-    max_dim, compared as repr strings so that a flipped -0.0 fails."""
-    max_dim = data.draw(st.integers(0, g.ndim))
+    max_dim up to the axis count, compared as repr strings so that a
+    flipped -0.0 fails."""
+    max_dim = min(max_dim, g.ndim)
     for persistence, sublevel_of in grid_runs(g):
         want, _ = compute_persistence(build_cubical_filtration(sublevel_of),
                                       max_dim=max_dim)
         got = persistence(g, max_dim=max_dim)
         assert repr(got.points) == repr(want.points)
         assert got.metadata["max_dim"] == max_dim
+
+
+@pytest.mark.parametrize("g", RAMPS, ids=["1-axis", "2-axis", "3-axis"])
+def test_serpentine_ramp_finishes_by_union_find(g, monkeypatch):
+    """The sublevel H0 of a serpentine ramp reaches the union_find_h0
+    finish, through superlevel_persistence of the negated grid and
+    through image or voxel persistence."""
+    calls = []
+    finish = persistence.union_find_h0
+
+    def spy(n, a, b):
+        calls.append(n)
+        return finish(n, a, b)
+
+    monkeypatch.setattr(persistence, "union_find_h0", spy)
+    for run, grid in [(superlevel_persistence, -g)] + grid_runs(g)[1:]:
+        calls.clear()
+        run(grid, max_dim=0)
+        assert calls and calls[0] > 8
 
 
 @settings(max_examples=200, deadline=None)

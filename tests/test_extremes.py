@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phom import cli
 from phom.io import read_diagram_csv, write_point_cloud
@@ -152,3 +152,61 @@ def test_series_at_float_extremes(case, stride, convention, max_scale):
         assert code in (0, 2, 3)
         if code == 0:
             assert_replays(out, "run.manifest.json")
+
+
+@st.composite
+def pgm_files(draw):
+    """The bytes of a well-formed P2 or P5 file at maxval 1 or 65535:
+    flat, one row, one column, or tied samples."""
+    maxval = draw(st.sampled_from([1, 65535]))
+    shape = draw(st.sampled_from(["flat", "row", "column", "tied"]))
+    h = 1 if shape == "row" else draw(st.integers(1, 5))
+    w = 1 if shape == "column" else draw(st.integers(1, 5 + 7 * (h == 1)))
+    levels = sorted({0, 1, maxval // 2, maxval - 1, maxval})
+    if shape == "flat":
+        samples = [draw(st.sampled_from(levels))] * (h * w)
+    else:
+        samples = draw(st.lists(st.sampled_from(levels), min_size=h * w,
+                                max_size=h * w))
+    binary = draw(st.booleans())
+    head = b"P%d\n%d %d\n%d\n" % (5 if binary else 2, w, h, maxval)
+    if not binary:
+        return head + " ".join(map(str, samples)).encode() + b"\n"
+    return head + np.array(samples, dtype=">u2" if maxval > 255
+                           else np.uint8).tobytes()
+
+
+@st.composite
+def voxel_texts(draw):
+    """A voxel file of 1-3 cells per axis whose values are EXTREMES and
+    their negatives."""
+    nx, ny, nz = (draw(st.integers(1, 3)) for _ in range(3))
+    values = draw(st.lists(st.sampled_from(EXTREMES + [-x for x in EXTREMES]),
+                           min_size=nx * ny * nz, max_size=nx * ny * nz))
+    return f"{nx} {ny} {nz}\n" + " ".join(map(repr, values)) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+# One voxel at 1e308: the diagram plot's range rounds to nothing.
+@example(data=("voxel", "g.vox", b"1 1 1\n1e+308\n"), superlevel=False,
+         svg=True, cache=False, max_dim=None)
+@given(data=st.one_of(pgm_files().map(lambda b: ("image", "g.pgm", b)),
+                      voxel_texts().map(lambda t: ("voxel", "g.vox",
+                                                   t.encode()))),
+       superlevel=st.booleans(), svg=st.booleans(), cache=st.booleans(),
+       max_dim=st.none() | st.integers(0, 3))
+def test_image_and_voxel_at_float_extremes(data, superlevel, svg, cache,
+                                           max_dim):
+    command, name, content = data
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / name, Path(tmp) / "dg.csv"
+        src.write_bytes(content)
+        argv = [command, src, "-o", out]
+        argv += ["--superlevel"] if superlevel else []
+        argv += ["--svg"] if svg else []
+        argv += ["--save-complex", Path(tmp) / "K.cplx"] if cache else []
+        argv += [] if max_dim is None else ["--max-dim", max_dim]
+        code = run(*argv)
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert_replays(tmp, "dg.manifest.json")

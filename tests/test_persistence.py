@@ -171,28 +171,103 @@ def test_engine_and_cycles_match_oracle(built, cached, data):
             assert i in cyc.cells and cycle_boundary_is_zero(cyc)
 
 
+def lattice_graph(g):
+    """The H0 graph that cubical._h0_pairs hands to boruvka_h0 for the
+    grid g: vertex count and lattice edges in filtration order."""
+    rank, cells = cubical._cell_order(g)
+    a, b = np.empty((2, cells[1].size), dtype=rank.dtype)
+    for _, _, edges, below, above in cubical._face_steps(rank, 1):
+        a[edges], b[edges] = below, above
+    return cells[0].size, list(zip(a.tolist(), b.tolist()))
+
+
+small_grids = st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
+    lambda shape: st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+                           min_size=math.prod(shape),
+                           max_size=math.prod(shape)).map(
+        lambda vals: np.reshape(vals, shape)))
+
+
+@st.composite
+def path_graphs(draw):
+    """A path with edges in order along it, over vertices in falling or
+    rising age or shuffled; from the young end of a falling path, each
+    round of boruvka_h0 kills one root."""
+    n = draw(st.integers(1, 30))
+    walk = draw(st.sampled_from([list(range(n))[::-1], list(range(n))])
+                | st.permutations(range(n)))
+    edges = list(zip(walk, walk[1:]))
+    return n, edges[::-1] if draw(st.booleans()) else edges
+
+
+@st.composite
+def disjoint_unions(draw):
+    """A disjoint union of 1-4 lattice graphs of small grids and paths:
+    their vertices and edges interleave, each graph's own order kept."""
+    parts = draw(st.lists(small_grids.map(lattice_graph) | path_graphs(),
+                          min_size=1, max_size=4))
+    labels = draw(st.permutations(
+        [i for i, (n, _) in enumerate(parts) for _ in range(n)]))
+    ids: list[list[int]] = [[] for _ in parts]
+    for v, i in enumerate(labels):
+        ids[i].append(v)
+    order = draw(st.permutations(
+        [i for i, (_, edges) in enumerate(parts) for _ in edges]))
+    rest = [iter(edges) for _, edges in parts]
+    return len(labels), [tuple(ids[i][x] for x in next(rest[i]))
+                         for i in order]
+
+
 @settings(max_examples=500, deadline=None)
-@given(graph=multigraphs())
+@given(graph=multigraphs() | path_graphs() | disjoint_unions())
+@example(graph=(0, []))
 @example(graph=(1, []))
 @example(graph=(1, [(0, 0)]))
 @example(graph=(4, []))
 @example(graph=(3, [(2, 1), (1, 2), (2, 1), (0, 2)]))
-# Root pairs (1, 2) then (0, 2): np.unique returns them swapped.
+# A star whose centre is youngest: each round kills one root.
 @example(graph=(4, [(2, 3), (1, 3), (0, 3)]))
 # The vertex graph of the 3x3 image [[0,1,0],[1,2,1],[0,1,0]]: four
-# roots remain after contraction.
+# roots remain after the first round.
 @example(graph=(16, [(0, 1), (2, 3), (0, 4), (1, 5), (2, 6), (3, 7),
                      (4, 5), (6, 7), (8, 9), (10, 11), (8, 12), (9, 13),
                      (10, 14), (11, 15), (12, 13), (14, 15), (1, 2), (5, 6),
                      (4, 8), (5, 9), (6, 10), (7, 11), (9, 10), (13, 14)]))
-def test_contracted_h0_matches_union_find(graph):
+# A path from its young end: the first round kills one root of 40.
+@example(graph=(40, [(k, k + 1) for k in range(38, -1, -1)]))
+def test_boruvka_h0_matches_union_find(graph):
+    """The rounds give union_find_h0's arrays, dtype included, on int64
+    and on int32 endpoints."""
     n, edges = graph
     a = np.array([x for x, _ in edges], dtype=np.int64)
     b = np.array([y for _, y in edges], dtype=np.int64)
     want = union_find_h0(n, a, b)
-    got = boruvka_h0(n, a, b)
-    assert got[0].tolist() == want[0].tolist()
-    assert got[1].tolist() == want[1].tolist()
+    for dt in (np.int64, np.int32):
+        got = boruvka_h0(n, a.astype(dt), b.astype(dt))
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+def test_boruvka_h0_finishes_by_union_find(monkeypatch):
+    """160 vertices that die on their first edge, then a 20-vertex path
+    from its young end: the first round kills 161 of 180 roots (vertex
+    19 among them), the second would kill one of the 19 left, so
+    union_find_h0 finishes on the path 0..18 alone."""
+    edges = [(0, v) for v in range(20, 180)]
+    edges += [(k, k + 1) for k in range(18, -1, -1)]
+    a, b = np.array(edges).T
+    calls = []
+
+    def spy(n, a, b):
+        calls.append((n, a.size))
+        return union_find_h0(n, a, b)
+
+    monkeypatch.setattr(persistence, "union_find_h0", spy)
+    got = boruvka_h0(180, a, b)
+    assert calls == [(19, 18)]
+    for g, w in zip(got, union_find_h0(180, a, b)):
+        np.testing.assert_array_equal(g, w)
 
 
 def test_betti_sweep_matches_diagram():

@@ -1,6 +1,10 @@
 """Deterministic SVG rendering of diagrams."""
 
 import math
+import re
+import sys
+
+import pytest
 
 from phom import PersistenceDiagram
 from phom.svgplot import diagram_svg, save_diagram_svg
@@ -43,3 +47,19 @@ def test_save_writes_same_bytes(tmp_path):
     save_diagram_svg(str(p2), sample_diagram(), title="t")
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text() == diagram_svg(sample_diagram(), title="t")
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 1e308, math.inf)],
+    [(0, sys.float_info.max, math.inf)],
+    [(1, -sys.float_info.max, -1e308), (0, -1e308, math.inf)],
+    [(1, -sys.float_info.max, sys.float_info.max)],
+], ids=["unit-vanishes", "largest", "margin-overflows", "span-overflows"])
+def test_svg_near_float_limits(points):
+    """A range whose margins overflow, or next to which a unit rounds
+    away, is laid out scaled: every coordinate is a finite number, and
+    only the axis labels may read inf."""
+    text = diagram_svg(PersistenceDiagram.from_points(points))
+    markup = re.sub(r">[^<]*<", "><", text)
+    assert "nan" not in text and "inf" not in markup
+    assert len(re.findall(r"<(?:circle|rect|polygon) ", text)) > len(points)
