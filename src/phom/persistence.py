@@ -289,8 +289,8 @@ def union_find_h0(n: int, a: np.ndarray,
     return np.array(edges, dtype=np.int64), np.array(killed, dtype=np.int64)
 
 
-# boruvka_h0 runs rounds while each kills 1/_FINISH of the roots with
-# an edge (on a path ordered along itself, one), then union_find_h0.
+# boruvka_h0 hands over to union_find_h0 once a round kills fewer than
+# 1/_FINISH of the roots with an edge, as on a path from its young end.
 _FINISH = 8
 
 
@@ -299,18 +299,16 @@ def boruvka_h0(n: int, a: np.ndarray,
     """union_find_h0(n, a, b) by Borůvka's contraction in numpy rounds.
 
     A root whose oldest edge leads to an older root is killed by that
-    edge, as no earlier edge touches it (the elder rule).  A round kills
-    every such root, follows chains of kills by pointer jumping,
-    renumbers the surviving roots in age order and drops the edges
-    inside a root; union_find_h0 gives the same pairs before and after.
-    Ids stay in the dtype of a and b; take() gathers int32 ids faster.
+    edge, as no earlier edge touches it (the elder rule; a self-loop
+    kills nothing).  A round kills every such root, follows chains of
+    kills by pointer jumping, renumbers the surviving roots in age order
+    and drops the edges inside a root; union_find_h0 gives the same
+    pairs before and after.  Ids stay in the dtype of a and b, which
+    must hold n and the edge count; take() gathers int32 ids faster.
     """
     dt = np.result_type(a, b)
     killed = np.full(a.size, -1, dtype=dt)  # the vertex edge e kills
-    pos = np.flatnonzero(a != b).astype(dt)
-    if pos.size < a.size:
-        a, b = a.take(pos), b.take(pos)
-    age = np.arange(n, dtype=dt)
+    pos, age = np.arange(a.size, dtype=dt), np.arange(n, dtype=dt)
     while a.size:
         first, at = np.full(age.size, a.size, dt), np.arange(a.size, dtype=dt)
         np.minimum.at(first, a, at)
@@ -321,6 +319,7 @@ def boruvka_h0(n: int, a: np.ndarray,
         kill = np.flatnonzero(up < nodes)
         if kill.size * _FINISH < nodes.size:
             break
+        del first, at  # before the round's new arrays
         dead, up = nodes.take(kill), up.take(kill)
         killed[pos.take(e.take(kill))] = age.take(dead)
         root = np.arange(age.size, dtype=dt)
