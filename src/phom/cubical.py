@@ -100,15 +100,11 @@ def build_cubical_filtration(grid) -> Filtration:
 
 
 def _grid_metadata(g: np.ndarray, direction: str) -> dict:
-    vmin = float(g.min())
-    vmax = float(g.max())
+    vmin, vmax = float(g.min()), float(g.max())
     unit = (vmax - vmin) if vmax > vmin else 1.0
-    return {
-        "filtration": "cubical",
-        "direction": direction,
-        "shape": "x".join(str(n) for n in g.shape),
-        "death_cap": vmax + unit,
-    }
+    return {"filtration": "cubical", "direction": direction,
+            "shape": "x".join(str(n) for n in g.shape),
+            "death_cap": vmax + unit}
 
 
 def _block(d: int, odd) -> tuple:
@@ -339,8 +335,7 @@ def _top_pairs(rank: np.ndarray,
     top cell kills, and every top cell is killed.
     """
     d = rank.ndim
-    nt = cells[d].size
-    nf = cells[d - 1].size
+    nt, nf = cells[d].size, cells[d - 1].size
     # Dual edge nf-1-f joins the ages (nt minus rank, exterior 0) of the
     # top cells below and above face f.
     a, b = np.zeros((2, nf), dtype=rank.dtype)

@@ -289,9 +289,7 @@ def union_find_h0(n: int, a: np.ndarray,
     return np.array(edges, dtype=np.int64), np.array(killed, dtype=np.int64)
 
 
-# boruvka_h0 hands over to union_find_h0 once a round kills fewer than
-# 1/_FINISH of the roots with an edge, as on a path from its young end.
-_FINISH = 8
+_FINISH = 8  # boruvka_h0 stops its rounds below 1/_FINISH of kills
 
 
 def boruvka_h0(n: int, a: np.ndarray,
@@ -303,8 +301,10 @@ def boruvka_h0(n: int, a: np.ndarray,
     kills nothing).  A round kills every such root, follows chains of
     kills by pointer jumping, renumbers the surviving roots in age order
     and drops the edges inside a root; union_find_h0 gives the same
-    pairs before and after.  Ids stay in the dtype of a and b, which
-    must hold n and the edge count; take() gathers int32 ids faster.
+    pairs before and after.  Once a round kills under 1/_FINISH of the
+    roots with an edge (a path from its young end loses one a round),
+    union_find_h0 finishes.  Ids keep the dtype of a and b, which must
+    hold n and the edge count; take() gathers int32 ids faster.
     """
     dt = np.result_type(a, b)
     killed = np.full(a.size, -1, dtype=dt)  # the vertex edge e kills

@@ -34,18 +34,6 @@ def _marker(dim: int, x: float, y: float, color: str) -> str:
     return f'<polygon points="{pts}" fill="{color}" fill-opacity="0.75"/>'
 
 
-def _frame(values: list[float], essential: bool) -> tuple[float, ...]:
-    """(lo, inf_y, top): the plotted range [lo, top] of the values with
-    5% margins, and the height of the line of essential points."""
-    lo, hi = (min(values), max(values)) if values else (0.0, 1.0)
-    if hi <= lo:
-        hi = lo + 1.0
-    span = hi - lo
-    lo, hi = lo - 0.05 * span, hi + 0.05 * span
-    inf_y = hi + 0.08 * (hi - lo)
-    return lo, inf_y, inf_y + 0.05 * (hi - lo) if essential else hi
-
-
 def diagram_svg(pd: PersistenceDiagram, title: str = "") -> str:
     """Render a diagram as an SVG document string.
 
@@ -53,21 +41,26 @@ def diagram_svg(pd: PersistenceDiagram, title: str = "") -> str:
     drawn on a dashed horizontal line above the data range.
     """
     # Finite points first, then essential ones.  Python's min and max
-    # in _frame keep the first of a -0.0 and 0.0 tie; numpy's need not.
+    # below keep the first of a -0.0 and 0.0 tie; numpy's need not.
     fin = np.isfinite(pd.deaths)
     dims = pd.dims[fin].tolist() + pd.dims[~fin].tolist()
     xs = pd.births[fin].tolist() + pd.births[~fin].tolist()
     ys = pd.deaths[fin].tolist()
     essential = len(ys) < len(xs)
-    lo, inf_y, top = _frame(xs + ys, essential)
-    labels = [lo, top]
-    if not 0 < top - lo < math.inf:
-        # Near the float limits the range overflows or a unit vanishes
-        # in it: lay out the values scaled by 2**-e, label true ones.
-        e = math.frexp(max(map(abs, xs + ys)))[1]
-        xs, ys = ([math.ldexp(v, -e) for v in vs] for vs in (xs, ys))
-        lo, inf_y, top = _frame(xs + ys, essential)
-        labels = [v * 2.0 ** (e - 1) * 2.0 for v in (lo, top)]
+    # Values from 2**52 on are laid out scaled by 2**-e (exact above the
+    # subnormals), so a unit next to them neither vanishes nor overflows.
+    e = max(math.frexp(max(map(abs, xs + ys), default=0.0))[1] - 52, 0)
+    xs, ys = ([math.ldexp(v, -e) for v in vs] for vs in (xs, ys))
+    lo = min(xs + ys) if xs + ys else 0.0
+    hi = max(xs + ys) if xs + ys else 1.0
+    if hi <= lo:
+        hi = lo + 1.0
+    span = hi - lo
+    lo -= 0.05 * span
+    hi += 0.05 * span
+    inf_y = hi + 0.08 * (hi - lo)
+    top = inf_y + 0.05 * (hi - lo) if essential else hi
+
     inner = _SIZE - 2 * _MARGIN
 
     def sx(v: float) -> float:
@@ -97,15 +90,16 @@ def diagram_svg(pd: PersistenceDiagram, title: str = "") -> str:
         f'<text x="14" y="{_SIZE // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 14 {_SIZE // 2})">death</text>')
-    for v, label in zip((lo, top), labels):
+    for v in (lo, top):
+        label = format(v * 2.0 ** e, ".3g")
         parts.append(
             f'<text x="{_fc(sx(v))}" y="{_SIZE - _MARGIN + 16}" '
             f'text-anchor="middle" font-family="sans-serif" '
-            f'font-size="10">{format(label, ".3g")}</text>')
+            f'font-size="10">{label}</text>')
         parts.append(
             f'<text x="{_MARGIN - 6}" y="{_fc(sy(v) + 3)}" '
             f'text-anchor="end" font-family="sans-serif" '
-            f'font-size="10">{format(label, ".3g")}</text>')
+            f'font-size="10">{label}</text>')
     if essential:
         parts.append(
             f'<line x1="{_MARGIN}" y1="{_fc(sy(inf_y))}" '
