@@ -59,7 +59,8 @@ def _expand_axis_min(a: np.ndarray, ax: int) -> np.ndarray:
     e[1::2] = a
     e[0] = a[0]
     e[-1] = a[-1]
-    e[2:-1:2] = np.minimum(a[:-1], a[1:])
+    if n > 1:
+        e[2:-1:2] = np.minimum(a[:-1], a[1:])
     return np.moveaxis(e, 0, ax)
 
 
@@ -100,11 +101,15 @@ def build_cubical_filtration(grid) -> Filtration:
 
 
 def _grid_metadata(g: np.ndarray, direction: str) -> dict:
-    vmin, vmax = float(g.min()), float(g.max())
+    vmin = float(g.min())
+    vmax = float(g.max())
     unit = (vmax - vmin) if vmax > vmin else 1.0
-    return {"filtration": "cubical", "direction": direction,
-            "shape": "x".join(str(n) for n in g.shape),
-            "death_cap": vmax + unit}
+    return {
+        "filtration": "cubical",
+        "direction": direction,
+        "shape": "x".join(str(n) for n in g.shape),
+        "death_cap": vmax + unit,
+    }
 
 
 def _block(d: int, odd) -> tuple:
@@ -335,7 +340,8 @@ def _top_pairs(rank: np.ndarray,
     top cell kills, and every top cell is killed.
     """
     d = rank.ndim
-    nt, nf = cells[d].size, cells[d - 1].size
+    nt = cells[d].size
+    nf = cells[d - 1].size
     # Dual edge nf-1-f joins the ages (nt minus rank, exterior 0) of the
     # top cells below and above face f.
     a, b = np.zeros((2, nf), dtype=rank.dtype)

@@ -271,7 +271,9 @@ def union_find_h0(n: int, a: np.ndarray,
     of their oldest vertices.  Returns (merging edge positions, killed
     vertices).
     """
-    parent, edges, killed = list(range(n)), [], []
+    parent = list(range(n))
+    edges: list[int] = []
+    killed: list[int] = []
     for e, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
@@ -289,7 +291,7 @@ def union_find_h0(n: int, a: np.ndarray,
     return np.array(edges, dtype=np.int64), np.array(killed, dtype=np.int64)
 
 
-_FINISH = 8  # boruvka_h0 stops its rounds below 1/_FINISH of kills
+_FINISH = 8  # boruvka_h0 rounds stop once under 1/_FINISH of the roots die
 
 
 def boruvka_h0(n: int, a: np.ndarray,

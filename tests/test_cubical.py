@@ -15,8 +15,9 @@ from phom import (
     superlevel_persistence,
     voxel_persistence,
 )
-from phom import cubical, persistence
+from phom import cubical
 from phom.datagen import gen_diffusion_field
+from phom.persistence import union_find_h0
 from oracles import (cube_betti, cube_cells, cube_faces, diagram_from_pairs,
                      pair_cells, reduction_pairs, sequential_lattice_pairs)
 
@@ -256,19 +257,20 @@ def snake(shape):
 
 def serpentine_ramp(shape):
     """A corridor snakes through the cells of even index and the cells
-    between consecutive ones, walled off at a height above it all.  Its
+    between consecutive ones, walled off above everything in it.  Its
     basins rise along it (-0.0, 0.0, 1.0, ...) while the passes between
-    them fall, so each basin's lowest pass leads to the next, younger
-    basin: after the first round of boruvka_h0, each round kills one
-    root, the last, until union_find_h0 takes over."""
+    them fall, all above the basins, so each basin's lowest pass leads
+    to the next, younger basin.  Once the first round of boruvka_h0 has
+    contracted the basins, a round would kill one root, the last basin's,
+    so union_find_h0 takes over."""
     rooms = snake(tuple((n + 1) // 2 for n in shape))
     path = [tuple(2 * x for x in rooms[0])]
     for room in rooms[1:]:
         cell = tuple(2 * x for x in room)
         path += [tuple((p + q) // 2 for p, q in zip(path[-1], cell)), cell]
-    g = np.full(shape, 3.0 * len(rooms))
+    g = np.full(shape, 4.0 * len(rooms))
     for t, cell in enumerate(path):
-        g[cell] = 2.0 * len(rooms) - t if t % 2 else t // 2 - 1.0
+        g[cell] = 3.0 * len(rooms) - t if t % 2 else t // 2 - 1.0
     g[path[0]] = -0.0
     return g
 
@@ -311,13 +313,12 @@ def test_serpentine_ramp_finishes_by_union_find(g, monkeypatch):
     finish, through superlevel_persistence of the negated grid and
     through image or voxel persistence."""
     calls = []
-    finish = persistence.union_find_h0
 
     def spy(n, a, b):
         calls.append(n)
-        return finish(n, a, b)
+        return union_find_h0(n, a, b)
 
-    monkeypatch.setattr(persistence, "union_find_h0", spy)
+    monkeypatch.setattr("phom.persistence.union_find_h0", spy)
     for run, grid in [(superlevel_persistence, -g)] + grid_runs(g)[1:]:
         calls.clear()
         run(grid, max_dim=0)

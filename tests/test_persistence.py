@@ -233,7 +233,8 @@ def disjoint_unions(draw):
                      (4, 5), (6, 7), (8, 9), (10, 11), (8, 12), (9, 13),
                      (10, 14), (11, 15), (12, 13), (14, 15), (1, 2), (5, 6),
                      (4, 8), (5, 9), (6, 10), (7, 11), (9, 10), (13, 14)]))
-# A path from its young end: the first round kills one root of 40.
+# A path from its young end: a round would kill one root of 40, so
+# union_find_h0 takes the whole graph.
 @example(graph=(40, [(k, k + 1) for k in range(38, -1, -1)]))
 def test_boruvka_h0_matches_union_find(graph):
     """The rounds give union_find_h0's arrays, dtype included, on int64
