@@ -126,6 +126,18 @@ def multigraphs(draw):
 
 # ----------------------------------------------- cubical cell algebra
 
+@st.composite
+def tied_grids(draw):
+    """1-3 axis grids of the integers -2..2, so cells tie heavily, with
+    0.0 and -0.0 mixed; negated half the time."""
+    shape = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    vals = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                         min_size=math.prod(shape),
+                         max_size=math.prod(shape)))
+    g = np.reshape(vals, shape)
+    return -g if draw(st.booleans()) else g
+
+
 def cube_cells(grid):
     """All cubes of a grid on the doubled lattice: {coords: value}.
 

@@ -19,7 +19,8 @@ from phom import cubical
 from phom.datagen import gen_diffusion_field
 from phom.persistence import union_find_h0
 from oracles import (cube_betti, cube_cells, cube_faces, diagram_from_pairs,
-                     pair_cells, reduction_pairs, sequential_lattice_pairs)
+                     pair_cells, reduction_pairs, sequential_lattice_pairs,
+                     tied_grids)
 
 
 def test_single_pixel_counts():
@@ -220,18 +221,6 @@ def test_1d_rail_profile():
         np.array([0.0, 2.0, 1.0, 3.0])), max_dim=0)
     assert dg.in_dim(0, finite=True).tolist() == [[1.0, 2.0]]
     assert dg.in_dim(0, finite=False).tolist() == [[0.0, math.inf]]
-
-
-@st.composite
-def tied_grids(draw):
-    """1-3 axis grids of the integers -2..2, so cells tie heavily, with
-    0.0 and -0.0 mixed; negated half the time."""
-    shape = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
-    vals = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
-                         min_size=math.prod(shape),
-                         max_size=math.prod(shape)))
-    g = np.reshape(vals, shape)
-    return -g if draw(st.booleans()) else g
 
 
 def grid_runs(g):

@@ -38,6 +38,7 @@ from oracles import (
     reduction_pairs,
     scan_pair_for,
     simplex_betti,
+    tied_grids,
 )
 
 
@@ -181,13 +182,6 @@ def lattice_graph(g):
     return cells[0].size, list(zip(a.tolist(), b.tolist()))
 
 
-small_grids = st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
-    lambda shape: st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
-                           min_size=math.prod(shape),
-                           max_size=math.prod(shape)).map(
-        lambda vals: np.reshape(vals, shape)))
-
-
 @st.composite
 def path_graphs(draw):
     """A path with edges in order along it, over vertices in falling or
@@ -204,7 +198,7 @@ def path_graphs(draw):
 def disjoint_unions(draw):
     """A disjoint union of 1-4 lattice graphs of small grids and paths:
     their vertices and edges interleave, each graph's own order kept."""
-    parts = draw(st.lists(small_grids.map(lattice_graph) | path_graphs(),
+    parts = draw(st.lists(tied_grids().map(lattice_graph) | path_graphs(),
                           min_size=1, max_size=4))
     labels = draw(st.permutations(
         [i for i, (n, _) in enumerate(parts) for _ in range(n)]))
