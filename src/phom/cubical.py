@@ -375,11 +375,14 @@ def _grid_persistence(grid, max_dim: int | None, direction: str,
     if not math.isfinite(meta["death_cap"]):
         raise InputError("grid values span too wide a range: the death "
                          "cap max + (max - min) overflows")
-    groups = _lattice_pairs(g, max_dim)
-    vals = _doubled_values(g).ravel()
-    return ordered_diagram(
-        [(k, vals[b], np.where(x >= 0, vals[x], math.inf), b)
-         for k, b, x in groups], max_dim, meta)
+    pairs = _lattice_pairs(g, max_dim)
+    vals, groups = _doubled_values(g).ravel(), []
+    # Most pairs have zero persistence: drop them group by group.
+    for k, b, x in pairs:
+        birth, death = vals[b], np.where(x >= 0, vals[x], math.inf)
+        keep = np.flatnonzero(birth != death)
+        groups.append((k, birth[keep], death[keep], b[keep]))
+    return ordered_diagram(groups, max_dim, meta)
 
 
 def image_persistence(grid, max_dim: int | None = None) -> PersistenceDiagram:

@@ -317,19 +317,20 @@ def boruvka_h0(n: int, a: np.ndarray,
         np.minimum.at(first, b, at)
         nodes = np.flatnonzero(first < a.size)
         e = first.take(nodes)
+        del first, at  # each del frees memory before the next arrays
         up = a.take(e) ^ b.take(e) ^ nodes  # the oldest edge's other end
         kill = np.flatnonzero(up < nodes)
         if kill.size * _FINISH < nodes.size:
             break
-        del first, at  # before the round's new arrays
         dead, up = nodes.take(kill), up.take(kill)
         killed[pos.take(e.take(kill))] = age.take(dead)
+        alive = np.delete(nodes, kill)
+        del nodes, e, kill
         root = np.arange(age.size, dtype=dt)
         root[dead] = up
         while (move := np.flatnonzero(root.take(up) != up)).size:
             dead, up = dead.take(move), root.take(up.take(move))
             root[dead] = up
-        alive = np.delete(nodes, kill)
         ids = np.empty(age.size, dtype=dt)
         ids[alive] = np.arange(alive.size, dtype=dt)
         root = ids.take(root)
