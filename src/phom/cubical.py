@@ -377,7 +377,8 @@ def _grid_persistence(grid, max_dim: int | None, direction: str,
                          "cap max + (max - min) overflows")
     pairs = _lattice_pairs(g, max_dim)
     vals, groups = _doubled_values(g).ravel(), []
-    # Most pairs have zero persistence: drop them group by group.
+    # Most pairs have zero persistence: drop them per group, so that no
+    # array holds all of them.
     for k, b, x in pairs:
         birth, death = vals[b], np.where(x >= 0, vals[x], math.inf)
         keep = np.flatnonzero(birth != death)
