@@ -5,8 +5,8 @@ dimension, a reduction of coboundary columns in reverse filtration order
 with clearing and apparent pairs (cohomology gives the same pairs as the
 boundary reduction), and ordered_diagram turns the pairs into points.
 The cubical lattice and rips_persistence drive the same functions with
-cofaces they enumerate on the fly.  Representative cycles come from an
-on-demand bitset reduction of the boundary columns of one dimension.
+cofaces they enumerate on the fly.  Representative cycles are read off
+the pairing: a cell's reduced boundary needs only its owners' columns.
 """
 
 from __future__ import annotations
@@ -26,6 +26,17 @@ DiagramPoint = tuple[int, float, float]
 
 def _label(key) -> str:
     return key if isinstance(key, str) else ",".join(map(str, key))
+
+
+def _labels(keys: list | np.ndarray) -> list[str]:
+    if not isinstance(keys, np.ndarray):
+        return [_label(k) for k in keys]
+    width, out = (keys != -1).sum(axis=1), np.empty(len(keys), object)
+    for w in np.unique(width).tolist():
+        rows = np.flatnonzero(width == w)
+        cols = keys[rows, :w].T.tolist()
+        out[rows] = list(map(",".join(["{}"] * w).format, *cols))
+    return out.tolist()
 
 
 @dataclass(eq=False)
@@ -81,15 +92,7 @@ class Filtration:
     def labels(self) -> list[str]:
         """Printable cell labels, e.g. "0,3,7" for a triangle: a row of a
         key array ends at its -1 padding."""
-        keys = self.keys
-        if not isinstance(keys, np.ndarray):
-            return [_label(k) for k in keys]
-        width, out = (keys != -1).sum(axis=1), np.empty(len(keys), object)
-        for w in np.unique(width).tolist():
-            rows = np.flatnonzero(width == w)
-            cols = keys[rows, :w].T.tolist()
-            out[rows] = list(map(",".join(["{}"] * w).format, *cols))
-        return out.tolist()
+        return _labels(self.keys)
 
     def index_of(self, key) -> int:
         """Position of the cell with this key, by a scan; raises KeyError."""
@@ -245,8 +248,9 @@ class RepresentativeCycle:
         return len(self.cells)
 
     def labels(self) -> list[str]:
-        lab = self.complex.labels()
-        return sorted(lab[i] for i in self.cells)
+        keys, ids = self.complex.keys, sorted(self.cells)
+        return sorted(_labels(keys[ids] if isinstance(keys, np.ndarray)
+                              else [keys[i] for i in ids]))
 
     def simplices(self) -> list:
         return sorted(self.complex.cell(i) for i in self.cells)
@@ -647,23 +651,27 @@ def _bitset_columns(K: Filtration, k: int, m: int) -> list[int]:
     return cols
 
 
-def _reduce_to(K: Filtration, k: int, stop: int) -> tuple[int, int]:
-    """(reduced column, witness) of the k-cell `stop` in the left-to-right
-    reduction of the k-cell boundaries; the witness is a bitset over the
-    k-cells.  Clearing would skip only columns that reduce to zero, so
-    these are the columns of a full reduction."""
-    pivots: dict[int, tuple[int, int]] = {}
-    for r, col in enumerate(_bitset_columns(K, k, stop + 1)):
-        wit = 1 << r
-        while col:
-            low = col.bit_length() - 1
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = (col, wit)
-                break
-            col ^= piv[0]
-            wit ^= piv[1]
-    return col, wit
+def _reduced_column(pairing: PersistencePairing, c: int) -> tuple[int, int]:
+    """(reduced boundary, witness) of cell c in the standard left-to-right
+    reduction, as bitsets over cell positions.  While a working column's
+    low is not its own cell's pivot, the column that owns the low is the
+    death cell paired with it, an earlier one: add that column, computed
+    once, on an explicit stack."""
+    K, owner, done = pairing.complex, dict(pairing.pairs), {}
+    stack = [(c, sum(1 << f for f in K.boundary(c).tolist()), 1 << c)]
+    while stack:
+        j, col, wit = stack[-1]
+        o = owner.get(col.bit_length() - 1)
+        if o == j or not col and j == c:
+            done[j] = stack.pop()[1:]
+        elif o is None or o > j:
+            raise InternalError(f"low of cell {j} has no earlier owner")
+        elif o in done:
+            stack[-1] = (j, col ^ done[o][0], wit ^ done[o][1])
+        else:
+            stack.append((o, sum(1 << f for f in K.boundary(o).tolist()),
+                          1 << o))
+    return done[c]
 
 
 def representative_cycle(pairing: PersistencePairing,
@@ -674,21 +682,15 @@ def representative_cycle(pairing: PersistencePairing,
     of dimension >= 1 it is the reduced boundary of the death cell (the
     cycle that dies there); every cell in it enters at or before the
     birth value.  Essential classes get the reduction witness of their
-    birth cell.  Both come from one bitset reduction of a single
-    dimension.
+    birth cell.  Both are read off the pairing by _reduced_column.
     """
     K = pairing.complex
-    dim = int(point[0])
     i, j = pairing.pair_for(point)
-    if dim == 0:
+    if int(point[0]) == 0:
         return RepresentativeCycle(tuple(point), frozenset([i]), K)
-    if j is not None:
-        bits, _ = _reduce_to(K, dim + 1, j)
-    else:
-        col, bits = _reduce_to(K, dim, i)
-        if col:
-            raise InternalError("essential cell reduced to a pivot")
-    cells = _bits_to_ids(bits, np.flatnonzero(np.asarray(K.dims) == dim))
+    bits = (_reduced_column(pairing, j)[0] if j is not None
+            else _reduced_column(pairing, i)[1])
+    cells = _bits_to_ids(bits, range(len(K)))
     return RepresentativeCycle(tuple(point), cells, K)
 
 

@@ -217,10 +217,10 @@ def persistence_image(pd: PersistenceDiagram, dim: int,
         wx = np.diff(_ndtr((xedges - births[blk, None]) / sigma), axis=1)
         wy = np.diff(_ndtr((yedges - pers[blk, None]) / sigma), axis=1)
         terms = w[blk, None, None] * (wx[:, :, None] * wy[:, None, :])
-        # numpy reduces axis 0 of a C-contiguous array one row after the
-        # other, so the sum adds the terms in point order, as a loop would.
+        # numpy sums axis 0 of a C-contiguous array row by row, in point
+        # order as a loop would, but one pixel's terms pairwise: so cumsum.
         terms[0] += pixels
-        pixels = terms.sum(axis=0)
+        pixels = np.cumsum(terms, 0)[-1] if pixels.size == 1 else terms.sum(0)
     return PersistenceImage(pixels, ((float(b0), float(b1)),
                                      (float(p0), float(p1))),
                             sigma, weight)

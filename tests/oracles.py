@@ -224,6 +224,31 @@ def reduction_pairs(face_lists):
     return pairs, unpaired, reduced
 
 
+def _reduce_to(K, k, stop):
+    """(reduced column, witness) of the k-cell `stop` in the textbook
+    left-to-right reduction of every k-cell boundary up to it, as
+    bitsets over cell positions.  Clearing would skip only columns that
+    reduce to zero, so these are the columns of a full reduction."""
+    pivots = {}
+    for j in range(stop + 1):
+        if K.dims[j] != k:
+            continue
+        col, wit = 0, 1 << j
+        for f in K.boundary(j).tolist():
+            col ^= 1 << f
+        while col and col.bit_length() - 1 in pivots:
+            piv = pivots[col.bit_length() - 1]
+            col, wit = col ^ piv[0], wit ^ piv[1]
+        if col:
+            pivots[col.bit_length() - 1] = (col, wit)
+    return col, wit
+
+
+def bit_positions(bits):
+    """The set of positions of the 1 bits of an int."""
+    return {b for b in range(bits.bit_length()) if bits >> b & 1}
+
+
 def diagram_from_pairs(pairs, unpaired, dims, values, max_dim):
     """(dim, birth, death) points, zero-persistence dropped, sorted."""
     pts = []

@@ -2,7 +2,8 @@
 keeps the exit-code contract (0, 2 or 3, never 4), and every successful
 run replays byte for byte from its manifest.  The explicit path (`phom
 rips --save-complex`, then `phom sparsify` on every diagram point) runs
-on clouds and distance matrices of such values."""
+on clouds and distance matrices of such values, and the cubical one on
+images and voxel files."""
 
 import sys
 import tempfile
@@ -189,24 +190,34 @@ def voxel_texts(draw):
 @settings(max_examples=80, deadline=None)
 # One voxel at 1e308: the diagram plot's range rounds to nothing.
 @example(data=("voxel", "g.vox", b"1 1 1\n1e+308\n"), superlevel=False,
-         svg=True, cache=False, max_dim=None)
+         svg=True, cache=False, max_dim=None, budget=20)
 @given(data=st.one_of(pgm_files().map(lambda b: ("image", "g.pgm", b)),
                       voxel_texts().map(lambda t: ("voxel", "g.vox",
                                                    t.encode()))),
        superlevel=st.booleans(), svg=st.booleans(), cache=st.booleans(),
-       max_dim=st.none() | st.integers(0, 3))
+       max_dim=st.none() | st.integers(0, 3), budget=st.integers(0, 22))
 def test_image_and_voxel_at_float_extremes(data, superlevel, svg, cache,
-                                           max_dim):
+                                           max_dim, budget):
+    """With a cache, `phom sparsify` then runs on every diagram point."""
     command, name, content = data
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / name, Path(tmp) / "dg.csv"
+        cplx = Path(tmp) / "K.cplx"
         src.write_bytes(content)
         argv = [command, src, "-o", out]
         argv += ["--superlevel"] if superlevel else []
         argv += ["--svg"] if svg else []
-        argv += ["--save-complex", Path(tmp) / "K.cplx"] if cache else []
+        argv += ["--save-complex", cplx] if cache else []
         argv += [] if max_dim is None else ["--max-dim", max_dim]
         code = run(*argv)
         assert code in (0, 2, 3)
-        if code == 0:
-            assert_replays(tmp, "dg.manifest.json")
+        if code != 0:
+            return
+        assert_replays(tmp, "dg.manifest.json")
+        for i in range(len(read_diagram_csv(str(out))) if cache else 0):
+            sparse = Path(tmp) / f"sparse{i}.json"
+            code = run("sparsify", "--complex", cplx, "--diagram", out,
+                       "--point", i, "--budget", budget, "-o", sparse)
+            assert code in (0, 2, 3)
+            if code == 0:
+                assert_replays(tmp, f"sparse{i}.manifest.json")

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from phom import (
     FilteredSimplicialComplex,
+    InternalError,
     ParameterError,
+    PersistencePairing,
     RepresentativeCycle,
     betti_numbers,
     build_cubical_filtration,
@@ -28,9 +30,11 @@ from phom import (
 )
 from phom import cubical, persistence, simplicial
 from phom.io import read_complex_cache, write_complex_cache
-from phom.persistence import (MAX_BUDGET, boruvka_h0,
+from phom.persistence import (MAX_BUDGET, Filtration, boruvka_h0,
                               reduce_coboundaries, union_find_h0)
 from oracles import (
+    _reduce_to,
+    bit_positions,
     brute_min_cycle_size,
     diagram_from_pairs,
     multigraphs,
@@ -142,9 +146,9 @@ def filtrations(draw):
 @settings(max_examples=300, deadline=None)
 @given(built=filtrations(), cached=st.booleans(), data=st.data())
 def test_engine_and_cycles_match_oracle(built, cached, data):
-    """Pairs, essentials, points and the cycles of paired points agree
-    with the textbook reduction at every max_dim, also after a cache
-    round-trip."""
+    """Pairs, essentials, points and the cycles of paired and essential
+    points agree with the textbook reduction at every max_dim, also after
+    a cache round-trip."""
     K, kind = built
     if cached:
         with tempfile.TemporaryDirectory() as tmp:
@@ -169,7 +173,8 @@ def test_engine_and_cycles_match_oracle(built, cached, data):
         elif j is not None:
             assert cyc.cells == columns[j]
         else:
-            assert i in cyc.cells and cycle_boundary_is_zero(cyc)
+            assert cyc.cells == bit_positions(_reduce_to(K, pt[0], i)[1])
+            assert cycle_boundary_is_zero(cyc)
 
 
 def lattice_graph(g):
@@ -348,6 +353,10 @@ def test_representative_cycle_square_loop():
     cyc = representative_cycle(pairing, (1, 2.0, math.inf))
     assert cyc.simplices() == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert cycle_boundary_is_zero(cyc)
+    # A pairing that leaves a low of the witness without an owner.
+    bad = PersistencePairing(K, [], pairing.essential, pairing.max_dim)
+    with pytest.raises(InternalError, match="no earlier owner"):
+        representative_cycle(bad, (1, 2.0, math.inf))
 
 
 def test_representative_cycles_random():
@@ -367,6 +376,46 @@ def test_representative_cycles_random():
             i_birth, _ = pairing.pair_for(pt)
             if pt[0] >= 1:
                 assert i_birth in cyc.cells
+
+
+def test_deep_witness_needs_no_recursion():
+    """The one H1 class of this graph has a witness whose columns each
+    need the next one's: a stack of n columns, far past the default
+    recursion limit."""
+    n = 5000
+    edges = [(n - 2, n - 1), (n - 3, n - 1)]
+    edges += [(v, v + 2) for v in range(n - 4, -1, -1)] + [(0, 1)]
+    K = FilteredSimplicialComplex(
+        [((v,), float(v)) for v in range(n)]
+        + [(e, float(n + t)) for t, e in enumerate(edges)])
+    dg, pairing = compute_persistence(K)
+    pt, = (p for p in dg.points if p[0] == 1)
+    cyc = representative_cycle(pairing, pt)
+    i, _ = pairing.pair_for(pt)
+    assert cyc.cells == bit_positions(_reduce_to(K, 1, i)[1])
+    assert len(cyc) == n and cycle_boundary_is_zero(cyc)
+
+
+def test_paired_cycle_reads_only_owner_boundaries(monkeypatch):
+    """A paired cycle reads the boundary of its death cell and of the
+    owners of the lows it meets, each once: not every cell of the
+    dimension."""
+    K = rips_filtration(point_cloud_distances(
+        sample_annulus(60, noise=0.05, seed=1)), 2, 2.0)
+    dg, pairing = compute_persistence(K, max_dim=1)
+    h1 = dg.in_dim(1, finite=True)
+    pt = (1, *h1[np.argmax(h1[:, 1] - h1[:, 0])].tolist())
+    _, j = pairing.pair_for(pt)
+    reads, boundary = [], Filtration.boundary
+    monkeypatch.setattr(Filtration, "boundary",
+                        lambda self, c: reads.append(c) or boundary(self, c))
+    cyc = representative_cycle(pairing, pt)
+    monkeypatch.undo()
+    assert cyc.cells == bit_positions(_reduce_to(K, 2, j)[0])
+    owners = {d for _, d in pairing.pairs if d < j}
+    assert reads[0] == j and set(reads[1:]) <= owners
+    assert len(set(reads)) == len(reads)
+    assert len(reads) * 100 < np.count_nonzero(K.dims[:j] == 2)
 
 
 def birth_cofaces(K, cyc):

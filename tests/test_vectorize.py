@@ -91,6 +91,10 @@ def image_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=image_cases(), block=st.sampled_from([1, 40, 1 << 19]))
+# Eight equal points in one pixel, which numpy's sum would add pairwise.
+@example(case=(diag([(0, -1.0, -1.0)] * 8), 0,
+               dict(resolution=(1, 1), weight="constant",
+                    essentials="auto")), block=40)
 # Resolution 1x1; an empty dimension; zero-weight points (on the
 # diagonal, and every point under a top edge p1 <= 0).
 @example(case=(diag([(1, 0.5, 2.0), (1, 1.0, 1.5)]), 1,
