@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def _sibling(output: str, suffix: str) -> str:
 
 # ------------------------------------------------------------------ rips
 
-def _enclosing_scale(dmats: list[np.ndarray], conv: str) -> float:
+def _enclosing_scale(dmats: Iterable[np.ndarray], conv: str) -> float:
     """Default `max_scale`: the largest enclosing radius of the matrices.
 
     The enclosing radius is min_i max_j of the edge values (halved
@@ -165,22 +166,24 @@ def run_series(p: dict) -> None:
         raise InputError(
             f"{p['input']}: series file needs exactly 2 columns")
     wins = sliding_windows(series, int(p["window"]), int(p["stride"]))
-    dmats = [point_cloud_distances(w) for w in wins]
     conv = p["convention"]
-    max_scale = p["max_scale"]
-    if max_scale is None:
-        max_scale = _enclosing_scale(dmats, conv)
+    # Every window's distances are checked before the out dir exists;
+    # each matrix is dropped once its radius is read.
+    radius = _enclosing_scale(map(point_cloud_distances, wins), conv)
+    max_scale = radius if p["max_scale"] is None else p["max_scale"]
     os.makedirs(p["out_dir"], exist_ok=True)
     diagrams = []
     # Equal-size windows go to the engine together, in chunks whose
-    # stacked rank matrices hold about _BLOCK_ENTRIES entries.
-    step = max(1, _BLOCK_ENTRIES // len(dmats[0]) ** 2)
-    for s in range(0, len(dmats), step):
+    # stacked rank matrices hold about _BLOCK_ENTRIES entries; a chunk's
+    # matrices are built again when it is reached.
+    step = max(1, _BLOCK_ENTRIES // len(wins[0]) ** 2)
+    for s in range(0, len(wins), step):
         diagrams += rips_persistence_batch(
-            dmats[s:s + step], 1, max_scale, conv,
+            [point_cloud_distances(w) for w in wins[s:s + step]], 1,
+            max_scale, conv,
             [{"filtration": "rips", "convention": conv,
               "max_scale": float(max_scale), "window": k}
-             for k in range(s, min(s + step, len(dmats)))])
+             for k in range(s, min(s + step, len(wins)))])
         for k in range(s, len(diagrams)):
             io.write_diagram_csv(
                 os.path.join(p["out_dir"], f"window_{k:03d}.csv"),

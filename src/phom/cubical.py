@@ -71,10 +71,6 @@ def _doubled_values(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _cube(row: np.ndarray) -> tuple:
-    return tuple(row.tolist())
-
-
 def build_cubical_filtration(grid) -> Filtration:
     """Sublevel cubical filtration of a 1-3 axis scalar grid.
 
@@ -96,8 +92,7 @@ def build_cubical_filtration(grid) -> Filtration:
                                    faces)
     keys = np.column_stack(np.unravel_index(np.concatenate(cells)[order],
                                             vals.shape))
-    return Filtration(*wired, keys, meta={"grid_shape": g.shape},
-                      as_cell=_cube)
+    return Filtration(*wired, keys, meta={"grid_shape": g.shape})
 
 
 def _grid_metadata(g: np.ndarray, direction: str) -> dict:

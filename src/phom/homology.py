@@ -45,19 +45,32 @@ def build_boundary_matrix(K: Filtration, k: int) -> BoundaryMatrixZ2:
 
     The faces are K's own boundary.  Rows and columns are sorted
     lexicographically by cell (vertex tuple, doubled-lattice coordinates
-    or cache label), which matches the tabular layout used for small
-    worked examples.
+    or cache label), ties by position, which matches the tabular layout
+    used for small worked examples.  Key rows sort by one lexsort, their
+    -1 padding first, as a shorter tuple does.
     """
     if k < 0:
         raise ParameterError("boundary dimension must be non-negative")
-    rows, cols = (sorted((K.cell(i), i) for i in
-                         np.flatnonzero(K.dims == j).tolist())
-                  for j in (k - 1, k))
-    at = {i: r for r, (_, i) in enumerate(rows)}
-    columns = [sorted(at[f] for f in K.boundary(i).tolist())
-               for _, i in cols]
-    return BoundaryMatrixZ2(k, [c for c, _ in rows], [c for c, _ in cols],
-                            columns)
+    ids = _lex_order(K, np.flatnonzero((K.dims == k - 1) | (K.dims == k)))
+    m = int(np.count_nonzero(K.dims[ids] == k - 1))
+    rows, cols, cells = ids[:m], ids[m:], K._cells(ids)
+    at = np.full(len(K), -1)
+    at[rows] = np.arange(m)
+    start, size = K.bnd_off[cols], K.bnd_off[cols + 1] - K.bnd_off[cols]
+    if np.all(size == size[:1]):  # one face count: one gather
+        columns = np.sort(at[K.bnd_flat[start[:, None] + np.arange(
+            size.max(initial=0))]], axis=1).tolist()
+    else:
+        columns = [sorted(at[K.boundary(i)].tolist()) for i in cols]
+    return BoundaryMatrixZ2(k, cells[:m], cells[m:], columns)
+
+
+def _lex_order(K: Filtration, ids: np.ndarray) -> np.ndarray:
+    """ids sorted by (dimension, cell), ties by position."""
+    if isinstance(K.keys, np.ndarray):
+        return ids[np.lexsort((*K.keys[ids].T[::-1], K.dims[ids]))]
+    cells, dims = K._cells(ids), K.dims[ids].tolist()
+    return ids[sorted(range(ids.size), key=lambda r: (dims[r], cells[r]))]
 
 
 @dataclass

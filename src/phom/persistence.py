@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Generator, Iterator
@@ -28,15 +29,41 @@ def _label(key) -> str:
     return key if isinstance(key, str) else ",".join(map(str, key))
 
 
+def _key_rows(keys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(positions, (m, w) ids) of the rows of each width w of a key array:
+    a key row ends at its -1 padding.  Every reader of key rows cuts them
+    here."""
+    width = (keys != -1).sum(axis=1)
+    for w in np.flatnonzero(np.bincount(width)).tolist():
+        at = np.flatnonzero(width == w)
+        yield at, keys[at, :w]
+
+
+def _read_rows(keys: np.ndarray, read: Callable) -> list:
+    """read(columns) for each width's rows of _key_rows, as lists of ints,
+    one object a row, back in row order."""
+    out = np.empty(len(keys), object)
+    for at, rows in _key_rows(keys):
+        out[at] = np.fromiter(read(rows.T.tolist()), object, at.size)
+    return out.tolist()
+
+
 def _labels(keys: list | np.ndarray) -> list[str]:
     if not isinstance(keys, np.ndarray):
         return [_label(k) for k in keys]
-    width, out = (keys != -1).sum(axis=1), np.empty(len(keys), object)
-    for w in np.unique(width).tolist():
-        rows = np.flatnonzero(width == w)
-        cols = keys[rows, :w].T.tolist()
-        out[rows] = list(map(",".join(["{}"] * w).format, *cols))
-    return out.tolist()
+    return _read_rows(keys, lambda cols: map(
+        ",".join(["{}"] * len(cols)).format, *cols))
+
+
+def _take(keys: list | np.ndarray, ids) -> list | np.ndarray:
+    return (keys[ids] if isinstance(keys, np.ndarray)
+            else [keys[i] for i in ids])
+
+
+def _lex_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of int64 ids as big-endian bytes, a void scalar a row: equal
+    rows give equal bytes, and rows of ids >= 0 sort as the rows do."""
+    return np.ascontiguousarray(a, ">i8").view(f"V{8 * a.shape[1]}").ravel()
 
 
 @dataclass(eq=False)
@@ -53,7 +80,8 @@ class Filtration:
     keys holds one key per cell: an (n, w) int64 array of vertex ids
     for simplices, each row padded with -1, an (n, d) array of
     doubled-lattice coordinates for cubes, or label strings read from a
-    cache.  as_cell turns one key into what cell() returns.
+    cache.  as_cell makes what cell() returns: from a key row, the tuple
+    of its ints up to its -1 padding; from a list key, the key itself.
     """
 
     values: np.ndarray
@@ -80,29 +108,57 @@ class Filtration:
         return self.bnd_flat[self.bnd_off[i]:self.bnd_off[i + 1]]
 
     def cell(self, i: int):
-        return self.as_cell(self.keys[i])
+        return self._cells([i])[0]
+
+    def _cells(self, ids) -> list:
+        keys = _take(self.keys, ids)
+        if not isinstance(keys, np.ndarray):
+            return list(map(self.as_cell, keys))
+        return _read_rows(keys, lambda cols: map(self.as_cell, zip(*cols)))
 
     def value(self, i: int) -> float:
         return float(self.values[i])
 
     def items(self) -> Iterator[tuple[object, float]]:
-        for i in range(len(self.values)):
-            yield self.cell(i), float(self.values[i])
+        return zip(self._cells(np.arange(len(self))), self.values.tolist())
 
     def labels(self) -> list[str]:
-        """Printable cell labels, e.g. "0,3,7" for a triangle: a row of a
-        key array ends at its -1 padding."""
+        """Printable cell labels, e.g. "0,3,7" for a triangle."""
         return _labels(self.keys)
 
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """index_of's table: the key rows as _lex_rows bytes, or the labels
+        of list keys, in a stable sort, and their positions."""
+        rows = (_lex_rows(self.keys) if isinstance(self.keys, np.ndarray)
+                else np.array(_labels(self.keys), dtype=object))
+        order = np.argsort(rows, kind="stable")
+        return rows[order], order
+
+    def _find(self, key) -> int:
+        """Position of the first cell whose label is key's, or -1."""
+        want = _label(key)
+        if isinstance(self.keys, np.ndarray):  # a row's label: <= w ids >= 0
+            ids, w = want.split(","), self.keys.shape[1]
+            if len(ids) > w or not all(
+                    re.fullmatch("0|[1-9][0-9]{0,18}", x) and int(x) < 2**63
+                    for x in ids):
+                return -1
+            want = _lex_rows(np.array([[*map(int, ids)]
+                                       + [-1] * (w - len(ids))]))[0]
+        rows, order = self._lookup
+        p = int(np.searchsorted(rows, want))
+        return int(order[p]) if p < rows.size and rows[p] == want else -1
+
     def index_of(self, key) -> int:
-        """Position of the cell with this key, by a scan; raises KeyError."""
-        try:
-            return self.labels().index(_label(key))
-        except ValueError:
-            raise KeyError(key) from None
+        """Position of the first cell labelled as key, by binary search in
+        a table built on the first call; raises KeyError."""
+        if (i := self._find(key)) < 0:
+            raise KeyError(key)
+        return i
 
     def __contains__(self, key) -> bool:
-        return _label(key) in self.labels()
+        return self._find(key) >= 0
 
     def counts_by_dim(self) -> np.ndarray:
         return np.bincount(self.dims)
@@ -248,12 +304,10 @@ class RepresentativeCycle:
         return len(self.cells)
 
     def labels(self) -> list[str]:
-        keys, ids = self.complex.keys, sorted(self.cells)
-        return sorted(_labels(keys[ids] if isinstance(keys, np.ndarray)
-                              else [keys[i] for i in ids]))
+        return sorted(_labels(_take(self.complex.keys, sorted(self.cells))))
 
     def simplices(self) -> list:
-        return sorted(self.complex.cell(i) for i in self.cells)
+        return sorted(self.complex._cells(sorted(self.cells)))
 
 
 def _bits_to_ids(col: int, ids: np.ndarray) -> frozenset[int]:

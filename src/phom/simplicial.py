@@ -9,15 +9,16 @@ in _simplicial_filtration, on lexicographic vertex arrays.
 from __future__ import annotations
 
 import math
+from functools import partial
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .persistence import (Filtration, PersistenceDiagram, assemble_cells,
-                          ordered_diagram, reduce_coboundaries,
-                          union_find_h0)
+from .persistence import (Filtration, PersistenceDiagram, _key_rows,
+                          _lex_rows, assemble_cells, ordered_diagram,
+                          reduce_coboundaries, union_find_h0)
 
 Vertices = Sequence[int]
 
@@ -48,11 +49,6 @@ class Simplex(tuple):
                     f"vertices must be strictly increasing, got {vs}")
         return tuple.__new__(cls, vs)
 
-    @classmethod
-    def _wrap(cls, vertices: tuple) -> "Simplex":
-        # Fast path for internal callers that guarantee sortedness.
-        return tuple.__new__(cls, vertices)
-
     @property
     def dimension(self) -> int:
         return len(self) - 1
@@ -65,6 +61,12 @@ class Simplex(tuple):
 
     def __repr__(self) -> str:
         return "Simplex(%s)" % (tuple(self),)
+
+
+# Simplex._wrap(vertices): fast path for internal callers that guarantee
+# sortedness, with no Python frame per call (bulk readers make a Simplex
+# per cell).
+Simplex._wrap = partial(tuple.__new__, Simplex)
 
 
 def boundary_chain(simplex: Vertices) -> list[Simplex]:
@@ -113,40 +115,39 @@ def FilteredSimplicialComplex(cells: Iterable[tuple[Vertices, float]]
     return _simplicial_filtration(simp, values)
 
 
-def _lex_rows(a: np.ndarray) -> np.ndarray:
-    """Rows of ids in [0, 2**63) as big-endian bytes: they sort as rows."""
-    b = np.ascontiguousarray(a, ">i8")
-    return b.view(f"V{8 * a.shape[1]}").ravel()
+def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Position of each of rows among the rows of table, or -1 where
+    table has none; of equal rows, the last.  table's rows are in
+    _lex_rows order (lexicographic for ids in [0, 2**63)), so one binary
+    search finds each."""
+    if not table.size:
+        return np.full(len(rows), -1)
+    p = np.searchsorted(_lex_rows(table), _lex_rows(rows), side="right") - 1
+    # p = -1 puts a row before every row of table, so table[-1] differs.
+    return np.where((table[p] == rows).all(axis=1), p, -1)
 
 
 def _simplicial_filtration(simp: list[np.ndarray],
                            values: list[np.ndarray]) -> Filtration:
     """Filtration of the lexicographic (m_k, k+1) int64 vertex arrays
     simp[k], of values values[k], keyed by one (m, len(simp)) vertex array
-    padded with -1.  Faces are found by binary search; the first cell in
-    filtration order that misses one is an InputError."""
-    faces, missing = [simp[0][:, :0]], [np.full(len(simp[0]), -1)]
-    for k in range(1, len(simp)):  # missing: a cell's first missing face
-        below = _lex_rows(simp[k - 1])
-        faces.append(np.empty_like(simp[k]))
-        missing.append(np.full(len(simp[k]), -1))
-        for c in range(k, -1, -1):  # so the least c is kept
-            f = np.delete(simp[k], c, axis=1)
-            p = faces[k][:, c] = np.searchsorted(below, _lex_rows(f))
-            ok = p < below.size
-            ok[ok] = (simp[k - 1][p[ok]] == f[ok]).all(axis=1)
-            missing[k][~ok] = c
+    padded with -1.  Faces are found by _find_rows; the first cell in
+    filtration order that misses one is an InputError naming its first
+    missing face."""
+    faces = [simp[0][:, :0]] + [np.column_stack([
+        _find_rows(simp[k - 1], np.delete(simp[k], c, axis=1))
+        for c in range(k + 1)]) for k in range(1, len(simp))]
     order, *wired = assemble_cells(values, faces)
     keys = np.concatenate([np.pad(a, [(0, 0), (0, len(simp) - a.shape[1])],
                                   constant_values=-1) for a in simp])[order]
-    missing = np.concatenate(missing)[order]
-    if np.any(missing >= 0):
-        i = np.argmax(missing >= 0)
-        s, c = keys[i][keys[i] >= 0].tolist(), missing[i]
-        raise InputError(f"cell {tuple(s)} is missing face "
-                         f"{tuple(s[:c] + s[c + 1:])}")
-    return Filtration(*wired, keys, as_cell=lambda row: Simplex._wrap(
-        tuple(v for v in row.tolist() if v >= 0)))
+    K = Filtration(*wired, keys, as_cell=Simplex._wrap)
+    missing = np.concatenate([(f < 0).any(axis=1) for f in faces])[order]
+    if missing.any():
+        s = K.cell(int(np.argmax(missing)))
+        face = next(f for f in (s[:c] + s[c + 1:] for c in range(len(s)))
+                    if f not in K)
+        raise InputError(f"cell {tuple(s)} is missing face {face}")
+    return K
 
 
 def validate_complex(K: Filtration) -> ComplexViolation | None:
@@ -154,30 +155,54 @@ def validate_complex(K: Filtration) -> ComplexViolation | None:
 
     Returns None when the simplicial filtration is valid, otherwise a
     report naming the first offending cell in filtration order; a
-    cubical filtration or a cache is a ParameterError."""
+    cubical filtration or a cache is a ParameterError.  A cell breaks
+    order when its (value, vertex count, vertices) sorts before its
+    predecessor's, NaN never; its face without vertex c is found by
+    _find_rows (of repeated cells the last counts), and the least bad c
+    is named.
+    """
     if "grid_shape" in K.meta or (len(K) and isinstance(K.cell(0), str)):
         raise ParameterError("validate_complex takes simplicial complexes")
-    cells = [Simplex._wrap(K.cell(i)) for i in range(len(K))]
-    index = {v: i for i, v in enumerate(cells)}
-    prev_key = None
-    for i, v in enumerate(cells):
-        val = float(K.values[i])
-        key = (val, len(v), v)
-        if prev_key is not None and key < prev_key:
-            return ComplexViolation(
-                "order break", i, v,
-                f"cell at position {i} sorts before its predecessor")
-        prev_key = key
-        for face in map(tuple, v.faces()):
-            j = index.get(face)
-            if j is None:
-                return ComplexViolation("missing face", i, v,
-                                        f"face {face} is absent")
-            if K.values[j] > val:
-                return ComplexViolation(
-                    "value inversion", i, v,
-                    f"face {face} enters at {K.values[j]!r} > {val!r}")
-    return None
+    keys = K.keys
+    if not isinstance(keys, np.ndarray):  # vertex tuples: pad them
+        tuples = K._cells(range(len(K)))
+        keys = np.full((len(K), max([1, *map(len, tuples)])), -1)
+        for i, t in enumerate(tuples):
+            keys[i, :len(t)] = t
+    rows, width = np.full_like(keys, -1), np.zeros(len(K), dtype=np.int64)
+    for at, r in _key_rows(keys):  # row i: cell i's width[i] ids, then -1s
+        rows[at, :r.shape[1]], width[at] = r, r.shape[1]
+    values = np.asarray(K.values, dtype=np.float64)
+    less, same = values[1:] < values[:-1], values[1:] == values[:-1]
+    for a in [width, *rows.T]:  # tuple order, a column at a time
+        less |= same & (a[1:] < a[:-1])
+        same &= a[1:] == a[:-1]
+    first, face_at = np.full(len(K), -1), np.full(len(K), -1)
+    for g in np.unique(width[width > 1]).tolist():
+        top, below = (np.flatnonzero(width == w) for w in (g, g - 1))
+        below = below[np.argsort(_lex_rows(rows[below, :g - 1]),
+                                 kind="stable")]
+        for c in range(g - 1, -1, -1):  # so the least c is kept
+            j = np.append(below, -1)[_find_rows(
+                rows[below, :g - 1], np.delete(rows[top, :g], c, axis=1))]
+            bad = (j < 0) | (values[j] > values[top])
+            first[top[bad]], face_at[top[bad]] = c, j[bad]
+    bad = np.flatnonzero(np.append(False, less) | (first >= 0))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    cell, c, j = Simplex._wrap(K.cell(i)), first[i], int(face_at[i])
+    if i and less[i - 1]:
+        return ComplexViolation(
+            "order break", i, cell,
+            f"cell at position {i} sorts before its predecessor")
+    face = cell[:c] + cell[c + 1:]
+    if j < 0:
+        return ComplexViolation("missing face", i, cell,
+                                f"face {face} is absent")
+    return ComplexViolation(
+        "value inversion", i, cell,
+        f"face {face} enters at {K.values[j]!r} > {float(K.values[i])!r}")
 
 
 def point_cloud_distances(points: np.ndarray) -> np.ndarray:

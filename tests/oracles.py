@@ -22,9 +22,10 @@ from scipy.sparse.csgraph import (connected_components,
 from scipy.special import ndtr
 from scipy.spatial.distance import pdist, squareform
 
-from phom.errors import InputError
+from phom.errors import InputError, ParameterError
+from phom.homology import BoundaryMatrixZ2
 from phom.persistence import Filtration, PersistenceDiagram
-from phom.simplicial import Simplex
+from phom.simplicial import ComplexViolation, Simplex
 
 
 # ------------------------------------------------------------- Z2 rank
@@ -513,6 +514,52 @@ def reference_complex(cells):
                       np.array(off, dtype=np.int64),
                       np.array(flat, dtype=np.int64), keys,
                       as_cell=Simplex._wrap)
+
+
+# ------------------------------------------------ cell-by-cell readers
+
+def validate_loop(K):
+    """validate_complex one Simplex at a time: a dict index, so a
+    repeated cell resolves to its last position, the (value, vertex
+    count, vertices) tuple order and Simplex.faces()."""
+    if "grid_shape" in K.meta or (len(K) and isinstance(K.cell(0), str)):
+        raise ParameterError("validate_complex takes simplicial complexes")
+    cells = [Simplex._wrap(K.cell(i)) for i in range(len(K))]
+    index = {v: i for i, v in enumerate(cells)}
+    prev_key = None
+    for i, v in enumerate(cells):
+        val = float(K.values[i])
+        key = (val, len(v), v)
+        if prev_key is not None and key < prev_key:
+            return ComplexViolation(
+                "order break", i, v,
+                f"cell at position {i} sorts before its predecessor")
+        prev_key = key
+        for face in map(tuple, v.faces()):
+            j = index.get(face)
+            if j is None:
+                return ComplexViolation("missing face", i, v,
+                                        f"face {face} is absent")
+            if K.values[j] > val:
+                return ComplexViolation(
+                    "value inversion", i, v,
+                    f"face {face} enters at {K.values[j]!r} > {val!r}")
+    return None
+
+
+def sorted_boundary_matrix(K, k):
+    """build_boundary_matrix by sorting (K.cell(i), i) over the cells of
+    two dimensions and a dict from a row's cell position to its row."""
+    if k < 0:
+        raise ParameterError("boundary dimension must be non-negative")
+    rows, cols = (sorted((K.cell(i), i) for i in
+                         np.flatnonzero(K.dims == j).tolist())
+                  for j in (k - 1, k))
+    at = {i: r for r, (_, i) in enumerate(rows)}
+    columns = [sorted(at[f] for f in K.boundary(i).tolist())
+               for _, i in cols]
+    return BoundaryMatrixZ2(k, [c for c, _ in rows], [c for c, _ in cols],
+                            columns)
 
 
 # ------------------------------------------------ Rips coboundaries

@@ -151,8 +151,27 @@ def test_series_at_float_extremes(case, stride, convention, max_scale):
             argv += ["--max-scale", max_scale]
         code = run(*argv)
         assert code in (0, 2, 3)
+        if code == 2:  # every input is checked before the out dir exists
+            assert not out.exists()
         if code == 0:
             assert_replays(out, "run.manifest.json")
+
+
+def test_series_with_an_overflowing_window_writes_nothing(tmp_path,
+                                                          monkeypatch):
+    """The last window's distances overflow: with chunks of one window,
+    the runs with and without --max-scale exit 2 before the out dir or
+    any window file exists."""
+    monkeypatch.setattr(cli, "_BLOCK_ENTRIES", 4)
+    src = tmp_path / "s.csv"
+    write_point_cloud(str(src), np.array(
+        [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [1e308, -1e308]]))
+    for extra in ([], ["--max-scale", 1.0]):
+        out = tmp_path / f"run{len(extra)}"
+        assert run("series", src, "--out-dir", out, "--window", 2,
+                   "--stride", 1, *extra) == 2
+        assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 
 from phom import (
     FilteredSimplicialComplex,
+    Filtration,
     InputError,
     ParameterError,
     betti_numbers,
@@ -19,6 +20,8 @@ from phom import (
     gf2_eliminate,
     gf2_rank,
     image_persistence,
+    point_cloud_distances,
+    rips_filtration,
     snf_rank,
 )
 from phom.io import read_complex_cache, write_complex_cache
@@ -27,7 +30,9 @@ from oracles import (
     components_via_union_find,
     csgraph_components,
     multigraphs,
+    random_filtration,
     simplex_betti,
+    sorted_boundary_matrix,
 )
 
 NAMES = dict(enumerate("abcde"))
@@ -93,6 +98,53 @@ def test_boundary_matrix_column_row_labels():
     assert [tuple(s) for s in B1.cols] == [
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]
     assert [tuple(s) for s in B1.rows] == [(0,), (1,), (2,), (3,), (4,)]
+
+
+def explicit_complexes(tmp_path):
+    """Rips and FilteredSimplicialComplex complexes with vertex ids up to
+    11, cubical grids of 1-3 axes with doubled coordinates up to 14, the
+    caches of all of them (whose text order differs from the numeric
+    one), the same cells as lists of tuples, and a list-key complex with
+    a repeated edge."""
+    rng = np.random.default_rng(12)
+    out = [rips_filtration(point_cloud_distances(rng.uniform(0, 1, (12, 2))),
+                           3, 0.5),
+           example_complex(),
+           FilteredSimplicialComplex(random_filtration(rng, nv=7)),
+           build_cubical_filtration(rng.uniform(0, 1, 7)),
+           build_cubical_filtration(rng.integers(0, 3, (6, 5)).astype(float)),
+           build_cubical_filtration(rng.uniform(0, 1, (2, 2, 6)))]
+    for i, K in enumerate(out[:6]):
+        path = str(tmp_path / f"{i}.cplx")
+        write_complex_cache(path, K, meta={"kind": "cubical"} if i > 2 else {})
+        out.append(read_complex_cache(path))
+        out.append(Filtration(K.values, K.dims, K.bnd_off, K.bnd_flat,
+                              [tuple(c) for c, _ in K.items()]))
+    K = example_complex()
+    ab = K.index_of((0, 1))
+    keys = [tuple(c) for c, _ in K.items()]
+    out.append(Filtration(
+        np.append(K.values, 0.0), np.append(K.dims, 1),
+        np.append(K.bnd_off, K.bnd_off[-1] + 2),
+        np.append(K.bnd_flat, K.boundary(ab)), keys + [keys[ab]]))
+    return out
+
+
+def test_boundary_matrix_matches_sorted_cells(tmp_path):
+    """Rows, columns, entries and table bytes equal those of sorting
+    (cell(i), i), so text keys sort as text and ties go by position."""
+    for K in explicit_complexes(tmp_path):
+        for k in range(K.dim + 2):
+            got = build_boundary_matrix(K, k)
+            want = sorted_boundary_matrix(K, k)
+            assert got.rows == want.rows and got.cols == want.cols
+            assert [type(c) for c in got.rows + got.cols] == [
+                type(c) for c in want.rows + want.cols]
+            assert got.columns == want.columns
+            assert (format_boundary_table(got).encode()
+                    == format_boundary_table(want).encode())
+    with pytest.raises(ParameterError):
+        build_boundary_matrix(K, -1)
 
 
 def test_snf_ranks_of_example():

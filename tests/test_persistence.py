@@ -604,3 +604,91 @@ def test_reduction_does_not_depend_on_prefetch(module, run):
         assert set(flat) >= {j for js in one_by_one for j in js}
         batches, singles = batches + len(asked), singles + len(one_by_one)
     assert batches < singles
+
+
+def lookup_complexes():
+    """Complexes for index_of: Rips (vertex ids up to 10) and cubical
+    (doubled coordinates up to 12), their caches, and a key array and a
+    list of tuples with repeated keys."""
+    rng = np.random.default_rng(11)
+    R = rips_filtration(point_cloud_distances(rng.uniform(0, 1, (11, 2))),
+                        2, 0.4)
+    C = build_cubical_filtration(rng.uniform(0, 1, (6, 3)))
+    out = [R, C]
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, K in enumerate(out[:2]):
+            path = os.path.join(tmp, f"{i}.cplx")
+            write_complex_cache(path, K, {"kind": "cubical"} if i else {})
+            out.append(read_complex_cache(path))
+    rep = rng.integers(0, len(R), 3 * len(R))
+    args = (R.values[rep], R.dims[rep], np.zeros(rep.size + 1, dtype=int),
+            np.zeros(0, dtype=int))
+    out.append(Filtration(*args, R.keys[rep], as_cell=R.as_cell))
+    out.append(Filtration(*args, [tuple(c) for c in R._cells(rep)]))
+    return out
+
+
+LOOKUP = lookup_complexes()
+
+
+@st.composite
+def lookups(draw):
+    """(complex, key): a cell's key as an int tuple, as text, as numpy
+    ints, shortened or lengthened, with a negative, float or huge id, or
+    text no label is."""
+    K = draw(st.sampled_from(LOOKUP))
+    label = K.labels()[draw(st.integers(0, len(K) - 1))]
+    ids = [int(x) for x in label.split(",")]
+    kind = draw(st.sampled_from(["tuple", "text", "numpy", "short", "long",
+                                 "negative", "float", "huge", "other"]))
+    if kind == "text":
+        return K, label
+    if kind == "numpy":
+        return K, tuple(np.int64(x) for x in ids)
+    if kind == "short":
+        return K, tuple(ids[:-1])
+    if kind == "long":
+        return K, tuple(ids + [draw(st.integers(0, 12))])
+    if kind == "negative":
+        return K, tuple(ids[:-1] + [draw(st.sampled_from([-1, -2]))])
+    if kind == "float":
+        return K, tuple(map(float, ids))
+    if kind == "huge":
+        return K, tuple(ids[:-1] + [draw(st.sampled_from(
+            [2 ** 63 - 1, 2 ** 63, 2 ** 64 + ids[-1], 10 ** 30]))])
+    if kind == "other":
+        return K, draw(st.sampled_from(
+            ["", ",", "0,", ",0", " 0", "00", "01", "+1", "-0", "1_0",
+             "٣", "0\x00", "9" * 19, "9" * 5000, "0,0,0,0,0", label + ","]))
+    return K, tuple(ids)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=lookups())
+def test_index_of_matches_label_scan(case):
+    """index_of and `in` find the first cell whose label is the key's,
+    as a scan of labels() does."""
+    K, key = case
+    labels = K.labels()
+    label = key if isinstance(key, str) else ",".join(map(str, key))
+    assert (key in K) == (label in labels)
+    if label in labels:
+        assert K.index_of(key) == labels.index(label)
+    else:
+        with pytest.raises(KeyError):
+            K.index_of(key)
+
+
+def test_index_of_formats_labels_once(monkeypatch):
+    """The first index_of call builds the table; later calls and `in`
+    format no labels: none for a key array, one pass for a cache."""
+    calls = []
+    real = persistence._labels
+    monkeypatch.setattr(persistence, "_labels",
+                        lambda keys: calls.append(1) or real(keys))
+    for K, first in zip(lookup_complexes()[:3], [0, 0, 1]):
+        calls.clear()
+        assert K.index_of(K.cell(4)) == 4
+        assert len(calls) == first
+        assert K.index_of(K.cell(7)) == 7 and K.cell(9) in K
+        assert len(calls) == first

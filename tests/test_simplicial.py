@@ -21,7 +21,8 @@ from phom import (
 )
 from phom.io import read_complex_cache, write_complex_cache
 from phom.simplicial import _SYMMETRY_TILE
-from oracles import pdist_distances, random_filtration, reference_complex
+from oracles import (pdist_distances, random_filtration, reference_complex,
+                     validate_loop)
 from test_rips_engine import clouds, integer_matrices
 
 
@@ -162,6 +163,75 @@ def test_validate_order_break():
     v = validate_complex(K)
     assert v.kind == "order break"
     assert v.index == 3
+
+
+@st.composite
+def mutated_filtrations(draw):
+    """A filtration of random_filtration cells with one mutation: a
+    cell's value raised before the build sorts the cells, or in the
+    built arrays two positions swapped, a value made NaN, a cell dropped
+    or a cell repeated at another position.  Its keys stay a key array,
+    or become a list of vertex tuples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = random_filtration(rng, nv=draw(st.integers(1, 7)))
+    kind = draw(st.sampled_from(["raise", "swap", "nan", "drop", "repeat"]))
+    i = draw(st.integers(0, len(cells) - 1))
+    if kind == "raise":  # a face of another cell, if there is one
+        faces = [k for k, (v, _) in enumerate(cells) if any(
+            set(v) < set(w) for w, _ in cells)] or [i]
+        k = faces[i % len(faces)]
+        cells[k] = (cells[k][0],
+                    cells[k][1] + draw(st.sampled_from([0.25, 1.0, 10.0])))
+    K = FilteredSimplicialComplex(cells)
+    values, order = K.values.copy(), np.arange(len(K))
+    j = draw(st.integers(0, len(K) - 1))
+    if kind == "swap":
+        order[[i, j]] = order[[j, i]]
+    elif kind == "nan":
+        values[i] = np.nan
+    elif kind == "drop":
+        order = np.delete(order, i)
+    elif kind == "repeat":
+        order = np.insert(order, j, i)
+    values = values[order]
+    if kind == "repeat":  # the copy may enter later than the original
+        values[j] += draw(st.sampled_from([0.0, 1.0]))
+    args = (values, K.dims[order],
+            np.zeros(order.size + 1, dtype=np.int64),
+            np.zeros(0, dtype=np.int64))
+    if draw(st.booleans()):
+        return Filtration(*args, [tuple(c) for c in K._cells(order)])
+    return Filtration(*args, K.keys[order], as_cell=K.as_cell)
+
+
+@settings(max_examples=400, deadline=None)
+@given(K=mutated_filtrations())
+def test_validate_matches_the_cell_loop(K):
+    """validate_complex reports exactly what the Simplex loop reports,
+    or None with it."""
+    assert validate_complex(K) == validate_loop(K)
+
+
+def test_validate_hand_built_cases_match_the_cell_loop():
+    """List keys: a face of a repeated cell resolves to its last copy, a
+    NaN value breaks no order, an empty key has no face, and a cell
+    missing several faces names the one without its first vertex."""
+    nan = float("nan")
+    cases = [
+        ([(0,), (1,), (0, 1), (0,)], [0.0, 0.0, 1.0, 2.0]),
+        ([(0,), (1,), (0, 1)], [0.0, nan, 1.0]),
+        ([(0,), (1,), (0, 1)], [nan, 0.0, -1.0]),
+        ([(), (0,)], [0.0, 0.0]),
+        ([(1,), (0,)], [0.0, 0.0]),
+        ([(0,), (0, 1)], [0.0, 0.0]),
+        ([(0,), (1,), (2,), (0, 1, 2)], [0.0, 0.0, 0.0, 0.0]),
+        ([(0,), (1,), (2,), (1, 2), (0, 1, 2)], [0.0, 0.0, 0.0, 1.0, 1.0]),
+    ]
+    for keys, vals in cases:
+        K = Filtration(np.array(vals), np.array([len(k) - 1 for k in keys]),
+                       np.zeros(len(keys) + 1, dtype=np.int64),
+                       np.zeros(0, dtype=np.int64), keys)
+        assert validate_complex(K) == validate_loop(K)
 
 
 def test_point_cloud_distances():

@@ -73,9 +73,10 @@ def test_traced_rips_run(tmp_path):
 
 
 def test_traced_series_run(tmp_path):
-    """`phom series` runs under the tracer's wrappers: one window cut, one
-    distance matrix and one bottleneck call per window, and one diagram
-    file per window, each span under cli.main."""
+    """`phom series` runs under the tracer's wrappers: one window cut, two
+    distance matrices per window (one for its radius, one for the
+    engine's chunk), one bottleneck call and one diagram file per
+    window, each span under cli.main."""
     tracer = load_tracer()
     src = tmp_path / "s.csv"
     assert cli.main(["gen", "periodic", "-n", "64", "-o", str(src)]) == 0
@@ -90,7 +91,7 @@ def test_traced_series_run(tmp_path):
         tr.uninstall()
     names = [s[0] for s in tr.spans]
     assert names.count("cli.main") == names.count("datagen.windows") == 1
-    assert names.count("simplicial.distances") == 4
+    assert names.count("simplicial.distances") == 8
     assert names.count("distances.bottleneck") == 4
     assert names.count("io.write_diagram_csv") == 4
     assert all(tr.spans[s[3]][0] == "cli.main" for s in tr.spans[1:])
