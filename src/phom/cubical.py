@@ -12,7 +12,8 @@ and one rule gives every face: a cube's faces sit one step away along
 each of its odd axes (_face_steps).  Cofaces are the same steps read
 backwards, so border cells need no padding.  build_cubical_filtration
 builds the explicit complex from the two, for caches, cycles and as
-the reference; the diagram functions never build it (_lattice_pairs).
+the reference; the diagram functions never build it (_lattice_pairs),
+and voxel H1 hands a coface table to persistence.pair_columns.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import numpy as np
 
 from .errors import InputError, ParameterError
 from .persistence import (Filtration, PersistenceDiagram, assemble_cells,
-                          boruvka_h0, ordered_diagram, reduce_coboundaries)
+                          boruvka_h0, ordered_diagram, pair_columns)
 # Not used in this module, but perfbench/tracer.py wraps
 # phom.cubical.compute_persistence, and its op_targets() raises
 # AttributeError when the name is missing.
 from .persistence import compute_persistence  # noqa: F401
 
 
-# The int64 sort keys on the doubled lattice (_cell_order, _eliminate)
+# The int64 sort keys on the doubled lattice (_cell_order, pair_columns)
 # stay below its cell count squared, so they fit up to this many cells.
 _MAX_LATTICE = math.isqrt(2**63 - 1)
 
@@ -150,9 +151,9 @@ def _lattice_pairs(g: np.ndarray, max_dim: int) -> list[tuple]:
     build_cubical_filtration, found without its complex: every face and
     coface is a _face_steps step on the rank lattice of _cell_order.
     H0 is a union-find over the lattice edges and H_{d-1} one over the
-    top cells (_top_pairs).  H1 of a voxel grid reduces coboundary
-    columns (_reduced_pairs), and the squares that _top_pairs finds to
-    give birth to voids are left out of them.
+    top cells (_top_pairs).  H1 of a voxel grid pairs coboundary columns
+    (_reduced_pairs), and the squares that _top_pairs finds to give
+    birth to voids are left out of them.
     """
     d = g.ndim
     rank, cells = _cell_order(g)
@@ -201,39 +202,21 @@ def _h0_pairs(rank: np.ndarray,
             (0, alive, np.full(alive.size, -1))], e
 
 
-# Pairing levels in _reduced_pairs: the apparent pairs and two more.
-# Three were fastest at 24^3 and 48^3; at 64^3 four or five saved 3%.
-_LEVELS = 3
-
-
 def _reduced_pairs(rank: np.ndarray, cells: list[np.ndarray],
                    died: np.ndarray, voids: np.ndarray) -> list[tuple]:
-    """H1 groups of _lattice_pairs for a voxel grid by coboundary
-    reduction, skipping the edges of rank died (H0 deaths) and leaving
-    out the squares of rank voids (H2 births).
+    """H1 groups of _lattice_pairs for a voxel grid by pair_columns,
+    skipping the edges of rank died (H0 deaths) and leaving out the
+    squares of rank voids (H2 births).
 
     The cofaces are the squares' face steps read backwards.  An edge's
     two cofaces along its even axis ax go in row pair ax - slot, since
     slot counts its odd axes below ax; a border edge has one, and its
     other entry stays big.  A square that gives birth to a void is never
-    an H1 pivot, so dropping it changes no pivot (Bauer, Kerber and
-    Reininghaus, Clear and Compress, 2014).
-
-    Before the heap loop, _LEVELS levels pair columns on arrays.  A
-    column that is the youngest one holding its own pivot keeps that
-    pivot: the reduction reaches it before any other column that holds
-    the key, and sums of younger columns never hold it.  Each level
-    pairs all such columns, then adds them to the others until no other
-    column holds their pivots (_eliminate).  The first level takes the
-    apparent pairs, found from the squares' youngest faces, and leaves
-    the critical columns of that discrete gradient (after Mischaikow
-    and Nanda, Morse theory for filtrations, 2013); the next ones find
-    the apparent pairs of what is left from its entries.  Only the
-    columns left go to reduce_coboundaries, none of them apparent.
+    an H1 pivot, so making it padding changes no pivot (Bauer, Kerber
+    and Reininghaus, Clear and Compress, 2014).
     """
     big = cells[2].size
     cof = np.full((4, cells[1].size), big, dtype=np.int64)
-    # youngest[big] stays -1, so an edge without cofaces is not apparent.
     youngest = np.full(big + 1, -1, dtype=np.int64)
     for ax, slot, up, below, above in _face_steps(rank, 2):
         cof[2 * (ax - slot) + 1, below] = up
@@ -242,84 +225,11 @@ def _reduced_pairs(rank: np.ndarray, cells: list[np.ndarray],
     row = np.arange(big + 1)
     row[voids] = big
     cols = np.delete(np.arange(cells[1].size), died)
-    cof = np.sort(row[cof[:, cols]].T, axis=1)
-    oldest = cof[:, 0]
-    apparent = youngest[oldest] == cols
-    born, dies = [cols[apparent]], [oldest[apparent]]
-    left = np.flatnonzero((oldest < big) & ~apparent)
-    owner = np.full(big + 1, -1, dtype=np.int64)
-    owner[oldest[apparent]] = np.flatnonzero(apparent)
-    table, bounds = cof.ravel(), 4 * np.arange(cols.size + 1)
-    key = cof[left].ravel()
-    col = np.repeat(np.arange(left.size), 4)[key < big]
-    key = key[key < big]
-    for _ in range(_LEVELS - 1):
-        col, key = _eliminate(col, key, owner, table, bounds, big)
-        bounds = np.searchsorted(col, np.arange(left.size + 1))
-        pivot = np.where(bounds[1:] > bounds[:-1],
-                         np.append(key, big)[bounds[:-1]], big)
-        youngest = np.full(big + 1, -1, dtype=np.int64)
-        np.maximum.at(youngest, key, col)
-        own = youngest[pivot] == np.arange(left.size)
-        born.append(cols[left[own]])
-        dies.append(pivot[own])
-        owner = np.full(big + 1, -1, dtype=np.int64)
-        owner[pivot[own]] = np.flatnonzero(own)
-        table, rest = key, ~own[col]
-        col, key = (np.cumsum(~own) - 1)[col[rest]], key[rest]
-        left = left[~own]
-    col, key = _eliminate(col, key, owner, table, bounds, big)
-    ends = np.searchsorted(col, np.arange(left.size + 1))
-    flat, offs = key.tolist(), ends.tolist()
-    (b, d, ess), = reduce_coboundaries(
-        [(cols[left], np.append(key, big)[ends[:-1]], ends[1:] > ends[:-1],
-          np.zeros(left.size, dtype=bool))],
-        lambda js: [flat[offs[j]:offs[j + 1]] for j in js])
-    born = np.concatenate(born + [cols[left[b]]])
-    dies = np.concatenate(dies + [d])
-    ess = np.concatenate([cols[oldest == big], cols[left[ess]]])
+    cof = np.sort(row[cof[:, cols]].T, axis=1).ravel()  # frees the old one
+    born, dies, ess = pair_columns(cols, cof, 4 * np.arange(cols.size + 1),
+                                   youngest, big)
     return [(1, cells[1][born], cells[2][dies]),
             (1, cells[1][ess], np.full(ess.size, -1))]
-
-
-def _eliminate(col: np.ndarray, key: np.ndarray, owner: np.ndarray,
-               table: np.ndarray, bounds: np.ndarray,
-               big: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entries (col, key), sorted by column and then key, after adding to
-    each column, round by round, column owner[p] for every entry p with
-    owner[p] >= 0, until no entry has one; sorted the same way.
-
-    Column o is table[bounds[o]:bounds[o + 1]], sorted, starting with
-    its pivot p, where keys big are padding; adding it replaces p by
-    the rest, and equal entries cancel mod 2.  A column without such an
-    entry is set aside.  Owners
-    are younger than the columns they are added to, so every column
-    keeps its pivot, and an entry is replaced only by younger keys, so
-    the rounds end.  The merged key col * (big + 1) + key fits in int64,
-    since both factors are below the lattice's cell count (as_grid's
-    bound).
-    """
-    done = []
-    hit = owner[key] >= 0
-    while hit.any():
-        busy = np.zeros(col[-1] + 1, dtype=bool)  # col is sorted
-        busy[col[hit]] = True
-        stay = busy[col]
-        done.append(col[~stay] * (big + 1) + key[~stay])
-        col, key, hit = col[stay], key[stay], hit[stay]
-        o = owner[key[hit]]
-        size = bounds[o + 1] - bounds[o] - 1
-        at = (np.repeat(bounds[o] + 1 - np.cumsum(size) + size, size)
-              + np.arange(size.sum()))
-        col = np.concatenate([col[~hit], np.repeat(col[hit], size)])
-        key = np.concatenate([key[~hit], table[at]])
-        keep = key < big
-        merged, count = np.unique(col[keep] * (big + 1) + key[keep],
-                                  return_counts=True)
-        col, key = np.divmod(merged[count % 2 == 1], big + 1)
-        hit = owner[key] >= 0
-    done.append(col * (big + 1) + key)
-    return np.divmod(np.sort(np.concatenate(done)), big + 1)
 
 
 def _top_pairs(rank: np.ndarray,

@@ -4,8 +4,9 @@ Every diagram comes from one engine: union-find for H0, then, per
 dimension, a reduction of coboundary columns in reverse filtration order
 with clearing and apparent pairs (cohomology gives the same pairs as the
 boundary reduction), and ordered_diagram turns the pairs into points.
-The cubical lattice and rips_persistence drive the same functions with
-cofaces they enumerate on the fly.  Representative cycles are read off
+Where the cofaces are in memory (compute_persistence, voxel H1),
+pair_columns pairs most columns on arrays first; rips_persistence
+computes its cofacets on the fly.  Representative cycles are read off
 the pairing: a cell's reduced boundary needs only its owners' columns.
 """
 
@@ -108,7 +109,10 @@ class Filtration:
         return self.bnd_flat[self.bnd_off[i]:self.bnd_off[i + 1]]
 
     def cell(self, i: int):
-        return self._cells([i])[0]
+        if not isinstance(self.keys, np.ndarray):
+            return self.as_cell(self.keys[i])
+        ids = self.keys[i].tolist()  # the width of _key_rows
+        return self.as_cell(tuple(ids[:len(ids) - ids.count(-1)]))
 
     def _cells(self, ids) -> list:
         keys = _take(self.keys, ids)
@@ -570,6 +574,103 @@ def _odd_entries(heap: list) -> list:
     return out
 
 
+# pair_columns' levels: the apparent pairs and two more.  Three were
+# fastest on 24^3 and 48^3 voxel grids; at 64^3 four or five saved 3%.
+_LEVELS = 3
+
+
+def pair_columns(cols: np.ndarray, table: np.ndarray, bounds: np.ndarray,
+                 youngest: np.ndarray, big: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair the columns of one dimension whose cofaces are in memory.
+
+    Column j is cell cols[j], ascending, less the cells paired one
+    dimension down (clearing).  table[bounds[j]:bounds[j + 1]] holds its
+    cofaces' keys in filtration order, keys big being padding, and
+    youngest[p] is coface p's youngest face (youngest[big] = -1).
+
+    Before the heap loop of reduce_coboundaries, _LEVELS levels pair
+    columns on arrays.  A column that is the youngest one holding its
+    own pivot keeps that pivot: the reduction reaches it before any
+    other column that holds the key, and sums of younger columns never
+    hold it.  Each level pairs all such columns, then adds them to the
+    others until no other column holds their pivots (_eliminate).  The
+    first level reads a key's youngest holder from youngest: it takes
+    the apparent pairs and leaves the critical columns of that discrete
+    gradient (after Mischaikow and Nanda, Morse theory for filtrations,
+    2013).  The next ones read it from the entries left.  Only the
+    columns left go to reduce_coboundaries, none of them apparent.
+
+    Returns (birth cells, their death keys, essential cells).
+    """
+    col, key = np.repeat(np.arange(cols.size), np.diff(bounds)), table
+    born, dies = [], []
+    for level in range(_LEVELS):
+        if level:
+            col, key = _eliminate(col, key, owner, table, bounds, big)
+            bounds = np.searchsorted(col, np.arange(cols.size + 1))
+            youngest = np.full(big + 1, -1, dtype=np.int64)
+            np.maximum.at(youngest, key, cols[col])
+        pivot = np.where(bounds[1:] > bounds[:-1],
+                         np.append(key, big)[bounds[:-1]], big)
+        own = youngest[pivot] == cols
+        born.append(cols[own])
+        dies.append(pivot[own])
+        owner = np.full(big + 1, -1, dtype=np.int64)
+        owner[pivot[own]] = np.flatnonzero(own)
+        table, rest = key, ~own[col] & (key < big)
+        col, key = (np.cumsum(~own) - 1)[col[rest]], key[rest]
+        cols = cols[~own]
+    col, key = _eliminate(col, key, owner, table, bounds, big)
+    ends = np.searchsorted(col, np.arange(cols.size + 1))
+    flat, offs = key.tolist(), ends.tolist()
+    (b, d, ess), = reduce_coboundaries(
+        [(cols, np.append(key, big)[ends[:-1]], ends[1:] > ends[:-1],
+          np.zeros(cols.size, dtype=bool))],
+        lambda js: [flat[offs[j]:offs[j + 1]] for j in js])
+    return np.concatenate(born + [cols[b]]), np.concatenate(dies + [d]), \
+        cols[ess]
+
+
+def _eliminate(col: np.ndarray, key: np.ndarray, owner: np.ndarray,
+               table: np.ndarray, bounds: np.ndarray,
+               big: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries (col, key), sorted by column and then key, after adding to
+    each column, round by round, column owner[p] for every entry p with
+    owner[p] >= 0, until no entry has one; sorted the same way.
+
+    Column o is table[bounds[o]:bounds[o + 1]], sorted, starting with
+    its pivot p, where keys big are padding; adding it replaces p by
+    the rest, and equal entries cancel mod 2.  A column without such an
+    entry is set aside.  Owners are younger than the columns they are
+    added to, so every column keeps its pivot, and an entry is replaced
+    only by younger keys, so the rounds end.  The merged key
+    col * (big + 1) + key fits in int64, since both factors are below
+    the cell count.
+    """
+    done = []
+    hit = owner[key] >= 0
+    while hit.any():
+        busy = np.zeros(col[-1] + 1, dtype=bool)  # col is sorted
+        busy[col[hit]] = True
+        stay = busy[col]
+        done.append(col[~stay] * (big + 1) + key[~stay])
+        col, key, hit = col[stay], key[stay], hit[stay]
+        o = owner[key[hit]]
+        size = bounds[o + 1] - bounds[o] - 1
+        at = (np.repeat(bounds[o] + 1 - np.cumsum(size) + size, size)
+              + np.arange(size.sum()))
+        col = np.concatenate([col[~hit], np.repeat(col[hit], size)])
+        key = np.concatenate([key[~hit], table[at]])
+        keep = key < big
+        merged, count = np.unique(col[keep] * (big + 1) + key[keep],
+                                  return_counts=True)
+        col, key = np.divmod(merged[count % 2 == 1], big + 1)
+        hit = owner[key] >= 0
+    done.append(col * (big + 1) + key)
+    return np.divmod(np.sort(np.concatenate(done)), big + 1)
+
+
 def ordered_diagram(groups: list[tuple], max_dim: int,
                     metadata: dict | None = None) -> PersistenceDiagram:
     """The diagram of groups of (dims, births, deaths, ties) arrays.
@@ -595,11 +696,9 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
     """Persistence diagram and pairing of a filtration.
 
     H0 comes from union-find over the edges.  Each dimension k =
-    1..max_dim then reduces the coboundaries of the k-cells in reverse
-    filtration order (cohomology, which gives the pairs of the boundary
-    reduction), skipping the cells paired one dimension down (clearing).
-    A cell whose oldest coface has it as youngest face forms an apparent
-    pair with that coface and is not reduced.
+    1..max_dim then pairs the k-cells by pair_columns on the rows of the
+    transposed boundary, skipping the cells paired one dimension down
+    (clearing); cohomology gives the pairs of the boundary reduction.
 
     Args:
         K: the filtration; cells must be in filtration order with faces
@@ -622,19 +721,12 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
         raise ParameterError("max_dim must be non-negative")
     off, flat = K.bnd_off, K.bnd_flat
     nfaces = np.diff(off)
-    cells = np.arange(n)
 
-    # Cofaces of each cell, sorted: the boundary CSR transposed.
-    cof_flat = np.repeat(cells, nfaces)[np.argsort(flat, kind="stable")]
-    cof_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=n), out=cof_off[1:])
-    has_cof = cof_off[1:] > cof_off[:-1]
-    oldest = np.zeros(n, dtype=np.int64)
-    oldest[has_cof] = cof_flat[cof_off[:-1][has_cof]]
-    youngest = np.full(n, -1, dtype=np.int64)
-    if flat.size:
-        youngest[nfaces > 0] = np.maximum.reduceat(flat, off[:-1][nfaces > 0])
-    apparent = has_cof & (youngest[oldest] == cells)
+    # The boundary CSR transposed: each cell's cofaces, sorted, unpadded.
+    cof_flat = np.sort(flat * n + np.repeat(np.arange(n), nfaces)) % n
+    ncof = np.bincount(flat, minlength=n)
+    youngest = np.full(n + 1, -1, dtype=np.int64)
+    youngest[:n][nfaces > 0] = np.maximum.reduceat(flat, off[:-1][nfaces > 0])
 
     verts = np.flatnonzero(dims == 0)
     edges = np.flatnonzero(dims == 1)
@@ -648,18 +740,16 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
     died = np.zeros(n, dtype=bool)
     died[edges[e]] = True
 
-    cof_list, cof_at = cof_flat.tolist(), cof_off.tolist()
     for k in range(1, min(max_dim, top) + 1):
-        cols = np.flatnonzero((dims == k) & ~died)
-        at = cols.tolist()
-        (born, dead, ess), = reduce_coboundaries(
-            [(cols, oldest[cols], has_cof[cols], apparent[cols])],
-            lambda js: [cof_list[cof_at[at[j]]:cof_at[at[j] + 1]]
-                        for j in js])
-        births.append(cols[born])
+        take = (dims == k) & ~died
+        cols = np.flatnonzero(take)
+        born, dead, ess = pair_columns(
+            cols, cof_flat[np.repeat(take, ncof)],
+            np.concatenate([[0], np.cumsum(ncof[cols])]), youngest, n)
+        births.append(born)
         deaths.append(dead)
         died[dead] = True
-        essential.append(cols[ess])
+        essential.append(ess)
 
     b, d = np.concatenate(births), np.concatenate(deaths)
     order = np.argsort(b)

@@ -15,7 +15,7 @@ from phom import (
     superlevel_persistence,
     voxel_persistence,
 )
-from phom import cubical
+from phom import cubical, persistence
 from phom.datagen import gen_diffusion_field
 from phom.persistence import union_find_h0
 from oracles import (cube_betti, cube_cells, cube_faces, diagram_from_pairs,
@@ -381,7 +381,7 @@ def test_voxel_reduction_gets_only_critical_columns(monkeypatch, g):
     no square; the array levels changed at least one column, and paired
     more than the apparent columns."""
     calls = []
-    real = cubical.reduce_coboundaries
+    real = persistence.reduce_coboundaries
 
     def spy(problems, coboundaries):
         out = real(problems, coboundaries)
@@ -390,7 +390,7 @@ def test_voxel_reduction_gets_only_critical_columns(monkeypatch, g):
                       coboundaries(list(range(keys.size))), out[0][1]))
         return out
 
-    monkeypatch.setattr(cubical, "reduce_coboundaries", spy)
+    monkeypatch.setattr(persistence, "reduce_coboundaries", spy)
     groups = cubical._lattice_pairs(g, 2)
     assert len(calls) == 1
     keys, apparent, columns, heap_deaths = calls[0]

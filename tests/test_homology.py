@@ -132,8 +132,12 @@ def explicit_complexes(tmp_path):
 
 def test_boundary_matrix_matches_sorted_cells(tmp_path):
     """Rows, columns, entries and table bytes equal those of sorting
-    (cell(i), i), so text keys sort as text and ties go by position."""
+    (cell(i), i), so text keys sort as text and ties go by position;
+    cell(i) equals the cell items() gives, type included."""
     for K in explicit_complexes(tmp_path):
+        cells = [c for c, _ in K.items()]
+        assert [(K.cell(i), type(K.cell(i))) for i in range(len(K))] == [
+            (c, type(c)) for c in cells]
         for k in range(K.dim + 2):
             got = build_boundary_matrix(K, k)
             want = sorted_boundary_matrix(K, k)
