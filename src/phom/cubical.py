@@ -226,6 +226,7 @@ def _reduced_pairs(rank: np.ndarray, cells: list[np.ndarray],
     row[voids] = big
     cols = np.delete(np.arange(cells[1].size), died)
     cof = np.sort(row[cof[:, cols]].T, axis=1).ravel()  # frees the old one
+    del row  # and the void map, before the levels' peak
     born, dies, ess = pair_columns(cols, cof, 4 * np.arange(cols.size + 1),
                                    youngest, big)
     return [(1, cells[1][born], cells[2][dies]),

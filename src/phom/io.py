@@ -26,8 +26,10 @@ from .vectorize import PersistenceImage
 from .distances import DiagramDistanceReport
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_rows(fh, arr: np.ndarray, sep: str) -> None:
+    """Each row of a 2-d array as a line of its elements' reprs joined by
+    sep: an int's repr is its str, a float's the shortest round trip."""
+    fh.writelines(sep.join(map(repr, row.tolist())) + "\n" for row in arr)
 
 
 def _open_read(path: str, text: bool = True):
@@ -128,8 +130,7 @@ def write_point_cloud(path: str, points: np.ndarray,
     with open(path, "w", encoding="ascii") as fh:
         if header:
             fh.write(f"# {header}\n")
-        for row in pts:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, pts, ",")
 
 
 def read_distance_matrix(path: str) -> np.ndarray:
@@ -152,7 +153,8 @@ def write_diagram_csv(path: str, pd: PersistenceDiagram) -> None:
     head = []
     for key in sorted(pd.metadata):
         val = pd.metadata[key]
-        text = _fmt(val) if isinstance(val, float) else str(val)
+        # repr(np.float64(1.0)) is 'np.float64(1.0)' under numpy 2.
+        text = repr(float(val)) if isinstance(val, float) else str(val)
         head.append(f"# {key}={text}\n")
     head.append("dim,birth,death\n")
     rows = zip(pd.dims.tolist(), pd.births.tolist(), pd.deaths.tolist())
@@ -372,8 +374,7 @@ def write_pgm(path: str, samples: np.ndarray, maxval: int = 255) -> None:
     h, w = ints.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"P2\n{w} {h}\n{maxval}\n")
-        for row in ints:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+        _write_rows(fh, ints, " ")
 
 
 def quantize_grid(grid: np.ndarray, maxval: int = 65535) -> np.ndarray:
@@ -448,9 +449,7 @@ def write_voxel(path: str, grid: np.ndarray) -> None:
     nz, ny, nx = g.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{nx} {ny} {nz}\n")
-        for z in range(nz):
-            for y in range(ny):
-                fh.write(" ".join(_fmt(v) for v in g[z, y]) + "\n")
+        _write_rows(fh, g.reshape(-1, nx), " ")
 
 
 # --------------------------------------------------------- persistence image
@@ -463,7 +462,7 @@ def write_image_json(path: str, img: PersistenceImage) -> None:
 
     (b0, b1), (p0, p1) = img.support
     nb, npers = img.resolution
-    pix = ", ".join(f(v) for v in img.flat())
+    pix = ", ".join(map(f, img.flat().tolist()))
     text = ('{"resolution": [%d, %d], "range": [[%s, %s], [%s, %s]], '
             '"sigma": %s, "weight": "%s", "pixels": [%s]}\n'
             % (nb, npers, f(b0), f(b1), f(p0), f(p1),
@@ -553,16 +552,16 @@ def write_complex_cache(path: str, K, meta: dict | None = None) -> None:
     the cell's face positions.  Faces always precede their cofaces, so
     the file round-trips through read_complex_cache losslessly.
     """
-    labels = K.labels()
+    # Memoryviews yield Python ints and floats one by one, with no list.
+    dims, values, off, flat = map(memoryview, (
+        K.dims, np.asarray(K.values, np.float64), K.bnd_off, K.bnd_flat))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(CACHE_MAGIC + "\n")
         for key in sorted((meta or {})):
             fh.write(f"meta {key} {(meta or {})[key]}\n")
-        fh.write(f"cells {len(K.values)}\n")
-        for i in range(len(K.values)):
-            faces = " ".join(str(int(f)) for f in K.boundary(i))
-            line = f"{int(K.dims[i])} {_fmt(K.values[i])} {labels[i]}"
-            fh.write(line + (" " + faces if faces else "") + "\n")
+        fh.write(f"cells {len(values)}\n")
+        for d, v, s, a, b in zip(dims, values, K.labels(), off, off[1:]):
+            fh.write(" ".join([f"{d} {v!r} {s}", *map(str, flat[a:b])]) + "\n")
 
 
 def read_complex_cache(path: str) -> Filtration:

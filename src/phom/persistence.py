@@ -603,24 +603,24 @@ def pair_columns(cols: np.ndarray, table: np.ndarray, bounds: np.ndarray,
 
     Returns (birth cells, their death keys, essential cells).
     """
-    col, key = np.repeat(np.arange(cols.size), np.diff(bounds)), table
-    born, dies = [], []
+    key, born, dies = table, [], []
     for level in range(_LEVELS):
         if level:
             col, key = _eliminate(col, key, owner, table, bounds, big)
             bounds = np.searchsorted(col, np.arange(cols.size + 1))
             youngest = np.full(big + 1, -1, dtype=np.int64)
             np.maximum.at(youngest, key, cols[col])
-        pivot = np.where(bounds[1:] > bounds[:-1],
-                         np.append(key, big)[bounds[:-1]], big)
+        full = bounds[1:] > bounds[:-1]
+        pivot = np.full(cols.size, big, dtype=np.int64)
+        pivot[full] = key[bounds[:-1][full]]
         own = youngest[pivot] == cols
         born.append(cols[own])
         dies.append(pivot[own])
         owner = np.full(big + 1, -1, dtype=np.int64)
         owner[pivot[own]] = np.flatnonzero(own)
-        table, rest = key, ~own[col] & (key < big)
-        col, key = (np.cumsum(~own) - 1)[col[rest]], key[rest]
-        cols = cols[~own]
+        col = np.flatnonzero(np.repeat(~own, np.diff(bounds)) & (key < big))
+        table, key, cols = key, key[col], cols[~own]
+        col = (np.cumsum(~own) - 1)[np.searchsorted(bounds, col, "right") - 1]
     col, key = _eliminate(col, key, owner, table, bounds, big)
     ends = np.searchsorted(col, np.arange(cols.size + 1))
     flat, offs = key.tolist(), ends.tolist()
@@ -695,10 +695,11 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
                         ) -> tuple[PersistenceDiagram, PersistencePairing]:
     """Persistence diagram and pairing of a filtration.
 
-    H0 comes from union-find over the edges.  Each dimension k =
-    1..max_dim then pairs the k-cells by pair_columns on the rows of the
-    transposed boundary, skipping the cells paired one dimension down
-    (clearing); cohomology gives the pairs of the boundary reduction.
+    H0 comes from union-find over the edges.  Each dimension k <= max_dim
+    below the top (whose cells have no cofaces) then pairs the k-cells by
+    pair_columns on the coface rows, skipping the cells paired one
+    dimension down (clearing); cohomology gives the boundary reduction's
+    pairs.  The essential cells are the unpaired ones of dim <= max_dim.
 
     Args:
         K: the filtration; cells must be in filtration order with faces
@@ -736,25 +737,23 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
     e, v = union_find_h0(verts.size, age[flat[off[edges]]],
                          age[flat[off[edges] + 1]])
     births, deaths = [verts[v]], [edges[e]]
-    essential = [np.delete(verts, v)]
-    died = np.zeros(n, dtype=bool)
-    died[edges[e]] = True
+    paired = np.zeros(n, dtype=bool)
+    paired[edges[e]] = True
 
-    for k in range(1, min(max_dim, top) + 1):
-        take = (dims == k) & ~died
-        cols = np.flatnonzero(take)
-        born, dead, ess = pair_columns(
-            cols, cof_flat[np.repeat(take, ncof)],
-            np.concatenate([[0], np.cumsum(ncof[cols])]), youngest, n)
+    for k in range(1, min(max_dim, top - 1) + 1):
+        take = (dims == k) & ~paired
+        born, dead, _ = pair_columns(
+            np.flatnonzero(take), cof_flat[np.repeat(take, ncof)],
+            np.concatenate([[0], np.cumsum(ncof[take])]), youngest, n)
         births.append(born)
         deaths.append(dead)
-        died[dead] = True
-        essential.append(ess)
+        paired[dead] = True
 
     b, d = np.concatenate(births), np.concatenate(deaths)
     order = np.argsort(b)
     b, d = b[order], d[order]
-    essential = np.sort(np.concatenate(essential))
+    paired[b] = True
+    essential = np.flatnonzero(~paired & (dims <= max_dim))
 
     values = np.asarray(K.values)
     diagram = ordered_diagram(

@@ -265,22 +265,12 @@ def _rank_dtype(big: int) -> type:
     return np.int16 if big <= np.iinfo(np.int16).max else np.int32
 
 
-def _rips_edges(dist: np.ndarray, max_dim: int, max_scale: float,
+def _kept_edges(dist: np.ndarray, max_dim: int, max_scale: float,
                 scale: str) -> tuple:
     """Checked max_dim and the edge table of both Rips builders, which
     work with ranks among the distinct edge values up to max_scale: the
-    kept edges (i < j) in lexicographic order, their int64 ranks, the
-    distinct values, and the (n, n) rank matrix of _rank_matrix, `big` =
-    uvals.size where there is no edge and on the diagonal."""
-    max_dim, edges, erank, uvals = _kept_edges(dist, max_dim, max_scale,
-                                               scale)
-    return (max_dim, edges, erank, uvals,
-            _rank_matrix([(edges, erank)], len(dist), uvals.size))
-
-
-def _kept_edges(dist: np.ndarray, max_dim: int, max_scale: float,
-                scale: str) -> tuple:
-    """_rips_edges without the rank matrix.
+    kept edges (i < j) in lexicographic order, their int64 ranks and the
+    distinct values, from which _rank_matrix builds the (n, n) ranks.
 
     The rank matrix holds ranks up to `big`, which is at most the edge
     count n(n-1)/2; so n(n-1)/2 must be at most 2**31 - 1 (n <= 65,536),
@@ -348,9 +338,9 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
         A Filtration whose cell order is (value, dimension, lexicographic
         vertices).
     """
-    max_dim, edges, erank, uvals, rank = _rips_edges(dist, max_dim,
-                                                     max_scale, scale)
-    n = rank.shape[0]
+    max_dim, edges, erank, uvals = _kept_edges(dist, max_dim, max_scale,
+                                               scale)
+    n = len(dist)
     if max_dim > n - 1:
         raise ParameterError(
             f"max_dim {max_dim} exceeds n_points - 1 = {n - 1}")
@@ -359,6 +349,7 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
             f"{n} points with max_dim {max_dim} overflow 64-bit face keys; "
             "lower max_dim")
 
+    rank = _rank_matrix([(edges, erank)], n, uvals.size)
     levels = [(edges, erank)]
     while len(levels) < max_dim and levels[-1][1].size:
         levels.append(_rips_extend(*levels[-1], rank, uvals.size))
@@ -502,7 +493,7 @@ def _rips_extend(simp: np.ndarray, ranks: np.ndarray, rank: np.ndarray,
                  big: int) -> tuple[np.ndarray, np.ndarray]:
     """All (k+1)-simplices and their ranks, each from its face without
     the last vertex; a simplex's rank is the largest of its edge ranks in
-    the rank matrix of _rips_edges."""
+    rank, a matrix of _rank_matrix."""
     n = rank.shape[0]
     step = max(1, _BLOCK_ENTRIES // n)
     out_s, out_r = [], []

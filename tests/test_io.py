@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phom import (
+    FilteredSimplicialComplex,
     InputError,
     PersistenceDiagram,
+    PersistenceImage,
     bottleneck_distance,
+    build_cubical_filtration,
     compute_persistence,
     persistence_image,
     rips_filtration,
@@ -35,6 +38,24 @@ from phom.io import (
     write_voxel,
 )
 
+# Floats whose text is easy to get wrong: a signed zero, the least
+# subnormal, the largest finite magnitudes and a tiny normal.
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+            1e-300]
+
+
+def float_text(v) -> str:
+    return repr(float(v))
+
+
+def int_text(v) -> str:
+    return str(int(v))
+
+
+def text_rows(rows, fmt, sep: str) -> str:
+    """The lines a writer should give rows, formatted element by element."""
+    return "".join(sep.join(fmt(v) for v in row) + "\n" for row in rows)
+
 
 def test_point_cloud_roundtrip(tmp_path):
     path = str(tmp_path / "pts.csv")
@@ -43,6 +64,11 @@ def test_point_cloud_roundtrip(tmp_path):
     back = read_point_cloud(path)
     assert np.array_equal(back, pts)
     write_point_cloud(path, back)
+    assert np.array_equal(read_point_cloud(path), pts)
+    pts = np.array([EXTREMES, EXTREMES[::-1], [1.0, 2, 0.1, 1 / 3, 1e16]])
+    write_point_cloud(path, pts, header="x")
+    with open(path) as fh:
+        assert fh.read() == "# x\n" + text_rows(pts, float_text, ",")
     assert np.array_equal(read_point_cloud(path), pts)
 
 
@@ -230,6 +256,12 @@ def test_pgm_ascii_roundtrip(tmp_path):
     write_pgm(path, grid)
     back = read_pgm(path)
     assert np.array_equal(back, grid)
+    wide = np.array([[0, 1, 65535], [256, 65534.6, 9.5]])
+    write_pgm(path, wide, maxval=65535)
+    with open(path) as fh:
+        assert fh.read() == "P2\n3 2\n65535\n" + text_rows(
+            np.rint(wide), int_text, " ")
+    assert np.array_equal(read_pgm(path), np.rint(wide))
 
 
 def test_pgm_binary_and_wide(tmp_path):
@@ -296,6 +328,12 @@ def test_voxel_roundtrip(tmp_path):
     assert np.array_equal(back, grid)
     write_voxel(path, back)
     assert np.array_equal(read_voxel(path), grid)
+    grid = np.array(EXTREMES * 6).reshape(3, 2, 5)
+    write_voxel(path, grid)
+    with open(path) as fh:
+        assert fh.read() == "5 2 3\n" + text_rows(
+            grid.reshape(-1, 5), float_text, " ")
+    assert np.array_equal(read_voxel(path), grid)
 
 
 def test_voxel_axis_order(tmp_path):
@@ -312,6 +350,10 @@ def test_voxel_accepts_2d_write(tmp_path):
     path = str(tmp_path / "g.vox")
     write_voxel(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert read_voxel(path).shape == (1, 2, 2)
+    grid = np.array([EXTREMES, EXTREMES[::-1]])
+    write_voxel(path, grid)
+    with open(path) as fh:
+        assert fh.read() == "5 2 1\n" + text_rows(grid, float_text, " ")
 
 
 def test_voxel_errors(tmp_path):
@@ -348,6 +390,13 @@ def test_image_json_roundtrip(tmp_path):
     assert back.support == img.support
     assert back.sigma == img.sigma
     assert back.weight == img.weight
+    pixels = np.array(EXTREMES + [0.1]).reshape(2, 3)
+    write_image_json(path, PersistenceImage(pixels, img.support, 0.21,
+                                            "linear"))
+    with open(path) as fh:
+        assert fh.read().endswith('"pixels": [%s]}\n' % ", ".join(
+            format(float(v), ".17g") for v in pixels.ravel()))
+    assert np.array_equal(read_image_json(path).pixels, pixels)
 
 
 def test_image_json_key_order(tmp_path):
@@ -439,6 +488,22 @@ def test_complex_cache_roundtrip(tmp_path):
     dg0, _ = compute_persistence(K, max_dim=1)
     dg1, _ = compute_persistence(back, max_dim=1)
     assert dg0.points == dg1.points
+    big = EXTREMES[2]
+    for kind, K in [
+            ("simplicial", FilteredSimplicialComplex(
+                [((0,), -big), ((1,), -0.0), ((2,), 5e-324), ((0, 1), 1e-300),
+                 ((0, 2), big), ((1, 2), big), ((0, 1, 2), big)])),
+            ("cubical", build_cubical_filtration(
+                np.array(EXTREMES + [0.1]).reshape(3, 2)))]:
+        write_complex_cache(path, K, meta={"kind": kind})
+        lines = [" ".join([int_text(K.dims[i]), float_text(K.values[i]), label]
+                          + [int_text(f) for f in K.boundary(i)])
+                 for i, label in enumerate(K.labels())]
+        with open(path) as fh:
+            assert fh.read() == (
+                f"# phom-complex 1\nmeta kind {kind}\ncells {len(K)}\n"
+                + "".join(line + "\n" for line in lines))
+        assert read_complex_cache(path).labels() == K.labels()
 
 
 def test_complex_cache_errors(tmp_path):

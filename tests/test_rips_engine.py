@@ -14,9 +14,17 @@ from phom import (InputError, ParameterError, compute_persistence,
                   rips_persistence, rips_persistence_batch, sample_annulus,
                   sliding_windows)
 from phom import simplicial
-from phom.simplicial import _RipsCohomology, _rips_edges
+from phom.simplicial import _RipsCohomology, _kept_edges, _rank_matrix
 from oracles import (diagram_from_pairs, reduction_pairs, rips_coboundary,
                      rips_edges, rips_key_simplex, rips_positive)
+
+
+def edge_table(d, max_dim, max_scale, scale):
+    """The kept edges, their ranks, the distinct values and the rank
+    matrix, as rips_filtration builds them."""
+    _, edges, erank, uvals = _kept_edges(d, max_dim, max_scale, scale)
+    return (edges, erank, uvals,
+            _rank_matrix([(edges, erank)], len(d), uvals.size))
 
 
 def explicit(d, max_dim, max_scale, scale):
@@ -234,7 +242,7 @@ def rank_type(big):
 
 
 def same_edge_table(d, max_scale, scale):
-    got = _rips_edges(d, 1, max_scale, scale)[1:]
+    got = edge_table(d, 1, max_scale, scale)
     *want, rank = rips_edges(d, max_scale, scale)
     for g, w in zip(got, [*want, rank.astype(rank_type(want[2].size))]):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -259,7 +267,7 @@ def test_edge_table_matches_oracle_across_row_blocks(n, scale):
 def coboundary_pair(d, k, max_scale, s):
     """The engine's coboundary of the k-simplex s and the oracle's, on
     the rank matrix of d at max_scale (diameter convention)."""
-    _, _, _, uvals, rank = _rips_edges(d, k, max_scale, "diameter")
+    _, _, uvals, rank = edge_table(d, k, max_scale, "diameter")
     assert rank.dtype == rank_type(uvals.size)
     s = np.array(s, dtype=np.int64)
     r = int(rank[np.ix_(s, s)][np.triu_indices(k + 1, 1)].max())
@@ -369,7 +377,7 @@ def test_batched_coboundaries_drop_only_positive_triangles(case):
     keys; each key left out is a positive triangle, and no key is left
     out above dimension 1."""
     d, k, max_scale = case
-    _, _, _, uvals, rank = _rips_edges(d, k, max_scale, "diameter")
+    _, _, uvals, rank = edge_table(d, k, max_scale, "diameter")
     n, big = d.shape[0], uvals.size
     for dim, (keys, columns) in enumerate(engine_coboundaries(*case), 1):
         for key, got in zip(keys, columns):
@@ -385,7 +393,7 @@ def test_batched_coboundaries_drop_most_annulus_triangles():
     """On an annulus below the enclosing radius the apexes leave out
     most triangles of the H1 columns, and only positive ones."""
     d = point_cloud_distances(sample_annulus(40, noise=0.05, seed=2))
-    _, _, _, uvals, rank = _rips_edges(d, 1, 0.6, "radius")
+    _, _, uvals, rank = edge_table(d, 1, 0.6, "radius")
     (keys, columns), = engine_coboundaries(d, 1, 0.6, "radius")
     kept = left_out = 0
     for key, got in zip(keys, columns):
@@ -402,7 +410,7 @@ def with_rank_type(d, max_dim, max_scale, scale, dtype):
     through the one rule that chooses it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplicial, "_rank_dtype", lambda big: dtype)
-        assert _rips_edges(d, max_dim, max_scale, scale)[4].dtype == dtype
+        assert edge_table(d, max_dim, max_scale, scale)[3].dtype == dtype
         return rips_persistence(d, max_dim, max_scale, scale)
 
 
@@ -438,7 +446,7 @@ def test_rank_type_at_the_int16_boundary(kept, dtype):
     ev = np.unique(d[np.triu_indices(257, 1)])
     assert ev.size == 257 * 256 // 2
     max_scale = float(ev[kept - 1])
-    _, _, _, uvals, rank = _rips_edges(d, 1, max_scale, "diameter")
+    _, _, uvals, rank = edge_table(d, 1, max_scale, "diameter")
     assert uvals.size == kept and rank.dtype == dtype
     got = rips_persistence(d, 1, max_scale, "diameter")
     want = with_rank_type(d, 1, max_scale, "diameter", np.int64)
