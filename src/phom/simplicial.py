@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import combinations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -259,23 +260,9 @@ def _poly_keys(verts: np.ndarray, base: int) -> np.ndarray:
     return keys
 
 
-def _rank_dtype(big: int) -> type:
-    """The narrowest of int16 and int32 that holds ranks 0..big: the Rips
-    passes stream (rows, n) blocks of the rank matrix."""
-    return np.int16 if big <= np.iinfo(np.int16).max else np.int32
-
-
-def _kept_edges(dist: np.ndarray, max_dim: int, max_scale: float,
-                scale: str) -> tuple:
-    """Checked max_dim and the edge table of both Rips builders, which
-    work with ranks among the distinct edge values up to max_scale: the
-    kept edges (i < j) in lexicographic order, their int64 ranks and the
-    distinct values, from which _rank_matrix builds the (n, n) ranks.
-
-    The rank matrix holds ranks up to `big`, which is at most the edge
-    count n(n-1)/2; so n(n-1)/2 must be at most 2**31 - 1 (n <= 65,536),
-    else ParameterError before anything n x n is allocated."""
-    d = check_distance_matrix(dist)
+def _rips_parameters(max_dim: int, max_scale: float,
+                     scale: str) -> tuple[int, float]:
+    """Checked max_dim and max_scale of both Rips builders."""
     if scale not in ("radius", "diameter"):
         raise ParameterError(f"unknown scale convention {scale!r}")
     max_dim = int(max_dim)
@@ -284,6 +271,18 @@ def _kept_edges(dist: np.ndarray, max_dim: int, max_scale: float,
     max_scale = float(max_scale)
     if not (np.isfinite(max_scale) and max_scale > 0):
         raise ParameterError("max_scale must be finite and positive")
+    return max_dim, max_scale
+
+
+def _kept_edges(dist: np.ndarray, max_dim: int, max_scale: float,
+                scale: str) -> tuple:
+    """max_dim, checked after the matrix, and the kept edges (i < j) of
+    both Rips builders in lexicographic order, their int64 ranks among
+    the distinct edge values up to max_scale, and those values.  An
+    _EdgeTable holds ranks up to the edge count n(n-1)/2, so n <= 65,536,
+    else ParameterError before anything n x n is allocated."""
+    d = check_distance_matrix(dist)
+    max_dim, max_scale = _rips_parameters(max_dim, max_scale, scale)
     n = d.shape[0]
     if n * (n - 1) // 2 > np.iinfo(np.int32).max:
         raise ParameterError(
@@ -305,18 +304,35 @@ def _kept_edges(dist: np.ndarray, max_dim: int, max_scale: float,
             erank.astype(np.int64), uvals)
 
 
-def _rank_matrix(tables: list[tuple[np.ndarray, np.ndarray]], n: int,
-                 big: int) -> np.ndarray:
-    """The rank matrices of the (edges, ranks) tables of n-point
-    complexes, stacked as (len(tables) * n, n), so that complex w holds
-    rows w*n..w*n+n-1; `big` where there is no edge and on the diagonal.
-    Its type is _rank_dtype(big), so big must be at least every table's
-    count of distinct edge values."""
-    rank = np.full((len(tables) * n, n), big, dtype=_rank_dtype(big))
-    for w, (edges, erank) in enumerate(tables):
-        rank[w * n + edges[:, 0], edges[:, 1]] = erank
-        rank[w * n + edges[:, 1], edges[:, 0]] = erank
-    return rank
+class _EdgeTable:
+    """The edge ranks of W complexes of n points, from their (kept edges,
+    ranks, distinct values), read by rows and at for complexes `win` (an
+    index per row, or one for all); `big`, the most distinct values, is
+    no edge.  It hides the layout: a (W * n, n) stack, complex w in rows
+    w*n.., int16 while it holds big (the passes stream (rows, n) blocks),
+    else int32."""
+
+    def __init__(self, tables: list[tuple[np.ndarray, ...]], n: int):
+        big = self.big = max(uvals.size for _, _, uvals in tables)
+        self.n = n
+        self._rank = np.full((len(tables) * n, n), big,
+                             dtype=np.int16 if big < 2 ** 15 else np.int32)
+        for w, (edges, erank, _) in enumerate(tables):
+            self._rank[w * n + edges[:, 0], edges[:, 1]] = erank
+            self._rank[w * n + edges[:, 1], edges[:, 0]] = erank
+
+    def rows(self, S: np.ndarray, win) -> np.ndarray:
+        """(len(S), n): per row of vertex ids, the largest rank from them
+        to each vertex, in a new array that callers may overwrite."""
+        o = win * self.n
+        M = self._rank[S[:, 0] + o]
+        for c in range(1, S.shape[1]):
+            np.maximum(M, self._rank[S[:, c] + o], out=M)
+        return M
+
+    def at(self, u, v, win) -> np.ndarray:
+        """The ranks of the edges (u, v), broadcast."""
+        return self._rank[u + win * self.n, v]
 
 
 def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
@@ -349,10 +365,10 @@ def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
             f"{n} points with max_dim {max_dim} overflow 64-bit face keys; "
             "lower max_dim")
 
-    rank = _rank_matrix([(edges, erank)], n, uvals.size)
+    table = _EdgeTable([(edges, erank, uvals)], n)
     levels = [(edges, erank)]
     while len(levels) < max_dim and levels[-1][1].size:
-        levels.append(_rips_extend(*levels[-1], rank, uvals.size))
+        levels.append(_rips_extend(*levels[-1], table, 0))
     levels = levels[:max_dim]
     return _simplicial_filtration(
         [np.arange(n, dtype=np.int64)[:, None]] + [s for s, _ in levels],
@@ -367,19 +383,11 @@ def rips_persistence(dist: np.ndarray, max_dim: int, max_scale: float,
     Gives the points of compute_persistence(rips_filtration(dist,
     max_dim + 1, max_scale, scale), max_dim): same total order (value,
     dimension, lexicographic vertices), zero-persistence pairs dropped.
-    It is rips_persistence_batch on a list of one matrix.
-
-    H0 comes from union-find over the edges in filtration order.  Each
-    dimension k = 1..max_dim reduces the coboundaries of the k-simplices
-    in reverse filtration order (cohomology; de Silva, Morozov and
-    Vejdemo-Johansson 2011), skips the simplices paired one dimension
-    down (clearing) and enumerates cofacets from the thresholded
-    adjacency (Bauer, Ripser 2021).  A simplex is encoded as the int
-    rank(value) * (n+1)**(k+1) + _poly_keys(vertices), so key order is
-    filtration order.  Apparent pairs -- the oldest cofacet whose
-    youngest facet is the simplex itself -- are found by a vectorized
-    pass and claim their pivot without column arithmetic; only the other
-    columns are reduced.
+    It is rips_persistence_batch on a list of one matrix: H0 by
+    union-find, then each dimension's coboundaries reduced in reverse
+    filtration order (cohomology; de Silva, Morozov and Vejdemo-Johansson
+    2011), with clearing, apparent pairs and cofacets enumerated from the
+    thresholded adjacency (Bauer, Ripser 2021).
 
     Args:
         dist: square distance matrix (see check_distance_matrix).
@@ -397,141 +405,122 @@ def rips_persistence_batch(dists: list[np.ndarray], max_dim: int,
                            metadata: list[dict | None] | None = None
                            ) -> list[PersistenceDiagram]:
     """rips_persistence of each of a list of equal-size distance
-    matrices, with metadata[w] stored on diagram w.
-
-    Each matrix keeps its own edge ranks, keys, apexes, clearing, H0 and
-    key guard; a matrix that fails a check raises as rips_persistence
-    would, the first one in list order.  The work on arrays and the
-    reduction run on all matrices at once: their rank matrices are
-    stacked (_rank_matrix), each dimension's apparent pass takes the
-    columns of every matrix in one row list, and reduce_coboundaries
-    advances the matrices' reductions in lockstep, so one coboundaries
-    call per round serves all of them.  A matrix's columns get the same
-    lists as alone, so every diagram is the one rips_persistence gives.
-    The stack takes len(dists) * n * n ranks: callers bound the list.
-    """
-    groups, paired, simp, srank, keys, uv = [], [], [], [], [], []
-    for d in dists:
-        max_dim, edges, erank, uvals = _kept_edges(d, max_dim, max_scale,
-                                                   scale)
-        n = len(dists[0])
-        if len(d) != n:
-            raise ParameterError(
-                "rips_persistence_batch takes matrices of one size")
-        top = min(max_dim, n - 1)
-        if top >= 1 and uvals.size * (n + 1) ** (top + 2) >= 2 ** 63:
-            raise ParameterError(
-                f"{n} points with max_dim {max_dim} overflow 64-bit cell "
-                "keys; lower max_dim or max_scale")
-        keys.append(erank * (n + 1) ** 2 + _poly_keys(edges, n + 1))
-        order = np.argsort(keys[-1])
-        e, v = union_find_h0(n, edges[order, 0], edges[order, 1])
-        alive = np.delete(np.arange(n), v)
-        groups.append([(0, np.zeros(v.size), uvals[erank[order[e]]], v),
-                       (0, np.zeros(alive.size),
-                        np.full(alive.size, math.inf), alive)])
-        paired.append(keys[-1][order[e]])
-        simp.append(edges)
-        srank.append(erank)
-        uv.append(uvals)
+    matrices, with metadata[w] (one entry per matrix) stored on diagram
+    w.  The edge stage (_rips_edges) takes each matrix alone, so the
+    first bad one raises as rips_persistence would.  One _EdgeTable holds
+    all their ranks (len(dists) * n * n: callers bound the list), and the
+    dimension stage (_rips_dimension) runs each dimension of all of them
+    at once, so their reductions share each round's coboundaries call;
+    each diagram is as alone."""
+    if metadata is not None and len(metadata) != len(dists):
+        raise ParameterError(f"{len(metadata)} metadata entries for "
+                             f"{len(dists)} distance matrices")
+    cells, groups = {}, []
+    for w, d in enumerate(dists):
+        cells[w], g = _rips_edges(d, len(dists[0]), max_dim, max_scale, scale)
+        groups.append(g)
+    # Each matrix is checked before the parameters; this checks [] too.
+    max_dim = _rips_parameters(max_dim, max_scale, scale)[0]
     if not dists:
         return []
-    big = max(u.size for u in uv)
-    rank = _rank_matrix(list(zip(simp, srank)), n, big)
-    step = max(1, _BLOCK_ENTRIES // n)
-    live = list(range(len(dists)))
+    n = len(dists[0])
+    table = _EdgeTable([c[:3] for c in cells.values()], n)
     for k in range(1, min(max_dim, n - 1) + 1):
-        if k > 1:
-            for w in live:
-                simp[w], srank[w] = _rips_extend(
-                    simp[w], srank[w], rank[w * n:(w + 1) * n], big)
-                keys[w] = (srank[w] * (n + 1) ** (k + 1)
-                           + _poly_keys(simp[w], n + 1))
-        # A matrix is done once it has no k-simplex; its keys in higher
-        # dimensions are not covered by the key guard.
-        live = [w for w in live if simp[w].shape[0]]
-        if not live:
-            break
-        cols = []
-        for w in live:
-            c = np.flatnonzero(~np.isin(keys[w], paired[w]))
-            cols.append((simp[w][c], srank[w][c], keys[w][c]))
-        S, sr, ck = (np.concatenate(a) for a in zip(*cols))
-        win = np.repeat(live, [c[2].size for c in cols])
-        cob = _RipsCohomology(rank, big, k)
-        # Blocks bound the (rows, n) work arrays; an empty S is one block.
-        piv, has, app, apx = map(np.concatenate, zip(*[
-            cob.apparent(S[s:s + step], sr[s:s + step], win[s:s + step])
-            for s in range(0, max(S.shape[0], 1), step)]))
-        if k == 1:  # apexes by rank; -1 where edges tie or none has one
-            cob.apex = np.full(len(dists) * big, -1, dtype=np.int32)
-            held = np.bincount(np.concatenate([w * big + srank[w]
-                                               for w in live]),
-                               minlength=cob.apex.size)
-            at = win * big + sr
-            ok = (apx >= 0) & (held[at] == 1)
-            cob.apex[at[ok]] = apx[ok]
-
-        def coboundaries(rows):
-            rows = np.array(rows, dtype=np.int64)
-            return cob.coboundaries(S[rows], sr[rows], win[rows])
-
-        ends = np.cumsum([0] + [c[2].size for c in cols]).tolist()
-        results = reduce_coboundaries(
-            [(ck[a:b], piv[a:b], has[a:b], app[a:b])
-             for a, b in zip(ends, ends[1:])], coboundaries)
-        for w, (_, rw, kw), (born, dead, ess) in zip(live, cols, results):
-            paired[w] = dead
-            groups[w] += [
-                (k, uv[w][rw[born]], uv[w][dead // cob.base], kw[born]),
-                (k, uv[w][rw[ess]], np.full(ess.size, math.inf), kw[ess])]
+        _rips_dimension(table, k, cells, groups)
     return [ordered_diagram(g, max_dim, m)
             for g, m in zip(groups, metadata or [None] * len(dists))]
 
 
-def _rips_extend(simp: np.ndarray, ranks: np.ndarray, rank: np.ndarray,
-                 big: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (k+1)-simplices and their ranks, each from its face without
-    the last vertex; a simplex's rank is the largest of its edge ranks in
-    rank, a matrix of _rank_matrix."""
-    n = rank.shape[0]
-    step = max(1, _BLOCK_ENTRIES // n)
+def _rips_edges(d: np.ndarray, n: int, max_dim: int, max_scale: float,
+                scale: str) -> tuple:
+    """The edge stage on matrix d, which must have n points: its cells
+    for _rips_dimension (kept edges, their ranks, the distinct edge
+    values, the keys of the edges H0 pairs) and its H0 groups.  Its cell
+    keys up to dimension max_dim + 1 must fit in int64 (the key guard)."""
+    max_dim, edges, erank, uvals = _kept_edges(d, max_dim, max_scale, scale)
+    if len(d) != n:
+        raise ParameterError(
+            "rips_persistence_batch takes matrices of one size")
+    top = min(max_dim, n - 1)
+    if top >= 1 and uvals.size * (n + 1) ** (top + 2) >= 2 ** 63:
+        raise ParameterError(
+            f"{n} points with max_dim {max_dim} overflow 64-bit cell "
+            "keys; lower max_dim or max_scale")
+    keys = erank * (n + 1) ** 2 + _poly_keys(edges, n + 1)
+    order = np.argsort(keys)
+    e, v = union_find_h0(n, edges[order, 0], edges[order, 1])
+    alive = np.delete(np.arange(n), v)
+    return ((edges, erank, uvals, keys[order[e]]),
+            [(0, np.zeros(v.size), uvals[erank[order[e]]], v),
+             (0, np.zeros(alive.size), np.full(alive.size, math.inf), alive)])
+
+
+def _rips_dimension(table: _EdgeTable, k: int, cells: dict,
+                    groups: list[list]) -> None:
+    """The dimension stage: dimension k of each complex w in cells =
+    {w: (simplices, ranks, values, cleared keys)}, in place.  At k > 1 it
+    extends the simplices; a complex with none leaves (the key guard does
+    not cover its keys above).  The uncleared simplices are the columns,
+    whose deaths are cleared next and diagram groups join groups[w]."""
+    n, cols = table.n, {}
+    for w in list(cells):
+        s, r, uvals, cleared = cells.pop(w)
+        if k > 1:
+            s, r = _rips_extend(s, r, table, w)
+        if s.shape[0]:
+            cells[w] = s, r, uvals, cleared
+            keys = r * (n + 1) ** (k + 1) + _poly_keys(s, n + 1)
+            c = np.flatnonzero(~np.isin(keys, cleared))
+            cols[w] = s[c], r[c], keys[c]
+    if not cols:
+        return
+    S, sr, ck = (np.concatenate(a) for a in zip(*cols.values()))
+    sizes = [c[2].size for c in cols.values()]
+    cob = _RipsCohomology(table, k, S, sr, np.repeat(list(cols), sizes))
+    piv, has, app = cob.pivots({w: c[1] for w, c in cells.items()})
+    ends = np.cumsum([0] + sizes).tolist()
+    results = reduce_coboundaries(
+        [(ck[a:b], piv[a:b], has[a:b], app[a:b])
+         for a, b in zip(ends, ends[1:])], cob.coboundaries)
+    for (w, (_, rw, kw)), (born, dead, ess) in zip(cols.items(), results):
+        s, r, uv, _ = cells[w]
+        cells[w] = s, r, uv, dead
+        groups[w] += [
+            (k, uv[rw[born]], uv[dead // cob.base], kw[born]),
+            (k, uv[rw[ess]], np.full(ess.size, math.inf), kw[ess])]
+
+
+def _rips_extend(simp: np.ndarray, ranks: np.ndarray, table: _EdgeTable,
+                 win: int) -> tuple[np.ndarray, np.ndarray]:
+    """All (k+1)-simplices of complex win of table and their ranks, each
+    from its face without the last vertex, for a non-empty simp; a
+    simplex's rank is the largest of its edge ranks."""
+    step = max(1, _BLOCK_ENTRIES // table.n)
     out_s, out_r = [], []
-    above = np.arange(n)
+    above = np.arange(table.n)
     for s in range(0, simp.shape[0], step):
         S = simp[s:s + step]
-        M = _max_rows(rank, S)
-        r, v = np.nonzero((M < big) & (above > S[:, -1:]))
+        M = table.rows(S, win)
+        r, v = np.nonzero((M < table.big) & (above > S[:, -1:]))
         out_s.append(np.column_stack([S[r], v]))
         out_r.append(np.maximum(ranks[s:s + step][r], M[r, v]))
-    if not out_s:
-        return (np.zeros((0, simp.shape[1] + 1), dtype=simp.dtype),
-                ranks[:0])
     return np.concatenate(out_s), np.concatenate(out_r)
 
 
-def _max_rows(weight: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """(len(S), n): per simplex, the largest weight from its vertices, in
-    a new array that callers may overwrite."""
-    M = weight[S[:, 0]]
-    for c in range(1, S.shape[1]):
-        np.maximum(M, weight[S[:, c]], out=M)
-    return M
-
-
 class _RipsCohomology:
-    """Cofacets of the k-simplices of the complexes whose rank matrices
-    _rank_matrix stacked: their coboundaries and apparent pairs, for
-    reduce_coboundaries.  Each row comes with its complex w, whose ranks
-    are rows w*n.. of the stack.  Ranks are read in the stack's type and
-    widened to int64 before they are scaled by `base`; for k = 1, `apex`
-    may hold the apex of each edge rank r of complex w at w*big + r
-    (coboundaries)."""
+    """The k-simplices S (rows of ascending vertex ids) of ranks sr in the
+    complexes win (sorted) of an _EdgeTable, as reduce_coboundaries'
+    columns.  A simplex's key is rank * (n+1)**(k+1) + _poly_keys(its
+    vertices), so key order is filtration order; ranks are widened to
+    int64 before they are scaled.  At k = 1, pivots keeps the apex of
+    each edge rank, which coboundaries uses."""
 
-    def __init__(self, rank: np.ndarray, big: int, k: int):
-        self.rank, self.big, self.k = rank, big, k
+    def __init__(self, table: _EdgeTable, k: int, S: np.ndarray,
+                 sr: np.ndarray, win: np.ndarray):
+        self.table, self.k, self.S, self.sr, self.win = table, k, S, sr, win
         self.apex: np.ndarray | None = None
-        n = self.n = rank.shape[1]
+        n = table.n
+        self.step = max(1, _BLOCK_ENTRIES // n)  # rows per (rows, n) block
         # As _poly_keys: pw[p] weighs the vertex at position p of a cofacet.
         self.pw = (n + 1) ** np.arange(k + 1, -1, -1, dtype=np.int64)
         self.base = int(self.pw[0]) * (n + 1)
@@ -547,34 +536,50 @@ class _RipsCohomology:
             keys += (pw[c] - pw[c + 1]) * np.minimum(S[:, c] - v, 0)
         return keys
 
-    def coboundaries(self, S: np.ndarray, sr: np.ndarray,
-                     win: np.ndarray) -> list[list[int]]:
-        """Sorted cofacet keys of each simplex of S (rows of ascending
-        vertex ids) of rank sr in complex win, non-decreasing, built in
-        row blocks on the (row, v) pairs with a cofacet.  The lex part grows with v, so a
-        stable sort by (row, rank) sorts a row's keys.  With apexes, a
-        triangle abc whose longest edge ab has an apex x < c with
+    def pivots(self, ranks: dict[int, np.ndarray]) -> tuple[np.ndarray, ...]:
+        """Per column: pivot key, has a cofacet, is apparent (by apparent,
+        in row blocks; an empty S is one).  At k = 1, ranks[w] holds all
+        edge ranks of complex w, and a rank one edge holds keeps its apex."""
+        step, big = self.step, self.table.big
+        piv, has, app, apx = map(np.concatenate, zip(*[
+            self.apparent(slice(s, s + step))
+            for s in range(0, max(self.S.shape[0], 1), step)]))
+        if self.k == 1:  # indexed by w * big + rank
+            self.apex = np.full((max(ranks) + 1) * big, -1, dtype=np.int32)
+            held = np.bincount(np.concatenate([w * big + r
+                                               for w, r in ranks.items()]))
+            at = self.win * big + self.sr
+            ok = (apx >= 0) & (held[at] == 1)
+            self.apex[at[ok]] = apx[ok]
+        return piv, has, app
+
+    def coboundaries(self, rows: list[int]) -> list[list[int]]:
+        """Sorted cofacet keys of each column of rows, built in row blocks
+        on the (row, v) pairs with a cofacet.  The lex part grows with v,
+        so a stable sort by (row, rank) sorts a row's keys.  With apexes,
+        a triangle abc whose longest edge ab has an apex x < c with
         rank[c, x] below ab's is left out: abx, acx and bcx come before
         it, so it closes a 2-cycle and is never an H1 pivot (compression;
         Bauer, Kerber and Reininghaus, Clear and Compress, 2014)."""
-        rank, big, apex, n = self.rank, self.big, self.apex, self.n
-        step = max(1, _BLOCK_ENTRIES // n)
+        rows = np.array(rows, dtype=np.int64)
+        table, big, apex = self.table, self.table.big, self.apex
         out: list[list[int]] = []
-        for s in range(0, S.shape[0], step):
-            B, r, cw = S[s:s + step], sr[s:s + step], win[s:s + step]
-            M = _max_rows(rank, B + (cw * n)[:, None])
+        for s in range(0, rows.size, self.step):
+            at = rows[s:s + self.step]
+            B, r, cw = self.S[at], self.sr[at], self.win[at]
+            M = table.rows(B, cw)
             row, v = np.nonzero(M < big)
             R = np.maximum(M[row, v], r[row])
             if apex is not None:
                 # win is sorted, so a block of one complex takes its
-                # offsets as scalars.
+                # index as a scalar.
                 cw = cw[0] if cw[0] == cw[-1] else cw[row]
-                o, x = cw * n, apex[cw * big + R]
+                x = apex[cw * big + R]
                 u, w = B[row, 0], B[row, 1]
                 # c: the vertex off the edge of rank R.
                 c = np.where(R == r[row], v,
-                             np.where(R == rank[u + o, v], w, u))
-                keep = (x < 0) | (x >= c) | (rank[c + o, x] >= R)
+                             np.where(R == table.at(u, v, cw), w, u))
+                keep = (x < 0) | (x >= c) | (table.at(c, x, cw) >= R)
                 row, v, R = row[keep], v[keep], R[keep]
             order = np.argsort(row * (big + 1) + R, kind="stable")
             flat = self._keys(R, B[row], v)[order].tolist()
@@ -582,10 +587,9 @@ class _RipsCohomology:
             out += [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
         return out
 
-    def apparent(self, S: np.ndarray, sr: np.ndarray, win: np.ndarray
-                 ) -> tuple[np.ndarray, ...]:
-        """Per column (simplex S[i] of rank sr[i] in complex win[i]):
-        pivot key, has a cofacet, is in an apparent pair, apex.
+    def apparent(self, at: slice) -> tuple[np.ndarray, ...]:
+        """Per column of the block at: pivot key, has a cofacet, is in an
+        apparent pair, apex.
 
         The oldest cofacet of s is s + {v} with the least (rank, v), since
         for fixed s the lex order of s + {v} follows v.  s is its youngest
@@ -594,23 +598,19 @@ class _RipsCohomology:
         facet dropping the smaller vertex is lex-larger).  The apex is
         that v where all of its ranks to s are below s's own, else -1.
         """
-        rank, big, k = self.rank, self.big, self.k
-        So = S + (win * self.n)[:, None]  # S's rows in the stack
-        M = _max_rows(rank, So)
-        np.maximum(M, sr.astype(rank.dtype)[:, None], out=M)
+        table, k = self.table, self.k
+        S, sr, win = self.S[at], self.sr[at], self.win[at]
+        M = table.rows(S, win)
+        np.maximum(M, sr.astype(M.dtype)[:, None], out=M)
         cm = M.min(axis=1)  # argmin is slow on int16
         vs = (M == cm[:, None]).argmax(axis=1)
         ok = cm == sr
-        to_v = [rank[So[:, c], vs] for c in range(k + 1)]
-        for c in range(k + 1):
-            fr = np.full(S.shape[0], -1, dtype=rank.dtype)
-            for a in range(k + 1):
-                if a == c:
-                    continue
-                fr = np.maximum(fr, to_v[a])
-                for b in range(a + 1, k + 1):
-                    if b != c:
-                        fr = np.maximum(fr, rank[So[:, a], S[:, b]])
+        to_v = [table.at(S[:, c], vs, win) for c in range(k + 1)]
+        for c in range(k + 1):  # fr: the rank of facet s + {v} - {S[:, c]}
+            rest = [a for a in range(k + 1) if a != c]
+            fr = np.maximum.reduce(
+                [to_v[a] for a in rest] + [table.at(S[:, a], S[:, b], win)
+                                           for a, b in combinations(rest, 2)])
             ok &= (fr < sr) | ((fr == sr) & (S[:, c] > vs))
         apex = np.where(np.maximum.reduce(to_v) < sr, vs, -1)
-        return self._keys(cm.astype(np.int64), S, vs), cm < big, ok, apex
+        return self._keys(cm.astype(np.int64), S, vs), cm < table.big, ok, apex

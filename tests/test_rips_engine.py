@@ -14,17 +14,24 @@ from phom import (InputError, ParameterError, compute_persistence,
                   rips_persistence, rips_persistence_batch, sample_annulus,
                   sliding_windows)
 from phom import simplicial
-from phom.simplicial import _RipsCohomology, _kept_edges, _rank_matrix
+from phom.simplicial import _RipsCohomology, _kept_edges
 from oracles import (diagram_from_pairs, reduction_pairs, rips_coboundary,
                      rips_edges, rips_key_simplex, rips_positive)
 
 
 def edge_table(d, max_dim, max_scale, scale):
-    """The kept edges, their ranks, the distinct values and the rank
-    matrix, as rips_filtration builds them."""
+    """The kept edges, their ranks, the distinct values and the engine's
+    edge table of them, as rips_filtration builds them."""
     _, edges, erank, uvals = _kept_edges(d, max_dim, max_scale, scale)
     return (edges, erank, uvals,
-            _rank_matrix([(edges, erank)], len(d), uvals.size))
+            simplicial._EdgeTable([(edges, erank, uvals)], len(d)))
+
+
+def dense(table):
+    """The (n, n) rank matrix of a one-complex edge table, read through
+    its at query: the oracles take a dense matrix."""
+    v = np.arange(table.n)
+    return table.at(v[:, None], v, 0)
 
 
 def explicit(d, max_dim, max_scale, scale):
@@ -148,6 +155,16 @@ def test_batch_takes_matrices_of_one_size():
     assert rips_persistence_batch([], 1, 1.0) == []
     with pytest.raises(ParameterError, match="one size"):
         rips_persistence_batch([d, d[:2, :2]], 1, 1.0)
+    # Metadata of another length is an error, not a shorter result.
+    with pytest.raises(ParameterError, match="1 metadata entries for 3"):
+        rips_persistence_batch([d, d, d], 1, 1.0, metadata=[{"window": 0}])
+    # An empty list gets the checks of a one-matrix call.
+    for args in ((-3, -1.0, "bogus"), (-3, 1.0), (1, -1.0),
+                 (1, 1.0, "bogus")):
+        with pytest.raises(ParameterError):
+            rips_persistence_batch([], *args)
+        with pytest.raises(ParameterError):
+            rips_persistence_batch([d], *args)
 
 
 @pytest.mark.parametrize("scale", ["radius", "diameter"])
@@ -242,7 +259,8 @@ def rank_type(big):
 
 
 def same_edge_table(d, max_scale, scale):
-    got = edge_table(d, 1, max_scale, scale)
+    *got, table = edge_table(d, 1, max_scale, scale)
+    got.append(dense(table))
     *want, rank = rips_edges(d, max_scale, scale)
     for g, w in zip(got, [*want, rank.astype(rank_type(want[2].size))]):
         assert g.dtype == w.dtype and g.shape == w.shape
@@ -267,12 +285,13 @@ def test_edge_table_matches_oracle_across_row_blocks(n, scale):
 def coboundary_pair(d, k, max_scale, s):
     """The engine's coboundary of the k-simplex s and the oracle's, on
     the rank matrix of d at max_scale (diameter convention)."""
-    _, _, uvals, rank = edge_table(d, k, max_scale, "diameter")
+    _, _, uvals, table = edge_table(d, k, max_scale, "diameter")
+    rank = dense(table)
     assert rank.dtype == rank_type(uvals.size)
     s = np.array(s, dtype=np.int64)
     r = int(rank[np.ix_(s, s)][np.triu_indices(k + 1, 1)].max())
-    got, = _RipsCohomology(rank, uvals.size, k).coboundaries(
-        s[None], np.array([r]), np.zeros(1, dtype=np.int64))
+    got, = _RipsCohomology(table, k, s[None], np.array([r]),
+                           np.zeros(1, dtype=np.int64)).coboundaries([0])
     return got, rips_coboundary(rank, uvals.size, k, s, r)
 
 
@@ -377,8 +396,8 @@ def test_batched_coboundaries_drop_only_positive_triangles(case):
     keys; each key left out is a positive triangle, and no key is left
     out above dimension 1."""
     d, k, max_scale = case
-    _, _, uvals, rank = edge_table(d, k, max_scale, "diameter")
-    n, big = d.shape[0], uvals.size
+    _, _, uvals, table = edge_table(d, k, max_scale, "diameter")
+    rank, n, big = dense(table), d.shape[0], uvals.size
     for dim, (keys, columns) in enumerate(engine_coboundaries(*case), 1):
         for key, got in zip(keys, columns):
             s, r = rips_key_simplex(key, n, dim)
@@ -393,7 +412,8 @@ def test_batched_coboundaries_drop_most_annulus_triangles():
     """On an annulus below the enclosing radius the apexes leave out
     most triangles of the H1 columns, and only positive ones."""
     d = point_cloud_distances(sample_annulus(40, noise=0.05, seed=2))
-    _, _, uvals, rank = edge_table(d, 1, 0.6, "radius")
+    _, _, uvals, table = edge_table(d, 1, 0.6, "radius")
+    rank = dense(table)
     (keys, columns), = engine_coboundaries(d, 1, 0.6, "radius")
     kept = left_out = 0
     for key, got in zip(keys, columns):
@@ -406,11 +426,16 @@ def test_batched_coboundaries_drop_most_annulus_triangles():
 
 
 def with_rank_type(d, max_dim, max_scale, scale, dtype):
-    """rips_persistence with the rank matrix's type forced to dtype
-    through the one rule that chooses it."""
+    """rips_persistence with the edge table's ranks held in dtype."""
+    class Table(simplicial._EdgeTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._rank = self._rank.astype(dtype)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simplicial, "_rank_dtype", lambda big: dtype)
-        assert edge_table(d, max_dim, max_scale, scale)[3].dtype == dtype
+        mp.setattr(simplicial, "_EdgeTable", Table)
+        assert dense(edge_table(d, max_dim, max_scale, scale)[3]).dtype \
+            == dtype
         return rips_persistence(d, max_dim, max_scale, scale)
 
 
@@ -446,8 +471,66 @@ def test_rank_type_at_the_int16_boundary(kept, dtype):
     ev = np.unique(d[np.triu_indices(257, 1)])
     assert ev.size == 257 * 256 // 2
     max_scale = float(ev[kept - 1])
-    _, _, uvals, rank = edge_table(d, 1, max_scale, "diameter")
-    assert uvals.size == kept and rank.dtype == dtype
+    _, _, uvals, table = edge_table(d, 1, max_scale, "diameter")
+    assert uvals.size == kept and dense(table).dtype == dtype
     got = rips_persistence(d, 1, max_scale, "diameter")
     want = with_rank_type(d, 1, max_scale, "diameter", np.int64)
     assert repr(got.points) == repr(want.points)
+
+
+class SortedEdgeTable:
+    """An edge table with no dense matrix: the kept edges of every
+    complex, both ways round, as sorted keys (w * n + u) * n + v, read by
+    searchsorted; a key it lacks reads `big`.  It answers rows and at as
+    _EdgeTable does, in int64."""
+
+    def __init__(self, tables, n):
+        self.n = n
+        self.big = max(uvals.size for _, _, uvals in tables)
+        keys, ranks = [[np.iinfo(np.int64).max]], [[self.big]]
+        for w, (edges, erank, _) in enumerate(tables):
+            for u, v in (edges.T, edges.T[::-1]):
+                keys.append((w * n + u) * n + v)
+                ranks.append(erank)
+        keys, ranks = np.concatenate(keys), np.concatenate(ranks)
+        order = np.argsort(keys)
+        self.keys, self.ranks = keys[order], ranks[order]
+
+    def at(self, u, v, win):
+        key = (u + np.multiply(win, self.n)) * self.n + v
+        i = np.searchsorted(self.keys, key)
+        return np.where(self.keys[i] == key, self.ranks[i], self.big)
+
+    def rows(self, S, win):
+        v, w = np.arange(self.n), np.reshape(win, (-1, 1))
+        return np.maximum.reduce([self.at(S[:, c, None], v, w)
+                                  for c in range(S.shape[1])])
+
+
+def same_with_sorted_table(run):
+    """run() gives a list of repr-equal diagrams with the engine's edge
+    table and with SortedEdgeTable in its place: both Rips stages read
+    ranks only through the table's rows and at."""
+    want = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplicial, "_EdgeTable", SortedEdgeTable)
+        got = run()
+    assert [repr(g.points) for g in got] == [repr(g.points) for g in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=matrices_with_dim())
+def test_sorted_edge_table_gives_the_same_diagrams_on_matrices(case):
+    """On a batch of two complexes, so rows of both share the queries."""
+    d, k, max_scale = case
+    same_with_sorted_table(lambda: rips_persistence_batch(
+        [d, d[::-1, ::-1]], k, max_scale, "diameter"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cloud=clouds, **common)
+def test_sorted_edge_table_gives_the_same_diagrams_on_clouds(cloud, max_dim,
+                                                             where, scale):
+    d = point_cloud_distances(np.array(cloud))
+    same_with_sorted_table(lambda: [rips_persistence(
+        d, max_dim, scale_at(d, where, scale), scale)])
