@@ -32,7 +32,7 @@ from .distances import bottleneck_distance, wasserstein_distance
 from .errors import InputError, InternalError, ParameterError
 from .persistence import (check_budget, compute_persistence,
                           representative_cycle, sparsify_cycle)
-from .simplicial import (_BLOCK_ENTRIES, point_cloud_distances,
+from .simplicial import (_batch_size, point_cloud_distances,
                          rips_filtration, rips_persistence,
                          rips_persistence_batch)
 from .svgplot import save_diagram_svg
@@ -173,10 +173,9 @@ def run_series(p: dict) -> None:
     max_scale = radius if p["max_scale"] is None else p["max_scale"]
     os.makedirs(p["out_dir"], exist_ok=True)
     diagrams = []
-    # Equal-size windows go to the engine together, in chunks whose
-    # stacked rank matrices hold about _BLOCK_ENTRIES entries; a chunk's
-    # matrices are built again when it is reached.
-    step = max(1, _BLOCK_ENTRIES // len(wins[0]) ** 2)
+    # Equal-size windows go to the engine together, in chunks of
+    # _batch_size; a chunk's matrices are built again when it is reached.
+    step = _batch_size(len(wins[0]))
     for s in range(0, len(wins), step):
         diagrams += rips_persistence_batch(
             [point_cloud_distances(w) for w in wins[s:s + step]], 1,

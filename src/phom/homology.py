@@ -8,12 +8,13 @@ two sides cross-check each other in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .persistence import Filtration, union_find_h0
+from .persistence import Filtration, _bitset_columns, union_find_h0
 
 
 @dataclass
@@ -35,8 +36,8 @@ class BoundaryMatrixZ2:
     def dense(self) -> np.ndarray:
         """0/1 uint8 matrix; shape ((#rows or 1), #cols)."""
         m = np.zeros((max(1, len(self.rows)), len(self.cols)), dtype=np.uint8)
-        for j, col in enumerate(self.columns):
-            m[col, j] = 1
+        j = np.repeat(np.arange(len(self.cols)), list(map(len, self.columns)))
+        m[list(chain.from_iterable(self.columns)), j] = 1
         return m
 
 
@@ -51,7 +52,7 @@ def build_boundary_matrix(K: Filtration, k: int) -> BoundaryMatrixZ2:
     """
     if k < 0:
         raise ParameterError("boundary dimension must be non-negative")
-    ids = _lex_order(K, np.flatnonzero((K.dims == k - 1) | (K.dims == k)))
+    ids = _lex_order(K, ((K.dims == k - 1) | (K.dims == k)).nonzero()[0])
     m = int(np.count_nonzero(K.dims[ids] == k - 1))
     rows, cols, cells = ids[:m], ids[m:], K._cells(ids)
     at = np.full(len(K), -1)
@@ -93,13 +94,13 @@ def gf2_eliminate(mat: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
     r = 0
     pivots: list[tuple[int, int]] = []
     for c in range(n_cols):
-        hits = np.flatnonzero(m[r:, c])
+        hits = m[r:, c].nonzero()[0]  # flatnonzero's wrappers cost more
         if hits.size == 0:
             continue
         p = r + int(hits[0])
         if p != r:
             m[[r, p]] = m[[p, r]]
-        others = np.flatnonzero(m[:, c])
+        others = m[:, c].nonzero()[0]
         others = others[others != r]
         if others.size:
             m[others] ^= m[r]
@@ -140,16 +141,24 @@ def betti_numbers(K: Filtration, max_dim: int | None = None) -> list[int]:
     """Betti numbers beta_0..beta_max_dim of the full complex.
 
     beta_k = rank(Z_k) - rank(B_k) where rank(Z_k) = #k-cells - rank(d_k)
-    and rank(B_k) = rank(d_{k+1}).  Computed by Z2 elimination, so this
-    is the oracle route, independent of the persistence reduction.
+    and rank(B_k) = rank(d_{k+1}).  Computed by Z2 elimination of the
+    boundary columns as bitsets (no labels or dense matrix), so this is
+    the oracle route, independent of the persistence reduction.
     """
     dims = np.asarray(K.dims)
     if max_dim is None:
         max_dim = max(K.dim, 0)
     if max_dim < 0:
         raise ParameterError("max_dim must be non-negative")
-    rank = [0] + [gf2_rank(boundary_dense(K, k)) if np.any(dims == k) else 0
-                  for k in range(1, max_dim + 2)]
+    rank = [0]
+    for k in range(1, max_dim + 2):  # an xor basis keyed by top bit
+        basis: dict[int, int] = {}
+        for x in _bitset_columns(K, k, len(K)):
+            while x and x.bit_length() in basis:
+                x ^= basis[x.bit_length()]
+            if x:
+                basis[x.bit_length()] = x
+        rank.append(len(basis))
     return [int(np.count_nonzero(dims == k)) - rank[k] - rank[k + 1]
             for k in range(max_dim + 1)]
 
@@ -173,13 +182,12 @@ def format_boundary_table(B: BoundaryMatrixZ2,
     corner = f"d{B.k}"
     row_labels = [label(s) for s in B.rows] if B.rows else ["[0]"]
     col_labels = [label(s) for s in B.cols]
-    dense = B.dense()
     lw = max([len(corner)] + [len(x) for x in row_labels])
     cw = [len(x) for x in col_labels]
     out = [" ".join([corner.ljust(lw)] +
                     [col_labels[j].rjust(cw[j]) for j in range(len(cw))])]
-    for i, rl in enumerate(row_labels):
-        cells = [str(int(dense[i, j])).rjust(cw[j]) for j in range(len(cw))]
+    for rl, row in zip(row_labels, B.dense().tolist()):
+        cells = [str(x).rjust(w) for x, w in zip(row, cw)]
         out.append(" ".join([rl.ljust(lw)] + cells))
     return "\n".join(out)
 

@@ -35,8 +35,8 @@ def _key_rows(keys: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     a key row ends at its -1 padding.  Every reader of key rows cuts them
     here."""
     width = (keys != -1).sum(axis=1)
-    for w in np.flatnonzero(np.bincount(width)).tolist():
-        at = np.flatnonzero(width == w)
+    for w in np.bincount(width).nonzero()[0].tolist():
+        at = (width == w).nonzero()[0]  # flatnonzero's wrappers cost more
         yield at, keys[at, :w]
 
 
@@ -465,13 +465,16 @@ def _reduction(keys: np.ndarray, pivot: np.ndarray, has_cof: np.ndarray,
     the lists added so far (_fetch_list).  A reduced column keeps its
     heap until another column first adds it.
 
-    Returns (birth columns, their death keys, essential columns); a
-    column without cofaces or reduced to zero is essential.
+    Returns (birth columns, their death keys, essential columns), the
+    apparent pairs first in column order; a column without cofaces or
+    reduced to zero is essential.
     """
+    app = np.flatnonzero(apparent)
     owner: dict[int, int] = {}
-    for s in range(0, apparent.size, 1 << 16):  # no list of every column
-        a = s + np.flatnonzero(apparent[s:s + (1 << 16)])
+    for s in range(0, app.size, 1 << 16):  # no list of every column
+        a = app[s:s + (1 << 16)]
         owner.update(zip(pivot[a].tolist(), a.tolist()))
+    born, dies = [], []  # reduced columns, their pivots
     todo = np.flatnonzero(has_cof & ~apparent)
     order = todo[np.argsort(keys[todo])[::-1]].tolist()
     # Computed columns: lists, or (pivot, heap) of reduced ones not added.
@@ -493,6 +496,8 @@ def _reduction(keys: np.ndarray, pivot: np.ndarray, has_cof: np.ndarray,
             o = owner.get(p)
             if o is None:
                 owner[p] = j
+                born.append(j)
+                dies.append(p)
                 cols[j] = (p, heap)
                 break
             add = cols.get(o)
@@ -506,8 +511,8 @@ def _reduction(keys: np.ndarray, pivot: np.ndarray, has_cof: np.ndarray,
             for x in rest:
                 push(heap, x)
             _look_ahead(rest, owner, ahead, side)
-    return (np.fromiter(owner.values(), np.int64, len(owner)),
-            np.fromiter(owner, np.int64, len(owner)),
+    return (np.concatenate([app, np.array(born, dtype=np.int64)]),
+            np.concatenate([pivot[app], np.array(dies, dtype=np.int64)]),
             np.concatenate([np.flatnonzero(~has_cof),
                             np.array(zero, dtype=np.int64)]))
 

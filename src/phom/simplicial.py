@@ -27,6 +27,9 @@ Vertices = Sequence[int]
 # Rips engine's (simplices, n) passes, the bottleneck's (points, points)
 # pass): bounds their work arrays to a few MB.
 _BLOCK_ENTRIES = 1 << 19
+# Entries of the parts that _EdgeTable.rows gathers a block in: small
+# temporaries, reused from the heap.
+_PART_ENTRIES = 1 << 15
 # check_distance_matrix compares d with d.T tile by tile, in cache.
 _SYMMETRY_TILE = 256
 
@@ -320,19 +323,32 @@ class _EdgeTable:
         for w, (edges, erank, _) in enumerate(tables):
             self._rank[w * n + edges[:, 0], edges[:, 1]] = erank
             self._rank[w * n + edges[:, 1], edges[:, 0]] = erank
+        self._out = None
 
     def rows(self, S: np.ndarray, win) -> np.ndarray:
         """(len(S), n): per row of vertex ids, the largest rank from them
-        to each vertex, in a new array that callers may overwrite."""
-        o = win * self.n
-        M = self._rank[S[:, 0] + o]
-        for c in range(1, S.shape[1]):
-            np.maximum(M, self._rank[S[:, c] + o], out=M)
+        to each vertex, in the table's block buffer (kept while requests
+        have its row count): valid, and writable, until the next call."""
+        idx = S + np.reshape(win, (-1, 1)) * self.n
+        if self._out is None or len(self._out) != len(S):
+            self._out = np.empty((len(S), self.n), self._rank.dtype)
+        M, part = self._out, max(1, _PART_ENTRIES // self.n)
+        # Ids are in range; under mode="raise" take fills a temporary.
+        np.take(self._rank, idx[:, 0], axis=0, out=M, mode="clip")
+        for a in range(0, len(S), part):
+            for c in idx[a:a + part, 1:].T:
+                np.maximum(M[a:a + part], self._rank[c], out=M[a:a + part])
         return M
 
     def at(self, u, v, win) -> np.ndarray:
         """The ranks of the edges (u, v), broadcast."""
         return self._rank[u + win * self.n, v]
+
+
+def _batch_size(n: int) -> int:
+    """Complexes of n points per rips_persistence_batch call, for callers
+    that chunk: one _EdgeTable's W * n * n ranks stay near _BLOCK_ENTRIES."""
+    return max(1, _BLOCK_ENTRIES // n ** 2)
 
 
 def rips_filtration(dist: np.ndarray, max_dim: int, max_scale: float,
@@ -568,8 +584,9 @@ class _RipsCohomology:
             at = rows[s:s + self.step]
             B, r, cw = self.S[at], self.sr[at], self.win[at]
             M = table.rows(B, cw)
-            row, v = np.nonzero(M < big)
-            R = np.maximum(M[row, v], r[row])
+            hit = np.flatnonzero(M < big)
+            row, v = np.divmod(hit, M.shape[1])
+            R = np.maximum(M.take(hit), r[row])
             if apex is not None:
                 # win is sorted, so a block of one complex takes its
                 # index as a scalar.
@@ -601,9 +618,10 @@ class _RipsCohomology:
         table, k = self.table, self.k
         S, sr, win = self.S[at], self.sr[at], self.win[at]
         M = table.rows(S, win)
-        np.maximum(M, sr.astype(M.dtype)[:, None], out=M)
-        cm = M.min(axis=1)  # argmin is slow on int16
-        vs = (M == cm[:, None]).argmax(axis=1)
+        # The least max(M[v], sr) is max(min M, sr), and M[v] <= it holds
+        # first at its first v.  (argmin is slow on int16.)
+        cm = np.maximum(M.min(axis=1), sr.astype(M.dtype))
+        vs = (M <= cm[:, None]).argmax(axis=1)
         ok = cm == sr
         to_v = [table.at(S[:, c], vs, win) for c in range(k + 1)]
         for c in range(k + 1):  # fr: the rank of facet s + {v} - {S[:, c]}

@@ -206,7 +206,6 @@ def test_series_in_chunks_writes_the_same_files(tmp_path, monkeypatch):
         monkeypatch.chdir(here)
         with pytest.MonkeyPatch.context() as mp:
             if block:
-                mp.setattr(cli, "_BLOCK_ENTRIES", block)
                 mp.setattr(simplicial, "_BLOCK_ENTRIES", block)
             assert run("series", "s.csv", "--out-dir", "run", "--window", 8,
                        "--stride", 5) == 0

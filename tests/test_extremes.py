@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from phom import cli
+from phom import cli, simplicial
 from phom.io import read_diagram_csv, write_point_cloud
 
 EXTREMES = [0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1.0,
@@ -162,7 +162,7 @@ def test_series_with_an_overflowing_window_writes_nothing(tmp_path,
     """The last window's distances overflow: with chunks of one window,
     the runs with and without --max-scale exit 2 before the out dir or
     any window file exists."""
-    monkeypatch.setattr(cli, "_BLOCK_ENTRIES", 4)
+    monkeypatch.setattr(simplicial, "_BLOCK_ENTRIES", 4)
     src = tmp_path / "s.csv"
     write_point_cloud(str(src), np.array(
         [[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [1e308, -1e308]]))

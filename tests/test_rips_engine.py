@@ -3,6 +3,9 @@ explicit rips_filtration + compute_persistence path and the oracles."""
 
 import inspect
 import itertools
+import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -534,3 +537,90 @@ def test_sorted_edge_table_gives_the_same_diagrams_on_clouds(cloud, max_dim,
     d = point_cloud_distances(np.array(cloud))
     same_with_sorted_table(lambda: [rips_persistence(
         d, max_dim, scale_at(d, where, scale), scale)])
+
+
+@pytest.mark.parametrize("n, max_scale, dtype", [(30, 0.4, np.int16),
+                                                   (257, 2.0, np.int32)])
+def test_rows_buffer_holds_each_block_until_the_next_call(n, max_scale,
+                                                          dtype, monkeypatch):
+    """_EdgeTable.rows fills one buffer while requests keep its row count
+    and another for a new count.  In sequence on blocks of changing sizes
+    (a partial last block, one row), of 2 and 3 vertices, with a scalar
+    and a per-row win over a batch of two complexes, each result equals a
+    fresh gather-and-maximum through `at` taken right after the call,
+    also after the caller overwrote the one before.  The second round
+    folds the rows in parts of 4 rows."""
+    rng = np.random.default_rng(5)
+    cells = [_kept_edges(point_cloud_distances(rng.uniform(size=(n, 2))),
+                         2, max_scale, "diameter")[1:] for _ in range(2)]
+    table = simplicial._EdgeTable(cells, n)
+    assert table.at(0, 1, 0).dtype == dtype
+    v, last = np.arange(n), None
+    blocks = [(7, 2, 0), (7, 2, 1), (3, 2, 0), (1, 3, 1), (7, 3, "rows"),
+              (7, 3, "rows"), (5, 2, "rows"), (1, 2, "rows"), (12, 3, 0)]
+    for part in (None, 4 * n):
+        if part:
+            monkeypatch.setattr(simplicial, "_PART_ENTRIES", part)
+        for size, width, win in blocks:
+            S = np.sort(rng.choice(n, size=(size, width)), axis=1)
+            if win == "rows":
+                win = rng.integers(0, 2, size)
+            got = table.rows(S, win)
+            w = np.reshape(win, (-1, 1))
+            want = np.maximum.reduce([table.at(S[:, c, None], v, w)
+                                      for c in range(width)])
+            assert got.dtype == dtype and np.array_equal(got, want)
+            assert (got is last) == (last is not None and len(last) == size)
+            got[:] = -1
+            last = got
+
+
+# tracemalloc peaks of the engine before the block buffer, from a fresh
+# process; recorded under numpy 2.4.6 and Python 3.11.7, whose
+# allocations they depend on.
+PEAK_BOUNDS_B = {"annulus": 4_403_122, "series": 1_410_732}
+PEAK_VERSIONS = "numpy 2.4.6, Python 3.11.7"
+
+_PEAK_SCRIPT = """
+import json, tracemalloc
+from phom import (cli, gen_periodic_pair, point_cloud_distances,
+                  rips_persistence, rips_persistence_batch, sample_annulus,
+                  sliding_windows)
+
+
+def peak(run):
+    tracemalloc.start()
+    run()
+    got = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return got
+
+
+d = point_cloud_distances(sample_annulus(200, noise=0.05, seed=1))
+ds = [point_cloud_distances(w) for w in sliding_windows(
+    gen_periodic_pair(256, noise_sigma=0.05, seed=0), 32, 16)]
+radius = cli._enclosing_scale(ds, "radius")
+print(json.dumps({
+    "annulus": peak(lambda: rips_persistence(d, 1, 0.6)),
+    "series": peak(lambda: rips_persistence_batch(ds, 1, radius)),
+    "windows": len(ds)}))
+"""
+
+
+def test_rips_peaks_stay_within_the_recorded_bounds():
+    """The first rips_persistence(d, 1, 0.6) of a fresh process on a
+    200-point annulus, then the batch of the 15 windows (32 points,
+    stride 16) of a periodic series at their enclosing radius, each in a
+    fresh tracemalloc session, peak at most at PEAK_BOUNDS_B."""
+    src = os.path.dirname(os.path.dirname(simplicial.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT], check=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True).stdout
+    got = json.loads(out)
+    assert got.pop("windows") == 15
+    here = f"numpy {np.__version__}, Python {sys.version.split()[0]}"
+    for name, bound in PEAK_BOUNDS_B.items():
+        assert got[name] <= bound, (
+            f"{name}: tracemalloc peak {got[name]:,} B over {bound:,} B; "
+            f"the bound was recorded under {PEAK_VERSIONS}, this is {here}")
