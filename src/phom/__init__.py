@@ -17,9 +17,8 @@ from .distances import (DiagramDistanceReport, bottleneck_distance,
 from .datagen import KdeField
 from .errors import InputError, InternalError, ParameterError, PhomError
 from .homology import (BoundaryMatrixZ2, SnfResult, betti_numbers,
-                       boundary_dense, build_boundary_matrix,
-                       connected_components, format_boundary_table,
-                       gf2_eliminate, gf2_rank, snf_rank)
+                       build_boundary_matrix, connected_components,
+                       format_boundary_table, snf_rank)
 from .persistence import (Filtration, PersistenceDiagram, PersistencePairing,
                           RepresentativeCycle, compute_persistence,
                           cycle_boundary_is_zero, diagram_at_scale_betti,
@@ -54,7 +53,6 @@ __all__ = [
     "betti_numbers",
     "bottleneck_distance",
     "boundary_chain",
-    "boundary_dense",
     "build_boundary_matrix",
     "build_cubical_filtration",
     "check_distance_matrix",
@@ -63,10 +61,8 @@ __all__ = [
     "cycle_boundary_is_zero",
     "diagram_at_scale_betti",
     "format_boundary_table",
-    "gf2_eliminate",
     "gen_diffusion_field",
     "gen_periodic_pair",
-    "gf2_rank",
     "image_persistence",
     "image_stability_constant",
     "kde_grid",

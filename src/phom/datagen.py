@@ -25,9 +25,11 @@ def _finite(**params) -> None:
             raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
-def diffusion_stability_ratio(coeff: float, dt: float, dx: float,
-                              dy: float) -> float:
-    return coeff * dt * (1.0 / dx ** 2 + 1.0 / dy ** 2)
+def _written(out: np.ndarray, names: str) -> np.ndarray:
+    """out, or ParameterError saying that `names` give non-finite values."""
+    if not np.isfinite(out).all():
+        raise ParameterError(f"{names} give values that are not finite")
+    return out
 
 
 def gen_diffusion_field(n: int = 32, coeff: float = 0.5, steps: int = 50,
@@ -53,7 +55,7 @@ def gen_diffusion_field(n: int = 32, coeff: float = 0.5, steps: int = 50,
         raise ParameterError("diffusion coefficient must be non-negative")
     if dt <= 0 or dx <= 0 or dy <= 0:
         raise ParameterError("dt, dx and dy must be positive")
-    ratio = diffusion_stability_ratio(coeff, dt, dx, dy)
+    ratio = coeff * dt * (1.0 / dx ** 2 + 1.0 / dy ** 2)
     if ratio > 0.5:
         raise ParameterError(
             f"unstable parameters: coeff*dt*(1/dx^2+1/dy^2) = {ratio:.6g} "
@@ -88,6 +90,7 @@ class Perturbation:
         _finite(magnitude=self.magnitude)
 
 
+@np.errstate(all="ignore")  # overflow shows as a non-finite value
 def gen_periodic_pair(n_samples: int = 256, amplitude: float = 1.0,
                       frequency: float = 1.0 / 64.0,
                       perturbation: Perturbation | None = None,
@@ -117,7 +120,7 @@ def gen_periodic_pair(n_samples: int = 256, amplitude: float = 1.0,
             out[s] *= 1.0 + perturbation.magnitude
     if noise_sigma > 0:
         out = out + _rng(seed).normal(0.0, noise_sigma, size=out.shape)
-    return out
+    return _written(out, "amplitude, frequency, perturbation and noise_sigma")
 
 
 def sliding_windows(series: np.ndarray, window: int,
@@ -137,6 +140,7 @@ def sliding_windows(series: np.ndarray, window: int,
     return [arr[k * stride:k * stride + window] for k in range(count)]
 
 
+@np.errstate(all="ignore")
 def sample_annulus(n: int, radius: float = 1.0, noise: float = 0.0,
                    seed: int = 0) -> np.ndarray:
     """Points on a circle with radial Gaussian jitter (one loop)."""
@@ -150,9 +154,11 @@ def sample_annulus(n: int, radius: float = 1.0, noise: float = 0.0,
     rng = _rng(seed)
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     r = radius + (rng.normal(0.0, noise, n) if noise > 0 else 0.0)
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    return _written(np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
+                    "radius and noise")
 
 
+@np.errstate(all="ignore")
 def sample_double_annulus(n: int, radii: tuple[float, float] = (1.0, 1.0),
                           separation: float = 1.2, noise: float = 0.0,
                           seed: int = 0) -> np.ndarray:
@@ -178,8 +184,9 @@ def sample_double_annulus(n: int, radii: tuple[float, float] = (1.0, 1.0),
     if noise > 0:
         rad = rad + rng.normal(0.0, noise, n)
     centers = np.concatenate([np.full(n1, -cx), np.full(n2, cx)])
-    return np.column_stack([centers + rad * np.cos(theta),
-                            rad * np.sin(theta)])
+    return _written(np.column_stack([centers + rad * np.cos(theta),
+                                     rad * np.sin(theta)]),
+                    "radii, separation and noise")
 
 
 @dataclass(frozen=True)
@@ -201,6 +208,7 @@ class KdeField:
         return ((x1 - x0) / nx) * ((y1 - y0) / ny)
 
 
+@np.errstate(all="ignore")
 def kde_grid(points: np.ndarray, resolution: int = 64,
              bandwidth: "float | tuple[float, float] | None" = None,
              pad_sigmas: float = 3.0) -> KdeField:
@@ -239,7 +247,8 @@ def kde_grid(points: np.ndarray, resolution: int = 64,
 
     gx = np.exp(-0.5 * ((xc[None, :] - pts[:, 0, None]) / hx) ** 2)
     gy = np.exp(-0.5 * ((yc[None, :] - pts[:, 1, None]) / hy) ** 2)
-    norm = 1.0 / (n * 2.0 * math.pi * hx * hy)
+    norm = 1.0 / np.float64(n * 2.0 * math.pi * hx * hy)
     values = norm * np.einsum("py,px->yx", gy, gx)
+    _written(np.append(values, (xc, yc)), "points, bandwidth and pad_sigmas")
     return KdeField(values, (float(x0), float(x1), float(y0), float(y1)),
                     (hx, hy))

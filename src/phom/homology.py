@@ -1,8 +1,8 @@
 """Z2 boundary matrices, Smith normal form ranks and Betti numbers.
 
-This is the slow-but-transparent route: dense 0/1 matrices reduced by
-Gaussian elimination.  The persistence engine never calls into it; the
-two sides cross-check each other in the test suite.
+The transparent route: boundary columns as Z2 bitsets, ranked by one
+xor-basis elimination (`_independent`).  The persistence engine never
+calls into it; the two sides cross-check each other in the test suite.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _lex_order(K: Filtration, ids: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SnfResult:
-    """Rank and diagonal form produced by Z2 Gaussian elimination."""
+    """Rank and diagonal form produced by Z2 elimination."""
 
     rank: int
     pivots: list[tuple[int, int]]
@@ -87,33 +87,19 @@ class SnfResult:
             raise ParameterError("rank must equal the number of pivots")
 
 
-def gf2_eliminate(mat: np.ndarray) -> tuple[int, list[tuple[int, int]]]:
-    """Row-reduce a 0/1 matrix over Z2 in place; returns (rank, pivots)."""
-    m = mat
-    n_rows, n_cols = m.shape
-    r = 0
-    pivots: list[tuple[int, int]] = []
-    for c in range(n_cols):
-        hits = m[r:, c].nonzero()[0]  # flatnonzero's wrappers cost more
-        if hits.size == 0:
-            continue
-        p = r + int(hits[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        others = m[:, c].nonzero()[0]
-        others = others[others != r]
-        if others.size:
-            m[others] ^= m[r]
-        pivots.append((r, c))
-        r += 1
-        if r == n_rows:
-            break
-    return r, pivots
-
-
-def gf2_rank(mat: np.ndarray) -> int:
-    """Rank of a 0/1 matrix over Z2."""
-    return gf2_eliminate(np.array(mat, dtype=np.uint8) & 1)[0]
+def _independent(columns) -> list[int]:
+    """Positions of the Z2 bitset columns outside the span of the columns
+    before them (an xor basis keyed by top bit): left-to-right row
+    reduction pivots on exactly these, so their count is the rank."""
+    basis: dict[int, int] = {}
+    found = []
+    for c, x in enumerate(columns):
+        while x and x.bit_length() in basis:
+            x ^= basis[x.bit_length()]
+        if x:
+            basis[x.bit_length()] = x
+            found.append(c)
+    return found
 
 
 def snf_rank(B: "BoundaryMatrixZ2 | np.ndarray") -> SnfResult:
@@ -121,20 +107,22 @@ def snf_rank(B: "BoundaryMatrixZ2 | np.ndarray") -> SnfResult:
 
     Over Z2 the Smith form is determined by the rank alone: r leading
     ones on the diagonal, zeros elsewhere.  Accepts a BoundaryMatrixZ2
-    or any 0/1 array.
+    (its columns become bitsets directly, with no dense copy) or any
+    0/1 array (its columns are packed into bitsets).  Pivot (r, c) says
+    that column c is the r-th column independent of those before it.
     """
-    dense = B.dense() if isinstance(B, BoundaryMatrixZ2) else B
-    work = np.array(dense, dtype=np.uint8) & 1
-    rank, pivots = gf2_eliminate(work)
-    diag = np.zeros(work.shape, dtype=np.uint8)
-    diag[range(rank), range(rank)] = 1
-    return SnfResult(rank, pivots, diag)
-
-
-def boundary_dense(K: Filtration, k: int) -> np.ndarray:
-    """Dense Z2 boundary matrix of any filtration, in lexicographic order:
-    build_boundary_matrix(K, k).dense()."""
-    return build_boundary_matrix(K, k).dense()
+    if isinstance(B, BoundaryMatrixZ2):
+        shape = (max(1, len(B.rows)), len(B.cols))
+        cols = [sum(1 << r for r in col) for col in B.columns]
+    else:
+        work = np.array(B, dtype=np.uint8) & 1
+        shape = work.shape
+        cols = [int.from_bytes(c.tobytes(), "little") for c in
+                np.packbits(work, axis=0, bitorder="little").T]
+    pivots = list(enumerate(_independent(cols)))
+    diag = np.zeros(shape, dtype=np.uint8)
+    diag[range(len(pivots)), range(len(pivots))] = 1
+    return SnfResult(len(pivots), pivots, diag)
 
 
 def betti_numbers(K: Filtration, max_dim: int | None = None) -> list[int]:
@@ -145,21 +133,13 @@ def betti_numbers(K: Filtration, max_dim: int | None = None) -> list[int]:
     boundary columns as bitsets (no labels or dense matrix), so this is
     the oracle route, independent of the persistence reduction.
     """
-    dims = np.asarray(K.dims)
     if max_dim is None:
         max_dim = max(K.dim, 0)
     if max_dim < 0:
         raise ParameterError("max_dim must be non-negative")
-    rank = [0]
-    for k in range(1, max_dim + 2):  # an xor basis keyed by top bit
-        basis: dict[int, int] = {}
-        for x in _bitset_columns(K, k, len(K)):
-            while x and x.bit_length() in basis:
-                x ^= basis[x.bit_length()]
-            if x:
-                basis[x.bit_length()] = x
-        rank.append(len(basis))
-    return [int(np.count_nonzero(dims == k)) - rank[k] - rank[k + 1]
+    rank = [0] + [len(_independent(_bitset_columns(K, k, len(K))))
+                  for k in range(1, max_dim + 2)]
+    return [int(np.count_nonzero(K.dims == k)) - rank[k] - rank[k + 1]
             for k in range(max_dim + 1)]
 
 

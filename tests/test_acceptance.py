@@ -33,7 +33,6 @@ from phom import (
     betti_numbers,
     bottleneck_distance,
     boundary_chain,
-    boundary_dense,
     build_boundary_matrix,
     build_cubical_filtration,
     cli,
@@ -239,8 +238,9 @@ def test_pairing_accounting_and_boundary_squared(report):
                 if any(grand.count(g) % 2 for g in set(grand)):
                     ok = False
         for k in range(2, K.dim + 1):
-            prod = (boundary_dense(K, k - 1).astype(np.int64)
-                    @ boundary_dense(K, k).astype(np.int64)) % 2
+            prod = (build_boundary_matrix(K, k - 1).dense().astype(np.int64)
+                    @ build_boundary_matrix(K, k).dense().astype(np.int64)
+                    ) % 2
             if prod.any():
                 ok = False
     report(4, ok, "matching, accounting and d(d(.)) = 0 on 40 filtrations")

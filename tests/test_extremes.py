@@ -5,11 +5,14 @@ rips --save-complex`, then `phom sparsify` on every diagram point) runs
 on clouds and distance matrices of such values, and the cubical one on
 images and voxel files."""
 
+import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from phom import cli, simplicial
@@ -240,3 +243,81 @@ def test_image_and_voxel_at_float_extremes(data, superlevel, svg, cache,
             assert code in (0, 2, 3)
             if code == 0:
                 assert_replays(tmp, f"sparse{i}.manifest.json")
+
+
+def two_points(tmp):
+    write_point_cloud(str(tmp / "c.csv"), np.array([[0.0, 0.0], [1.0, 1.0]]))
+    return tmp / "c.csv"
+
+
+def far_points(tmp):
+    write_point_cloud(str(tmp / "c.csv"),
+                      np.array([[1e308, 1e308], [-1e308, -1e308]]))
+    return tmp / "c.csv"
+
+
+def one_point(tmp):
+    write_point_cloud(str(tmp / "c.csv"), np.array([[0.0, 0.0]]))
+    return tmp / "c.csv"
+
+
+GEN_AT_EXTREMES = [
+    ("kde", two_points, ["--bandwidth", 5e-324]),
+    ("kde", far_points, []),
+    ("kde", one_point, ["--resolution", 2, "--bandwidth", 1e308]),
+    ("annulus", None, ["-n", 5, "--radius", 1e308, "--noise", 1e308]),
+    ("periodic", None, ["-n", 4, "--amplitude", 1e308,
+                        "--frequency", 1e308]),
+    ("periodic", None, ["-n", 3, "--frequency", 1e308]),
+    ("double-annulus", None, ["-n", 4, "--radii", 1e308, 1e308,
+                              "--noise", 1e308]),
+]
+
+
+def assert_gen_keeps_contract(tmp, kind, argv):
+    """Under warnings as errors, `phom gen` exits 0 or 3 (never 4), no
+    file it leaves holds inf or nan, and a run that exits 0 replays."""
+    out = Path(tmp) / "out.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("gen", kind, *argv, "-o", out)
+    assert code in (0, 2, 3)
+    for p in Path(tmp).iterdir():
+        assert not re.search(rb"inf|nan", p.read_bytes(), re.I), p.name
+    if code == 0:
+        assert_replays(tmp, "out.manifest.json")
+    return code
+
+
+@pytest.mark.parametrize("kind,cloud,argv", GEN_AT_EXTREMES)
+def test_gen_at_float_extremes(tmp_path, kind, cloud, argv):
+    """Each case once wrote inf or nan rows, or exited 4; a value that
+    would not be finite is now exit 3."""
+    src = [cloud(tmp_path)] if cloud else []
+    assert assert_gen_keeps_contract(tmp_path, kind, src + argv) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["annulus", "double-annulus", "periodic"]),
+       a=st.sampled_from(EXTREMES), b=st.sampled_from(EXTREMES),
+       n=st.integers(2, 6))
+def test_gen_point_generators_at_float_extremes(kind, a, b, n):
+    argv = {"annulus": ["-n", n, "--radius", a, "--noise", b],
+            "double-annulus": ["-n", n, "--radii", a, b, "--noise", b],
+            "periodic": ["-n", n, "--amplitude", a, "--frequency", b,
+                         "--noise", a]}[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_gen_keeps_contract(tmp, kind, argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.tuples(*[st.sampled_from(
+           EXTREMES + [-x for x in EXTREMES])] * 2), min_size=1, max_size=3),
+       bandwidth=st.none() | st.sampled_from(EXTREMES),
+       resolution=st.integers(2, 4))
+def test_gen_kde_at_float_extremes(points, bandwidth, resolution):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_point_cloud(str(Path(tmp) / "c.csv"), np.array(points))
+        argv = [Path(tmp) / "c.csv", "--resolution", resolution]
+        argv += [] if bandwidth is None else ["--bandwidth", bandwidth]
+        assert_gen_keeps_contract(tmp, "kde", argv)

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 
 from phom import (
+    BoundaryMatrixZ2,
     FilteredSimplicialComplex,
     Filtration,
     InputError,
     ParameterError,
     betti_numbers,
-    boundary_dense,
     build_boundary_matrix,
     build_cubical_filtration,
     connected_components,
     format_boundary_table,
-    gf2_eliminate,
-    gf2_rank,
     image_persistence,
     point_cloud_distances,
     rips_filtration,
@@ -204,11 +202,16 @@ def test_betti_filled_triangle_and_sphere():
 
 def test_gf2_eliminate_known_matrix():
     m = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)
-    rank, pivots = gf2_eliminate(m)
-    assert rank == 2
-    assert len(pivots) == 2
-    assert gf2_rank(np.zeros((3, 4), dtype=np.uint8)) == 0
-    assert gf2_rank(np.eye(5, dtype=np.uint8)) == 5
+    res = snf_rank(m)
+    assert res.rank == 2
+    assert len(res.pivots) == 2
+    assert snf_rank(np.zeros((3, 4), dtype=np.uint8)).rank == 0
+    assert snf_rank(np.eye(5, dtype=np.uint8)).rank == 5
+
+
+def row_masks(m):
+    return [int("".join(str(b) for b in row), 2) if row.any() else 0
+            for row in m]
 
 
 def test_gf2_rank_matches_bitmask_oracle():
@@ -217,9 +220,23 @@ def test_gf2_rank_matches_bitmask_oracle():
         r = int(rng.integers(1, 9))
         c = int(rng.integers(1, 9))
         m = rng.integers(0, 2, size=(r, c)).astype(np.uint8)
-        masks = [int("".join(str(b) for b in row), 2) if row.any() else 0
-                 for row in m]
-        assert gf2_rank(m) == bitmask_rank(masks)
+        assert snf_rank(m).rank == bitmask_rank(row_masks(m))
+
+
+def test_snf_pivots_match_prefix_rank_oracle():
+    """Column c is a pivot exactly when it raises the rank of the columns
+    before it; pivot rows count up from 0.  Shapes with no rows or no
+    columns included."""
+    rng = np.random.default_rng(3)
+    for t in range(300):
+        r, c = int(rng.integers(0, 10)), int(rng.integers(0, 10))
+        m = rng.integers(0, 2, size=(r, c)).astype(np.uint8)
+        cols = row_masks(m.T)
+        want = [j for j in range(c) if bitmask_rank(cols[:j + 1])
+                > bitmask_rank(cols[:j])]
+        res = snf_rank(m)
+        assert res.pivots == list(enumerate(want))
+        assert res.matrix.shape == (r, c)
 
 
 def test_snf_diagonal_shape():
@@ -227,7 +244,7 @@ def test_snf_diagonal_shape():
     for _ in range(20):
         m = rng.integers(0, 2, size=(6, 7)).astype(np.uint8)
         res = snf_rank(m)
-        assert res.rank == gf2_rank(m)
+        assert res.rank == bitmask_rank(row_masks(m))
         d = res.matrix
         assert np.array_equal(d[:res.rank, :res.rank],
                               np.eye(res.rank, dtype=d.dtype))
@@ -237,10 +254,28 @@ def test_snf_diagonal_shape():
 
 def test_boundary_dense_matches_lex_ranks():
     K = example_complex()
-    Bf = boundary_dense(K, 1)
-    Bl = build_boundary_matrix(K, 1).dense()
+    Bf = build_boundary_matrix(K, 1).dense()
+    Bl = sorted_boundary_matrix(K, 1).dense()
     assert np.array_equal(Bf, Bl)
-    assert gf2_rank(Bf) == 4
+    assert snf_rank(Bf).rank == 4
+
+
+def test_snf_of_boundary_matrix_equals_snf_of_its_dense_copy(
+        tmp_path, monkeypatch):
+    """Rank, pivots and diagonal agree for every k of every explicit
+    complex, and the BoundaryMatrixZ2 route never builds the dense
+    matrix."""
+    for K in explicit_complexes(tmp_path):
+        for k in range(K.dim + 3):
+            B = build_boundary_matrix(K, k)
+            want = snf_rank(B.dense())
+            with monkeypatch.context() as mp:
+                mp.setattr(BoundaryMatrixZ2, "dense", None)
+                got = snf_rank(B)
+            assert (got.rank, got.pivots) == (want.rank, want.pivots)
+            assert got.matrix.dtype == want.matrix.dtype
+            assert np.array_equal(got.matrix, want.matrix)
+            assert got.matrix.shape == (max(1, len(B.rows)), len(B.cols))
 
 
 def test_textbook_route_on_cubical_grid_and_its_cache(tmp_path):
@@ -269,7 +304,8 @@ def test_textbook_route_on_cubical_grid_and_its_cache(tmp_path):
     assert build_boundary_matrix(back, 1).rows == [
         ",".join(map(str, c)) for c in build_boundary_matrix(K, 1).rows]
     for k in range(3):
-        assert np.array_equal(boundary_dense(back, k), boundary_dense(K, k))
+        assert np.array_equal(build_boundary_matrix(back, k).dense(),
+                              build_boundary_matrix(K, k).dense())
 
 
 def test_boundary_of_boundary_is_zero():
@@ -281,8 +317,9 @@ def test_boundary_of_boundary_is_zero():
         K = rips_filtration(point_cloud_distances(pts), 3, 2.0,
                             scale="diameter")
         for k in range(2, K.dim + 1):
-            prod = (boundary_dense(K, k - 1).astype(np.int64)
-                    @ boundary_dense(K, k).astype(np.int64)) % 2
+            prod = (build_boundary_matrix(K, k - 1).dense().astype(np.int64)
+                    @ build_boundary_matrix(K, k).dense().astype(np.int64)
+                    ) % 2
             assert not prod.any()
 
 
