@@ -12,8 +12,10 @@ and one rule gives every face: a cube's faces sit one step away along
 each of its odd axes (_face_steps).  Cofaces are the same steps read
 backwards, so border cells need no padding.  build_cubical_filtration
 builds the explicit complex from the two, for caches, cycles and as
-the reference; the diagram functions never build it (_lattice_pairs),
-and voxel H1 hands a coface table to persistence.pair_columns.
+the reference; the diagram functions never build it (_lattice_pairs).
+Voxel H1 stores no coface table either: persistence.pair_columns gets
+its apparent pairs as lattice minima and maxima, and reads a column's
+cofaces off the padded rank lattice when it needs them.
 """
 
 from __future__ import annotations
@@ -160,8 +162,14 @@ def _lattice_pairs(g: np.ndarray, max_dim: int) -> list[tuple]:
     groups, died = _h0_pairs(rank, cells)
     if d == 1 or max_dim < 1:
         return groups
+    cells[0] = None  # no later reader
+    if d == 2:
+        del died  # only voxel H1 reads it
     born, dies = _top_pairs(rank, cells)
     if d == 3:
+        # Voxel H1 reads cofaces on the rank lattice padded with big; the
+        # unpadded one has no later reader.
+        rank = np.pad(rank, 1, constant_values=cells[2].size)
         groups += _reduced_pairs(rank, cells, died, born)
     if max_dim >= d - 1:
         groups.append((d - 1, cells[d - 1][born], cells[d][dies]))
@@ -191,12 +199,13 @@ def _face_steps(rank: np.ndarray, k: int):
 
 def _h0_pairs(rank: np.ndarray,
               cells: list[np.ndarray]) -> tuple[list[tuple], np.ndarray]:
-    """H0 groups of _lattice_pairs, and the ranks of the merging edges."""
-    a, b = np.empty((2, cells[1].size), dtype=rank.dtype)
-    for _, _, edges, below, above in _face_steps(rank, 1):
-        a[edges] = below
-        b[edges] = above
-    e, v = boruvka_h0(cells[0].size, a, b)
+    """H0 groups of _lattice_pairs, and the ranks of the merging edges.
+
+    Each endpoint array goes to boruvka_h0 as a call temporary, so that
+    the kernel frees it once its first round has replaced it.
+    """
+    e, v = boruvka_h0(cells[0].size, _edge_ends(rank, cells[1].size, 0),
+                      _edge_ends(rank, cells[1].size, 1))
     alive = np.delete(cells[0], v)
     return [(0, cells[0][v], cells[1][e]),
             (0, alive, np.full(alive.size, -1))], e
@@ -206,31 +215,57 @@ def _reduced_pairs(rank: np.ndarray, cells: list[np.ndarray],
                    died: np.ndarray, voids: np.ndarray) -> list[tuple]:
     """H1 groups of _lattice_pairs for a voxel grid by pair_columns,
     skipping the edges of rank died (H0 deaths) and leaving out the
-    squares of rank voids (H2 births).
+    squares of rank voids (H2 births).  rank is the rank lattice of
+    _cell_order padded with one layer of big, the square count; it is
+    overwritten.
 
-    The cofaces are the squares' face steps read backwards.  An edge's
-    two cofaces along its even axis ax go in row pair ax - slot, since
-    slot counts its odd axes below ax; a border edge has one, and its
-    other entry stays big.  A square that gives birth to a void is never
-    an H1 pivot, so making it padding changes no pivot (Bauer, Kerber
-    and Reininghaus, Clear and Compress, 2014).
+    A square that gives birth to a void is never an H1 pivot, so it
+    becomes big too, and no pivot changes (Bauer, Kerber and
+    Reininghaus, Clear and Compress, 2014).  pair_columns' first level
+    is read off the lattice in the rank dtype, with no coface table:
+    each square's youngest face is the max of its faces' ranks; then,
+    with the vertices big, each edge's pivot is the min of its cofaces'
+    ranks, the squares' face steps read backwards into the edges'
+    places.  An edge's cofaces are then the keys below big one step
+    from it along each axis, read only for the columns that
+    pair_columns asks for (rows).
     """
     big = cells[2].size
-    cof = np.full((4, cells[1].size), big, dtype=np.int64)
-    youngest = np.full(big + 1, -1, dtype=np.int64)
-    for ax, slot, up, below, above in _face_steps(rank, 2):
-        cof[2 * (ax - slot) + 1, below] = up
-        cof[2 * (ax - slot), above] = up
-        youngest[up] = np.maximum.reduce([youngest[up], below, above])
-    row = np.arange(big + 1)
-    row[voids] = big
-    cols = np.delete(np.arange(cells[1].size), died)
-    cof = np.sort(row[cof[:, cols]].T, axis=1).ravel()  # frees the old one
-    del row  # and the void map, before the levels' peak
-    born, dies, ess = pair_columns(cols, cof, 4 * np.arange(cols.size + 1),
-                                   youngest, big)
+    inner = rank[(slice(1, -1),) * 3]
+    youngest = np.full(big + 1, -1, dtype=rank.dtype)
+    steps = _face_steps(inner, 2)  # two in a row for each square's axes
+    for (_, _, up, *ab), (_, _, _, *cd) in zip(steps, steps):
+        youngest[up] = np.maximum(np.maximum(*ab), np.maximum(*cd))
+    rank.reshape(-1)[_padded_positions(cells[2][voids], inner.shape)] = big
+    for odd in [(), (0,), (1,), (2,)]:
+        inner[_block(3, odd)] = big
+    for _, _, up, below, above in _face_steps(inner, 2):
+        np.minimum(below, up, out=below)
+        np.minimum(above, up, out=above)
+    cols = np.delete(np.arange(cells[1].size, dtype=rank.dtype), died)
+    at = _padded_positions(cells[1][cols], inner.shape)
+    step = np.array(rank.strides) // rank.itemsize
+    near = np.concatenate([-step, step])
+
+    def rows(js):
+        """The cofaces of columns js: the keys one step from each edge
+        that are below big."""
+        key = rank.take(at[js, None] + near)
+        i = np.flatnonzero(key < big)
+        return i // near.size, key.take(i)
+
+    born, dies, ess = pair_columns(cols, rank.take(at), youngest, rows, big)
     return [(1, cells[1][born], cells[2][dies]),
             (1, cells[1][ess], np.full(ess.size, -1))]
+
+
+def _padded_positions(at: np.ndarray, shape: tuple) -> np.ndarray:
+    """The flat positions at on a 3-d lattice of the given shape, moved
+    to that lattice padded with one layer."""
+    _, n1, n2 = shape
+    c0, c12 = np.divmod(at.astype(np.int64), n1 * n2)
+    c1, c2 = np.divmod(c12, n2)
+    return ((c0 + 1) * (n1 + 2) + c1 + 1) * (n2 + 2) + c2 + 1
 
 
 def _top_pairs(rank: np.ndarray,
@@ -245,18 +280,29 @@ def _top_pairs(rank: np.ndarray,
     that merges a top cell's component is the birth of the class that
     top cell kills, and every top cell is killed.
     """
-    d = rank.ndim
-    nt = cells[d].size
-    nf = cells[d - 1].size
-    # Dual edge nf-1-f joins the ages (nt minus rank, exterior 0) of the
-    # top cells below and above face f.
-    a, b = np.zeros((2, nf), dtype=rank.dtype)
-    for _, _, tops, below, above in _face_steps(rank, d):
-        age = nt - tops
-        b[nf - 1 - below] = age
-        a[nf - 1 - above] = age
-    e, v = boruvka_h0(nt + 1, a, b)
+    nt, nf = cells[-1].size, cells[-2].size
+    e, v = boruvka_h0(nt + 1, _dual_ends(rank, nt, nf, 0),
+                      _dual_ends(rank, nt, nf, 1))
     return nf - 1 - e, nt - v
+
+
+def _edge_ends(rank: np.ndarray, m: int, side: int) -> np.ndarray:
+    """The ranks of the vertices one step down (side 0) or up (side 1)
+    the m lattice edges, by edge rank."""
+    out = np.empty(m, dtype=rank.dtype)
+    for _, _, edges, below, above in _face_steps(rank, 1):
+        out[edges] = (below, above)[side]
+    return out
+
+
+def _dual_ends(rank: np.ndarray, nt: int, nf: int, side: int) -> np.ndarray:
+    """One end of each of _top_pairs' dual edges: dual edge nf-1-f joins
+    the ages (nt minus rank, exterior 0) of the top cells below (side 0)
+    and above (side 1) the (d-1)-cell f."""
+    out = np.zeros(nf, dtype=rank.dtype)
+    for _, _, tops, below, above in _face_steps(rank, rank.ndim):
+        out[nf - 1 - (above, below)[side]] = nt - tops
+    return out
 
 
 def _grid_persistence(grid, max_dim: int | None, direction: str,

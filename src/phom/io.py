@@ -306,6 +306,26 @@ def _pgm_tokens(path: str, data: bytes, count: int, start: int
         f"{path}: truncated header at byte {max(start, len(data))}")
 
 
+# The bytes of a sample body that numpy's C parser reads as the tokens.
+_PGM_PLAIN = b"0123456789 \t\n\r\x0b\x0c"
+
+
+def _plain_samples(body: bytes, count: int,
+                   maxval: int) -> np.ndarray | None:
+    """The `count` samples of an ASCII body by numpy's C parser, or None
+    for the token path to read, and to word any fault with: a body with a
+    byte other than an ASCII digit or whitespace, another sample count or
+    a sample above maxval.  The parser must see no sign, as it reads
+    '- 5' as -5 and '5 -' as 5, 0, nor whitespace alone, read as one 0;
+    an integer past int64 saturates, so it is above maxval."""
+    if body.translate(None, _PGM_PLAIN) or body.isspace():
+        return None
+    samples = np.fromstring(body, dtype=np.int64, sep=" ")
+    if samples.size != count or samples.max() > maxval:
+        return None
+    return samples.astype(np.float64)
+
+
 def read_pgm(path: str) -> np.ndarray:
     """Read PGM (P2/P5) or PPM (P3/P6) into a float64 (h, w) grid.
 
@@ -341,6 +361,8 @@ def read_pgm(path: str) -> np.ndarray:
         samples = samples.astype(np.float64)
     else:
         body = data[pos:]
+        samples = _plain_samples(body, n_samples, maxval)
+    if samples is None:
         # Without a '#', bytes.split gives the regex's tokens, 4x faster.
         toks = (list(filter(None, _PGM_TOKEN.findall(body))) if b"#" in body
                 else body.split())

@@ -4,10 +4,11 @@ Every diagram comes from one engine: union-find for H0, then, per
 dimension, a reduction of coboundary columns in reverse filtration order
 with clearing and apparent pairs (cohomology gives the same pairs as the
 boundary reduction), and ordered_diagram turns the pairs into points.
-Where the cofaces are in memory (compute_persistence, voxel H1),
-pair_columns pairs most columns on arrays first; rips_persistence
-computes its cofacets on the fly.  Representative cycles are read off
-the pairing: a cell's reduced boundary needs only its owners' columns.
+Where the caller reads cofaces by column (compute_persistence from its
+coface table, voxel H1 off the lattice), pair_columns pairs most
+columns on arrays first; rips_persistence computes its cofacets on the
+fly.  Representative cycles are read off the pairing: a cell's reduced
+boundary needs only its owners' columns.
 """
 
 from __future__ import annotations
@@ -372,7 +373,7 @@ def boruvka_h0(n: int, a: np.ndarray,
     """
     dt = np.result_type(a, b)
     killed = np.full(a.size, -1, dtype=dt)  # the vertex edge e kills
-    pos, age = np.arange(a.size, dtype=dt), np.arange(n, dtype=dt)
+    pos, age = None, np.arange(n, dtype=dt)  # no pos: the input's edges
     while a.size:
         first, at = np.full(age.size, a.size, dt), np.arange(a.size, dtype=dt)
         np.minimum.at(first, a, at)
@@ -385,7 +386,8 @@ def boruvka_h0(n: int, a: np.ndarray,
         if kill.size * _FINISH < nodes.size:
             break
         dead, up = nodes.take(kill), up.take(kill)
-        killed[pos.take(e.take(kill))] = age.take(dead)
+        e = e.take(kill)
+        killed[e if pos is None else pos.take(e)] = age.take(dead)
         alive = np.delete(nodes, kill)
         del nodes, e, kill
         root = np.arange(age.size, dtype=dt)
@@ -396,12 +398,14 @@ def boruvka_h0(n: int, a: np.ndarray,
         ids = np.empty(age.size, dtype=dt)
         ids[alive] = np.arange(alive.size, dtype=dt)
         root = ids.take(root)
-        a, b = root.take(a), root.take(b)
+        a = root.take(a)  # frees a caller's temporary endpoints
+        b = root.take(b)
         keep = np.flatnonzero(a != b)
-        a, b, pos, age = a.take(keep), b.take(keep), pos.take(keep), age[alive]
+        a, b, age = a.take(keep), b.take(keep), age[alive]
+        pos = keep.astype(dt) if pos is None else pos.take(keep)
     if a.size:
         e, v = union_find_h0(age.size, a, b)
-        killed[pos.take(e)] = age.take(v)
+        killed[e if pos is None else pos.take(e)] = age.take(v)
     e = np.flatnonzero(killed >= 0)
     return e, killed.take(e).astype(np.int64)
 
@@ -584,15 +588,17 @@ def _odd_entries(heap: list) -> list:
 _LEVELS = 3
 
 
-def pair_columns(cols: np.ndarray, table: np.ndarray, bounds: np.ndarray,
-                 youngest: np.ndarray, big: int
+def pair_columns(cols: np.ndarray, pivot: np.ndarray, youngest: np.ndarray,
+                 rows: Callable, big: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair the columns of one dimension whose cofaces are in memory.
+    """Pair the columns of one dimension whose cofaces the caller reads.
 
     Column j is cell cols[j], ascending, less the cells paired one
-    dimension down (clearing).  table[bounds[j]:bounds[j + 1]] holds its
-    cofaces' keys in filtration order, keys big being padding, and
-    youngest[p] is coface p's youngest face (youngest[big] = -1).
+    dimension down (clearing).  rows(js) returns (at, keys): the keys of
+    the cofaces of columns js, all below big, column after column, and
+    for each key the index in js of its column.  pivot[j] is column j's
+    least key, big if it has none, and youngest[p] is coface p's
+    youngest face (youngest[big] = -1).
 
     Before the heap loop of reduce_coboundaries, _LEVELS levels pair
     columns on arrays.  A column that is the youngest one holding its
@@ -600,80 +606,96 @@ def pair_columns(cols: np.ndarray, table: np.ndarray, bounds: np.ndarray,
     other column that holds the key, and sums of younger columns never
     hold it.  Each level pairs all such columns, then adds them to the
     others until no other column holds their pivots (_eliminate).  The
-    first level reads a key's youngest holder from youngest: it takes
-    the apparent pairs and leaves the critical columns of that discrete
+    first level takes pivot and youngest from the caller: it takes the
+    apparent pairs and leaves the critical columns of that discrete
     gradient (after Mischaikow and Nanda, Morse theory for filtrations,
-    2013).  The next ones read it from the entries left.  Only the
-    columns left go to reduce_coboundaries, none of them apparent.
+    2013).  Only the rows of those columns and of the owners they add
+    are read.  The next levels read both from the entries left.  Only
+    the columns left go to reduce_coboundaries, none of them apparent.
 
     Returns (birth cells, their death keys, essential cells).
     """
-    key, born, dies = table, [], []
+    born, dies = [], []
     for level in range(_LEVELS):
         if level:
-            col, key = _eliminate(col, key, owner, table, bounds, big)
+            col, key = _eliminate(col, key, owner, rows, big)
             bounds = np.searchsorted(col, np.arange(cols.size + 1))
-            youngest = np.full(big + 1, -1, dtype=np.int64)
+            rows = _csr_rows(key, bounds)
+            pivot = _first_keys(key, bounds[:-1], bounds[1:], big)
+            youngest = np.full(big + 1, -1, dtype=cols.dtype)
             np.maximum.at(youngest, key, cols[col])
-        full = bounds[1:] > bounds[:-1]
-        pivot = np.full(cols.size, big, dtype=np.int64)
-        pivot[full] = key[bounds[:-1][full]]
         own = youngest[pivot] == cols
         born.append(cols[own])
         dies.append(pivot[own])
-        owner = np.full(big + 1, -1, dtype=np.int64)
+        # Column numbers fit the dtype of the cell ids in cols.
+        owner = np.full(big + 1, -1, dtype=cols.dtype)
         owner[pivot[own]] = np.flatnonzero(own)
-        col = np.flatnonzero(np.repeat(~own, np.diff(bounds)) & (key < big))
-        table, key, cols = key, key[col], cols[~own]
-        col = (np.cumsum(~own) - 1)[np.searchsorted(bounds, col, "right") - 1]
-    col, key = _eliminate(col, key, owner, table, bounds, big)
+        left = np.flatnonzero(~own)
+        (col, key), cols = rows(left), cols[left]
+    col, key = _eliminate(col, key, owner, rows, big)
     ends = np.searchsorted(col, np.arange(cols.size + 1))
     flat, offs = key.tolist(), ends.tolist()
     (b, d, ess), = reduce_coboundaries(
-        [(cols, np.append(key, big)[ends[:-1]], ends[1:] > ends[:-1],
-          np.zeros(cols.size, dtype=bool))],
+        [(cols, _first_keys(key, ends[:-1], ends[1:], big),
+          ends[1:] > ends[:-1], np.zeros(cols.size, dtype=bool))],
         lambda js: [flat[offs[j]:offs[j + 1]] for j in js])
     return np.concatenate(born + [cols[b]]), np.concatenate(dies + [d]), \
         cols[ess]
 
 
-def _eliminate(col: np.ndarray, key: np.ndarray, owner: np.ndarray,
-               table: np.ndarray, bounds: np.ndarray,
-               big: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entries (col, key), sorted by column and then key, after adding to
-    each column, round by round, column owner[p] for every entry p with
-    owner[p] >= 0, until no entry has one; sorted the same way.
+def _csr_rows(table: np.ndarray, bounds: np.ndarray) -> Callable:
+    """pair_columns' rows for columns whose keys are
+    table[bounds[j]:bounds[j + 1]]."""
+    def rows(js):
+        start, size = bounds[js], bounds[js + 1] - bounds[js]
+        return (np.repeat(np.arange(js.size), size),
+                table[np.repeat(start - np.cumsum(size) + size, size)
+                      + np.arange(size.sum())])
+    return rows
 
-    Column o is table[bounds[o]:bounds[o + 1]], sorted, starting with
-    its pivot p, where keys big are padding; adding it replaces p by
-    the rest, and equal entries cancel mod 2.  A column without such an
-    entry is set aside.  Owners are younger than the columns they are
-    added to, so every column keeps its pivot, and an entry is replaced
-    only by younger keys, so the rounds end.  The merged key
-    col * (big + 1) + key fits in int64, since both factors are below
-    the cell count.
+
+def _first_keys(table: np.ndarray, start: np.ndarray, end: np.ndarray,
+                big: int) -> np.ndarray:
+    """The first key of each row table[start:end], or big for an empty
+    row."""
+    first = np.full(start.size, big, dtype=table.dtype)
+    full = end > start
+    first[full] = table[start[full]]
+    return first
+
+
+def _eliminate(col: np.ndarray, key: np.ndarray, owner: np.ndarray,
+               rows: Callable, big: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries (col, key) of some columns after adding to each,
+    round by round, column owner[p] for every entry p with owner[p] >= 0,
+    until no entry has one; sorted by column and then key.
+
+    Adding column o, which rows(os) reads as pair_columns does, replaces
+    its pivot p by the rest of its row.  Mod 2 that is the same as
+    replacing each owned entry wherever it occurs, so a round replaces
+    only the owned entries, once equal ones have cancelled in pairs, and
+    the others are summed once at the end.  Owners are younger than the
+    columns they are added to, so every column keeps its pivot, and an
+    entry is replaced only by younger keys, so the rounds end.  The
+    merged key col * (big + 1) + key fits in int64, since both factors
+    are below the cell count.
     """
-    done = []
-    hit = owner[key] >= 0
-    while hit.any():
-        busy = np.zeros(col[-1] + 1, dtype=bool)  # col is sorted
-        busy[col[hit]] = True
-        stay = busy[col]
-        done.append(col[~stay] * (big + 1) + key[~stay])
-        col, key, hit = col[stay], key[stay], hit[stay]
-        o = owner[key[hit]]
-        size = bounds[o + 1] - bounds[o] - 1
-        at = (np.repeat(bounds[o] + 1 - np.cumsum(size) + size, size)
-              + np.arange(size.sum()))
-        col = np.concatenate([col[~hit], np.repeat(col[hit], size)])
-        key = np.concatenate([key[~hit], table[at]])
-        keep = key < big
-        merged, count = np.unique(col[keep] * (big + 1) + key[keep],
-                                  return_counts=True)
-        col, key = np.divmod(merged[count % 2 == 1], big + 1)
-        hit = owner[key] >= 0
-    done.append(col * (big + 1) + key)
-    return np.divmod(np.sort(np.concatenate(done)), big + 1)
+    span = big + 1
+    x = col * span + key
+    owned = owner[key] >= 0
+    done, front = [x[~owned]], x[owned]
+    while front.size:
+        front, count = np.unique(front, return_counts=True)
+        col, key = np.divmod(front[count % 2 == 1], span)
+        at, add = rows(owner[key])
+        rest = np.flatnonzero(add != key[at])  # drop the entries replaced
+        add = add[rest]
+        x = col[at[rest]] * span + add
+        owned = owner[add] >= 0
+        done.append(x[~owned])
+        front = x[owned]
+    x, count = np.unique(np.concatenate(done), return_counts=True)
+    return np.divmod(x[count % 2 == 1], span)
 
 
 def ordered_diagram(groups: list[tuple], max_dim: int,
@@ -700,7 +722,7 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
                         ) -> tuple[PersistenceDiagram, PersistencePairing]:
     """Persistence diagram and pairing of a filtration.
 
-    H0 comes from union-find over the edges.  Each dimension k <= max_dim
+    H0 comes from boruvka_h0 over the edges.  Each dimension k <= max_dim
     below the top (whose cells have no cofaces) then pairs the k-cells by
     pair_columns on the coface rows, skipping the cells paired one
     dimension down (clearing); cohomology gives the boundary reduction's
@@ -730,7 +752,9 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
 
     # The boundary CSR transposed: each cell's cofaces, sorted, unpadded.
     cof_flat = np.sort(flat * n + np.repeat(np.arange(n), nfaces)) % n
-    ncof = np.bincount(flat, minlength=n)
+    cof_off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=n), out=cof_off[1:])
+    cof_rows = _csr_rows(cof_flat, cof_off)
     youngest = np.full(n + 1, -1, dtype=np.int64)
     youngest[:n][nfaces > 0] = np.maximum.reduceat(flat, off[:-1][nfaces > 0])
 
@@ -739,20 +763,21 @@ def compute_persistence(K: Filtration, max_dim: int | None = None,
     if np.any(nfaces[edges] != 2):
         raise InputError("every edge needs two faces")
     age = np.cumsum(dims == 0) - 1
-    e, v = union_find_h0(verts.size, age[flat[off[edges]]],
-                         age[flat[off[edges] + 1]])
+    e, v = boruvka_h0(verts.size, age[flat[off[edges]]],
+                      age[flat[off[edges] + 1]])
     births, deaths = [verts[v]], [edges[e]]
     paired = np.zeros(n, dtype=bool)
     paired[edges[e]] = True
 
     for k in range(1, min(max_dim, top - 1) + 1):
-        take = (dims == k) & ~paired
+        cols = np.flatnonzero((dims == k) & ~paired)
         born, dead, _ = pair_columns(
-            np.flatnonzero(take), cof_flat[np.repeat(take, ncof)],
-            np.concatenate([[0], np.cumsum(ncof[take])]), youngest, n)
+            cols, _first_keys(cof_flat, cof_off[cols], cof_off[cols + 1], n),
+            youngest, lambda js, cols=cols: cof_rows(cols[js]), n)
         births.append(born)
         deaths.append(dead)
         paired[dead] = True
+        del cols  # not held through the diagram's peak
 
     b, d = np.concatenate(births), np.concatenate(deaths)
     order = np.argsort(b)

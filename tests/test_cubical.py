@@ -1,6 +1,10 @@
 """Cubical filtrations of grids and their sublevel/superlevel diagrams."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -421,3 +425,53 @@ def test_voxel_reduction_gets_only_critical_columns(monkeypatch, g):
         assert all(0 <= k < cells[2].size for k in col)
     assert any(set(col) - set(cofaces[e]) for e, col in zip(keys, columns))
     assert len(keys) < len(cofaces.keys() - cleared - apparent_pairs.keys())
+
+
+# tracemalloc peaks of the lattice engines from a fresh process, rounded
+# up to the next 1,000 B (runs vary by about 100 B); recorded under numpy
+# 2.4.6 and Python 3.11.7, whose allocations they depend on.
+PEAK_BOUNDS_B = {"voxel-noise": 3_747_000, "voxel-grid": 3_291_000,
+                 "image-noise": 6_788_000}
+PEAK_VERSIONS = "numpy 2.4.6, Python 3.11.7"
+
+_PEAK_SCRIPT = """
+import json, tracemalloc
+import numpy as np
+from phom import image_persistence, voxel_persistence
+from phom.datagen import gen_diffusion_field
+
+
+def peak(run):
+    tracemalloc.start()
+    run()
+    got = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return got
+
+
+noise = np.random.default_rng(0).random((24, 24, 24))
+grid = np.stack([gen_diffusion_field(n=24, steps=5, seed=1000 + z)
+                 for z in range(24)])
+image = np.random.default_rng(0).random((256, 256))
+print(json.dumps({"voxel-noise": peak(lambda: voxel_persistence(noise)),
+                  "voxel-grid": peak(lambda: voxel_persistence(grid)),
+                  "image-noise": peak(lambda: image_persistence(image))}))
+"""
+
+
+def test_lattice_peaks_stay_within_the_recorded_bounds():
+    """voxel_persistence on 24^3 uniform noise (seed 0) and on the 24^3
+    grid of perfbench's grid-cubical instance 0, then image_persistence
+    on 256^2 uniform noise (seed 0), each in a fresh tracemalloc session
+    of a fresh process, peak at most at PEAK_BOUNDS_B."""
+    src = os.path.dirname(os.path.dirname(cubical.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT], check=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True).stdout
+    got = json.loads(out)
+    here = f"numpy {np.__version__}, Python {sys.version.split()[0]}"
+    for name, bound in PEAK_BOUNDS_B.items():
+        assert got[name] <= bound, (
+            f"{name}: tracemalloc peak {got[name]:,} B over {bound:,} B; "
+            f"the bound was recorded under {PEAK_VERSIONS}, this is {here}")

@@ -41,6 +41,8 @@ def seeds(tmp_path_factory):
                delimiter=",")
     assert run("rips", d / "c.csv", "-o", d / "dg.csv") == 0
     write_pgm(str(d / "g.pgm"), rng.integers(0, 9, size=(3, 4)), maxval=9)
+    write_pgm(str(d / "w.pgm"), np.array([[0, 65535, 7], [300, 12, 65534]]),
+              maxval=65535)
     assert run("image", d / "g.pgm", "-o", d / "g_dg.csv") == 0
     (d / "h.csv").write_bytes(
         b"# death_cap=2.5\n\n dim,birth,death\r\n0,-0.0,inf\n# late=1e-07\n"
@@ -59,7 +61,8 @@ def seeds(tmp_path_factory):
 CASES = [("cloud", "c.csv"), ("cloud", "c2.csv"), ("cloud", "m.csv"),
          ("diagram", "dg.csv"), ("diagram", "g_dg.csv"),
          ("diagram", "h.csv"), ("pgm", "g.pgm"), ("pgm", "c.pgm"),
-         ("pgm", "p3.ppm"), ("pgm", "g5.pgm"), ("voxel", "v.vox"),
+         ("pgm", "p3.ppm"), ("pgm", "g5.pgm"), ("pgm", "w.pgm"),
+         ("voxel", "v.vox"),
          ("voxel", "w.vox")]
 
 # Bytes that separate, comment, sign or spell numbers, and any byte.
@@ -90,6 +93,22 @@ def outcome(read, path):
 @given(edits=EDITS)
 @example(edits=[])
 @example(edits=[("truncate", 1, 0)])
+# Sample bodies of w.pgm ("P2\n3 2\n65535\n" then "0 65535 7\n300 12
+# 65534\n" from byte 13) at the edge of the C parser's fast path: a
+# comment, signs, '_', NUL, short and long bodies, a sample past maxval,
+# a changed sample, and whitespace alone for a 1x1 image.
+@example(edits=[("insert", 23, ord("#"))])
+@example(edits=[("insert", 13, ord("-"))])
+@example(edits=[("insert", 27, ord(" ")), ("insert", 27, ord("-"))])
+@example(edits=[("insert", 36, ord(" ")), ("insert", 37, ord("-"))])
+@example(edits=[("replace", 14, ord("_"))])
+@example(edits=[("replace", 20, 0)])
+@example(edits=[("truncate", 30, 0)])
+@example(edits=[("insert", 36, ord("5"))])
+@example(edits=[("insert", 19, ord("9"))])
+@example(edits=[("replace", 21, ord("8"))])
+@example(edits=[("replace", 3, ord("1")), ("replace", 5, ord("1")),
+                ("truncate", 13, 0), ("insert", 13, ord(" "))])
 def test_reader_matches_line_oracle(seeds, reader, name, edits):
     bad = seeds / ("bad_" + name)
     bad.write_bytes(mutate((seeds / name).read_bytes(), edits))
