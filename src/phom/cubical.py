@@ -281,6 +281,7 @@ def _top_pairs(rank: np.ndarray,
     top cell kills, and every top cell is killed.
     """
     nt, nf = cells[-1].size, cells[-2].size
+    # Call temporaries, as in _h0_pairs.
     e, v = boruvka_h0(nt + 1, _dual_ends(rank, nt, nf, 0),
                       _dual_ends(rank, nt, nf, 1))
     return nf - 1 - e, nt - v
